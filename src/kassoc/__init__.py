@@ -1,6 +1,6 @@
 """kassoc: exact causal-structure analysis around k-associations.
 
-Graph layer (DAGs, d-separation with a compiled kernel), exact discrete
+Graph layer (DAGs, bitmask d-separation in pure Python), exact discrete
 and linear-Gaussian probability oracles, weak-association scans, a sound
 collider orientation rule, grow-shrink Markov blanket recovery, and a
 sparsest-permutation reference implementation — all over rational
@@ -39,7 +39,6 @@ from .orientation import (
     check_nonadjacency,
     detect_of_failure,
     orient,
-    orient_fixpoint,
 )
 from .scenarios import BUILTINS, Scenario, ScenarioError, builtin, load, load_path, save
 from .sparsest import PermutationDag, dag_from_permutation, sparsest_permutations
@@ -96,7 +95,6 @@ __all__ = [
     "load_path",
     "markov_blanket",
     "orient",
-    "orient_fixpoint",
     "partial_correlation_zero",
     "random_dag",
     "save",

@@ -83,6 +83,27 @@ def subsets_by_size(
         yield from itertools.combinations(pool, size)
 
 
+def first_separating_set(
+    o: IndependenceOracle,
+    x: str,
+    y: str,
+    core: frozenset[str],
+    pool: Sequence[str],
+    order: Sequence[str],
+    max_size: int,
+) -> frozenset[str] | None:
+    """First ``core | S`` given which x and y are independent, or None.
+
+    S runs over ``subsets_by_size(pool, order, max_size)``, so None means x
+    and y stay dependent given ``core`` plus every such S.
+    """
+    for s in subsets_by_size(pool, order, max_size):
+        given = core.union(s)
+        if o.query(x, y, given):
+            return given
+    return None
+
+
 def _ci_statement(x: str, y: str, given: Iterable[str], independent: bool) -> dict:
     return {"x": x, "y": y, "given": sorted(given), "independent": independent}
 
@@ -97,11 +118,13 @@ def is_1_associated(
     if x == y:
         raise OracleError("x and y must be distinct")
     pool = [v for v in o.variables if v not in (x, y)]
-    for s in subsets_by_size(pool, o.variables, budget.cap(len(pool))):
-        if o.query(x, y, s):
-            return AssociationReport(
-                x, (y,), "one", False, _ci_statement(x, y, s, True)
-            )
+    given = first_separating_set(
+        o, x, y, frozenset(), pool, o.variables, budget.cap(len(pool))
+    )
+    if given is not None:
+        return AssociationReport(
+            x, (y,), "one", False, _ci_statement(x, y, given, True)
+        )
     return AssociationReport(x, (y,), "one", True, None, budget.capped(len(pool)))
 
 
@@ -236,17 +259,14 @@ def find_unfaithful_triples(
             continue
         if _mutually_independent(joint, x, y, z):
             continue
-        minimal = True
-        witnesses = []
+        witnesses = ()
         pool = [v for v in o.variables if v not in (x, y, z)]
-        for a, b in itertools.combinations((x, y, z), 2):
-            third = ({x, y, z} - {a, b}).pop()
-            for s in subsets_by_size(pool, o.variables, budget.cap(len(pool))):
-                if o.query(a, b, set(s) | {third}):
-                    minimal = False
-                    witnesses.append(_ci_statement(a, b, set(s) | {third}, True))
-                    break
-            if not minimal:
+        for a, b, third in ((x, y, z), (x, z, y), (y, z, x)):
+            given = first_separating_set(
+                o, a, b, frozenset((third,)), pool, o.variables, budget.cap(len(pool))
+            )
+            if given is not None:
+                witnesses = (_ci_statement(a, b, given, True),)
                 break
-        out.append(UnfaithfulTriple((x, y, z), minimal, tuple(witnesses)))
+        out.append(UnfaithfulTriple((x, y, z), not witnesses, witnesses))
     return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .association import is_weakly_associated
+from .association import first_separating_set, is_weakly_associated, subsets_by_size
 from .graph import Dag
 from .oracle import IndependenceOracle
 
@@ -65,11 +65,13 @@ def _max_subset(n: int) -> int | None:
     return None if n <= EXHAUSTIVE_LIMIT else PARTIAL_MAX_SUBSET
 
 
-def _subsets(pool, limit=None):
+def _separating_set(oracle, x, z, core, pool, limit):
+    """First ``core | S`` separating x and z; S runs over the subsets of
+    ``pool`` (at most ``limit`` nodes), smallest first, lexicographic by
+    label."""
     pool = sorted(pool)
-    top = len(pool) if limit is None else min(limit, len(pool))
-    for size in range(top + 1):
-        yield from itertools.combinations(pool, size)
+    top = len(pool) if limit is None else limit
+    return first_separating_set(oracle, x, z, frozenset(core), pool, pool, top)
 
 
 def check_cmc(dag: Dag, oracle: IndependenceOracle) -> AuditResult:
@@ -94,7 +96,7 @@ def check_cmc(dag: Dag, oracle: IndependenceOracle) -> AuditResult:
         )
         for xs, ys in side_pairs:
             rest = set(nodes) - set(xs) - set(ys)
-            for s in _subsets(rest):
+            for s in subsets_by_size(rest, sorted(rest), len(rest)):
                 if not dag.d_separated(xs, ys, s):
                     continue
                 if not oracle.query_sets(xs, ys, s):
@@ -103,7 +105,7 @@ def check_cmc(dag: Dag, oracle: IndependenceOracle) -> AuditResult:
         return AuditResult("CMC", True, None, True)
     for x, y in itertools.combinations(nodes, 2):
         rest = set(nodes) - {x, y}
-        for s in _subsets(rest, limit):
+        for s in subsets_by_size(rest, sorted(rest), limit):
             if dag.d_separated([x], [y], s) and not oracle.query(x, y, s):
                 witness = {"xs": [x], "ys": [y], "given": list(s)}
                 return AuditResult("CMC", False, witness, False)
@@ -114,11 +116,10 @@ def check_af(dag: Dag, oracle: IndependenceOracle) -> AuditResult:
     """Adjacency faithfulness: adjacent nodes dependent under every S."""
     limit = _max_subset(len(dag.nodes))
     for x, y in dag.edges:
-        rest = set(dag.nodes) - {x, y}
-        for s in _subsets(rest, limit):
-            if oracle.query(x, y, s):
-                witness = {"edge": [x, y], "separating_set": list(s)}
-                return AuditResult("AF", False, witness, limit is None)
+        s = _separating_set(oracle, x, y, (), set(dag.nodes) - {x, y}, limit)
+        if s is not None:
+            witness = {"edge": [x, y], "separating_set": sorted(s)}
+            return AuditResult("AF", False, witness, limit is None)
     return AuditResult("AF", True, None, limit is None)
 
 
@@ -143,17 +144,14 @@ def check_of(dag: Dag, oracle: IndependenceOracle) -> AuditResult:
         for x, z in itertools.combinations(neigh, 2):
             if dag.adjacent(x, z):
                 continue
+            # the path x - y - z is active given S: y in S iff y is a collider
             collider = y in dag.children(x) and y in dag.children(z)
-            rest = set(dag.nodes) - {x, z}
-            for s in _subsets(rest, limit):
-                active = (y in s) if collider else (y not in s)
-                if active and oracle.query(x, z, s):
-                    witness = {
-                        "triple": [x, y, z],
-                        "collider": collider,
-                        "given": list(s),
-                    }
-                    return AuditResult("OF", False, witness, limit is None)
+            core = {y} if collider else set()
+            top = None if limit is None else limit - len(core)
+            s = _separating_set(oracle, x, z, core, set(dag.nodes) - {x, y, z}, top)
+            if s is not None:
+                witness = {"triple": [x, y, z], "collider": collider, "given": sorted(s)}
+                return AuditResult("OF", False, witness, limit is None)
     return AuditResult("OF", True, None, limit is None)
 
 
@@ -182,28 +180,21 @@ def _is_collider_config(dag: Dag, y, xs, zs) -> bool:
     return all(y in dag.children(v) for v in xs + zs)
 
 
-def _condition_i_holds(dag, oracle, y, xs, zs, limit):
-    """Each cross pair dependent given any superset of {y} + remainders."""
-    for x, z in itertools.product(xs, zs):
-        core = {y} | (set(xs) - {x}) | (set(zs) - {z})
-        rest = set(dag.nodes) - {x, z} - core
-        for extra in _subsets(rest, limit):
-            s = core | set(extra)
-            if oracle.query(x, z, s):
-                return {"x": x, "z": z, "given": sorted(s)}
-    return None
+def _condition_witness(dag, oracle, y, xs, zs, limit, with_center):
+    """First cross pair separated given a superset of the remainders.
 
-
-def _condition_ii_holds(dag, oracle, y, xs, zs, limit):
-    """Each cross pair dependent given supersets of the remainders
-    avoiding y."""
+    Condition i (``with_center``): each cross pair stays dependent given
+    any superset of {y} + remainders.  Condition ii: the same for the
+    supersets of the remainders that avoid y.
+    """
     for x, z in itertools.product(xs, zs):
         core = (set(xs) - {x}) | (set(zs) - {z})
+        if with_center:
+            core.add(y)
         rest = set(dag.nodes) - {x, z, y} - core
-        for extra in _subsets(rest, limit):
-            s = core | set(extra)
-            if oracle.query(x, z, s):
-                return {"x": x, "z": z, "given": sorted(s)}
+        s = _separating_set(oracle, x, z, core, rest, limit)
+        if s is not None:
+            return {"x": x, "z": z, "given": sorted(s)}
     return None
 
 
@@ -213,12 +204,9 @@ def check_2of(dag: Dag, oracle: IndependenceOracle) -> AuditResult:
     for y, xs, zs in _eligible_configs(dag, oracle):
         if any(dag.adjacent(x, z) for x, z in itertools.product(xs, zs)):
             continue
-        if _is_collider_config(dag, y, xs, zs):
-            bad = _condition_i_holds(dag, oracle, y, xs, zs, limit)
-            condition = "i"
-        else:
-            bad = _condition_ii_holds(dag, oracle, y, xs, zs, limit)
-            condition = "ii"
+        collider = _is_collider_config(dag, y, xs, zs)
+        bad = _condition_witness(dag, oracle, y, xs, zs, limit, collider)
+        condition = "i" if collider else "ii"
         if bad is not None:
             witness = {
                 "center": y,
@@ -238,7 +226,7 @@ def check_spouse_condition(dag: Dag, oracle: IndependenceOracle) -> AuditResult:
     for y, xs, zs in _eligible_configs(dag, oracle):
         if not _is_collider_config(dag, y, xs, zs):
             continue
-        bad = _condition_i_holds(dag, oracle, y, xs, zs, limit)
+        bad = _condition_witness(dag, oracle, y, xs, zs, limit, True)
         if bad is not None:
             witness = {"center": y, "left": list(xs), "right": list(zs), **bad}
             return AuditResult("spouse-condition", False, witness, limit is None)

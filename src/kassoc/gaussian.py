@@ -7,7 +7,6 @@ float.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -130,24 +129,3 @@ def _check_positive_definite(m):
             f = a[i][k] / a[k][k]
             for j in range(k, n):
                 a[i][j] -= f * a[k][j]
-
-
-def covariance_queries(system: GaussianSystem):
-    """(name -> index, covariance) pair for label-based querying."""
-    cov = system.covariance()
-    return {name: i for i, name in enumerate(system.nodes)}, cov
-
-
-def pairwise_independent(
-    system_or_cov, x: str, y: str, s=(), *, node_index=None
-) -> bool:
-    """Label-level CI for a GaussianSystem (zero partial correlation)."""
-    if isinstance(system_or_cov, GaussianSystem):
-        node_index, cov = covariance_queries(system_or_cov)
-    else:
-        cov = system_or_cov
-        if node_index is None:
-            raise GaussianError("node_index required with a raw covariance")
-    return partial_correlation_zero(
-        cov, node_index[x], node_index[y], [node_index[v] for v in s]
-    )

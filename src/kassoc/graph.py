@@ -6,8 +6,8 @@ cheap for graphs of up to 32 nodes.
 
 Two independent d-separation implementations are provided:
 
-* :meth:`Dag.d_separated` -- reachability ("ball passing"), delegated to a
-  compiled kernel when the extension built, else a pure-Python twin.
+* :meth:`Dag.d_separated` -- reachability ("ball passing") over the
+  parent/children bitmasks, see :func:`dconnected`.
 * :meth:`Dag.d_separated_bruteforce` -- literal enumeration of all simple
   paths, checked clause by clause.  Correctness anchor for the fast path.
 """
@@ -18,17 +18,7 @@ import itertools
 import random
 from typing import Iterable, Iterator, Sequence
 
-try:  # compiled kernel is optional; the pure twin is always available
-    from . import _dsep_cy as _kernel
-
-    KERNEL = "cython"
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _dsep_py as _kernel
-
-    KERNEL = "python"
-
-from ._dsep_py import ancestor_mask
-
+KERNEL = "python"  # the d-separation kernel is pure Python
 MAX_NODES = 32
 
 
@@ -41,6 +31,59 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def ancestor_mask(n: int, parents: Sequence[int], seed_mask: int) -> int:
+    """Reflexive-transitive parent closure of the nodes in ``seed_mask``."""
+    anc = seed_mask
+    frontier = list(_bits(seed_mask))
+    while frontier:
+        i = frontier.pop()
+        new = parents[i] & ~anc
+        anc |= new
+        frontier.extend(_bits(new))
+    return anc
+
+
+def dconnected(
+    n: int, parents: Sequence[int], children: Sequence[int], x: int, y: int, z_mask: int
+) -> bool:
+    """True iff there is a d-connecting path from node x to node y given Z.
+
+    ``parents[i]`` / ``children[i]`` are bitmasks of the parents/children of
+    node i.  Standard reachability formulation: the ball travels up (toward
+    parents) or down (toward children); a collider bounces back up only if
+    it is an ancestor of Z.
+    """
+    anc_z = ancestor_mask(n, parents, z_mask)
+    visited_up = 0
+    visited_down = 0
+    stack = [(x, True)]  # (node, travelling up)
+    while stack:
+        w, up = stack.pop()
+        if w == y:
+            return True
+        bit = 1 << w
+        if up:
+            if visited_up & bit:
+                continue
+            visited_up |= bit
+            if not z_mask & bit:
+                for p in _bits(parents[w]):
+                    stack.append((p, True))
+                for c in _bits(children[w]):
+                    stack.append((c, False))
+        else:
+            if visited_down & bit:
+                continue
+            visited_down |= bit
+            if not z_mask & bit:
+                for c in _bits(children[w]):
+                    stack.append((c, False))
+            if anc_z & bit:
+                for p in _bits(parents[w]):
+                    stack.append((p, True))
+    return False
 
 
 class Dag:
@@ -57,21 +100,20 @@ class Dag:
         index = {lab: i for i, lab in enumerate(nodes)}
         parent_masks = [0] * len(nodes)
         child_masks = [0] * len(nodes)
-        seen = set()
         edge_list = []
         for a, b in edges:
             if a not in index or b not in index:
                 raise GraphError(f"edge ({a}, {b}) references unknown node")
             if a == b:
                 raise GraphError(f"self-loop on {a}")
-            if (a, b) in seen:
+            i, j = index[a], index[b]
+            if parent_masks[j] >> i & 1:
                 raise GraphError(f"duplicate edge ({a}, {b})")
-            seen.add((a, b))
             edge_list.append((a, b))
-            parent_masks[index[b]] |= 1 << index[a]
-            child_masks[index[a]] |= 1 << index[b]
+            parent_masks[j] |= 1 << i
+            child_masks[i] |= 1 << j
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", frozenset(edge_list))
+        object.__setattr__(self, "edges", tuple(sorted(edge_list)))
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_parent_masks", tuple(parent_masks))
         object.__setattr__(self, "_child_masks", tuple(child_masks))
@@ -92,8 +134,7 @@ class Dag:
         return hash((self.nodes, self.edges))
 
     def __repr__(self):
-        edges = sorted(self.edges)
-        return f"Dag(nodes={list(self.nodes)}, edges={edges})"
+        return f"Dag(nodes={list(self.nodes)}, edges={list(self.edges)})"
 
     # -- indexing helpers -------------------------------------------------
 
@@ -214,9 +255,7 @@ class Dag:
         xm, ym, zm = self._check_query(set(xs), set(ys), set(zs))
         for xi in _bits(xm):
             for yi in _bits(ym):
-                if _kernel.dconnected(
-                    self.n, self._parent_masks, self._child_masks, xi, yi, zm
-                ):
+                if dconnected(self.n, self._parent_masks, self._child_masks, xi, yi, zm):
                     return False
         return True
 

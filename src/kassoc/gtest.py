@@ -20,8 +20,6 @@ _MAX_ITER = 500
 @dataclass(frozen=True)
 class GTestConfig:
     alpha: float = 0.01
-    min_stratum_count: int = 0  # strata with fewer samples contribute no statistic
-    drop_empty_strata: bool = False  # if set, df counts only populated strata
 
     def __post_init__(self):
         if not 0 < self.alpha < 1:
@@ -94,9 +92,8 @@ def g_test(
 ) -> GTestResult:
     """Stratified G statistic: 2 sum O ln(O/E) within each s-assignment.
 
-    df = (|dom x| - 1)(|dom y| - 1) * number of strata, where strata are
-    all possible s-assignments by default (empty ones included) or only
-    populated ones under ``drop_empty_strata``.
+    df = (|dom x| - 1)(|dom y| - 1) * number of strata, where the strata
+    are all possible s-assignments, empty ones included.
     """
     cfg = cfg or GTestConfig()
     if len(dataset) == 0:
@@ -118,8 +115,6 @@ def g_test(
     stat = 0.0
     for table in strata.values():
         n_s = sum(table.values())
-        if n_s < cfg.min_stratum_count:
-            continue
         rows = {}
         cols = {}
         for (xv, yv), c in table.items():
@@ -131,12 +126,9 @@ def g_test(
             expected = rows[xv] * cols[yv] / n_s
             stat += 2.0 * obs * math.log(obs / expected)
 
-    if cfg.drop_empty_strata:
-        n_strata = len(strata)
-    else:
-        n_strata = 1
-        for v in s:
-            n_strata *= dataset.card(v)
+    n_strata = 1
+    for v in s:
+        n_strata *= dataset.card(v)
     df = (cx - 1) * (cy - 1) * n_strata
     if df <= 0:
         return GTestResult(stat, 0, True)

@@ -30,7 +30,7 @@ class IndependenceOracle:
         self._variables = tuple(variables)
         self._count = 0
         self._lock = threading.Lock()
-        self._cache: dict | None = {}
+        self._cache: dict = {}
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -46,17 +46,14 @@ class IndependenceOracle:
 
     def query(self, x: str, y: str, s: Iterable[str] = ()) -> bool:
         """True = independent. Deterministic given the backend state."""
-        self._check(x, y, s)
-        key = None
-        if self._cache is not None:
-            key = (x, y, frozenset(s)) if x <= y else (y, x, frozenset(s))
-            hit = self._cache.get(key)
-            if hit is not None:
-                return hit
+        s = frozenset(s)
+        key = (x, y, s) if x <= y else (y, x, s)
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
+        self._check(x, y, s)  # a cached key passed this check when it was stored
         self._bump()
-        ans = self._query(x, y, set(s))
-        if self._cache is not None:
-            self._cache[key] = ans
+        ans = self._cache[key] = self._query(x, y, s)
         return ans
 
     def query_sets(self, xs: Iterable[str], ys: Iterable[str], s: Iterable[str] = ()) -> bool:
@@ -64,7 +61,6 @@ class IndependenceOracle:
         raise OracleError(f"{self.backend} backend does not support set queries")
 
     def _check(self, x, y, s):
-        s = set(s)
         for v in {x, y} | s:
             if v not in self._variables:
                 raise OracleError(f"unknown variable {v!r}")

@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 from .association import (
     AssociationBudget,
     UNBOUNDED,
+    _ci_statement,
+    first_separating_set,
     is_1_associated,
     is_strictly_2_associated,
     is_weakly_associated,
-    subsets_by_size,
 )
 from .oracle import IndependenceOracle
 
@@ -88,16 +89,10 @@ def check_nonadjacency(
     """
     if x == z:
         raise PreconditionError("x and z must be distinct")
-    if is_1_associated(o, x, z, budget).holds:
-        return False
-    for u in o.variables:
-        if u in (x, z):
-            continue
-        if is_strictly_2_associated(o, x, z, u, budget).holds:
-            return False
-        if is_strictly_2_associated(o, z, x, u, budget).holds:
-            return False
-    return True
+    return not (
+        is_1_associated(o, x, z, budget).holds
+        or _strict2_third_node_evidence(o, x, z, budget)
+    )
 
 
 def _strict2_third_node_evidence(o, x, z, budget) -> bool:
@@ -112,18 +107,24 @@ def _strict2_third_node_evidence(o, x, z, budget) -> bool:
     return False
 
 
-def _pairs_dependent_over_supersets(o, x, z, core, exclude, budget):
-    """All-supersets dependence family for one cross pair.
+def _rule_defeat(q: OrientationQuery, with_center: bool) -> dict | None:
+    """The CI statement defeating rule i (``with_center``) or rule ii.
 
-    Checks x dep z | core + E for every extra set E within the variable
-    pool (pool excludes x, z, the core and ``exclude``).  Returns the
-    defeating CI statement, or None when the family holds.
+    Rule i: every cross pair (x, z) stays dependent given the centre, the
+    rest of both side sets and any extra set E.  Rule ii: the same without
+    the centre, which E avoids too.  None when the rule holds.
     """
-    pool = [v for v in o.variables if v not in {x, z, *core, *exclude}]
-    for extra in subsets_by_size(pool, o.variables, budget.cap(len(pool))):
-        given = set(core) | set(extra)
-        if o.query(x, z, given):
-            return {"x": x, "y": z, "given": sorted(given), "independent": True}
+    o = q.oracle
+    for x, z in itertools.product(q.left, q.right):
+        core = (set(q.left) - {x}) | (set(q.right) - {z})
+        if with_center:
+            core.add(q.center)
+        pool = [v for v in o.variables if v not in {x, z, q.center, *core}]
+        given = first_separating_set(
+            o, x, z, frozenset(core), pool, o.variables, q.budget.cap(len(pool))
+        )
+        if given is not None:
+            return _ci_statement(x, z, given, True)
     return None
 
 
@@ -148,65 +149,25 @@ def orient(q: OrientationQuery) -> OrientationVerdict:
         if _strict2_third_node_evidence(o, x, z, budget):
             caveat = True
 
-    witnesses = []
-    rule_i = True
-    for x, z in itertools.product(q.left, q.right):
-        core = {q.center} | (set(q.left) - {x}) | (set(q.right) - {z})
-        defeat = _pairs_dependent_over_supersets(o, x, z, core, (), budget)
-        if defeat is not None:
-            rule_i = False
-            witnesses.append(defeat)
-            break
-
-    rule_ii = True
-    for x, z in itertools.product(q.left, q.right):
-        core = (set(q.left) - {x}) | (set(q.right) - {z})
-        defeat = _pairs_dependent_over_supersets(o, x, z, core, {q.center}, budget)
-        if defeat is not None:
-            rule_ii = False
-            if not rule_i:
-                witnesses.append(defeat)
-            break
+    defeat_i = _rule_defeat(q, with_center=True)
+    defeat_ii = _rule_defeat(q, with_center=False)
+    rule_i, rule_ii = defeat_i is None, defeat_ii is None
+    witnesses = () if rule_i else tuple(d for d in (defeat_i, defeat_ii) if d)
 
     if rule_i:
         edges = tuple((v, q.center) for v in q.left + q.right)
         return OrientationVerdict(
-            "collider", edges, True, rule_ii, False, caveat, tuple(witnesses)
+            "collider", edges, True, rule_ii, False, caveat, witnesses
         )
     if rule_ii:
         return OrientationVerdict(
-            "non-collider", (), False, True, False, caveat, tuple(witnesses)
+            "non-collider", (), False, True, False, caveat, witnesses
         )
     return OrientationVerdict(
-        "inconclusive", (), False, False, True, caveat, tuple(witnesses)
+        "inconclusive", (), False, False, True, caveat, witnesses
     )
 
 
 def detect_of_failure(q: OrientationQuery) -> bool:
     """True iff neither orientation rule fires on the query."""
     return orient(q).of_failure_detected
-
-
-def orient_fixpoint(
-    o: IndependenceOracle,
-    queries: list[OrientationQuery],
-) -> dict[OrientationQuery, OrientationVerdict]:
-    """Re-apply the rule until no new verdict changes.
-
-    Driver for iterative use: inner triples oriented first may unblock
-    outer queries on a later pass.  Queries raising PreconditionError stay
-    unresolved.  Terminates once a full pass yields no change.
-    """
-    verdicts: dict[OrientationQuery, OrientationVerdict] = {}
-    changed = True
-    while changed:
-        changed = False
-        for q in queries:
-            try:
-                v = orient(q)
-            except PreconditionError:
-                continue
-            if verdicts.get(q) != v:
-                verdicts[q] = v
-                changed = True
-    return verdicts

@@ -84,9 +84,6 @@ class Scenario:
             return GaussianOracle(self.gaussian)
         return GraphOracle(self.dag)
 
-    def graph_oracle(self) -> GraphOracle:
-        return GraphOracle(self.dag)
-
     def annotations(self):
         """Verified assumption report (cached); see :mod:`kassoc.audit`."""
         cached = getattr(self, "_annotations", None)
@@ -480,7 +477,21 @@ def _split_edge(text: str) -> tuple[str, str]:
 
 
 def load(doc: dict) -> Scenario:
-    """Inverse of :func:`save`; bit-exact round trip."""
+    """Inverse of :func:`save`; bit-exact round trip.
+
+    Every invalid document raises :class:`ScenarioError`, including those
+    the graph, distribution and Gaussian layers reject (a cyclic edge list,
+    a non-integer cardinality, cyclic coefficients).
+    """
+    try:
+        return _load(doc)
+    except ScenarioError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ScenarioError(f"invalid scenario: {exc}") from exc
+
+
+def _load(doc: dict) -> Scenario:
     try:
         name = doc["name"]
         nodes = list(doc["nodes"])

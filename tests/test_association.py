@@ -8,6 +8,7 @@ from kassoc.association import (
     AssociationBudget,
     UNBOUNDED,
     find_unfaithful_triples,
+    first_separating_set,
     is_1_associated,
     is_2_associated,
     is_strictly_2_associated,
@@ -31,6 +32,28 @@ class TestSubsetOrder:
     def test_budget_truncates(self):
         subs = list(subsets_by_size(["A", "B", "C"], ["A", "B", "C"], 1))
         assert max(len(s) for s in subs) == 1
+
+
+class TestFirstSeparatingSet:
+    CHAIN = GraphOracle(Dag(["X", "Y", "Z", "W"], [("X", "Y"), ("Y", "Z")]))
+    COLLIDER = GraphOracle(Dag(["X", "Y", "Z", "W"], [("X", "Y"), ("Z", "Y")]))
+
+    def test_first_set_in_enumeration_order(self):
+        o = self.CHAIN
+        assert first_separating_set(o, "X", "Z", frozenset(), ["W", "Y"], o.variables, 2) == {"Y"}
+
+    def test_core_is_part_of_every_set(self):
+        o = self.CHAIN
+        got = first_separating_set(o, "X", "Z", frozenset({"W"}), ["Y"], o.variables, 1)
+        assert got == {"W", "Y"}
+
+    def test_none_when_dependent_given_every_set(self):
+        o = self.COLLIDER
+        assert first_separating_set(o, "X", "Z", frozenset({"Y"}), ["W"], o.variables, 1) is None
+
+    def test_max_size_bounds_the_scan(self):
+        o = self.CHAIN
+        assert first_separating_set(o, "X", "Z", frozenset(), ["W", "Y"], o.variables, 0) is None
 
 
 class TestExampleOne:

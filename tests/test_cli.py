@@ -1,11 +1,17 @@
 """Command-line front-end: reports, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from kassoc.cli import run
-from kassoc.scenarios import builtin, save
+from kassoc.scenarios import BUILTINS, builtin, save
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def invoke(capsys, *argv):
@@ -140,6 +146,24 @@ class TestScenarioLoading:
         assert code == 2
         assert "edges" in err  # diagnostic names the offending field
 
+    @pytest.mark.parametrize("defect", ["cyclic_edges", "cardinality", "cyclic_gaussian"])
+    def test_invalid_file_contents_exit_two(self, tmp_path, capsys, defect):
+        if defect == "cyclic_edges":
+            doc = save(builtin("example1"))
+            doc["edges"] = ["X->Y", "Y->X"]
+        elif defect == "cardinality":
+            doc = save(builtin("example1"))
+            doc["payload"]["cpts"][0]["cardinality"] = "x"
+        else:
+            doc = save(builtin("cancel3"))
+            doc["payload"]["coefficients"]["Y->X"] = "1/1"
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        code, report, err = invoke(capsys, "mb", "--scenario", str(p), "--target", "X")
+        assert code == 2
+        assert report is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_variable_exits_two(self, capsys):
         code, _, _ = invoke(
             capsys, "mb", "--scenario", "builtin:example1", "--target", "Q",
@@ -154,6 +178,37 @@ class TestGoldenStability:
         _, b, _ = invoke(capsys, *args)
         a.pop("wall_time_s"), b.pop("wall_time_s")
         assert a == b
+
+    def test_reports_do_not_depend_on_the_hash_seed(self):
+        script = (
+            "import contextlib, io\n"
+            "from kassoc.cli import run\n"
+            "from kassoc.scenarios import BUILTINS\n"
+            "runs = [['audit', '--scenario', 'builtin:' + n] for n in sorted(BUILTINS)]\n"
+            "runs += [['sp', '--scenario', 'builtin:example2'],\n"
+            "         ['mb', '--scenario', 'builtin:example2', '--target', 'Y']]\n"
+            "for argv in runs:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+            "        assert run(argv) == 0\n"
+            "    for line in out.getvalue().splitlines():\n"
+            "        if '\"wall_time_s\"' not in line:\n"
+            "            print(line)\n"
+        )
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(SRC), env.get("PYTHONPATH")) if p
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env,
+                capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count('"command": "audit"') == len(BUILTINS)
 
     def test_out_flag_writes_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"

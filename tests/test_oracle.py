@@ -20,6 +20,17 @@ def test_query_counts_cache_hits_once(example1):
     assert o.query_count == 1
 
 
+@pytest.mark.parametrize(
+    "given", [lambda: ("Y",), lambda: {"Y"}, lambda: (v for v in ["Y"])],
+    ids=["tuple", "set", "generator"],
+)
+def test_conditioning_set_may_be_any_iterable(example1, given):
+    o = DiscreteOracle(example1.joint)
+    assert o.query("X", "Z", given()) is False  # the xor collider couples X, Z
+    assert o.query("X", "Z", given()) is False
+    assert o.query_count == 1
+
+
 def test_query_validates_variables(example1):
     o = DiscreteOracle(example1.joint)
     with pytest.raises(OracleError):
