@@ -229,12 +229,13 @@ def mutual_dependence_disjunction(joint: DiscreteJoint, x: str, y: str, z: str) 
 
 
 def _mutually_independent(joint: DiscreteJoint, x: str, y: str, z: str) -> bool:
+    """P(x,y,z) == P(x) P(y) P(z) everywhere, on the integer weights:
+    w_xyz * T**2 == w_x * w_y * w_z with T the total weight."""
     sub = joint.marginalize([x, y, z])
-    px = sub.marginalize([x])
-    py = sub.marginalize([y])
-    pz = sub.marginalize([z])
-    for (xv, yv, zv), p in zip(sub.assignments(), sub.probs):
-        if p != px.probs[xv] * py.probs[yv] * pz.probs[zv]:
+    wx, wy, wz = (sub.marginalize([v])._weights for v in (x, y, z))
+    t2 = sub._denom ** 2
+    for (xv, yv, zv), w in zip(sub.assignments(), sub._weights):
+        if w * t2 != wx[xv] * wy[yv] * wz[zv]:
             return False
     return True
 

@@ -22,6 +22,7 @@ from .association import (
     is_strictly_2_associated,
 )
 from .audit import audit_scenario
+from .distribution import DistributionError
 from .gtest import GTestConfig
 from .growshrink import markov_blanket
 from .oracle import GTestOracle, OracleError
@@ -52,18 +53,25 @@ def _load_scenario(spec: str) -> Scenario:
 def _make_oracle(scenario: Scenario, args):
     """Exact oracle by default; a G-test oracle over fresh samples when
     --samples is given (discrete scenarios only)."""
-    if getattr(args, "samples", None):
+    if getattr(args, "samples", None) is not None:
         if scenario.kind != "discrete":
             raise CliError("--samples needs a discrete scenario", EXIT_ANALYSIS)
-        data = scenario.joint.sample(args.samples, args.seed)
-        return GTestOracle(data, GTestConfig(alpha=args.alpha))
+        try:
+            config = GTestConfig(alpha=args.alpha)
+            data = scenario.joint.sample(args.samples, args.seed)
+        except ValueError as exc:  # DistributionError is a ValueError
+            raise CliError(f"bad --samples or --alpha: {exc}", EXIT_USAGE) from exc
+        return GTestOracle(data, config)
     return scenario.oracle()
 
 
 def _budget(args) -> AssociationBudget:
     if getattr(args, "budget", None) is None:
         return UNBOUNDED
-    return AssociationBudget(max_size=args.budget)
+    try:
+        return AssociationBudget(max_size=args.budget)
+    except ValueError as exc:
+        raise CliError(f"bad --budget: {exc}", EXIT_USAGE) from exc
 
 
 def _require_vars(scenario: Scenario, names):
@@ -155,7 +163,10 @@ def _cmd_audit(scenario, args):
 def _cmd_sample(scenario, args):
     if scenario.kind != "discrete":
         raise CliError("sampling needs a discrete scenario", EXIT_ANALYSIS)
-    data = scenario.joint.sample(args.samples, args.seed)
+    try:
+        data = scenario.joint.sample(args.samples, args.seed)
+    except DistributionError as exc:
+        raise CliError(f"bad --samples: {exc}", EXIT_USAGE) from exc
     result = {
         "variables": list(data.names),
         "seed": args.seed,

@@ -1,16 +1,23 @@
 """Exact discrete joint distributions.
 
-Probabilities are ``fractions.Fraction`` throughout; independence is
-decided by exact equality, never by a tolerance.  Tables are dense over
-all assignments (desk scale, capped at 2**20 cells).
+The API speaks ``fractions.Fraction``: CPT rows, ``DiscreteJoint.probs``
+and ``prob`` are exact rationals.  Each joint also keeps its table as
+integer weights over one common denominator, and marginals and
+independence checks run on those Python ints: the CI criterion
+P(x,y,s) P(s) == P(x,s) P(y,s) is scale-invariant, so the weights give
+exactly the answer the probabilities give.  Independence is decided by
+exact equality, never by a tolerance.  Tables are dense over all
+assignments (desk scale, capped at 2**20 cells).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 MAX_CELLS = 1 << 20
@@ -107,41 +114,166 @@ class Dataset:
         return len(self.rows)
 
 
-class DiscreteJoint:
-    """Dense exact joint probability table over finite-domain variables."""
+def _strides(cards: Sequence[int], order: Sequence[int]) -> tuple[list[int], int]:
+    """Strides sending each cell of a row-major table over ``cards`` to its
+    cell in the row-major marginal over the positions ``order`` (kept in
+    that order), with 0 for every summed-out variable; and the marginal's
+    size."""
+    strides = [0] * len(cards)
+    size = 1
+    for p in reversed(order):
+        strides[p] = size
+        size *= cards[p]
+    return strides, size
 
-    __slots__ = ("variables", "probs", "_strides", "_pos")
+
+def _index_map(cards: Sequence[int], strides: Sequence[int]) -> list[int]:
+    """Target index of every cell of a row-major table over ``cards``,
+    built by product expansion in table order (no per-cell tuples)."""
+    idx = [0]
+    for c, st in zip(cards, strides):
+        if st:
+            steps = range(0, c * st, st)
+            idx = [i + d for i in idx for d in steps]
+        elif c > 1:
+            idx = [i for i in idx for _ in range(c)]
+    return idx
+
+
+def _sum_out(table: Sequence[int], cards: Sequence[int], p: int) -> Sequence[int]:
+    """Sum a row-major table over the variable at position ``p``.
+
+    The table is viewed as (outer, card, inner) blocks; the adds run over
+    slices inside ``map``, with a Python loop over whichever of ``outer``
+    and ``inner`` is shorter.
+    """
+    c = cards[p]
+    if c == 1:
+        return table
+    inner = math.prod(cards[p + 1 :])
+    block = c * inner
+    if inner <= len(table) // block:
+        out = [0] * (len(table) // c)
+        for j in range(inner):
+            col = table[j::block]
+            for v in range(1, c):
+                col = map(add, col, table[v * inner + j :: block])
+            out[j::inner] = col
+        return out
+    out = []
+    for b in range(0, len(table), block):
+        col = table[b : b + inner]
+        for v in range(1, c):
+            col = map(add, col, table[b + v * inner : b + (v + 1) * inner])
+        out += col
+    return out
+
+
+def _marginal(weights: Sequence[int], cards: Sequence[int], order: Sequence[int]) -> list[int]:
+    """Integer weights of the row-major marginal over the positions
+    ``order``, kept in that order."""
+    table, kept = weights, list(cards)
+    keep = set(order)
+    for p in range(len(cards) - 1, -1, -1):
+        if p not in keep:
+            table = _sum_out(table, kept, p)
+            del kept[p]
+    ascending = sorted(order)
+    if list(order) == ascending:
+        return list(table)
+    strides, _ = _strides(cards, order)
+    out = [0] * len(table)
+    for k, w in zip(_index_map(kept, [strides[p] for p in ascending]), table):
+        out[k] = w
+    return out
+
+
+def _domains(variables: Iterable[tuple[str, int]]) -> tuple[tuple[tuple[str, int], ...], int]:
+    """Validated ``(name, cardinality)`` pairs and the dense table size."""
+    variables = tuple((str(n), int(c)) for n, c in variables)
+    names = [n for n, _ in variables]
+    if len(set(names)) != len(names):
+        raise DistributionError("duplicate variable names")
+    size = 1
+    for _, c in variables:
+        if c < 1:
+            raise DistributionError("cardinalities must be positive")
+        size *= c
+    if size > MAX_CELLS:
+        raise DistributionError("joint table too large")
+    return variables, size
+
+
+def _int_factor(cpt: Cpt) -> tuple[int, list[int]]:
+    """A CPT as one denominator and its entries scaled to integers, flat in
+    row-major order over (parents..., child)."""
+    rows = [
+        [Fraction(p) for p in cpt.rows[pa]]
+        for pa in itertools.product(*(range(c) for c in cpt.parent_cards))
+    ]
+    denom = math.lcm(*(p.denominator for row in rows for p in row))
+    return denom, [p.numerator * (denom // p.denominator) for row in rows for p in row]
+
+
+class DiscreteJoint:
+    """Dense exact joint probability table over finite-domain variables.
+
+    ``probs`` holds the cell probabilities as Fractions; ``_weights``
+    holds the same table as integers over the common denominator
+    ``_denom`` (``probs[i] == _weights[i] / _denom``).  Marginals and CI
+    checks run on the integers.
+    """
+
+    __slots__ = ("variables", "probs", "_weights", "_denom", "_cards", "_pos")
 
     def __init__(
         self,
         variables: Sequence[tuple[str, int]],
         probs: Sequence[Fraction],
     ):
-        variables = tuple((str(n), int(c)) for n, c in variables)
-        names = [n for n, _ in variables]
-        if len(set(names)) != len(names):
-            raise DistributionError("duplicate variable names")
-        size = 1
-        for _, c in variables:
-            if c < 1:
-                raise DistributionError("cardinalities must be positive")
-            size *= c
-        if size > MAX_CELLS:
-            raise DistributionError("joint table too large")
+        variables, size = _domains(variables)
         probs = tuple(Fraction(p) for p in probs)
         if len(probs) != size:
             raise DistributionError("table size does not match variable domains")
-        if any(p < 0 for p in probs):
+        denom = math.lcm(*(p.denominator for p in probs))
+        weights = tuple(p.numerator * (denom // p.denominator) for p in probs)
+        if any(w < 0 for w in weights):
             raise DistributionError("negative probability entry")
-        if sum(probs) != ONE:
+        if sum(weights) != denom:
             raise DistributionError("probabilities must sum to exactly 1")
-        strides = [1] * len(variables)
-        for i in range(len(variables) - 2, -1, -1):
-            strides[i] = strides[i + 1] * variables[i + 1][1]
+        self._fill(variables, probs, weights, denom)
+
+    def _fill(self, variables, probs, weights, denom) -> None:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "_strides", tuple(strides))
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_denom", denom)
+        object.__setattr__(self, "_cards", tuple(c for _, c in variables))
         object.__setattr__(self, "_pos", {n: i for i, (n, _) in enumerate(variables)})
+
+    @classmethod
+    def _from_weights(cls, variables, weights, denom) -> "DiscreteJoint":
+        """Joint over already validated ``variables`` from non-negative
+        integer weights that sum to ``denom``."""
+        joint = object.__new__(cls)
+        weights = tuple(weights)
+        joint._fill(variables, tuple(Fraction(w, denom) for w in weights), weights, denom)
+        return joint
+
+    @classmethod
+    def _product(cls, variables, factors) -> "DiscreteJoint":
+        """Product of integer factors ``(positions, denom, flat_ints)``, one
+        division by the product of their denominators at the end."""
+        variables, size = _domains(variables)
+        cards = [c for _, c in variables]
+        weights = [1] * size
+        denom = 1
+        for positions, d, ints in factors:
+            strides, _ = _strides(cards, positions)
+            weights = [w * ints[k] for w, k in zip(weights, _index_map(cards, strides))]
+            denom *= d
+        g = math.gcd(*weights)  # positive: the weights sum to denom
+        return cls._from_weights(variables, [w // g for w in weights], denom // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteJoint is immutable")
@@ -161,7 +293,7 @@ class DiscreteJoint:
         return tuple(n for n, _ in self.variables)
 
     def card(self, name: str) -> int:
-        return self.variables[self._position(name)][1]
+        return self._cards[self._position(name)]
 
     def _position(self, name: str) -> int:
         try:
@@ -170,16 +302,19 @@ class DiscreteJoint:
             raise DistributionError(f"unknown variable {name!r}") from None
 
     def assignments(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(*(range(c) for _, c in self.variables))
+        return itertools.product(*(range(c) for c in self._cards))
 
     def prob(self, assignment: Mapping[str, int]) -> Fraction:
         """Probability of a full or partial assignment (exact sum)."""
         fixed = {self._position(n): v for n, v in assignment.items()}
-        total = ZERO
-        for i, a in enumerate(self.assignments()):
-            if all(a[p] == v for p, v in fixed.items()):
-                total += self.probs[i]
-        return total
+        index = 0
+        for p, v in fixed.items():
+            c = self._cards[p]
+            if v not in range(c):
+                return ZERO
+            index = index * c + int(v)
+        weights = _marginal(self._weights, self._cards, list(fixed))
+        return Fraction(weights[index], self._denom)
 
     # -- construction --------------------------------------------------------
 
@@ -211,19 +346,13 @@ class DiscreteJoint:
                     raise DistributionError(
                         f"CPT for {node}: cardinality mismatch on parent {p}"
                     )
-        variables = [(n, cards[n]) for n in dag.nodes]
         pos = {n: i for i, n in enumerate(dag.nodes)}
-        probs = []
-        for a in itertools.product(*(range(cards[n]) for n in dag.nodes)):
-            p = ONE
-            for node in dag.nodes:
-                cpt = by_child[node]
-                pa = tuple(a[pos[q]] for q in cpt.parents)
-                p *= cpt.rows[pa][a[pos[node]]]
-                if p == 0:
-                    break
-            probs.append(p)
-        return DiscreteJoint(variables, probs)
+        factors = []
+        for node in dag.nodes:
+            cpt = by_child[node]
+            positions = [pos[q] for q in cpt.parents] + [pos[node]]
+            factors.append((positions, *_int_factor(cpt)))
+        return DiscreteJoint._product([(n, cards[n]) for n in dag.nodes], factors)
 
     @staticmethod
     def independent(cpts: Iterable[Cpt]) -> "DiscreteJoint":
@@ -231,30 +360,22 @@ class DiscreteJoint:
         cpts = list(cpts)
         if any(c.parents for c in cpts):
             raise DistributionError("independent() takes parentless CPTs only")
-        variables = [(c.child, c.child_card) for c in cpts]
-        probs = []
-        for a in itertools.product(*(range(c.child_card) for c in cpts)):
-            p = ONE
-            for v, c in zip(a, cpts):
-                p *= c.rows[()][v]
-            probs.append(p)
-        return DiscreteJoint(variables, probs)
+        return DiscreteJoint._product(
+            [(c.child, c.child_card) for c in cpts],
+            [([i], *_int_factor(c)) for i, c in enumerate(cpts)],
+        )
 
     # -- queries --------------------------------------------------------------
 
     def marginalize(self, keep: Iterable[str]) -> "DiscreteJoint":
         """Exact summation over all dropped variables."""
-        keep = list(keep)
         positions = [self._position(n) for n in keep]
-        new_vars = [(n, self.variables[p][1]) for n, p in zip(keep, positions)]
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for a, p in zip(self.assignments(), self.probs):
-            key = tuple(a[i] for i in positions)
-            acc[key] = acc.get(key, ZERO) + p
-        probs = [acc.get(a, ZERO) for a in itertools.product(*(range(c) for _, c in new_vars))]
-        if not new_vars:
-            probs = [sum(acc.values(), ZERO)]
-        return DiscreteJoint(new_vars, probs)
+        if len(set(positions)) != len(positions):
+            raise DistributionError("duplicate variable names")
+        weights = _marginal(self._weights, self._cards, positions)
+        return DiscreteJoint._from_weights(
+            tuple(self.variables[p] for p in positions), weights, self._denom
+        )
 
     def is_independent(self, x: str, y: str, s: Iterable[str] = ()) -> bool:
         """Exact pairwise CI: P(x,y|s) == P(x|s) P(y|s) wherever P(s) > 0."""
@@ -263,35 +384,36 @@ class DiscreteJoint:
     def is_independent_sets(
         self, xs: Iterable[str], ys: Iterable[str], s: Iterable[str] = ()
     ) -> bool:
-        """Set-valued exact CI check on the marginal table over xs, ys, s.
+        """Set-valued exact CI check on the marginal table over s, xs, ys.
 
-        Zero-probability conditioning events are skipped, never divided by:
-        the criterion is the cross-multiplied identity
-        P(x,y,s) * P(s) == P(x,s) * P(y,s).
+        Zero-probability conditioning events are skipped, never divided
+        by: the criterion is the cross-multiplied identity
+        P(x,y,s) * P(s) == P(x,s) * P(y,s), checked on the integer
+        weights (scaling every cell by the common denominator keeps it
+        exact).  One pass over the full table projects it onto s, xs, ys
+        in that order; within each block of one s value, P(s) is the
+        block sum and P(x,s), P(y,s) are its row and column sums.
         """
         xs, ys, s = list(xs), list(ys), list(s)
         if not xs or not ys:
             raise DistributionError("query sets must be non-empty")
-        names = xs + ys + s
+        names = s + xs + ys
         if len(set(names)) != len(names):
             raise DistributionError("query sets must be pairwise disjoint")
-        sub = self.marginalize(names)
-        nx, ny = len(xs), len(ys)
-        p_s: dict[tuple, Fraction] = {}
-        p_xs: dict[tuple, Fraction] = {}
-        p_ys: dict[tuple, Fraction] = {}
-        cells = []
-        for a, p in zip(sub.assignments(), sub.probs):
-            xk, yk, sk = a[:nx], a[nx : nx + ny], a[nx + ny :]
-            p_s[sk] = p_s.get(sk, ZERO) + p
-            p_xs[(xk, sk)] = p_xs.get((xk, sk), ZERO) + p
-            p_ys[(yk, sk)] = p_ys.get((yk, sk), ZERO) + p
-            cells.append((xk, yk, sk, p))
-        for xk, yk, sk, p in cells:
-            if p_s[sk] == 0:
+        w = _marginal(self._weights, self._cards, [self._position(n) for n in names])
+        nx = math.prod(self.card(n) for n in xs)
+        ny = math.prod(self.card(n) for n in ys)
+        block = nx * ny
+        for b in range(0, len(w), block):
+            w_s = sum(w[b : b + block])
+            if not w_s:
                 continue
-            if p * p_s[sk] != p_xs[(xk, sk)] * p_ys[(yk, sk)]:
-                return False
+            w_ys = [sum(w[b + j : b + block : ny]) for j in range(ny)]
+            for r in range(b, b + block, ny):
+                row = w[r : r + ny]
+                w_xs = sum(row)
+                if any(v * w_s != w_xs * w_y for v, w_y in zip(row, w_ys)):
+                    return False
         return True
 
     def sample(self, n: int, seed: int) -> Dataset:

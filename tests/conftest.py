@@ -1,6 +1,12 @@
+import itertools
+import random
+from fractions import Fraction as F
+
 import pytest
 
 from kassoc import scenarios
+from kassoc.distribution import Cpt
+from kassoc.graph import Dag
 
 
 @pytest.fixture(scope="session")
@@ -16,3 +22,47 @@ def example2():
 @pytest.fixture(scope="session")
 def all_builtins():
     return {name: scenarios.builtin(name) for name in scenarios.BUILTINS}
+
+
+def random_cpt_net(rng, n, edges, max_in, cards=(2,)):
+    """Seeded DAG over V0..V{n-1} with ``edges`` edges (as the in-degree cap
+    allows) drawn along a random topological order, and CPTs whose entries
+    are multiples of 1/12 (zeros allowed) over cardinalities from ``cards``."""
+    names = [f"V{i}" for i in range(n)]
+    order = rng.sample(range(n), n)
+    pairs = list(itertools.combinations(range(n), 2))
+    rng.shuffle(pairs)
+    indeg, chosen = [0] * n, []
+    for a, b in pairs:
+        if len(chosen) == edges:
+            break
+        if indeg[order[b]] < max_in:
+            indeg[order[b]] += 1
+            chosen.append((names[order[a]], names[order[b]]))
+    dag = Dag(names, chosen)
+    card = {v: rng.choice(cards) for v in names}
+    cpts = []
+    for v in names:
+        parents = tuple(sorted(dag.parents(v)))
+        pcards = tuple(card[p] for p in parents)
+        rows = {}
+        for pa in itertools.product(*(range(c) for c in pcards)):
+            cuts = sorted(rng.randint(0, 12) for _ in range(card[v] - 1))
+            bounds = [0, *cuts, 12]
+            rows[pa] = tuple(F(hi - lo, 12) for lo, hi in zip(bounds, bounds[1:]))
+        cpts.append(Cpt(v, card[v], parents, pcards, rows))
+    return dag, cpts
+
+
+@pytest.fixture(scope="session")
+def cpt_nets():
+    """(dag, cpts) pairs: the two ``perfbench`` discrete_exact shapes (8 binary
+    nodes, 16 edges, in-degree <= 4; 7 binary nodes, 11 edges, in-degree <= 3)
+    over four seeds each, plus small nets with cardinalities 1-3."""
+    nets = []
+    for seed in range(4):
+        rng = random.Random(f"cpt_nets:{seed}")
+        nets.append(random_cpt_net(rng, 8, 16, 4))
+        nets.append(random_cpt_net(rng, 7, 11, 3))
+        nets.append(random_cpt_net(rng, 5, 6, 2, cards=(1, 2, 3)))
+    return nets

@@ -171,6 +171,25 @@ class TestScenarioLoading:
         assert code == 2
 
 
+class TestOutOfRangeNumbers:
+    @pytest.mark.parametrize("argv", [
+        ["assoc", "--scenario", "builtin:example1", "--target", "Y", "--budget", "-1"],
+        ["orient", "--scenario", "builtin:example2", "--center", "Y",
+         "--left", "X,Z", "--right", "W", "--budget", "-1"],
+        ["mb", "--scenario", "builtin:example1", "--target", "Y",
+         "--samples", "100", "--alpha", "2"],
+        ["mb", "--scenario", "builtin:example1", "--target", "Y", "--samples", "-5"],
+        ["mb", "--scenario", "builtin:example1", "--target", "Y", "--samples", "0"],
+        ["sample", "--scenario", "builtin:example1", "--samples", "0"],
+    ], ids=["assoc-budget", "orient-budget", "mb-alpha", "mb-samples-negative",
+            "mb-samples-zero", "sample-samples-zero"])
+    def test_exits_two_with_one_line(self, capsys, argv):
+        code, report, err = invoke(capsys, *argv)
+        assert code == 2
+        assert report is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestGoldenStability:
     def test_identical_invocations_identical_reports(self, capsys):
         args = ("sp", "--scenario", "builtin:example1")

@@ -1,11 +1,83 @@
 """Exact discrete joints: construction, marginals, independence, sampling."""
 
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from kassoc.distribution import Cpt, DiscreteJoint, DistributionError
 from kassoc.graph import Dag
+
+
+def fraction_marginal(joint, names):
+    """Reference marginal: dict of Fraction sums keyed by value tuples."""
+    pos = [joint.names.index(n) for n in names]
+    acc = {}
+    for a, p in zip(joint.assignments(), joint.probs):
+        key = tuple(a[i] for i in pos)
+        acc[key] = acc.get(key, F(0)) + p
+    return acc
+
+
+def fraction_is_independent_sets(joint, xs, ys, s=()):
+    """Reference CI criterion on Fractions: P(x,y,s) P(s) == P(x,s) P(y,s)
+    wherever P(s) > 0, with every marginal a dict of Fraction sums."""
+    xs, ys, s = list(xs), list(ys), list(s)
+    nx, ny = len(xs), len(ys)
+    p_s, p_xs, p_ys = {}, {}, {}
+    cells = fraction_marginal(joint, xs + ys + s)
+    for a, p in cells.items():
+        xk, yk, sk = a[:nx], a[nx : nx + ny], a[nx + ny :]
+        p_s[sk] = p_s.get(sk, F(0)) + p
+        p_xs[(xk, sk)] = p_xs.get((xk, sk), F(0)) + p
+        p_ys[(yk, sk)] = p_ys.get((yk, sk), F(0)) + p
+    for a, p in cells.items():
+        xk, yk, sk = a[:nx], a[nx : nx + ny], a[nx + ny :]
+        if p_s[sk] != 0 and p * p_s[sk] != p_xs[(xk, sk)] * p_ys[(yk, sk)]:
+            return False
+    return True
+
+
+def fraction_product(dag, cpts):
+    """Reference ``from_cpts``: the Fraction product of CPT entries, cell by
+    cell, in the graph's node order."""
+    by_child = {c.child: c for c in cpts}
+    pos = {n: i for i, n in enumerate(dag.nodes)}
+    probs = []
+    for a in itertools.product(*(range(by_child[n].child_card) for n in dag.nodes)):
+        p = F(1)
+        for node in dag.nodes:
+            cpt = by_child[node]
+            p *= cpt.rows[tuple(a[pos[q]] for q in cpt.parents)][a[pos[node]]]
+        probs.append(p)
+    return probs
+
+
+def random_queries(rng, names, count):
+    """``count`` queries with xs and ys of size 1-2 and any conditioning set
+    from the remaining names."""
+    out = []
+    for _ in range(count):
+        shuffled = rng.sample(names, len(names))
+        nx = rng.randint(1, min(2, len(names) - 1))
+        ny = rng.randint(1, min(2, len(names) - nx))
+        rest = shuffled[nx + ny :]
+        s = rng.sample(rest, rng.randint(0, len(rest)))
+        out.append((shuffled[:nx], shuffled[nx : nx + ny], s))
+    return out
+
+
+def random_joint(rng):
+    """2-4 variables of cardinality 1-3; about a third of the cells are 0."""
+    variables = [(f"A{i}", rng.randint(1, 3)) for i in range(rng.randint(2, 4))]
+    size = 1
+    for _, c in variables:
+        size *= c
+    weights = [rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(size)]
+    weights[rng.randrange(size)] += 1
+    total = sum(weights)
+    return DiscreteJoint(variables, [F(w, total) for w in weights])
 
 
 def coin_pair():
@@ -140,3 +212,59 @@ class TestSampling:
         data = example1.joint.sample(20000, seed=11)
         freq = sum(data.column("Y")) / len(data.rows)
         assert abs(freq - 0.5) < 0.02
+
+
+class TestIntegerPathAgainstFractionReference:
+    """The integer-weight backend against the Fraction criterion it replaced."""
+
+    def test_every_discrete_builtin_exhaustive(self, all_builtins):
+        checked = 0
+        for scenario in all_builtins.values():
+            if scenario.kind != "discrete":
+                continue
+            j = scenario.joint
+            names = list(j.names)
+            for nx, ny in ((1, 1), (1, 2), (2, 1), (2, 2)):
+                for xs in itertools.permutations(names, nx):
+                    rest = [v for v in names if v not in xs]
+                    for ys in itertools.permutations(rest, ny):
+                        pool = [v for v in rest if v not in ys]
+                        for k in range(len(pool) + 1):
+                            for s in itertools.combinations(pool, k):
+                                assert j.is_independent_sets(xs, ys, s) == \
+                                    fraction_is_independent_sets(j, xs, ys, s), (xs, ys, s)
+                                checked += 1
+        assert checked > 1000
+
+    def test_seeded_cpt_nets(self, cpt_nets):
+        rng = random.Random(7)
+        for dag, cpts in cpt_nets:
+            j = DiscreteJoint.from_cpts(dag, cpts)
+            for xs, ys, s in random_queries(rng, list(j.names), 40):
+                assert j.is_independent_sets(xs, ys, s) == \
+                    fraction_is_independent_sets(j, xs, ys, s), (xs, ys, s)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_joints_with_zero_cells(self, seed):
+        rng = random.Random(f"zero-cells:{seed}")
+        for _ in range(40):
+            j = random_joint(rng)
+            for xs, ys, s in random_queries(rng, list(j.names), 10):
+                assert j.is_independent_sets(xs, ys, s) == \
+                    fraction_is_independent_sets(j, xs, ys, s), (j.variables, xs, ys, s)
+
+    def test_from_cpts_matches_fraction_product(self, cpt_nets):
+        for dag, cpts in cpt_nets:
+            assert list(DiscreteJoint.from_cpts(dag, cpts).probs) == fraction_product(dag, cpts)
+
+    def test_marginal_and_prob_match_fraction_sums(self, cpt_nets):
+        rng = random.Random(11)
+        for dag, cpts in cpt_nets:
+            j = DiscreteJoint.from_cpts(dag, cpts)
+            keep = rng.sample(list(j.names), rng.randint(0, 4))
+            ref = fraction_marginal(j, keep)
+            m = j.marginalize(keep)
+            assert m.names == tuple(keep)
+            assert dict(zip(m.assignments(), m.probs)) == ref
+            for key, p in ref.items():
+                assert j.prob(dict(zip(keep, key))) == p

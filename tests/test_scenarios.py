@@ -1,5 +1,6 @@
 """Scenario generators, parameter guards, serialization, audits."""
 
+import itertools
 import json
 import math
 from fractions import Fraction as F
@@ -7,11 +8,14 @@ from fractions import Fraction as F
 import pytest
 
 from kassoc.audit import audit_scenario
+from kassoc.distribution import DiscreteJoint
+from kassoc.graph import Dag
 from kassoc.gtest import GTestConfig, g_test
 from kassoc.scenarios import (
     BUILTINS,
     Scenario,
     ScenarioError,
+    _verify_local_markov,
     baseline,
     builtin,
     cancelling_paths_3,
@@ -23,6 +27,36 @@ from kassoc.scenarios import (
     sign_product_sampler,
     xor_with_context,
 )
+
+
+def pairwise_markov_holds(dag, joint):
+    """Reference construction check: every pairwise d-separation of the DAG,
+    over every conditioning set, holds as an exact independence."""
+    for x, y in itertools.combinations(dag.nodes, 2):
+        pool = [v for v in dag.nodes if v not in (x, y)]
+        for k in range(len(pool) + 1):
+            for s in itertools.combinations(pool, k):
+                if dag.d_separated({x}, {y}, s) and not joint.is_independent(x, y, s):
+                    return False
+    return True
+
+
+def local_markov_holds(dag, joint):
+    try:
+        _verify_local_markov(dag, joint)
+    except ScenarioError:
+        return False
+    return True
+
+
+def copy_joint(names, source, target):
+    """Binary joint over ``names``: ``target`` copies ``source``, every other
+    variable is an independent fair coin."""
+    probs = []
+    for a in itertools.product((0, 1), repeat=len(names)):
+        v = dict(zip(names, a))
+        probs.append(F(1, 2 ** (len(names) - 1)) if v[target] == v[source] else F(0))
+    return DiscreteJoint([(n, 2) for n in names], probs)
 
 
 class TestParameterGuards:
@@ -56,9 +90,33 @@ class TestParameterGuards:
 
 class TestConstructionInvariants:
     def test_every_discrete_builtin_satisfies_pairwise_markov(self):
-        # construction raises if any d-separation fails in the joint
+        # construction raises if the local Markov check fails in the joint
         for name in BUILTINS:
             builtin(name)
+
+    def test_both_markov_checks_pass_on_builtins(self, all_builtins):
+        for scenario in all_builtins.values():
+            if scenario.kind == "discrete":
+                assert local_markov_holds(scenario.dag, scenario.joint)
+                assert pairwise_markov_holds(scenario.dag, scenario.joint)
+
+    def test_both_markov_checks_pass_on_from_cpts_joints(self, cpt_nets):
+        for dag, cpts in cpt_nets:
+            joint = DiscreteJoint.from_cpts(dag, cpts)
+            assert local_markov_holds(dag, joint)
+            assert pairwise_markov_holds(dag, joint)
+
+    @pytest.mark.parametrize("edges, source, target", [
+        ([("X", "Y"), ("Z", "Y")], "X", "Z"),  # collider: X, Z marginally dependent
+        ([("X", "Y"), ("Y", "Z")], "X", "Z"),  # chain: X, Z dependent given Y
+        ([("X", "Y"), ("Z", "W")], "Y", "W"),  # two components made dependent
+    ], ids=["collider", "chain", "components"])
+    def test_both_markov_checks_reject_a_broken_d_separation(self, edges, source, target):
+        nodes = sorted({v for e in edges for v in e})
+        dag = Dag(nodes, edges)
+        joint = copy_joint(nodes, source, target)
+        assert not pairwise_markov_holds(dag, joint)
+        assert not local_markov_holds(dag, joint)
 
     def test_discrete_scenario_requires_cpts(self, example1):
         with pytest.raises(ScenarioError):
