@@ -50,17 +50,24 @@ def _load_scenario(spec: str) -> Scenario:
         raise CliError(f"bad scenario {spec!r}: {exc}", EXIT_USAGE) from exc
 
 
+def _gtest_config(alpha: float) -> GTestConfig:
+    try:
+        return GTestConfig(alpha=alpha)
+    except ValueError as exc:
+        raise CliError(f"bad --alpha: {exc}", EXIT_USAGE) from exc
+
+
 def _make_oracle(scenario: Scenario, args):
     """Exact oracle by default; a G-test oracle over fresh samples when
     --samples is given (discrete scenarios only)."""
     if getattr(args, "samples", None) is not None:
         if scenario.kind != "discrete":
             raise CliError("--samples needs a discrete scenario", EXIT_ANALYSIS)
+        config = _gtest_config(args.alpha)
         try:
-            config = GTestConfig(alpha=args.alpha)
             data = scenario.joint.sample(args.samples, args.seed)
-        except ValueError as exc:  # DistributionError is a ValueError
-            raise CliError(f"bad --samples or --alpha: {exc}", EXIT_USAGE) from exc
+        except DistributionError as exc:
+            raise CliError(f"bad --samples: {exc}", EXIT_USAGE) from exc
         return GTestOracle(data, config)
     return scenario.oracle()
 
@@ -234,6 +241,7 @@ def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        _gtest_config(args.alpha)  # a bad --alpha is an error even without --samples
         scenario = _load_scenario(args.scenario)
         result, summary, oracle = args.fn(scenario, args)
     except CliError as exc:

@@ -2,11 +2,14 @@
 
 Path cancellations are measure-zero events, so conditional independence is
 decided by exact rational partial correlations, never by thresholding a
-float.
+float.  The covariance is filled in by the structural recursion along a
+topological order, and each CI query is one fraction-free (Bareiss)
+elimination over integers that also checks positive definiteness.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -14,42 +17,10 @@ from typing import Mapping, Sequence
 from .graph import Dag, GraphError
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class GaussianError(ValueError):
     """Invalid system or singular query."""
-
-
-def _identity(n: int) -> list[list[Fraction]]:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[ZERO] * m for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            out[i][j] = sum((a[i][t] * b[t][j] for t in range(k)), ZERO)
-    return out
-
-
-def mat_inverse(a):
-    """Exact Gauss-Jordan inverse; raises on a singular matrix."""
-    n = len(a)
-    m = [row[:] + ident for row, ident in zip(a, _identity(n))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise GaussianError("singular matrix")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv_p = ONE / m[col][col]
-        m[col] = [v * inv_p for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return [row[n:] for row in m]
 
 
 @dataclass(frozen=True)
@@ -87,18 +58,26 @@ class GaussianSystem:
         return self._dag
 
     def covariance(self) -> list[list[Fraction]]:
-        """Exact covariance (I - B)^-1 D (I - B)^-T in ``nodes`` order."""
+        """Exact covariance in ``nodes`` order, filled in topological order.
+
+        For j before i, Cov(i, j) = sum_p b_ip Cov(p, j) over the parents p
+        of i, and Var(i) = sum_p b_ip Cov(p, i) + d_i.
+        """
         n = len(self.nodes)
         pos = {name: i for i, name in enumerate(self.nodes)}
-        a = _identity(n)
+        weights: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
         for (c, p), w in self.coefficients.items():
-            a[pos[c]][pos[p]] -= w
-        ainv = mat_inverse(a)
-        d = _identity(n)
-        for name, v in self.noise_variances.items():
-            d[pos[name]][pos[name]] = v
-        at = [[ainv[j][i] for j in range(n)] for i in range(n)]
-        return mat_mul(mat_mul(ainv, d), at)
+            weights[pos[c]].append((pos[p], w))
+        cov = [[ZERO] * n for _ in range(n)]
+        done: list[int] = []
+        for name in self._dag.topological_order():
+            i = pos[name]
+            row = cov[i]
+            for j in done:
+                row[j] = cov[j][i] = sum((w * cov[p][j] for p, w in weights[i]), ZERO)
+            row[i] = sum((w * row[p] for p, w in weights[i]), self.noise_variances[name])
+            done.append(i)
+        return cov
 
 
 def partial_correlation_zero(
@@ -106,26 +85,29 @@ def partial_correlation_zero(
 ) -> bool:
     """True iff the partial correlation of (x, y) given s is exactly zero.
 
-    Criterion: the (x, y) entry of the inverse of the covariance submatrix
-    over {x, y} | s vanishes.  The submatrix must be positive definite.
+    One fraction-free (Bareiss) elimination of the submatrix over s + [x, y],
+    scaled to integers by the lcm of its denominators.  Every pivot is a
+    leading principal minor, so the submatrix is positive definite iff all
+    pivots are positive; after s is eliminated, the (x, y) entry is
+    det(cov[s, s]) * Cov(x, y | s) up to a positive scale.
     """
-    idx = [x, y] + list(s)
+    idx = list(s) + [x, y]
     if len(set(idx)) != len(idx):
         raise GaussianError("query indices must be distinct")
     sub = [[Fraction(cov[i][j]) for j in idx] for i in idx]
-    _check_positive_definite(sub)
-    inv = mat_inverse(sub)
-    return inv[0][1] == 0
-
-
-def _check_positive_definite(m):
-    # leading principal minors via fraction-exact elimination
-    n = len(m)
-    a = [row[:] for row in m]
-    for k in range(n):
-        if a[k][k] <= 0:
+    den = math.lcm(*(v.denominator for row in sub for v in row))
+    a = [[v.numerator * (den // v.denominator) for v in row] for row in sub]
+    m = len(a)
+    prev = 1
+    for k in range(m):
+        pivot = a[k][k]
+        if pivot <= 0:
             raise GaussianError("covariance submatrix is not positive definite")
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
+        row_k = a[k]
+        for i in range(k + 1, m):
+            row_i = a[i]
+            f = row_i[k]
+            for j in range(k + 1, m):
+                row_i[j] = (pivot * row_i[j] - f * row_k[j]) // prev
+        prev = pivot
+    return a[-2][-1] == 0

@@ -6,8 +6,9 @@ cheap for graphs of up to 32 nodes.
 
 Two independent d-separation implementations are provided:
 
-* :meth:`Dag.d_separated` -- reachability ("ball passing") over the
-  parent/children bitmasks, see :func:`dconnected`.
+* :meth:`Dag.d_separated` -- one reachability ("Bayes-Ball") traversal
+  from all of X over the parent/children bitmasks, stopping at the first
+  node of Y, see :func:`dconnected`.
 * :meth:`Dag.d_separated_bruteforce` -- literal enumeration of all simple
   paths, checked clause by clause.  Correctness anchor for the fast path.
 """
@@ -33,7 +34,7 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def ancestor_mask(n: int, parents: Sequence[int], seed_mask: int) -> int:
+def ancestor_mask(parents: Sequence[int], seed_mask: int) -> int:
     """Reflexive-transitive parent closure of the nodes in ``seed_mask``."""
     anc = seed_mask
     frontier = list(_bits(seed_mask))
@@ -46,24 +47,25 @@ def ancestor_mask(n: int, parents: Sequence[int], seed_mask: int) -> int:
 
 
 def dconnected(
-    n: int, parents: Sequence[int], children: Sequence[int], x: int, y: int, z_mask: int
+    parents: Sequence[int], children: Sequence[int], x_mask: int, y_mask: int, z_mask: int
 ) -> bool:
-    """True iff there is a d-connecting path from node x to node y given Z.
+    """True iff some node of X has a d-connecting path to some node of Y given Z.
 
     ``parents[i]`` / ``children[i]`` are bitmasks of the parents/children of
-    node i.  Standard reachability formulation: the ball travels up (toward
-    parents) or down (toward children); a collider bounces back up only if
-    it is an ancestor of Z.
+    node i.  One reachability traversal from all of X (Bayes-Ball): the ball
+    travels up (toward parents) or down (toward children); a collider
+    bounces back up only if it is an ancestor of Z.  The traversal stops at
+    the first node of Y it reaches.
     """
-    anc_z = ancestor_mask(n, parents, z_mask)
+    anc_z = ancestor_mask(parents, z_mask)
     visited_up = 0
     visited_down = 0
-    stack = [(x, True)]  # (node, travelling up)
+    stack = [(x, True) for x in _bits(x_mask)]  # (node, travelling up)
     while stack:
         w, up = stack.pop()
-        if w == y:
-            return True
         bit = 1 << w
+        if y_mask & bit:
+            return True
         if up:
             if visited_up & bit:
                 continue
@@ -187,10 +189,10 @@ class Dag:
 
     def ancestors(self, x: str) -> set[str]:
         """Reflexive-transitive closure over parent edges."""
-        return self._labels(ancestor_mask(self.n, self._parent_masks, 1 << self.index(x)))
+        return self._labels(ancestor_mask(self._parent_masks, 1 << self.index(x)))
 
     def descendants(self, x: str) -> set[str]:
-        return self._labels(ancestor_mask(self.n, self._child_masks, 1 << self.index(x)))
+        return self._labels(ancestor_mask(self._child_masks, 1 << self.index(x)))
 
     def non_descendants(self, x: str) -> set[str]:
         return set(self.nodes) - self.descendants(x)
@@ -251,13 +253,9 @@ class Dag:
         return xm, ym, zm
 
     def d_separated(self, xs: Iterable[str], ys: Iterable[str], zs: Iterable[str] = ()) -> bool:
-        """Set query decomposed into pairwise reachability queries."""
+        """Set query answered by one reachability traversal from all of xs."""
         xm, ym, zm = self._check_query(set(xs), set(ys), set(zs))
-        for xi in _bits(xm):
-            for yi in _bits(ym):
-                if dconnected(self.n, self._parent_masks, self._child_masks, xi, yi, zm):
-                    return False
-        return True
+        return not dconnected(self._parent_masks, self._child_masks, xm, ym, zm)
 
     def d_separated_bruteforce(
         self, xs: Iterable[str], ys: Iterable[str], zs: Iterable[str] = ()
@@ -268,7 +266,7 @@ class Dag:
         xs, ys, zs = set(xs), set(ys), set(zs)
         self._check_query(xs, ys, zs)
         zm = self._mask(zs)
-        anc_z = self._labels(ancestor_mask(self.n, self._parent_masks, zm))
+        anc_z = self._labels(ancestor_mask(self._parent_masks, zm))
         for x in sorted(xs):
             for y in sorted(ys):
                 for path in self.simple_paths(x, y):

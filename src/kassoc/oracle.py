@@ -124,9 +124,16 @@ class GaussianOracle(IndependenceOracle):
     def query_sets(self, xs, ys, s=()):
         # for a multivariate Gaussian, block independence reduces to all
         # pairwise partial correlations vanishing
+        xs, ys, s = set(xs), set(ys), set(s)
+        if not xs or not ys:
+            raise OracleError("query sets must be non-empty")
+        for v in xs | ys | s:
+            if v not in self._idx:
+                raise OracleError(f"unknown variable {v!r}")
+        if xs & ys or (xs | ys) & s:
+            raise OracleError("query sets must be pairwise disjoint")
         self._bump()
-        s = set(s)
-        return all(self._query(x, y, s) for x in set(xs) for y in set(ys))
+        return all(self._query(x, y, s) for x in xs for y in ys)
 
 
 class GTestOracle(IndependenceOracle):

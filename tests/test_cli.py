@@ -181,8 +181,10 @@ class TestOutOfRangeNumbers:
         ["mb", "--scenario", "builtin:example1", "--target", "Y", "--samples", "-5"],
         ["mb", "--scenario", "builtin:example1", "--target", "Y", "--samples", "0"],
         ["sample", "--scenario", "builtin:example1", "--samples", "0"],
+        ["mb", "--scenario", "builtin:example1", "--target", "Y", "--alpha", "2"],
+        ["sample", "--scenario", "builtin:example1", "--alpha", "0"],
     ], ids=["assoc-budget", "orient-budget", "mb-alpha", "mb-samples-negative",
-            "mb-samples-zero", "sample-samples-zero"])
+            "mb-samples-zero", "sample-samples-zero", "mb-alpha-exact", "sample-alpha"])
     def test_exits_two_with_one_line(self, capsys, argv):
         code, report, err = invoke(capsys, *argv)
         assert code == 2

@@ -1,5 +1,7 @@
 """Exact linear-Gaussian algebra and path cancellation."""
 
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,10 +9,102 @@ import pytest
 from kassoc.gaussian import (
     GaussianError,
     GaussianSystem,
-    mat_inverse,
-    mat_mul,
     partial_correlation_zero,
 )
+from kassoc.graph import random_dag
+
+
+# -- reference algebra: the earlier Gauss-Jordan criterion and the matrix
+# -- covariance, kept as the slow twins of the one-pass code in kassoc.gaussian
+
+
+def _identity(n):
+    return [[F(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a, b):
+    n, k, m = len(a), len(b), len(b[0])
+    return [
+        [sum((a[i][t] * b[t][j] for t in range(k)), F(0)) for j in range(m)]
+        for i in range(n)
+    ]
+
+
+def mat_inverse(a):
+    """Exact Gauss-Jordan inverse; raises on a singular matrix."""
+    n = len(a)
+    m = [row[:] + ident for row, ident in zip(a, _identity(n))]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            raise GaussianError("singular matrix")
+        m[col], m[pivot] = m[pivot], m[col]
+        inv_p = 1 / m[col][col]
+        m[col] = [v * inv_p for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
+    return [row[n:] for row in m]
+
+
+def _check_positive_definite(m):
+    # leading principal minors via fraction-exact elimination
+    n = len(m)
+    a = [row[:] for row in m]
+    for k in range(n):
+        if a[k][k] <= 0:
+            raise GaussianError("covariance submatrix is not positive definite")
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+
+
+def inverse_partial_correlation_zero(cov, x, y, s):
+    """Reference criterion: the (x, y) entry of the inverse of the positive
+    definite covariance submatrix over [x, y] + s vanishes."""
+    idx = [x, y] + list(s)
+    if len(set(idx)) != len(idx):
+        raise GaussianError("query indices must be distinct")
+    sub = [[F(cov[i][j]) for j in idx] for i in idx]
+    _check_positive_definite(sub)
+    return mat_inverse(sub)[0][1] == 0
+
+
+def matrix_covariance(system):
+    """Reference covariance (I - B)^-1 D (I - B)^-T in ``nodes`` order."""
+    n = len(system.nodes)
+    pos = {name: i for i, name in enumerate(system.nodes)}
+    a = _identity(n)
+    for (c, p), w in system.coefficients.items():
+        a[pos[c]][pos[p]] -= w
+    ainv = mat_inverse(a)
+    d = _identity(n)
+    for name, v in system.noise_variances.items():
+        d[pos[name]][pos[name]] = v
+    at = [[ainv[j][i] for j in range(n)] for i in range(n)]
+    return mat_mul(mat_mul(ainv, d), at)
+
+
+def random_sem(rng, n):
+    """Seeded SEM on a random DAG: weights k/2 with k in -4..4 (zero allowed,
+    which leaves an edge without effect), noise variances 1-3."""
+    dag = random_dag(rng, n, edge_prob=0.5)
+    return GaussianSystem(
+        dag.nodes,
+        {(c, p): F(rng.randint(-4, 4), 2) for p, c in dag.edges},
+        {v: F(rng.randint(1, 3)) for v in dag.nodes},
+    )
+
+
+def every_query(n):
+    """Every ordered pair (x, y) with every conditioning set of the rest."""
+    for x, y in itertools.permutations(range(n), 2):
+        rest = [v for v in range(n) if v not in (x, y)]
+        for r in range(len(rest) + 1):
+            for s in itertools.combinations(rest, r):
+                yield x, y, s
 
 
 def chain_system():
@@ -114,3 +208,58 @@ class TestFourNodeCancellation:
         assert not partial_correlation_zero(cov, z, w, ())
         assert not partial_correlation_zero(cov, w, y, ())
         assert not partial_correlation_zero(cov, x, y, (z,))
+
+
+class TestAgreementWithReferences:
+    """The one-pass code must match the Gauss-Jordan and matrix references."""
+
+    def _assert_criteria_agree(self, system):
+        cov = system.covariance()
+        independent = 0
+        for x, y, s in every_query(len(system.nodes)):
+            fast = partial_correlation_zero(cov, x, y, s)
+            assert fast == inverse_partial_correlation_zero(cov, x, y, s), (x, y, s)
+            independent += fast
+        return independent
+
+    @pytest.mark.parametrize("name", ["cancel3", "cancel4"])
+    def test_criterion_on_cancelling_builtins(self, all_builtins, name):
+        assert self._assert_criteria_agree(all_builtins[name].gaussian) > 0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_criterion_on_random_sems(self, seed):
+        rng = random.Random(seed)
+        self._assert_criteria_agree(random_sem(rng, rng.randint(4, 7)))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_covariance_matches_matrix_form(self, n):
+        rng = random.Random(n)
+        for _ in range(4):
+            system = random_sem(rng, n)
+            assert system.covariance() == matrix_covariance(system)
+
+    def test_covariance_matches_matrix_form_on_builtins(self, all_builtins):
+        for scenario in all_builtins.values():
+            if scenario.gaussian is not None:
+                assert scenario.gaussian.covariance() == matrix_covariance(
+                    scenario.gaussian
+                )
+
+    @pytest.mark.parametrize("matrix", [
+        [[F(1), F(1)], [F(1), F(1)]],  # singular
+        [[F(1), F(2)], [F(2), F(1)]],  # indefinite
+        [[F(1), F(0), F(0)], [F(0), F(-1, 3), F(0)], [F(0), F(0), F(2)]],
+    ], ids=["singular", "indefinite", "negative-variance"])
+    def test_non_positive_definite_raises_in_both(self, matrix):
+        n = len(matrix)
+        with pytest.raises(GaussianError):
+            partial_correlation_zero(matrix, n - 2, n - 1, list(range(n - 2)))
+        with pytest.raises(GaussianError):
+            inverse_partial_correlation_zero(matrix, n - 2, n - 1, list(range(n - 2)))
+
+    def test_repeated_index_raises_in_both(self):
+        cov = chain_system().covariance()
+        with pytest.raises(GaussianError):
+            partial_correlation_zero(cov, 0, 2, (0,))
+        with pytest.raises(GaussianError):
+            inverse_partial_correlation_zero(cov, 0, 2, (0,))

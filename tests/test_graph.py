@@ -169,7 +169,21 @@ class TestKernelAgreement:
                     {dag.nodes[x]}, {dag.nodes[y]},
                     {dag.nodes[i] for i in range(8) if z >> i & 1},
                 )
-                assert dconnected(8, parents, children, x, y, z) != separated
+                assert dconnected(parents, children, 1 << x, 1 << y, z) != separated
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_set_queries_match_bruteforce(self, seed):
+        rng = random.Random(seed + 2000)
+        dag = random_dag(rng, rng.randint(4, 8))
+        nodes = list(dag.nodes)
+        for _ in range(150):
+            rng.shuffle(nodes)
+            a = rng.randint(1, min(3, len(nodes) - 1))
+            b = rng.randint(1, min(3, len(nodes) - a))
+            xs, ys, rest = set(nodes[:a]), set(nodes[a:a + b]), nodes[a + b:]
+            zs = {v for v in rest if rng.random() < 0.4}
+            fast = dag.d_separated(xs, ys, zs)
+            assert fast == dag.d_separated_bruteforce(xs, ys, zs), (dag.edges, xs, ys, zs)
 
     def test_bruteforce_guard(self):
         rng = random.Random(0)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from kassoc.graph import Dag
+from kassoc.distribution import DistributionError
+from kassoc.graph import Dag, GraphError
 from kassoc.oracle import (
     DiscreteOracle,
     GaussianOracle,
@@ -70,3 +71,26 @@ def test_gaussian_oracle_cancellation(all_builtins):
 def test_gaussian_set_query(all_builtins):
     o = GaussianOracle(all_builtins["cancel4"].gaussian)
     assert not o.query_sets({"X", "Z"}, {"W", "Y"})
+
+
+@pytest.mark.parametrize("backend,error", [
+    ("graph", GraphError), ("discrete", DistributionError), ("gaussian", OracleError),
+])
+@pytest.mark.parametrize("xs,ys,s", [
+    (set(), {"Y"}, ()),
+    ({"X"}, (), ()),
+    ({"X"}, {"Q"}, ()),
+    ({"X"}, {"Y"}, {"Q"}),
+    ({"X"}, {"X", "Y"}, ()),
+    ({"X"}, {"Y"}, {"X"}),
+], ids=["empty-xs", "empty-ys", "unknown-side", "unknown-given",
+        "overlapping-sides", "side-in-given"])
+def test_set_query_rejects_malformed_input(all_builtins, backend, error, xs, ys, s):
+    oracle = {
+        "graph": lambda: GraphOracle(all_builtins["cancel4"].dag),
+        "discrete": lambda: DiscreteOracle(all_builtins["example2"].joint),
+        "gaussian": lambda: GaussianOracle(all_builtins["cancel4"].gaussian),
+    }[backend]()
+    assert {"X", "Y"} <= set(oracle.variables)
+    with pytest.raises(error):
+        oracle.query_sets(xs, ys, s)
