@@ -2,14 +2,17 @@
 
 Subcommands load a scenario (``builtin:<name>`` or a JSON file), run one
 analysis, and print a JSON report on stdout (or ``--out``) with a short
-human-readable summary on stderr.
+human-readable summary on stderr.  Each subcommand accepts only the options
+its ``_cmd_*`` function reads; the parser is built once per process.
 
 Exit codes: 0 success, 1 analysis precondition failure, 2 malformed input.
+Every failure, usage errors included, prints one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -50,35 +53,30 @@ def _load_scenario(spec: str) -> Scenario:
         raise CliError(f"bad scenario {spec!r}: {exc}", EXIT_USAGE) from exc
 
 
-def _gtest_config(alpha: float) -> GTestConfig:
+def _checked(convert):
+    """An argparse type: an out-of-range value is a usage error with its reason."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return parse
+
+
+def _sample(scenario: Scenario, n: int, seed: int):
+    if scenario.kind != "discrete":
+        raise CliError("sampling needs a discrete scenario", EXIT_ANALYSIS)
     try:
-        return GTestConfig(alpha=alpha)
-    except ValueError as exc:
-        raise CliError(f"bad --alpha: {exc}", EXIT_USAGE) from exc
+        return scenario.joint.sample(n, seed)
+    except DistributionError as exc:
+        raise CliError(f"bad --samples: {exc}", EXIT_USAGE) from exc
 
 
 def _make_oracle(scenario: Scenario, args):
-    """Exact oracle by default; a G-test oracle over fresh samples when
-    --samples is given (discrete scenarios only)."""
-    if getattr(args, "samples", None) is not None:
-        if scenario.kind != "discrete":
-            raise CliError("--samples needs a discrete scenario", EXIT_ANALYSIS)
-        config = _gtest_config(args.alpha)
-        try:
-            data = scenario.joint.sample(args.samples, args.seed)
-        except DistributionError as exc:
-            raise CliError(f"bad --samples: {exc}", EXIT_USAGE) from exc
-        return GTestOracle(data, config)
-    return scenario.oracle()
-
-
-def _budget(args) -> AssociationBudget:
-    if getattr(args, "budget", None) is None:
-        return UNBOUNDED
-    try:
-        return AssociationBudget(max_size=args.budget)
-    except ValueError as exc:
-        raise CliError(f"bad --budget: {exc}", EXIT_USAGE) from exc
+    """Exact oracle, or a G-test oracle over fresh samples if --samples is given."""
+    if args.samples is None:
+        return scenario.oracle()
+    return GTestOracle(_sample(scenario, args.samples, args.seed), args.alpha)
 
 
 def _require_vars(scenario: Scenario, names):
@@ -94,7 +92,7 @@ def _split_csv(text: str) -> list[str]:
 def _cmd_assoc(scenario, args):
     _require_vars(scenario, [args.target])
     o = _make_oracle(scenario, args)
-    budget = _budget(args)
+    budget = args.budget or UNBOUNDED  # direct callers may pass budget=None
     others = [v for v in o.variables if v != args.target]
     found = []
     for y in others:
@@ -115,7 +113,7 @@ def _cmd_orient(scenario, args):
     _require_vars(scenario, [args.center, *left, *right])
     o = _make_oracle(scenario, args)
     try:
-        q = OrientationQuery(args.center, tuple(left), tuple(right), o, _budget(args))
+        q = OrientationQuery(args.center, tuple(left), tuple(right), o, args.budget)
         verdict = orient(q)
     except (PreconditionError, OracleError) as exc:
         raise CliError(f"orientation precondition failed: {exc}", EXIT_ANALYSIS)
@@ -158,22 +156,18 @@ def _cmd_sp(scenario, args):
 
 def _cmd_audit(scenario, args):
     report = audit_scenario(scenario)
-    o = scenario.oracle()  # query count is folded into the audit's oracle
     flags = ", ".join(
         f"{r.assumption}={'ok' if r.holds else 'FAIL'}" for r in report.results
     )
     if not report.exhaustive:
         flags += " (partial)"
-    return report.to_dict(), flags, o
+    # Known defect: audit_scenario queries oracles of its own, so the
+    # report's oracle_queries reads 0 however many queries the audit made.
+    return report.to_dict(), flags, None
 
 
 def _cmd_sample(scenario, args):
-    if scenario.kind != "discrete":
-        raise CliError("sampling needs a discrete scenario", EXIT_ANALYSIS)
-    try:
-        data = scenario.joint.sample(args.samples, args.seed)
-    except DistributionError as exc:
-        raise CliError(f"bad --samples: {exc}", EXIT_USAGE) from exc
+    data = _sample(scenario, args.samples, args.seed)
     result = {
         "variables": list(data.names),
         "seed": args.seed,
@@ -183,65 +177,70 @@ def _cmd_sample(scenario, args):
     return result, summary, None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become one ``error:`` line and exit 2, like other bad input."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}", EXIT_USAGE)
+
+
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="kassoc",
         description="Association scans, orientation, Markov blankets and "
         "sparsest permutations over exact scenario oracles.",
     )
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(sp, samples_default=None):
+    def command(name, fn, help, *, budget=True, oracle=True):
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--scenario", required=True,
                         help="builtin:<name> or a scenario JSON path "
                         f"(builtins: {', '.join(sorted(BUILTINS))})")
         sp.add_argument("--out", help="write the JSON report here instead of stdout")
-        sp.add_argument("--budget", type=int, default=None,
-                        help="max conditioning-set size (default: unbounded)")
-        sp.add_argument("--samples", type=int, default=samples_default,
-                        help="sample size for a G-test oracle (default: exact oracle)")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--alpha", type=float, default=0.01,
-                        help="G-test significance level")
+        if budget:
+            sp.add_argument("--budget", default=UNBOUNDED,
+                            type=_checked(lambda t: AssociationBudget(max_size=int(t))),
+                            help="max conditioning-set size (default: unbounded)")
+        if oracle:
+            sp.add_argument("--samples", type=int,
+                            help="sample size for a G-test oracle (default: exact oracle)")
+            sp.add_argument("--seed", type=int, default=0)
+            sp.add_argument("--alpha", default=GTestConfig(),
+                            type=_checked(lambda t: GTestConfig(alpha=float(t))),
+                            help="G-test significance level (default: 0.01)")
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("assoc", help="weak-association scan for a target")
-    common(sp)
+    sp = command("assoc", _cmd_assoc, "weak-association scan for a target")
     sp.add_argument("--target", required=True)
-    sp.set_defaults(fn=_cmd_assoc)
 
-    sp = sub.add_parser("orient", help="collider/non-collider orientation")
-    common(sp)
+    sp = command("orient", _cmd_orient, "collider/non-collider orientation")
     sp.add_argument("--center", required=True)
     sp.add_argument("--left", required=True, help="comma-separated, 1 or 2 nodes")
     sp.add_argument("--right", required=True, help="comma-separated, 1 or 2 nodes")
-    sp.set_defaults(fn=_cmd_orient)
 
-    sp = sub.add_parser("mb", help="Markov blanket by grow-and-shrink")
-    common(sp)
+    sp = command("mb", _cmd_mb, "Markov blanket by grow-and-shrink", budget=False)
     sp.add_argument("--target", required=True)
     sp.add_argument("--mode", choices=("modified", "classic"), default="modified")
     sp.add_argument("--trace", action="store_true", help="include the query log")
-    sp.set_defaults(fn=_cmd_mb)
 
-    sp = sub.add_parser("sp", help="sparsest-permutation search")
-    common(sp)
-    sp.set_defaults(fn=_cmd_sp)
+    command("sp", _cmd_sp, "sparsest-permutation search", budget=False)
+    command("audit", _cmd_audit, "verify assumption annotations",
+            budget=False, oracle=False)
 
-    sp = sub.add_parser("audit", help="verify assumption annotations")
-    common(sp)
-    sp.set_defaults(fn=_cmd_audit)
-
-    sp = sub.add_parser("sample", help="draw rows from a discrete scenario")
-    common(sp, samples_default=1000)
-    sp.set_defaults(fn=_cmd_sample)
+    sp = command("sample", _cmd_sample, "draw rows from a discrete scenario",
+                 budget=False, oracle=False)
+    sp.add_argument("--samples", type=int, default=1000)
+    sp.add_argument("--seed", type=int, default=0)
     return p
 
 
 def run(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    started = time.perf_counter()
     try:
-        _gtest_config(args.alpha)  # a bad --alpha is an error even without --samples
+        args = _parser().parse_args(argv)
+        started = time.perf_counter()
         scenario = _load_scenario(args.scenario)
         result, summary, oracle = args.fn(scenario, args)
     except CliError as exc:

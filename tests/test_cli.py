@@ -1,17 +1,21 @@
 """Command-line front-end: reports, determinism, exit codes."""
 
+import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from kassoc import cli
 from kassoc.cli import run
 from kassoc.scenarios import BUILTINS, builtin, save
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def invoke(capsys, *argv):
@@ -49,6 +53,19 @@ class TestMb:
         )
         assert "trace" not in bare["result"]
         assert traced["result"]["trace"]
+
+    def test_trace_does_not_leak_into_the_next_run(self, capsys):
+        # test_trace_included_on_request in the other order: the parser is
+        # built once and reused, so a --trace run must leave no default behind
+        _, traced, _ = invoke(
+            capsys, "mb", "--scenario", "builtin:example1", "--target", "Y",
+            "--trace",
+        )
+        _, bare, _ = invoke(
+            capsys, "mb", "--scenario", "builtin:example1", "--target", "Y",
+        )
+        assert traced["result"]["trace"]
+        assert "trace" not in bare["result"]
 
 
 class TestOrient:
@@ -190,6 +207,85 @@ class TestOutOfRangeNumbers:
         assert code == 2
         assert report is None
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Each subcommand's options: exactly the ones its ``_cmd_*`` function reads.
+ORACLE_OPTIONS = {"--samples", "--seed", "--alpha"}
+OPTIONS = {
+    "assoc": {"--budget", *ORACLE_OPTIONS, "--target"},
+    "orient": {"--budget", *ORACLE_OPTIONS, "--center", "--left", "--right"},
+    "mb": {*ORACLE_OPTIONS, "--target", "--mode", "--trace"},
+    "sp": ORACLE_OPTIONS,
+    "audit": set(),
+    "sample": {"--samples", "--seed"},
+}
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_each_subcommand_takes_only_the_options_it_reads(self):
+        sub = next(a for a in cli._parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        declared = {
+            name: {s for a in p._actions for s in a.option_strings if s.startswith("--")}
+            for name, p in sub.choices.items()
+        }
+        assert declared == {
+            name: {"--help", "--scenario", "--out", *own} for name, own in OPTIONS.items()
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ["audit", "--scenario", "builtin:example1", "--budget", "1"],
+        ["audit", "--scenario", "builtin:example1", "--samples", "5"],
+        ["audit", "--scenario", "builtin:example1", "--seed", "1"],
+        ["audit", "--scenario", "builtin:example1", "--alpha", "0.05"],
+        ["sp", "--scenario", "builtin:example1", "--budget", "1"],
+        ["mb", "--scenario", "builtin:example1", "--target", "Y", "--budget", "1"],
+        ["sample", "--scenario", "builtin:example1", "--budget", "1"],
+        ["sample", "--scenario", "builtin:example1", "--alpha", "0.05"],
+    ], ids=["audit-budget", "audit-samples", "audit-seed", "audit-alpha", "sp-budget",
+            "mb-budget", "sample-budget", "sample-alpha"])
+    def test_option_the_subcommand_does_not_read_exits_two(self, capsys, argv):
+        code, report, err = invoke(capsys, *argv)
+        assert code == 2
+        assert report is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["mb", "--scenario", "builtin:example1"],
+        ["assoc", "--scenario", "builtin:example1", "--target", "Y", "--budget", "abc"],
+        ["frobnicate", "--scenario", "builtin:example1"],
+        [],
+    ], ids=["missing-target", "budget-not-a-number", "unknown-subcommand", "no-subcommand"])
+    def test_usage_error_exits_two_with_one_line(self, capsys, argv):
+        code, report, err = invoke(capsys, *argv)
+        assert code == 2
+        assert report is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["mb", "--help"])
+        assert exc.value.code == 0
+        assert "--target" in capsys.readouterr().out
+
+
+def readme_commands():
+    """The ``kassoc ...`` lines of the README's "Command line" block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("kassoc ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_readme_command_line_runs(capsys, argv):
+    code, report, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert report["command"] == argv[0]
 
 
 class TestGoldenStability:
