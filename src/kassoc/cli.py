@@ -108,12 +108,14 @@ def _cmd_assoc(scenario, args):
 
 
 def _cmd_orient(scenario, args):
-    left = _split_csv(args.left)
-    right = _split_csv(args.right)
-    _require_vars(scenario, [args.center, *left, *right])
+    left, right = _split_csv(args.left), _split_csv(args.right)
+    _require_vars(scenario, [args.center, *left, *right])  # before any sampling
     o = _make_oracle(scenario, args)
     try:
         q = OrientationQuery(args.center, tuple(left), tuple(right), o, args.budget)
+    except PreconditionError as exc:
+        raise CliError(f"bad orientation query: {exc}", EXIT_USAGE)
+    try:
         verdict = orient(q)
     except (PreconditionError, OracleError) as exc:
         raise CliError(f"orientation precondition failed: {exc}", EXIT_ANALYSIS)

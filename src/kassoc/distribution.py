@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -91,20 +92,27 @@ class Cpt:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Finite sample of joint assignments (integer-coded values)."""
+    """Finite sample of integer-coded rows, one value in ``range(card)`` per
+    variable (at most ``MAX_CELLS`` assignments), counted once into ``_counts``:
+    the dense row-major table over ``variables`` that each G-test query projects."""
 
     variables: tuple[tuple[str, int], ...]
     rows: tuple[tuple[int, ...], ...]
+    _counts: list[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        cards = [c for _, c in _domains(self.variables)[0]]
+        strides, size = _strides(cards, range(len(cards)))
+        counts = [0] * size
+        for row, n in Counter(map(tuple, self.rows)).items():
+            if len(row) != len(cards) or not all(v in range(c) for v, c in zip(row, cards)):
+                raise DistributionError(f"row {row} is not one value in range(card) per variable")
+            counts[sum(int(v) * st for v, st in zip(row, strides))] += n
+        object.__setattr__(self, "_counts", counts)
 
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.variables)
-
-    def card(self, name: str) -> int:
-        for n, c in self.variables:
-            if n == name:
-                return c
-        raise DistributionError(f"unknown variable {name!r}")
 
     def column(self, name: str) -> list[int]:
         i = self.names.index(name)

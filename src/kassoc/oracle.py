@@ -2,13 +2,12 @@
 
 Backends: graph truth (d-separation), exact discrete joint, exact
 linear-Gaussian partial correlation, and a sample-based G-test.  All
-backends are immutable after construction except the query counter, which
-is lock-protected.
+backends are immutable after construction except the answer cache and the
+query counter, which counts the queries a backend answered.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable
 
 from .distribution import Dataset, DiscreteJoint
@@ -29,7 +28,6 @@ class IndependenceOracle:
     def __init__(self, variables: Iterable[str]):
         self._variables = tuple(variables)
         self._count = 0
-        self._lock = threading.Lock()
         self._cache: dict = {}
 
     @property
@@ -40,10 +38,6 @@ class IndependenceOracle:
     def query_count(self) -> int:
         return self._count
 
-    def _bump(self):
-        with self._lock:
-            self._count += 1
-
     def query(self, x: str, y: str, s: Iterable[str] = ()) -> bool:
         """True = independent. Deterministic given the backend state."""
         s = frozenset(s)
@@ -52,8 +46,8 @@ class IndependenceOracle:
         if hit is not None:
             return hit
         self._check(x, y, s)  # a cached key passed this check when it was stored
-        self._bump()
         ans = self._cache[key] = self._query(x, y, s)
+        self._count += 1
         return ans
 
     def query_sets(self, xs: Iterable[str], ys: Iterable[str], s: Iterable[str] = ()) -> bool:
@@ -84,8 +78,9 @@ class GraphOracle(IndependenceOracle):
         return self.dag.d_separated({x}, {y}, s)
 
     def query_sets(self, xs, ys, s=()):
-        self._bump()
-        return self.dag.d_separated(set(xs), set(ys), set(s))
+        ans = self.dag.d_separated(set(xs), set(ys), set(s))
+        self._count += 1
+        return ans
 
 
 class DiscreteOracle(IndependenceOracle):
@@ -101,8 +96,9 @@ class DiscreteOracle(IndependenceOracle):
         return self.joint.is_independent(x, y, s)
 
     def query_sets(self, xs, ys, s=()):
-        self._bump()
-        return self.joint.is_independent_sets(list(xs), list(ys), list(s))
+        ans = self.joint.is_independent_sets(list(xs), list(ys), list(s))
+        self._count += 1
+        return ans
 
 
 class GaussianOracle(IndependenceOracle):
@@ -132,8 +128,9 @@ class GaussianOracle(IndependenceOracle):
                 raise OracleError(f"unknown variable {v!r}")
         if xs & ys or (xs | ys) & s:
             raise OracleError("query sets must be pairwise disjoint")
-        self._bump()
-        return all(self._query(x, y, s) for x in xs for y in ys)
+        ans = all(self._query(x, y, s) for x in xs for y in ys)
+        self._count += 1
+        return ans
 
 
 class GTestOracle(IndependenceOracle):

@@ -41,8 +41,8 @@ class OrientationQuery:
         object.__setattr__(self, "right", right)
         if not 1 <= len(left) <= 2 or not 1 <= len(right) <= 2:
             raise PreconditionError("side sets must have one or two nodes")
-        if set(left) & set(right):
-            raise PreconditionError("side sets must be disjoint")
+        if len({*left, *right}) != len(left) + len(right):
+            raise PreconditionError("side sets must be disjoint and repeat no node")
         if self.center in left or self.center in right:
             raise PreconditionError("centre node cannot be in a side set")
         known = set(self.oracle.variables)

@@ -80,12 +80,30 @@ class TestOrient:
         assert sorted(v["edges"]) == ["W->Y", "X->Y", "Z->Y"]
 
     def test_precondition_failure_exits_one(self, capsys):
-        code, _, err = invoke(
+        # a well-formed query whose premise (the centre is associated to
+        # each side) fails is an analysis failure, not malformed input
+        code, report, err = invoke(
             capsys, "orient", "--scenario", "builtin:example2",
             "--center", "Y", "--left", "X", "--right", "W",
         )
         assert code == 1
-        assert "precondition" in err
+        assert report is None
+        assert err.startswith("error: orientation precondition failed: centre Y "
+                              "is not associated to side set")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("left,right", [
+        (",", "W"), ("X,Z,W", "W"), ("Y", "W"), ("X", "X"), ("X,X", "W"), ("Q", "W"),
+    ], ids=["empty-side", "three-nodes", "centre-in-side", "overlapping-sides",
+            "repeated-node", "unknown-variable"])
+    def test_malformed_query_exits_two_with_one_line(self, capsys, left, right):
+        code, report, err = invoke(
+            capsys, "orient", "--scenario", "builtin:example2",
+            "--center", "Y", "--left", left, "--right", right,
+        )
+        assert code == 2
+        assert report is None
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestAssoc:

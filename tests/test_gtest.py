@@ -1,12 +1,62 @@
 """G-test backend: gamma tail, df accounting, level and power."""
 
+import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from kassoc.distribution import Cpt, DiscreteJoint
-from kassoc.gtest import GTestConfig, chi2_sf, g_test, regularized_gamma_p
+from kassoc.distribution import MAX_CELLS, Cpt, Dataset, DiscreteJoint, DistributionError
+from kassoc.gtest import GTestConfig, GTestResult, chi2_sf, g_test, regularized_gamma_p
+from kassoc.scenarios import BUILTINS, builtin
+
+
+def rowscan_g_test(dataset, x, y, s=(), cfg=None):
+    """Reference: the row-scan G-test that ``g_test`` replaced, kept as it
+    was apart from reading cardinalities from ``dataset.variables``.  It
+    rebuilds the strata from every row on every call, in order of first
+    appearance."""
+    cfg = cfg or GTestConfig()
+    if len(dataset) == 0:
+        raise DistributionError("dataset is empty")
+    s = list(s)
+    names = [x, y] + s
+    if len(set(names)) != len(names):
+        raise DistributionError("query variables must be distinct")
+    card = dict(dataset.variables)
+    cx, cy = card[x], card[y]
+    pos = {n: dataset.names.index(n) for n in names}
+
+    strata: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+    for row in dataset.rows:
+        key = tuple(row[pos[v]] for v in s)
+        cell = (row[pos[x]], row[pos[y]])
+        table = strata.setdefault(key, {})
+        table[cell] = table.get(cell, 0) + 1
+
+    stat = 0.0
+    for table in strata.values():
+        n_s = sum(table.values())
+        rows = {}
+        cols = {}
+        for (xv, yv), c in table.items():
+            rows[xv] = rows.get(xv, 0) + c
+            cols[yv] = cols.get(yv, 0) + c
+        for (xv, yv), obs in table.items():
+            if obs == 0:
+                continue
+            expected = rows[xv] * cols[yv] / n_s
+            stat += 2.0 * obs * math.log(obs / expected)
+
+    n_strata = 1
+    for v in s:
+        n_strata *= card[v]
+    df = (cx - 1) * (cy - 1) * n_strata
+    if df <= 0:
+        return GTestResult(stat, 0, True)
+    independent = chi2_sf(stat, df) >= cfg.alpha
+    return GTestResult(stat, df, independent)
 
 
 class TestChiSquaredTail:
@@ -101,3 +151,71 @@ class TestFrozenAcceptanceThresholds:
         cfg = GTestConfig(alpha=0.01)
         assert g_test(data, "X", "Y", (), cfg).independent
         assert not g_test(data, "X", "Z", ("Y",), cfg).independent
+
+
+def assert_agrees_with_rowscan(data, cfg=None):
+    """Every pair and every conditioning set: same df and verdict as the
+    row scan, and the statistic equal up to float summation order."""
+    names = data.names
+    for x, y in itertools.permutations(names, 2):
+        rest = [v for v in names if v not in (x, y)]
+        for r in range(len(rest) + 1):
+            for s in itertools.combinations(rest, r):
+                got, want = g_test(data, x, y, s, cfg), rowscan_g_test(data, x, y, s, cfg)
+                assert (got.df, got.independent) == (want.df, want.independent)
+                assert abs(got.statistic - want.statistic) <= 1e-10 * max(1.0, want.statistic)
+
+
+DISCRETE = sorted(n for n in BUILTINS if builtin(n).kind == "discrete")
+
+
+class TestAgreesWithRowScan:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", DISCRETE)
+    def test_builtin_samples(self, name, seed):
+        assert_agrees_with_rowscan(builtin(name).joint.sample(1000, seed))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_small_tables_with_empty_strata(self, seed):
+        # cardinalities 1, 3 and 4; 25 rows over 36 cells leave strata empty
+        rng = random.Random(seed)
+        variables = (("A", 3), ("B", 4), ("C", 1), ("D", 3))
+        rows = tuple(
+            tuple(rng.randrange(c) for _, c in variables) for _ in range(25)
+        )
+        assert_agrees_with_rowscan(Dataset(variables, rows), GTestConfig(alpha=0.2))
+
+    def test_single_row(self):
+        assert_agrees_with_rowscan(Dataset((("A", 2), ("B", 3), ("C", 2)), ((1, 2, 0),)))
+
+
+class TestDatasetChecks:
+    VARIABLES = (("A", 2), ("B", 3))
+
+    @pytest.mark.parametrize("rows", [
+        ((0, 1), (2, 0)),
+        ((0, 1), (1, -1)),
+        ((0, 1), (1,)),
+        ((0, 1), (1, 2, 0)),
+    ], ids=["out-of-domain", "negative", "short-row", "long-row"])
+    def test_bad_row_is_refused(self, rows):
+        with pytest.raises(DistributionError):
+            Dataset(self.VARIABLES, rows)
+
+    def test_domain_wider_than_max_cells_is_refused(self):
+        width = MAX_CELLS.bit_length()  # 2**width > MAX_CELLS
+        with pytest.raises(DistributionError, match="too large"):
+            Dataset(tuple((f"V{i}", 2) for i in range(width)), ())
+
+    @pytest.mark.parametrize("x,y,s", [
+        ("A", "B", ("Q",)), ("Q", "B", ()), ("A", "Q", ()),
+    ], ids=["given", "x", "y"])
+    def test_unknown_variable(self, x, y, s):
+        data = Dataset(self.VARIABLES, ((0, 1), (1, 2)))
+        with pytest.raises(DistributionError, match="unknown variable 'Q'"):
+            g_test(data, x, y, s)
+
+    def test_counts_do_not_affect_equality(self):
+        a = Dataset(self.VARIABLES, ((0, 1), (1, 2)))
+        b = Dataset(self.VARIABLES, ((0, 1), (1, 2)))
+        assert a == b and hash(a) == hash(b) and "_counts" not in repr(a)

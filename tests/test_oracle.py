@@ -94,3 +94,4 @@ def test_set_query_rejects_malformed_input(all_builtins, backend, error, xs, ys,
     assert {"X", "Y"} <= set(oracle.variables)
     with pytest.raises(error):
         oracle.query_sets(xs, ys, s)
+    assert oracle.query_count == 0  # a rejected query is not counted

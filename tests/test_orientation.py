@@ -28,6 +28,11 @@ class TestQueryValidation:
         with pytest.raises(PreconditionError):
             q(example2, "Y", ("X",), ("X",))
 
+    @pytest.mark.parametrize("left,right", [(("X", "X"), ("W",)), (("X",), ("W", "W"))])
+    def test_no_repeated_node_within_a_side(self, example2, left, right):
+        with pytest.raises(PreconditionError, match="repeat no node"):
+            q(example2, "Y", left, right)
+
     def test_center_not_in_sides(self, example2):
         with pytest.raises(PreconditionError):
             q(example2, "Y", ("Y",), ("W",))
