@@ -5,8 +5,11 @@ adjacency faithfulness, 2-adjacency faithfulness, orientation
 faithfulness, 2-orientation faithfulness, and the spouse-detection
 condition used by the modified grow phase) directly from the scenario's
 exact oracle.  Annotations are outputs of verification, never trusted
-inputs.  Above ``EXHAUSTIVE_LIMIT`` variables the subset enumeration is
-truncated and the report is flagged as partial.
+inputs.  CMC (the local Markov statements that scenario construction
+checks too) and 2-AF (partner sets inside the Markov blanket) are exact
+at every size.  Above ``EXHAUSTIVE_LIMIT`` variables the AF, OF, 2-OF and
+spouse-condition scans truncate their conditioning sets and are flagged
+as partial.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .association import first_separating_set, is_weakly_associated, subsets_by_size
+from .association import first_separating_set, is_weakly_associated
 from .graph import Dag
 from .oracle import IndependenceOracle
 
@@ -77,39 +80,14 @@ def _separating_set(oracle, x, z, core, pool, limit):
 def check_cmc(dag: Dag, oracle: IndependenceOracle) -> AuditResult:
     """Every d-separation in the graph holds as an independence.
 
-    Set-level queries for small graphs, pairwise fallback above the
-    exhaustive limit.
+    For a DAG the local Markov statements imply every d-separation, so at
+    most one set query per node decides it; the witness is the first
+    failing statement, itself a d-separation the oracle denies.
     """
-    nodes = dag.nodes
-    n = len(nodes)
-    limit = _max_subset(n)
-    exhaustive = limit is None
-    if exhaustive:
-        masks = [
-            tuple(nodes[i] for i in range(n) if m >> i & 1)
-            for m in range(1, 1 << n)
-        ]
-        side_pairs = (
-            (a, b)
-            for a, b in itertools.combinations(masks, 2)
-            if not set(a) & set(b)
-        )
-        for xs, ys in side_pairs:
-            rest = set(nodes) - set(xs) - set(ys)
-            for s in subsets_by_size(rest, sorted(rest), len(rest)):
-                if not dag.d_separated(xs, ys, s):
-                    continue
-                if not oracle.query_sets(xs, ys, s):
-                    witness = {"xs": list(xs), "ys": list(ys), "given": list(s)}
-                    return AuditResult("CMC", False, witness, True)
-        return AuditResult("CMC", True, None, True)
-    for x, y in itertools.combinations(nodes, 2):
-        rest = set(nodes) - {x, y}
-        for s in subsets_by_size(rest, sorted(rest), limit):
-            if dag.d_separated([x], [y], s) and not oracle.query(x, y, s):
-                witness = {"xs": [x], "ys": [y], "given": list(s)}
-                return AuditResult("CMC", False, witness, False)
-    return AuditResult("CMC", True, None, False)
+    for v, rest, parents in dag.local_markov_statements():
+        if not oracle.query_sets([v], rest, parents):
+            return AuditResult("CMC", False, {"xs": [v], "ys": rest, "given": parents})
+    return AuditResult("CMC", True)
 
 
 def check_af(dag: Dag, oracle: IndependenceOracle) -> AuditResult:
@@ -126,14 +104,12 @@ def check_af(dag: Dag, oracle: IndependenceOracle) -> AuditResult:
 def check_2af(dag: Dag, oracle: IndependenceOracle) -> AuditResult:
     """Every adjacency is witnessed by a weak (1- or strict-2) association
     with a partner set inside the Markov blanket."""
-    limit = _max_subset(len(dag.nodes))
     for x, y in itertools.chain(dag.edges, ((b, a) for a, b in dag.edges)):
         mb = dag.markov_blanket(x)
         candidates = [(y,)] + [tuple(sorted((y, z))) for z in sorted(mb - {y})]
         if not any(is_weakly_associated(oracle, x, c).holds for c in candidates):
-            witness = {"node": x, "adjacent": y}
-            return AuditResult("2-AF", False, witness, limit is None)
-    return AuditResult("2-AF", True, None, limit is None)
+            return AuditResult("2-AF", False, {"node": x, "adjacent": y})
+    return AuditResult("2-AF", True)
 
 
 def check_of(dag: Dag, oracle: IndependenceOracle) -> AuditResult:

@@ -155,6 +155,9 @@ class Dag:
     def _labels(self, mask: int) -> set[str]:
         return {self.nodes[i] for i in _bits(mask)}
 
+    def _ordered(self, mask: int) -> list[str]:
+        return [self.nodes[i] for i in _bits(mask)]
+
     @property
     def n(self) -> int:
         return len(self.nodes)
@@ -205,6 +208,19 @@ class Dag:
             mb |= self._parent_masks[c]
         mb &= ~(1 << i)
         return self._labels(mb)
+
+    def local_markov_statements(self) -> Iterator[tuple[str, list[str], list[str]]]:
+        """``(v, rest, parents)`` per node in graph order: v is independent
+        of ``rest``, its non-descendants other than its parents, given its
+        parents; both lists in graph order, nodes with empty ``rest``
+        skipped.  They imply every d-separation of the DAG (local and
+        global directed Markov properties, Lauritzen 1996, Thm 3.27)."""
+        full = (1 << self.n) - 1
+        for i, v in enumerate(self.nodes):
+            parents = self._parent_masks[i]
+            rest = full & ~parents & ~ancestor_mask(self._child_masks, 1 << i)
+            if rest:
+                yield v, self._ordered(rest), self._ordered(parents)
 
     # -- paths -------------------------------------------------------------
 

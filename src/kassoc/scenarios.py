@@ -3,11 +3,13 @@
 Each scenario bundles a ground-truth DAG with an exact distribution
 payload (discrete CPTs or a linear-Gaussian system) plus its parameters.
 Unobserved noise coins are marginalised into the CPTs, they are never
-graph nodes.  Discrete scenarios verify at construction that the joint
-satisfies the local Markov property of the DAG (each node independent of
-its other non-descendants given its parents, one exact query per node),
-which for a DAG is equivalent to every d-separation holding as an exact
-independence; full assumption audits live in :mod:`kassoc.audit`.
+graph nodes.  Every scenario satisfies the causal Markov condition by
+construction: a discrete scenario checks the local Markov statements of
+its DAG (:meth:`Dag.local_markov_statements`, each node independent of its
+other non-descendants given its parents, one exact query per node), the
+same definition :func:`kassoc.audit.check_cmc` uses, and a Gaussian
+scenario's coefficients must form its DAG.  Full assumption audits live
+in :mod:`kassoc.audit`.
 """
 
 from __future__ import annotations
@@ -53,10 +55,14 @@ class Scenario:
             object.__setattr__(self, "cpts", tuple(self.cpts))
             joint = DiscreteJoint.from_cpts(self.dag, self.cpts)
             object.__setattr__(self, "_joint", joint)
-            _verify_local_markov(self.dag, joint)
+            for v, rest, parents in self.dag.local_markov_statements():
+                if not joint.is_independent_sets([v], rest, parents):
+                    raise ScenarioError(
+                        f"CMC violated: {v} dependent on non-descendants {rest} given parents {parents}"
+                    )
         elif self.kind == "gaussian":
-            if self.gaussian is None or self.gaussian.nodes != self.dag.nodes:
-                raise ScenarioError("gaussian payload must cover the graph nodes")
+            if self.gaussian is None or self.gaussian.dag != self.dag:
+                raise ScenarioError("gaussian coefficients must form the scenario graph")
             object.__setattr__(self, "_joint", None)
         elif self.kind == "graph":
             object.__setattr__(self, "_joint", None)
@@ -95,22 +101,6 @@ class Scenario:
             cached = audit_scenario(self)
             object.__setattr__(self, "_annotations", cached)
         return cached
-
-
-def _verify_local_markov(dag: Dag, joint: DiscreteJoint) -> None:
-    """Each node is independent of its non-descendants other than its
-    parents, given its parents.  For a DAG this local Markov property is
-    equivalent to factorisation and to the global (d-separation) Markov
-    property (Lauritzen 1996, Thm 3.27), at one query per node."""
-    for v in dag.nodes:
-        parents = dag.parents(v)
-        descendants = dag.descendants(v)
-        rest = [u for u in dag.nodes if u not in descendants and u not in parents]
-        given = [u for u in dag.nodes if u in parents]
-        if rest and not joint.is_independent_sets([v], rest, given):
-            raise ScenarioError(
-                f"CMC violated: {v} dependent on non-descendants {rest} given parents {given}"
-            )
 
 
 def _xor(*bits: int) -> int:

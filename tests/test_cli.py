@@ -199,6 +199,17 @@ class TestScenarioLoading:
         assert report is None
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_gaussian_payload_off_the_graph_exits_two(self, tmp_path, capsys):
+        doc = save(builtin("cancel3"))
+        del doc["payload"]["coefficients"]["X->Y"]  # the graph keeps X->Y
+        p = tmp_path / "mismatched.json"
+        p.write_text(json.dumps(doc))
+        code, report, err = invoke(capsys, "audit", "--scenario", str(p))
+        assert code == 2
+        assert report is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "gaussian coefficients" in err
+
     def test_unknown_variable_exits_two(self, capsys):
         code, _, _ = invoke(
             capsys, "mb", "--scenario", "builtin:example1", "--target", "Q",

@@ -86,6 +86,20 @@ class TestRelations:
         assert CHAIN.adjacent("X", "Y") and CHAIN.adjacent("Y", "X")
         assert not CHAIN.adjacent("X", "Z")
 
+    def test_local_markov_statements(self):
+        # every 4-node DAG, also with its node order reversed so that graph
+        # order differs from label order
+        for base in enumerate_dags(4):
+            for dag in (base, Dag(base.nodes[::-1], base.edges)):
+                expected = []
+                for v in dag.nodes:
+                    parents = dag.parents(v)
+                    skip = parents | dag.descendants(v)
+                    rest = [u for u in dag.nodes if u not in skip]
+                    if rest:
+                        expected.append((v, rest, [u for u in dag.nodes if u in parents]))
+                assert list(dag.local_markov_statements()) == expected
+
 
 class TestPaths:
     def test_collider_detection(self):

@@ -9,13 +9,13 @@ import pytest
 
 from kassoc.audit import audit_scenario
 from kassoc.distribution import DiscreteJoint
+from kassoc.gaussian import GaussianSystem
 from kassoc.graph import Dag
 from kassoc.gtest import GTestConfig, g_test
 from kassoc.scenarios import (
     BUILTINS,
     Scenario,
     ScenarioError,
-    _verify_local_markov,
     baseline,
     builtin,
     cancelling_paths_3,
@@ -42,11 +42,10 @@ def pairwise_markov_holds(dag, joint):
 
 
 def local_markov_holds(dag, joint):
-    try:
-        _verify_local_markov(dag, joint)
-    except ScenarioError:
-        return False
-    return True
+    return all(
+        joint.is_independent_sets([v], rest, parents)
+        for v, rest, parents in dag.local_markov_statements()
+    )
 
 
 def copy_joint(names, source, target):
@@ -117,6 +116,15 @@ class TestConstructionInvariants:
         joint = copy_joint(nodes, source, target)
         assert not pairwise_markov_holds(dag, joint)
         assert not local_markov_holds(dag, joint)
+
+    def test_gaussian_coefficients_must_form_the_graph(self):
+        chain = GaussianSystem(
+            ("X", "Y", "Z"), {("Y", "X"): 1, ("Z", "Y"): 1}, {v: 1 for v in "XYZ"}
+        )
+        for dag in (Dag(["X", "Y", "Z"], [("X", "Y")]), Dag(["Z", "Y", "X"], chain.dag.edges)):
+            with pytest.raises(ScenarioError, match="gaussian coefficients"):
+                Scenario("mismatched", dag, "gaussian", gaussian=chain)
+        assert Scenario("chain", chain.dag, "gaussian", gaussian=chain).annotations()["CMC"].holds
 
     def test_discrete_scenario_requires_cpts(self, example1):
         with pytest.raises(ScenarioError):
@@ -193,14 +201,16 @@ class TestAnnotations:
             assert audit_scenario(s).exhaustive
 
     def test_large_graph_audit_is_flagged_partial(self):
-        from kassoc.graph import Dag
-
         nodes = [f"v{i}" for i in range(7)]
         edges = [(nodes[i], nodes[i + 1]) for i in range(6)]
         s = Scenario("bigchain", Dag(nodes, edges), "graph")
         report = audit_scenario(s)
         assert not report.exhaustive
-        assert report["CMC"].holds  # truncated subset sweep still runs
+        # CMC (local Markov statements) and 2-AF (Markov-blanket partners)
+        # are exact at any size; the other scans truncate conditioning sets
+        assert [r.assumption for r in report.results if r.exhaustive] == ["CMC", "2-AF"]
+        for r in report.results:
+            assert r.holds and r.witness is None, r.assumption
 
 
 class TestSignProductSampler:
