@@ -5,11 +5,12 @@ adjacency faithfulness, 2-adjacency faithfulness, orientation
 faithfulness, 2-orientation faithfulness, and the spouse-detection
 condition used by the modified grow phase) directly from the scenario's
 exact oracle.  Annotations are outputs of verification, never trusted
-inputs.  CMC (the local Markov statements that scenario construction
-checks too) and 2-AF (partner sets inside the Markov blanket) are exact
-at every size.  Above ``EXHAUSTIVE_LIMIT`` variables the AF, OF, 2-OF and
-spouse-condition scans truncate their conditioning sets and are flagged
-as partial.
+inputs.  Every check is exact at every size: CMC queries the local Markov
+statements, 2-AF scans partner sets inside the Markov blanket, and AF,
+OF, 2-OF and the spouse condition scan every conditioning set, smallest
+first and lexicographic by label.  OF, 2-OF and the spouse condition are
+the orientation rule's own scan (rule i at a collider, rule ii elsewhere),
+so the audit checks exactly the conditions under which ``orient`` is sound.
 """
 
 from __future__ import annotations
@@ -17,12 +18,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .association import first_separating_set, is_weakly_associated
+from .association import UNBOUNDED, first_separating_set, is_weakly_associated
 from .graph import Dag
 from .oracle import IndependenceOracle
-
-EXHAUSTIVE_LIMIT = 6
-PARTIAL_MAX_SUBSET = 3
+from .orientation import _rule_defeat
 
 
 @dataclass(frozen=True)
@@ -30,14 +29,14 @@ class AuditResult:
     assumption: str
     holds: bool
     witness: dict | None = None
-    exhaustive: bool = True
 
     def to_dict(self) -> dict:
+        # the report format keeps the "exhaustive" flag; every check is exact
         return {
             "assumption": self.assumption,
             "holds": self.holds,
             "witness": self.witness,
-            "exhaustive": self.exhaustive,
+            "exhaustive": True,
         }
 
 
@@ -52,29 +51,12 @@ class AuditReport:
                 return r
         raise KeyError(assumption)
 
-    @property
-    def exhaustive(self) -> bool:
-        return all(r.exhaustive for r in self.results)
-
     def to_dict(self) -> dict:
         return {
             "scenario": self.scenario,
-            "exhaustive": self.exhaustive,
+            "exhaustive": True,
             "results": [r.to_dict() for r in self.results],
         }
-
-
-def _max_subset(n: int) -> int | None:
-    return None if n <= EXHAUSTIVE_LIMIT else PARTIAL_MAX_SUBSET
-
-
-def _separating_set(oracle, x, z, core, pool, limit):
-    """First ``core | S`` separating x and z; S runs over the subsets of
-    ``pool`` (at most ``limit`` nodes), smallest first, lexicographic by
-    label."""
-    pool = sorted(pool)
-    top = len(pool) if limit is None else limit
-    return first_separating_set(oracle, x, z, frozenset(core), pool, pool, top)
 
 
 def check_cmc(dag: Dag, oracle: IndependenceOracle) -> AuditResult:
@@ -92,13 +74,13 @@ def check_cmc(dag: Dag, oracle: IndependenceOracle) -> AuditResult:
 
 def check_af(dag: Dag, oracle: IndependenceOracle) -> AuditResult:
     """Adjacency faithfulness: adjacent nodes dependent under every S."""
-    limit = _max_subset(len(dag.nodes))
+    order = sorted(dag.nodes)
     for x, y in dag.edges:
-        s = _separating_set(oracle, x, y, (), set(dag.nodes) - {x, y}, limit)
+        pool = [v for v in order if v not in (x, y)]
+        s = first_separating_set(oracle, x, y, frozenset(), pool, order, len(pool))
         if s is not None:
-            witness = {"edge": [x, y], "separating_set": sorted(s)}
-            return AuditResult("AF", False, witness, limit is None)
-    return AuditResult("AF", True, None, limit is None)
+            return AuditResult("AF", False, {"edge": [x, y], "separating_set": sorted(s)})
+    return AuditResult("AF", True)
 
 
 def check_2af(dag: Dag, oracle: IndependenceOracle) -> AuditResult:
@@ -113,114 +95,81 @@ def check_2af(dag: Dag, oracle: IndependenceOracle) -> AuditResult:
 
 
 def check_of(dag: Dag, oracle: IndependenceOracle) -> AuditResult:
-    """Orientation faithfulness over unshielded triples."""
-    limit = _max_subset(len(dag.nodes))
+    """Orientation faithfulness: over every unshielded triple x - y - z,
+    rule i holds if y is a collider and rule ii holds otherwise."""
+    order = sorted(dag.nodes)
     for y in dag.nodes:
         neigh = sorted(dag.parents(y) | dag.children(y))
         for x, z in itertools.combinations(neigh, 2):
             if dag.adjacent(x, z):
                 continue
-            # the path x - y - z is active given S: y in S iff y is a collider
-            collider = y in dag.children(x) and y in dag.children(z)
-            core = {y} if collider else set()
-            top = None if limit is None else limit - len(core)
-            s = _separating_set(oracle, x, z, core, set(dag.nodes) - {x, y, z}, top)
-            if s is not None:
-                witness = {"triple": [x, y, z], "collider": collider, "given": sorted(s)}
-                return AuditResult("OF", False, witness, limit is None)
-    return AuditResult("OF", True, None, limit is None)
+            collider = {x, z} <= dag.parents(y)
+            bad = _rule_defeat(oracle, y, (x,), (z,), collider, order, UNBOUNDED)
+            if bad is not None:
+                witness = {"triple": [x, y, z], "collider": collider, "given": sorted(bad[2])}
+                return AuditResult("OF", False, witness)
+    return AuditResult("OF", True)
 
 
 def _weak_partner_sets(dag: Dag, oracle: IndependenceOracle, y: str):
     """Partner sets (size 1 or 2) that y is weakly associated to."""
     others = [v for v in dag.nodes if v != y]
-    found = []
-    for size in (1, 2):
-        for c in itertools.combinations(others, size):
-            if is_weakly_associated(oracle, y, c).holds:
-                found.append(c)
-    return found
+    return [c for k in (1, 2) for c in itertools.combinations(others, k)
+            if is_weakly_associated(oracle, y, c).holds]
 
 
-def _eligible_configs(dag: Dag, oracle: IndependenceOracle):
-    """Triples (y, xs, zs) with y weakly associated to both disjoint sides."""
-    for y in dag.nodes:
-        partners = _weak_partner_sets(dag, oracle, y)
-        for xs, zs in itertools.combinations(partners, 2):
-            if set(xs) & set(zs):
-                continue
-            yield y, xs, zs
+def check_2of_and_spouse(
+    dag: Dag, oracle: IndependenceOracle
+) -> tuple[AuditResult, AuditResult]:
+    """2-orientation faithfulness and the spouse condition, in one pass.
 
-
-def _is_collider_config(dag: Dag, y, xs, zs) -> bool:
-    return all(y in dag.children(v) for v in xs + zs)
-
-
-def _condition_witness(dag, oracle, y, xs, zs, limit, with_center):
-    """First cross pair separated given a superset of the remainders.
-
-    Condition i (``with_center``): each cross pair stays dependent given
-    any superset of {y} + remainders.  Condition ii: the same for the
-    supersets of the remainders that avoid y.
+    A configuration is a centre y weakly associated to two disjoint side
+    sets.  2-OF: at every unshielded configuration (no cross pair
+    adjacent) rule i holds if every side node is a parent of y, rule ii
+    otherwise.  Spouse condition: rule i holds at every such collider
+    configuration, shielded or not.  Each reports its first failure.
     """
-    for x, z in itertools.product(xs, zs):
-        core = (set(xs) - {x}) | (set(zs) - {z})
-        if with_center:
-            core.add(y)
-        rest = set(dag.nodes) - {x, z, y} - core
-        s = _separating_set(oracle, x, z, core, rest, limit)
-        if s is not None:
-            return {"x": x, "z": z, "given": sorted(s)}
-    return None
-
-
-def check_2of(dag: Dag, oracle: IndependenceOracle) -> AuditResult:
-    """2-orientation faithfulness over all eligible configurations."""
-    limit = _max_subset(len(dag.nodes))
-    for y, xs, zs in _eligible_configs(dag, oracle):
-        if any(dag.adjacent(x, z) for x, z in itertools.product(xs, zs)):
+    order = sorted(dag.nodes)
+    configs = (
+        (y, xs, zs)
+        for y in dag.nodes
+        for xs, zs in itertools.combinations(_weak_partner_sets(dag, oracle, y), 2)
+        if not set(xs) & set(zs)
+    )
+    two_of = spouse = None
+    for y, xs, zs in configs:
+        unshielded = not any(dag.adjacent(x, z) for x, z in itertools.product(xs, zs))
+        collider = set(xs + zs) <= dag.parents(y)
+        want_2of = unshielded and two_of is None
+        want_spouse = collider and spouse is None
+        if not (want_2of or want_spouse):
             continue
-        collider = _is_collider_config(dag, y, xs, zs)
-        bad = _condition_witness(dag, oracle, y, xs, zs, limit, collider)
-        condition = "i" if collider else "ii"
-        if bad is not None:
-            witness = {
-                "center": y,
-                "left": list(xs),
-                "right": list(zs),
-                "condition": condition,
-                **bad,
-            }
-            return AuditResult("2-OF", False, witness, limit is None)
-    return AuditResult("2-OF", True, None, limit is None)
-
-
-def check_spouse_condition(dag: Dag, oracle: IndependenceOracle) -> AuditResult:
-    """Condition i extended to shielded configurations: collider sides stay
-    cross-dependent given any superset of the center and remainders."""
-    limit = _max_subset(len(dag.nodes))
-    for y, xs, zs in _eligible_configs(dag, oracle):
-        if not _is_collider_config(dag, y, xs, zs):
+        bad = _rule_defeat(oracle, y, xs, zs, collider, order, UNBOUNDED)
+        if bad is None:
             continue
-        bad = _condition_witness(dag, oracle, y, xs, zs, limit, True)
-        if bad is not None:
-            witness = {"center": y, "left": list(xs), "right": list(zs), **bad}
-            return AuditResult("spouse-condition", False, witness, limit is None)
-    return AuditResult("spouse-condition", True, None, limit is None)
-
-
-CHECKS = (
-    check_cmc,
-    check_af,
-    check_2af,
-    check_of,
-    check_2of,
-    check_spouse_condition,
-)
+        x, z, given = bad
+        witness = {"center": y, "left": list(xs), "right": list(zs),
+                   "x": x, "z": z, "given": sorted(given)}
+        if want_2of:
+            two_of = {**witness, "condition": "i" if collider else "ii"}
+        if want_spouse:
+            spouse = witness
+        if two_of and spouse:
+            break
+    return (
+        AuditResult("2-OF", two_of is None, two_of),
+        AuditResult("spouse-condition", spouse is None, spouse),
+    )
 
 
 def audit_scenario(scenario) -> AuditReport:
     """Run every assumption check against the scenario's exact oracle."""
-    oracle = scenario.oracle()
-    results = tuple(check(scenario.dag, oracle) for check in CHECKS)
+    dag, oracle = scenario.dag, scenario.oracle()
+    results = (
+        check_cmc(dag, oracle),
+        check_af(dag, oracle),
+        check_2af(dag, oracle),
+        check_of(dag, oracle),
+        *check_2of_and_spouse(dag, oracle),
+    )
     return AuditReport(scenario.name, results)

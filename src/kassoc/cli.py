@@ -161,8 +161,6 @@ def _cmd_audit(scenario, args):
     flags = ", ".join(
         f"{r.assumption}={'ok' if r.holds else 'FAIL'}" for r in report.results
     )
-    if not report.exhaustive:
-        flags += " (partial)"
     # Known defect: audit_scenario queries oracles of its own, so the
     # report's oracle_queries reads 0 however many queries the audit made.
     return report.to_dict(), flags, None

@@ -45,7 +45,7 @@ class IndependenceOracle:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        self._check(x, y, s)  # a cached key passed this check when it was stored
+        self._check((x,), (y,), s)  # a cached key passed this check when stored
         ans = self._cache[key] = self._query(x, y, s)
         self._count += 1
         return ans
@@ -54,12 +54,20 @@ class IndependenceOracle:
         """Set-valued query; not every backend supports it."""
         raise OracleError(f"{self.backend} backend does not support set queries")
 
-    def _check(self, x, y, s):
-        for v in {x, y} | s:
+    def _check(self, xs, ys, s):
+        """The sides and conditioning set as tuples.  Raises OracleError
+        unless both sides are non-empty, every name is known and no name
+        occurs twice."""
+        xs, ys, s = tuple(xs), tuple(ys), tuple(s)
+        names = xs + ys + s
+        if not xs or not ys:
+            raise OracleError("query sets must be non-empty")
+        for v in names:
             if v not in self._variables:
                 raise OracleError(f"unknown variable {v!r}")
-        if x == y or x in s or y in s:
-            raise OracleError("query variables must be distinct from the conditioning set")
+        if len(set(names)) != len(names):
+            raise OracleError("query sets must be pairwise disjoint and repeat no variable")
+        return xs, ys, s
 
     def _query(self, x, y, s) -> bool:
         raise NotImplementedError
@@ -78,7 +86,7 @@ class GraphOracle(IndependenceOracle):
         return self.dag.d_separated({x}, {y}, s)
 
     def query_sets(self, xs, ys, s=()):
-        ans = self.dag.d_separated(set(xs), set(ys), set(s))
+        ans = self.dag.d_separated(*self._check(xs, ys, s))
         self._count += 1
         return ans
 
@@ -96,7 +104,7 @@ class DiscreteOracle(IndependenceOracle):
         return self.joint.is_independent(x, y, s)
 
     def query_sets(self, xs, ys, s=()):
-        ans = self.joint.is_independent_sets(list(xs), list(ys), list(s))
+        ans = self.joint.is_independent_sets(*self._check(xs, ys, s))
         self._count += 1
         return ans
 
@@ -120,14 +128,7 @@ class GaussianOracle(IndependenceOracle):
     def query_sets(self, xs, ys, s=()):
         # for a multivariate Gaussian, block independence reduces to all
         # pairwise partial correlations vanishing
-        xs, ys, s = set(xs), set(ys), set(s)
-        if not xs or not ys:
-            raise OracleError("query sets must be non-empty")
-        for v in xs | ys | s:
-            if v not in self._idx:
-                raise OracleError(f"unknown variable {v!r}")
-        if xs & ys or (xs | ys) & s:
-            raise OracleError("query sets must be pairwise disjoint")
+        xs, ys, s = self._check(xs, ys, s)
         ans = all(self._query(x, y, s) for x in xs for y in ys)
         self._count += 1
         return ans

@@ -107,24 +107,25 @@ def _strict2_third_node_evidence(o, x, z, budget) -> bool:
     return False
 
 
-def _rule_defeat(q: OrientationQuery, with_center: bool) -> dict | None:
-    """The CI statement defeating rule i (``with_center``) or rule ii.
+def _rule_defeat(o, center, left, right, with_center, order, budget):
+    """The first ``(x, z, given)`` defeating rule i (``with_center``) or
+    rule ii, or None when the rule holds.
 
     Rule i: every cross pair (x, z) stays dependent given the centre, the
     rest of both side sets and any extra set E.  Rule ii: the same without
-    the centre, which E avoids too.  None when the rule holds.
+    the centre, which E avoids too.  E runs over the nodes of ``order``,
+    smallest first and lexicographic in ``order``, up to ``budget``.
     """
-    o = q.oracle
-    for x, z in itertools.product(q.left, q.right):
-        core = (set(q.left) - {x}) | (set(q.right) - {z})
+    for x, z in itertools.product(left, right):
+        core = (set(left) - {x}) | (set(right) - {z})
         if with_center:
-            core.add(q.center)
-        pool = [v for v in o.variables if v not in {x, z, q.center, *core}]
+            core.add(center)
+        pool = [v for v in order if v not in {x, z, center, *core}]
         given = first_separating_set(
-            o, x, z, frozenset(core), pool, o.variables, q.budget.cap(len(pool))
+            o, x, z, frozenset(core), pool, order, budget.cap(len(pool))
         )
         if given is not None:
-            return _ci_statement(x, z, given, True)
+            return x, z, given
     return None
 
 
@@ -149,10 +150,11 @@ def orient(q: OrientationQuery) -> OrientationVerdict:
         if _strict2_third_node_evidence(o, x, z, budget):
             caveat = True
 
-    defeat_i = _rule_defeat(q, with_center=True)
-    defeat_ii = _rule_defeat(q, with_center=False)
+    defeat_i = _rule_defeat(o, q.center, q.left, q.right, True, o.variables, budget)
+    defeat_ii = _rule_defeat(o, q.center, q.left, q.right, False, o.variables, budget)
     rule_i, rule_ii = defeat_i is None, defeat_ii is None
-    witnesses = () if rule_i else tuple(d for d in (defeat_i, defeat_ii) if d)
+    defeats = () if rule_i else (d for d in (defeat_i, defeat_ii) if d)
+    witnesses = tuple(_ci_statement(x, z, given, True) for x, z, given in defeats)
 
     if rule_i:
         edges = tuple((v, q.center) for v in q.left + q.right)

@@ -464,6 +464,13 @@ def save(scenario: Scenario) -> dict:
     return doc
 
 
+def _fractions(value, what: str) -> dict:
+    """A JSON object of rational literals, parsed."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{what} must be a JSON object")
+    return {k: _parse_frac(v) for k, v in value.items()}
+
+
 def _split_edge(text: str) -> tuple[str, str]:
     if "->" not in text:
         raise ScenarioError(f"bad edge string {text!r}, expected 'parent->child'")
@@ -496,7 +503,7 @@ def _load(doc: dict) -> Scenario:
     except (KeyError, TypeError) as exc:
         raise ScenarioError(f"malformed scenario document: missing {exc}") from exc
     dag = Dag(nodes, edges)
-    params = {k: _parse_frac(v) for k, v in doc.get("params", {}).items()}
+    params = _fractions(doc.get("params", {}), "params")
     notes = doc.get("notes", "")
     if kind == "discrete":
         try:
@@ -524,10 +531,10 @@ def _load(doc: dict) -> Scenario:
         try:
             order = tuple(payload["order"])
             coeffs = {}
-            for key, w in payload["coefficients"].items():
+            for key, w in _fractions(payload["coefficients"], "coefficients").items():
                 p, c = _split_edge(key)
-                coeffs[(c, p)] = _parse_frac(w)
-            noise = {n: _parse_frac(v) for n, v in payload["noise"].items()}
+                coeffs[(c, p)] = w
+            noise = _fractions(payload["noise"], "noise")
         except (KeyError, TypeError) as exc:
             raise ScenarioError(f"malformed gaussian payload: {exc}") from exc
         system = GaussianSystem(order, coeffs, noise)

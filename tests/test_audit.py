@@ -1,14 +1,22 @@
-"""The CMC audit against the exhaustive d-separation enumeration."""
+"""The audit against references: the exhaustive d-separation enumeration
+for CMC, and the separate AF, OF, 2-OF and spouse-condition scans the
+audit used to run (without their old size limit) for the whole report."""
 
 import itertools
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
-from kassoc.audit import check_cmc
+import pytest
+
+from kassoc.association import first_separating_set, is_weakly_associated
+from conftest import random_cpt_net
+from kassoc.audit import audit_scenario, check_2af, check_cmc
 from kassoc.distribution import Cpt, DiscreteJoint
 from kassoc.gaussian import GaussianSystem
-from kassoc.graph import enumerate_dags, random_dag
+from kassoc.graph import Dag, enumerate_dags, random_dag
 from kassoc.oracle import DiscreteOracle, GaussianOracle, GraphOracle
+from kassoc.scenarios import BUILTINS, builtin
 
 
 def exhaustive_cmc_holds(dag, oracle):
@@ -32,7 +40,7 @@ def assert_agrees(dag, oracle):
     """``check_cmc`` matches the reference; a failing witness is a
     d-separation of ``dag`` that the oracle denies.  Returns the verdict."""
     result = check_cmc(dag, oracle)
-    assert result.exhaustive
+    assert result.to_dict()["exhaustive"]
     assert result.holds == exhaustive_cmc_holds(dag, oracle), dag
     if result.holds:
         assert result.witness is None
@@ -106,3 +114,193 @@ def test_agrees_on_random_gaussian_pairs():
     for rng, dag, truth in mismatched_pairs("cmc-gaussian", 100):
         verdicts.append(assert_agrees(dag, GaussianOracle(random_system(rng, truth))))
     assert True in verdicts and False in verdicts
+
+
+# -- reference: the separate scans, one walk of the configurations each ------
+
+
+def _separating_set(oracle, x, z, core, pool):
+    """First ``core | S`` separating x and z; S runs over every subset of
+    ``pool``, smallest first, lexicographic by label."""
+    pool = sorted(pool)
+    return first_separating_set(oracle, x, z, frozenset(core), pool, pool, len(pool))
+
+
+def reference_af(dag, oracle):
+    for x, y in dag.edges:
+        s = _separating_set(oracle, x, y, (), set(dag.nodes) - {x, y})
+        if s is not None:
+            return False, {"edge": [x, y], "separating_set": sorted(s)}
+    return True, None
+
+
+def reference_of(dag, oracle):
+    for y in dag.nodes:
+        neigh = sorted(dag.parents(y) | dag.children(y))
+        for x, z in itertools.combinations(neigh, 2):
+            if dag.adjacent(x, z):
+                continue
+            collider = y in dag.children(x) and y in dag.children(z)
+            core = {y} if collider else set()
+            s = _separating_set(oracle, x, z, core, set(dag.nodes) - {x, y, z})
+            if s is not None:
+                return False, {"triple": [x, y, z], "collider": collider, "given": sorted(s)}
+    return True, None
+
+
+def _weak_partner_sets(dag, oracle, y):
+    others = [v for v in dag.nodes if v != y]
+    found = []
+    for size in (1, 2):
+        for c in itertools.combinations(others, size):
+            if is_weakly_associated(oracle, y, c).holds:
+                found.append(c)
+    return found
+
+
+def _eligible_configs(dag, oracle):
+    for y in dag.nodes:
+        partners = _weak_partner_sets(dag, oracle, y)
+        for xs, zs in itertools.combinations(partners, 2):
+            if set(xs) & set(zs):
+                continue
+            yield y, xs, zs
+
+
+def _is_collider_config(dag, y, xs, zs):
+    return all(y in dag.children(v) for v in xs + zs)
+
+
+def _condition_witness(dag, oracle, y, xs, zs, with_center):
+    for x, z in itertools.product(xs, zs):
+        core = (set(xs) - {x}) | (set(zs) - {z})
+        if with_center:
+            core.add(y)
+        s = _separating_set(oracle, x, z, core, set(dag.nodes) - {x, z, y} - core)
+        if s is not None:
+            return {"x": x, "z": z, "given": sorted(s)}
+    return None
+
+
+def reference_2of(dag, oracle):
+    for y, xs, zs in _eligible_configs(dag, oracle):
+        if any(dag.adjacent(x, z) for x, z in itertools.product(xs, zs)):
+            continue
+        collider = _is_collider_config(dag, y, xs, zs)
+        bad = _condition_witness(dag, oracle, y, xs, zs, collider)
+        if bad is not None:
+            condition = "i" if collider else "ii"
+            sides = {"center": y, "left": list(xs), "right": list(zs)}
+            return False, {**sides, "condition": condition, **bad}
+    return True, None
+
+
+def reference_spouse_condition(dag, oracle):
+    for y, xs, zs in _eligible_configs(dag, oracle):
+        if not _is_collider_config(dag, y, xs, zs):
+            continue
+        bad = _condition_witness(dag, oracle, y, xs, zs, True)
+        if bad is not None:
+            return False, {"center": y, "left": list(xs), "right": list(zs), **bad}
+    return True, None
+
+
+def reference_report(name, dag, oracle):
+    """The audit report as the separate scans write it."""
+
+    def result(assumption, check):
+        holds, witness = check(dag, oracle)
+        return {"assumption": assumption, "holds": holds, "witness": witness,
+                "exhaustive": True}
+
+    return {"scenario": name, "exhaustive": True, "results": [
+        check_cmc(dag, oracle).to_dict(),
+        result("AF", reference_af),
+        check_2af(dag, oracle).to_dict(),
+        result("OF", reference_of),
+        result("2-OF", reference_2of),
+        result("spouse-condition", reference_spouse_condition),
+    ]}
+
+
+def assert_report_agrees(dag, oracle, name="pair"):
+    """The one-pass audit writes the reference's report; returns it."""
+    got = audit_scenario(SimpleNamespace(name=name, dag=dag, oracle=lambda: oracle))
+    want = reference_report(name, dag, oracle)
+    assert got.to_dict() == want, dag
+    return want
+
+
+def failing(reports):
+    """Assumptions that fail in at least one of ``reports``."""
+    return {r["assumption"] for rep in reports for r in rep["results"] if not r["holds"]}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_report_agrees_on_builtin(name):
+    s = builtin(name)
+    report = assert_report_agrees(s.dag, s.oracle(), name)
+    assert audit_scenario(s).to_dict() == report
+
+
+def test_report_agrees_on_every_pair_of_three_node_dags():
+    dags = list(enumerate_dags(3))
+    reports = [
+        assert_report_agrees(dag, GraphOracle(truth))
+        for dag, truth in itertools.product(dags, dags)
+    ]
+    assert len(reports) == 625
+    assert failing(reports) == {"CMC", "AF", "2-AF", "OF", "2-OF", "spouse-condition"}
+
+
+def test_report_agrees_on_random_discrete_pairs():
+    reports = []
+    for rng, dag, truth in mismatched_pairs("cmc-discrete", 100):
+        joint = DiscreteJoint.from_cpts(truth, random_cpts(rng, truth))
+        reports.append(assert_report_agrees(dag, DiscreteOracle(joint)))
+    assert failing(reports) == {"CMC", "AF", "2-AF", "OF", "2-OF", "spouse-condition"}
+
+
+def test_report_agrees_on_random_gaussian_pairs():
+    reports = []
+    for rng, dag, truth in mismatched_pairs("cmc-gaussian", 100):
+        oracle = GaussianOracle(random_system(rng, truth))
+        reports.append(assert_report_agrees(dag, oracle))
+    assert failing(reports) == {"CMC", "AF", "2-AF", "OF", "2-OF", "spouse-condition"}
+
+
+def test_report_agrees_on_seven_to_nine_node_nets():
+    """Seeded 7-9-node nets, where the audit used to truncate conditioning
+    sets: each DAG with CPTs that may hold zeros (so some assumptions fail
+    on the true graph), the same distribution against a second random DAG,
+    and a linear-Gaussian system on the DAG."""
+    reports = []
+    for seed in range(6):
+        rng = random.Random(f"audit-large:{seed}")
+        n = 7 + seed % 3
+        dag, cpts = random_cpt_net(rng, n, n + 2, 3)
+        oracle = DiscreteOracle(DiscreteJoint.from_cpts(dag, cpts))
+        reports.append(assert_report_agrees(dag, oracle))
+        reports.append(assert_report_agrees(random_dag(rng, n, 0.35), oracle))
+        reports.append(assert_report_agrees(dag, GaussianOracle(random_system(rng, dag))))
+    assert failing(reports) == {"CMC", "AF", "2-AF", "OF", "2-OF", "spouse-condition"}
+    assert any(not failing([r]) for r in reports)
+
+
+def test_large_and_tied_separating_sets_are_found():
+    """The first separating set may need every other node (the old partial
+    mode stopped at three) and ties among sets of one size go to the first
+    by label."""
+    causes = ["a1", "a2", "a3", "a4", "a5"]
+    truth = Dag(["x", "y", *causes], [(a, v) for a in causes for v in ("x", "y")])
+    dag = Dag(truth.nodes, [*truth.edges, ("x", "y")])
+    report = assert_report_agrees(dag, GraphOracle(truth))
+    assert report["results"][1]["witness"] == {"edge": ["x", "y"], "separating_set": causes}
+
+    # x - y - z is a chain in the audit DAG; the truth separates x and z
+    # given {a} and given {b}, so OF names {a}
+    truth = Dag(["a", "b", "x", "y", "z"], [("x", "a"), ("a", "b"), ("b", "z")])
+    dag = Dag(truth.nodes, [("x", "y"), ("y", "z")])
+    report = assert_report_agrees(dag, GraphOracle(truth))
+    assert report["results"][3]["witness"] == {
+        "triple": ["x", "y", "z"], "collider": False, "given": ["a"]}

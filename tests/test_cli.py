@@ -3,16 +3,18 @@
 import argparse
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import random_cpt_net
 
 from kassoc import cli
 from kassoc.cli import run
-from kassoc.scenarios import BUILTINS, builtin, save
+from kassoc.scenarios import BUILTINS, Scenario, builtin, save
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -181,7 +183,10 @@ class TestScenarioLoading:
         assert code == 2
         assert "edges" in err  # diagnostic names the offending field
 
-    @pytest.mark.parametrize("defect", ["cyclic_edges", "cardinality", "cyclic_gaussian"])
+    @pytest.mark.parametrize("defect", [
+        "cyclic_edges", "cardinality", "cyclic_gaussian",
+        "params_list", "coefficients_list", "noise_list",
+    ])
     def test_invalid_file_contents_exit_two(self, tmp_path, capsys, defect):
         if defect == "cyclic_edges":
             doc = save(builtin("example1"))
@@ -189,9 +194,16 @@ class TestScenarioLoading:
         elif defect == "cardinality":
             doc = save(builtin("example1"))
             doc["payload"]["cpts"][0]["cardinality"] = "x"
-        else:
+        elif defect == "params_list":
+            doc = save(builtin("example1"))
+            doc["params"] = ["p"]
+        elif defect == "cyclic_gaussian":
             doc = save(builtin("cancel3"))
             doc["payload"]["coefficients"]["Y->X"] = "1/1"
+        else:
+            doc = save(builtin("cancel3"))
+            key = defect.split("_")[0]
+            doc["payload"][key] = list(doc["payload"][key])
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc))
         code, report, err = invoke(capsys, "mb", "--scenario", str(p), "--target", "X")
@@ -325,12 +337,21 @@ class TestGoldenStability:
         a.pop("wall_time_s"), b.pop("wall_time_s")
         assert a == b
 
-    def test_reports_do_not_depend_on_the_hash_seed(self):
+    def test_reports_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # two 7-node files: one fails AF, 2-AF and OF, the other OF and 2-OF
+        files = []
+        for seed in (0, 9):
+            dag, cpts = random_cpt_net(random.Random(f"hash-seed:{seed}"), 7, 10, 3)
+            path = tmp_path / f"net{seed}.json"
+            path.write_text(json.dumps(save(Scenario(path.stem, dag, "discrete",
+                                                     cpts=tuple(cpts)))))
+            files.append(str(path))
         script = (
-            "import contextlib, io\n"
+            "import contextlib, io, sys\n"
             "from kassoc.cli import run\n"
             "from kassoc.scenarios import BUILTINS\n"
             "runs = [['audit', '--scenario', 'builtin:' + n] for n in sorted(BUILTINS)]\n"
+            "runs += [['audit', '--scenario', path] for path in sys.argv[1:]]\n"
             "runs += [['sp', '--scenario', 'builtin:example2'],\n"
             "         ['mb', '--scenario', 'builtin:example2', '--target', 'Y']]\n"
             "for argv in runs:\n"
@@ -348,13 +369,13 @@ class TestGoldenStability:
                 p for p in (str(SRC), env.get("PYTHONPATH")) if p
             )
             proc = subprocess.run(
-                [sys.executable, "-c", script], env=env,
+                [sys.executable, "-c", script, *files], env=env,
                 capture_output=True, text=True, timeout=300,
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
-        assert outputs[0].count('"command": "audit"') == len(BUILTINS)
+        assert outputs[0].count('"command": "audit"') == len(BUILTINS) + len(files)
 
     def test_out_flag_writes_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -4,15 +4,22 @@ import itertools
 
 import pytest
 
+from kassoc.association import (
+    UNBOUNDED,
+    AssociationBudget,
+    _ci_statement,
+    first_separating_set,
+)
 from kassoc.orientation import (
     OrientationQuery,
     PreconditionError,
+    _rule_defeat,
     check_nonadjacency,
     detect_of_failure,
     orient,
 )
 from kassoc.oracle import DiscreteOracle
-from kassoc.scenarios import builtin
+from kassoc.scenarios import BUILTINS, builtin
 
 
 def q(scenario, center, left, right):
@@ -141,3 +148,59 @@ class TestNonadjacency:
     def test_rejects_identical_nodes(self, example2):
         with pytest.raises(PreconditionError):
             check_nonadjacency(example2.oracle(), "X", "X")
+
+
+def reference_rule_defeat(q, with_center):
+    """The rule scan as ``orient`` ran it on the query alone: the CI
+    statement defeating rule i (``with_center``) or rule ii, or None."""
+    o = q.oracle
+    for x, z in itertools.product(q.left, q.right):
+        core = (set(q.left) - {x}) | (set(q.right) - {z})
+        if with_center:
+            core.add(q.center)
+        pool = [v for v in o.variables if v not in {x, z, q.center, *core}]
+        given = first_separating_set(
+            o, x, z, frozenset(core), pool, o.variables, q.budget.cap(len(pool))
+        )
+        if given is not None:
+            return _ci_statement(x, z, given, True)
+    return None
+
+
+def every_query(scenario, budget):
+    """Every query the constructor accepts: a centre and two disjoint,
+    ordered side sets of one or two nodes."""
+    o = scenario.oracle()
+    for center in scenario.dag.nodes:
+        rest = [v for v in scenario.dag.nodes if v != center]
+        sides = [c for k in (1, 2) for c in itertools.combinations(rest, k)]
+        for left, right in itertools.permutations(sides, 2):
+            if not set(left) & set(right):
+                yield OrientationQuery(center, left, right, o, budget)
+
+
+class TestRuleScanAgreement:
+    """The shared rule scan, given the oracle's variable order, agrees with
+    the per-query reference on every query, and ``orient`` reports it."""
+
+    @pytest.mark.parametrize(
+        "budget", [UNBOUNDED, AssociationBudget(1)], ids=["unbounded", "one"]
+    )
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_every_query_on_builtin(self, name, budget):
+        scans = 0
+        for query in every_query(builtin(name), budget):
+            want = [reference_rule_defeat(query, wc) for wc in (True, False)]
+            for with_center, expected in zip((True, False), want):
+                got = _rule_defeat(query.oracle, query.center, query.left, query.right,
+                                   with_center, query.oracle.variables, budget)
+                assert (got and _ci_statement(*got, True)) == expected, query
+                scans += 1
+            try:
+                v = orient(query)
+            except PreconditionError:
+                continue
+            assert v.rule_i_holds == (want[0] is None)
+            assert v.rule_ii_holds == (want[1] is None)
+            assert list(v.witnesses) == ([] if want[0] is None else [w for w in want if w])
+        assert scans > 0

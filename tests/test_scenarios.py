@@ -198,19 +198,20 @@ class TestAnnotations:
 
     def test_report_is_exhaustive_at_desk_scale(self, all_builtins):
         for s in all_builtins.values():
-            assert audit_scenario(s).exhaustive
+            report = audit_scenario(s).to_dict()
+            assert report["exhaustive"]
+            assert all(r["exhaustive"] for r in report["results"])
 
-    def test_large_graph_audit_is_flagged_partial(self):
+    def test_seven_node_chain_audit_is_exhaustive_and_holds(self):
         nodes = [f"v{i}" for i in range(7)]
         edges = [(nodes[i], nodes[i + 1]) for i in range(6)]
-        s = Scenario("bigchain", Dag(nodes, edges), "graph")
-        report = audit_scenario(s)
-        assert not report.exhaustive
-        # CMC (local Markov statements) and 2-AF (Markov-blanket partners)
-        # are exact at any size; the other scans truncate conditioning sets
-        assert [r.assumption for r in report.results if r.exhaustive] == ["CMC", "2-AF"]
-        for r in report.results:
-            assert r.holds and r.witness is None, r.assumption
+        report = audit_scenario(Scenario("bigchain", Dag(nodes, edges), "graph")).to_dict()
+        # every check is exact at any size
+        assert report["exhaustive"]
+        assert [r["assumption"] for r in report["results"] if r["exhaustive"]] == [
+            "CMC", "AF", "2-AF", "OF", "2-OF", "spouse-condition"]
+        for r in report["results"]:
+            assert r["holds"] and r["witness"] is None, r["assumption"]
 
 
 class TestSignProductSampler:
