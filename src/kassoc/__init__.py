@@ -2,9 +2,10 @@
 
 Graph layer (DAGs, bitmask d-separation in pure Python), exact discrete
 and linear-Gaussian probability oracles, weak-association scans, a sound
-collider orientation rule, grow-shrink Markov blanket recovery, and a
-sparsest-permutation reference implementation — all over rational
-arithmetic so that independence is decided exactly, never by tolerance.
+collider orientation rule, grow-shrink Markov blanket recovery, and an
+exact sparsest-permutation search (a DP over prefix sets) — all over
+rational arithmetic so that independence is decided exactly, never by
+tolerance.
 """
 
 from .association import (

@@ -322,7 +322,14 @@ def readme_commands():
             if line.startswith("kassoc ")]
 
 
-@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def readme_id(argv):
+    """The subcommand; a run on a G-test oracle (``--samples`` on any
+    subcommand but ``sample``) gets a ``-gtest`` suffix, so ids stay unique."""
+    gtest = "--samples" in argv and argv[0] != "sample"
+    return argv[0] + ("-gtest" if gtest else "")
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=readme_id)
 def test_readme_command_line_runs(capsys, argv):
     code, report, _ = invoke(capsys, *argv)
     assert code == 0
@@ -352,6 +359,7 @@ class TestGoldenStability:
             "from kassoc.scenarios import BUILTINS\n"
             "runs = [['audit', '--scenario', 'builtin:' + n] for n in sorted(BUILTINS)]\n"
             "runs += [['audit', '--scenario', path] for path in sys.argv[1:]]\n"
+            "runs += [['sp', '--scenario', path] for path in sys.argv[1:]]\n"
             "runs += [['sp', '--scenario', 'builtin:example2'],\n"
             "         ['mb', '--scenario', 'builtin:example2', '--target', 'Y']]\n"
             "for argv in runs:\n"
@@ -376,6 +384,7 @@ class TestGoldenStability:
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
         assert outputs[0].count('"command": "audit"') == len(BUILTINS) + len(files)
+        assert outputs[0].count('"command": "sp"') == 1 + len(files)
 
     def test_out_flag_writes_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"

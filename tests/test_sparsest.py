@@ -1,11 +1,64 @@
-"""Sparsest-permutation reference search."""
+"""Sparsest-permutation search, checked against the factorial reference."""
+
+import itertools
+import random
 
 import pytest
 
-from kassoc.oracle import DiscreteOracle, GraphOracle, OracleError
-from kassoc.graph import Dag
+from conftest import random_cpt_net
+from kassoc.graph import Dag, enumerate_dags, random_dag
+from kassoc.oracle import DiscreteOracle, GraphOracle, GTestOracle, OracleError
+from kassoc.scenarios import BUILTINS, Scenario, builtin
 from kassoc.sparsest import dag_from_permutation, sparsest_permutations
-from kassoc.scenarios import builtin
+
+
+def factorial_sparsest(o):
+    """The reference search: every permutation, each DAG built by
+    ``dag_from_permutation``; minimizers in lexicographic order."""
+    results = []
+    best = None
+    for perm in itertools.permutations(o.variables):
+        pdag = dag_from_permutation(o, perm)
+        if best is None or pdag.edge_count < best:
+            best = pdag.edge_count
+            results = [(perm, pdag)]
+        elif pdag.edge_count == best:
+            results.append((perm, pdag))
+    return results
+
+
+def recording(o):
+    """``o`` with its backend calls, as (x, y, s), collected in a set."""
+    calls, answer = set(), o._query
+
+    def _query(x, y, s):
+        calls.add((x, y, s))
+        return answer(x, y, s)
+
+    o._query = _query
+    return o, calls
+
+
+def assert_agrees(make_oracle):
+    """Same minimizers, same order, same edges, same backend calls.  The
+    G statistic sums in an x/y-dependent order, so each pair must reach the
+    backend in the same orientation, not just the same number of times."""
+    (o, calls), (ref, ref_calls) = recording(make_oracle()), recording(make_oracle())
+    got, want = sparsest_permutations(o), factorial_sparsest(ref)
+    assert [(p, d.to_dict()) for p, d in got] == [(p, d.to_dict()) for p, d in want]
+    assert [d.edges for _, d in got] == [d.edges for _, d in want]
+    assert o.query_count == ref.query_count == len(calls)
+    assert calls == ref_calls
+
+
+LABELS = {"V0": "D", "V1": "B", "V2": "C", "V3": "A"}
+
+
+def relabelled(dag):
+    """``dag`` over labels whose string order is not the node order, so
+    lexicographic must mean variable order, not label order."""
+    return Dag([LABELS[v] for v in dag.nodes],
+               [(LABELS[a], LABELS[b]) for a, b in dag.edges])
 
 
 class TestPermutationDags:
@@ -27,7 +80,7 @@ class TestPermutationDags:
 
 
 class TestExampleTwoWalkthrough:
-    """Full factorial over the four variables of the contextual xor."""
+    """Every ordering of the four variables of the contextual xor."""
 
     @pytest.fixture()
     def minimizers(self, example2):
@@ -52,7 +105,61 @@ class TestExampleTwoWalkthrough:
 
 
 def test_guard_rejects_large_variable_sets():
+    # the bound is the listing: an empty graph on 9 nodes has 9! minimizers
     nodes = [f"v{i}" for i in range(9)]
     o = GraphOracle(Dag(nodes, []))
-    with pytest.raises(OracleError):
+    with pytest.raises(OracleError, match=r"listed for at most 8 variables "
+                                          r"\(an empty graph on 9 has 9! = 362880 of them\)"):
         sparsest_permutations(o)
+
+
+class TestAgreesWithFactorialSearch:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_small_dag(self, n):
+        dags = [relabelled(dag) for dag in enumerate_dags(n)]
+        assert len(dags) == {1: 1, 2: 3, 3: 25, 4: 543}[n]
+        for dag in dags:
+            assert_agrees(lambda: GraphOracle(dag))
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_builtin_exact_oracle(self, name):
+        scenario = builtin(name)
+        assert_agrees(scenario.oracle)
+
+    @pytest.mark.parametrize("name", ["example2", "coins", "xor_chain"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_gtest_oracle(self, name, seed):
+        data = builtin(name).joint.sample(500, seed)
+        assert_agrees(lambda: GTestOracle(data))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_seven_node_dags(self, seed):
+        dag = random_dag(random.Random(f"sparsest:{seed}"), 7)
+        assert_agrees(lambda: GraphOracle(dag))
+
+    def test_seven_node_discrete_joint(self):
+        dag, cpts = random_cpt_net(random.Random("sparsest:discrete"), 7, 9, 3)
+        scenario = Scenario("net", dag, "discrete", cpts=tuple(cpts))
+        assert_agrees(scenario.oracle)
+
+    def test_one_eight_node_dag(self):
+        dag = random_dag(random.Random("sparsest:8"), 8)
+        assert_agrees(lambda: GraphOracle(dag))
+
+
+class CountingOracle(GraphOracle):
+    """Counts every ``query`` call, cache hits included."""
+
+    calls = 0
+
+    def query(self, x, y, s=()):
+        self.calls += 1
+        return super().query(x, y, s)
+
+
+def test_search_is_not_factorial():
+    # one call per (prefix set S, node v outside S, candidate u in S):
+    # n(n-1)2^(n-2) = 1,344 at n = 7; the factorial search makes 105,840
+    o = CountingOracle(random_dag(random.Random("sparsest:count"), 7))
+    sparsest_permutations(o)
+    assert o.calls <= 7 * 6 * 2 ** 5
