@@ -18,6 +18,7 @@ from .association import (
     is_2_associated,
     is_strictly_2_associated,
     is_weakly_associated,
+    weak_associations,
 )
 from .audit import AuditReport, AuditResult, audit_scenario
 from .distribution import Cpt, Dataset, DiscreteJoint, DistributionError
@@ -100,4 +101,5 @@ __all__ = [
     "random_dag",
     "save",
     "sparsest_permutations",
+    "weak_associations",
 ]

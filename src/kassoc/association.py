@@ -4,13 +4,14 @@
 patterns; they are decided by exhaustive enumeration of conditioning sets
 against an independence oracle.  Subsets are enumerated smallest-first
 (ties broken lexicographically by node index) so reported separating
-witnesses are minimal-size and reproducible.
+witnesses are minimal-size and reproducible.  ``weak_associations`` alone
+lists a node's weak associations, for ``assoc`` and the 2-AF and 2-OF audits.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
 from .distribution import DiscreteJoint
@@ -160,24 +161,14 @@ def is_strictly_2_associated(
     y1: str,
     y2: str,
     budget: AssociationBudget = UNBOUNDED,
-    *,
-    either_reading: bool = False,
 ) -> AssociationReport:
-    """Strict form: 2-associated and not 1-associated to either partner.
-
-    Default reading requires 1-association to NEITHER partner; the
-    alternative reading (``either_reading``) only requires that at least
-    one partner is not 1-associated.
-    """
+    """Strict form: 2-associated and 1-associated to neither partner."""
     two = is_2_associated(o, x, y1, y2, budget)
     if not two.holds:
         return AssociationReport(x, (y1, y2), "strict-two", False, two.witness)
     one_1 = is_1_associated(o, x, y1, budget)
     one_2 = is_1_associated(o, x, y2, budget)
-    if either_reading:
-        ok = not (one_1.holds and one_2.holds)
-    else:
-        ok = not one_1.holds and not one_2.holds
+    ok = not one_1.holds and not one_2.holds
     witness = None
     if not ok:
         offender = y1 if one_1.holds else y2
@@ -201,6 +192,25 @@ def is_weakly_associated(
     raise OracleError("partner set must have one or two nodes")
 
 
+def weak_associations(
+    o: IndependenceOracle,
+    x: str,
+    partners: Sequence[str],
+    budget: AssociationBudget = UNBOUNDED,
+) -> list[AssociationReport]:
+    """The holding reports of x's weak associations among ``partners``:
+    1-associations in the given order, then strict 2-associations to pairs
+    in ``itertools.combinations`` order.  A pair's strictness is read off
+    the single-partner reports (a refuted one is never up to budget)."""
+    ones = {y: is_1_associated(o, x, y, budget) for y in partners}
+    found = [r for r in ones.values() if r.holds]
+    for y1, y2 in itertools.combinations(partners, 2):
+        two = is_2_associated(o, x, y1, y2, budget)
+        if two.holds and not ones[y1].holds and not ones[y2].holds:
+            found.append(replace(two, kind="strict-two"))
+    return found
+
+
 @dataclass(frozen=True)
 class UnfaithfulTriple:
     nodes: tuple[str, str, str]
@@ -213,19 +223,6 @@ class UnfaithfulTriple:
             "minimal": self.minimal,
             "witnesses": list(self.witnesses),
         }
-
-
-def mutual_dependence_disjunction(joint: DiscreteJoint, x: str, y: str, z: str) -> bool:
-    """True iff some node is dependent on the set of the other two.
-
-    This is the disjunctive reading of "not mutually independent"; the
-    triple finder itself uses full non-factorization.
-    """
-    return (
-        not joint.is_independent_sets([x], [y, z])
-        or not joint.is_independent_sets([y], [x, z])
-        or not joint.is_independent_sets([z], [x, y])
-    )
 
 
 def _mutually_independent(joint: DiscreteJoint, x: str, y: str, z: str) -> bool:

@@ -6,19 +6,22 @@ faithfulness, 2-orientation faithfulness, and the spouse-detection
 condition used by the modified grow phase) directly from the scenario's
 exact oracle.  Annotations are outputs of verification, never trusted
 inputs.  Every check is exact at every size: CMC queries the local Markov
-statements, 2-AF scans partner sets inside the Markov blanket, and AF,
-OF, 2-OF and the spouse condition scan every conditioning set, smallest
-first and lexicographic by label.  OF, 2-OF and the spouse condition are
-the orientation rule's own scan (rule i at a collider, rule ii elsewhere),
-so the audit checks exactly the conditions under which ``orient`` is sound.
+statements, and AF, OF, 2-OF and the spouse condition scan every
+conditioning set, smallest first and lexicographic by label.  2-AF, 2-OF
+and the spouse condition read one table of each node's weak associations
+(``association.weak_associations``), filled on first use and kept for
+one audit.  OF, 2-OF and the spouse condition are the orientation rule's
+own scan (rule i at a collider, rule ii elsewhere), so the audit checks
+exactly the conditions under which ``orient`` is sound.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .association import UNBOUNDED, first_separating_set, is_weakly_associated
+from .association import UNBOUNDED, first_separating_set, weak_associations
 from .graph import Dag
 from .oracle import IndependenceOracle
 from .orientation import _rule_defeat
@@ -83,13 +86,12 @@ def check_af(dag: Dag, oracle: IndependenceOracle) -> AuditResult:
     return AuditResult("AF", True)
 
 
-def check_2af(dag: Dag, oracle: IndependenceOracle) -> AuditResult:
-    """Every adjacency is witnessed by a weak (1- or strict-2) association
-    with a partner set inside the Markov blanket."""
+def check_2af(dag: Dag, partner_sets) -> AuditResult:
+    """Every adjacency x - y is witnessed by one of ``partner_sets(x)``, the
+    sets x is weakly associated to, that holds y and lies inside MB(x)."""
     for x, y in itertools.chain(dag.edges, ((b, a) for a, b in dag.edges)):
         mb = dag.markov_blanket(x)
-        candidates = [(y,)] + [tuple(sorted((y, z))) for z in sorted(mb - {y})]
-        if not any(is_weakly_associated(oracle, x, c).holds for c in candidates):
+        if not any(y in c and mb.issuperset(c) for c in partner_sets(x)):
             return AuditResult("2-AF", False, {"node": x, "adjacent": y})
     return AuditResult("2-AF", True)
 
@@ -111,29 +113,23 @@ def check_of(dag: Dag, oracle: IndependenceOracle) -> AuditResult:
     return AuditResult("OF", True)
 
 
-def _weak_partner_sets(dag: Dag, oracle: IndependenceOracle, y: str):
-    """Partner sets (size 1 or 2) that y is weakly associated to."""
-    others = [v for v in dag.nodes if v != y]
-    return [c for k in (1, 2) for c in itertools.combinations(others, k)
-            if is_weakly_associated(oracle, y, c).holds]
-
-
 def check_2of_and_spouse(
-    dag: Dag, oracle: IndependenceOracle
+    dag: Dag, oracle: IndependenceOracle, partner_sets
 ) -> tuple[AuditResult, AuditResult]:
     """2-orientation faithfulness and the spouse condition, in one pass.
 
     A configuration is a centre y weakly associated to two disjoint side
-    sets.  2-OF: at every unshielded configuration (no cross pair
-    adjacent) rule i holds if every side node is a parent of y, rule ii
-    otherwise.  Spouse condition: rule i holds at every such collider
-    configuration, shielded or not.  Each reports its first failure.
+    sets, in ``partner_sets(y)`` order.  2-OF: at every unshielded
+    configuration (no cross pair adjacent) rule i holds if every side node
+    is a parent of y, rule ii otherwise.  Spouse condition: rule i holds at
+    every such collider configuration, shielded or not.  Each reports its
+    first failure.
     """
     order = sorted(dag.nodes)
     configs = (
         (y, xs, zs)
         for y in dag.nodes
-        for xs, zs in itertools.combinations(_weak_partner_sets(dag, oracle, y), 2)
+        for xs, zs in itertools.combinations(partner_sets(y), 2)
         if not set(xs) & set(zs)
     )
     two_of = spouse = None
@@ -165,11 +161,17 @@ def check_2of_and_spouse(
 def audit_scenario(scenario) -> AuditReport:
     """Run every assumption check against the scenario's exact oracle."""
     dag, oracle = scenario.dag, scenario.oracle()
+
+    @functools.cache  # one table per audit, filled on first use
+    def partner_sets(y: str) -> list[tuple[str, ...]]:
+        others = [v for v in dag.nodes if v != y]
+        return [r.partners for r in weak_associations(oracle, y, others)]
+
     results = (
         check_cmc(dag, oracle),
         check_af(dag, oracle),
-        check_2af(dag, oracle),
+        check_2af(dag, partner_sets),
         check_of(dag, oracle),
-        *check_2of_and_spouse(dag, oracle),
+        *check_2of_and_spouse(dag, oracle, partner_sets),
     )
     return AuditReport(scenario.name, results)

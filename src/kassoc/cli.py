@@ -13,17 +13,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 import time
 
-from .association import (
-    AssociationBudget,
-    UNBOUNDED,
-    is_1_associated,
-    is_strictly_2_associated,
-)
+from .association import AssociationBudget, UNBOUNDED, weak_associations
 from .audit import audit_scenario
 from .distribution import DistributionError
 from .gtest import GTestConfig
@@ -94,15 +88,7 @@ def _cmd_assoc(scenario, args):
     o = _make_oracle(scenario, args)
     budget = args.budget or UNBOUNDED  # direct callers may pass budget=None
     others = [v for v in o.variables if v != args.target]
-    found = []
-    for y in others:
-        r = is_1_associated(o, args.target, y, budget)
-        if r.holds:
-            found.append(r.to_dict())
-    for y1, y2 in itertools.combinations(others, 2):
-        r = is_strictly_2_associated(o, args.target, y1, y2, budget)
-        if r.holds:
-            found.append(r.to_dict())
+    found = [r.to_dict() for r in weak_associations(o, args.target, others, budget)]
     summary = f"{len(found)} association(s) for {args.target}"
     return {"target": args.target, "associations": found}, summary, o
 

@@ -226,13 +226,13 @@ def _int_factor(cpt: Cpt) -> tuple[int, list[int]]:
 class DiscreteJoint:
     """Dense exact joint probability table over finite-domain variables.
 
-    ``probs`` holds the cell probabilities as Fractions; ``_weights``
-    holds the same table as integers over the common denominator
-    ``_denom`` (``probs[i] == _weights[i] / _denom``).  Marginals and CI
-    checks run on the integers.
+    The table is kept once, as integer weights over the common
+    denominator ``_denom``; ``probs`` reads it as Fractions
+    (``probs[i] == _weights[i] / _denom``).  Marginals and CI checks run
+    on the integers.
     """
 
-    __slots__ = ("variables", "probs", "_weights", "_denom", "_cards", "_pos")
+    __slots__ = ("variables", "_weights", "_denom", "_cards", "_pos")
 
     def __init__(
         self,
@@ -249,11 +249,10 @@ class DiscreteJoint:
             raise DistributionError("negative probability entry")
         if sum(weights) != denom:
             raise DistributionError("probabilities must sum to exactly 1")
-        self._fill(variables, probs, weights, denom)
+        self._fill(variables, weights, denom)
 
-    def _fill(self, variables, probs, weights, denom) -> None:
+    def _fill(self, variables, weights, denom) -> None:
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_denom", denom)
         object.__setattr__(self, "_cards", tuple(c for _, c in variables))
@@ -264,8 +263,7 @@ class DiscreteJoint:
         """Joint over already validated ``variables`` from non-negative
         integer weights that sum to ``denom``."""
         joint = object.__new__(cls)
-        weights = tuple(weights)
-        joint._fill(variables, tuple(Fraction(w, denom) for w in weights), weights, denom)
+        joint._fill(variables, tuple(weights), denom)
         return joint
 
     @classmethod
@@ -295,6 +293,10 @@ class DiscreteJoint:
 
     def __hash__(self):
         return hash((self.variables, self.probs))
+
+    @property
+    def probs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(w, self._denom) for w in self._weights)
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -471,6 +471,13 @@ def _fractions(value, what: str) -> dict:
     return {k: _parse_frac(v) for k, v in value.items()}
 
 
+def _strings(value, what: str) -> list[str]:
+    """A JSON list of strings, as given."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ScenarioError(f"{what} must be a JSON list of strings")
+    return value
+
+
 def _split_edge(text: str) -> tuple[str, str]:
     if "->" not in text:
         raise ScenarioError(f"bad edge string {text!r}, expected 'parent->child'")
@@ -496,12 +503,14 @@ def load(doc: dict) -> Scenario:
 def _load(doc: dict) -> Scenario:
     try:
         name = doc["name"]
-        nodes = list(doc["nodes"])
-        edges = [_split_edge(e) for e in doc["edges"]]
+        nodes = _strings(doc["nodes"], "nodes")
+        edges = [_split_edge(e) for e in _strings(doc["edges"], "edges")]
         payload = doc["payload"]
         kind = payload["type"]
     except (KeyError, TypeError) as exc:
         raise ScenarioError(f"malformed scenario document: missing {exc}") from exc
+    if not isinstance(name, str):
+        raise ScenarioError("name must be a string")
     dag = Dag(nodes, edges)
     params = _fractions(doc.get("params", {}), "params")
     notes = doc.get("notes", "")

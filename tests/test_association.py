@@ -13,12 +13,12 @@ from kassoc.association import (
     is_2_associated,
     is_strictly_2_associated,
     is_weakly_associated,
-    mutual_dependence_disjunction,
     subsets_by_size,
+    weak_associations,
 )
 from kassoc.graph import Dag, enumerate_dags
-from kassoc.oracle import DiscreteOracle, GraphOracle, OracleError
-from kassoc.scenarios import builtin
+from kassoc.oracle import DiscreteOracle, GraphOracle, GTestOracle, OracleError
+from kassoc.scenarios import BUILTINS, builtin
 
 
 class TestSubsetOrder:
@@ -86,20 +86,15 @@ class TestStrictReadings:
         assert not rep.holds
         assert "one_associated_to" in rep.witness
 
-    def test_either_reading_is_weaker(self, all_builtins):
+    def test_strict_on_example1(self, all_builtins):
         o = DiscreteOracle(all_builtins["example1"].joint)
-        strict = is_strictly_2_associated(o, "X", "Y", "Z")
-        loose = is_strictly_2_associated(o, "X", "Y", "Z", either_reading=True)
-        # on example1 both hold; the readings only differ when exactly
-        # one partner is 1-associated
-        assert strict.holds and loose.holds
+        assert is_strictly_2_associated(o, "X", "Y", "Z").holds
 
-    def test_readings_differ_on_one_sided_case(self, all_builtins):
+    def test_one_sided_case_is_not_strict(self, all_builtins):
         o = all_builtins["cancel3"].oracle()
         # X is 1-associated to Z, not to Y; 2-association over {Y, Z} holds
         assert is_2_associated(o, "X", "Y", "Z").holds
         assert not is_strictly_2_associated(o, "X", "Y", "Z").holds
-        assert is_strictly_2_associated(o, "X", "Y", "Z", either_reading=True).holds
 
 
 class TestWeakAssociation:
@@ -128,6 +123,51 @@ class TestWeakAssociation:
             assert rep.up_to_budget
 
 
+def per_candidate_scan(o, x, budget):
+    """Reference: the holding reports of every candidate checked on its own,
+    1-associations first, then strict 2-associations (``assoc``'s old loop)."""
+    others = [v for v in o.variables if v != x]
+    found = [is_1_associated(o, x, y, budget) for y in others]
+    found += [is_strictly_2_associated(o, x, y1, y2, budget)
+              for y1, y2 in itertools.combinations(others, 2)]
+    return [r for r in found if r.holds]
+
+
+class TestWeakAssociations:
+    """``weak_associations`` against the per-candidate scan: the same
+    reports in the same order, from the same backend calls."""
+
+    @staticmethod
+    def assert_agrees(make_oracle, x, budget):
+        ref, got = make_oracle(), make_oracle()
+        want = per_candidate_scan(ref, x, budget)
+        others = [v for v in got.variables if v != x]
+        assert weak_associations(got, x, others, budget) == want
+        assert got.query_count == ref.query_count
+        return want
+
+    @pytest.mark.parametrize("budget", [UNBOUNDED, AssociationBudget(max_size=1)],
+                             ids=["unbounded", "budget-1"])
+    def test_every_builtin_node(self, budget):
+        kinds = set()
+        for name in sorted(BUILTINS):
+            s = builtin(name)
+            for x in s.dag.nodes:
+                kinds |= {r.kind for r in self.assert_agrees(s.oracle, x, budget)}
+        assert kinds == {"one", "strict-two"}
+
+    @pytest.mark.parametrize("name", ["example2", "xor_chain"])
+    def test_gtest_oracle(self, name):
+        data = builtin(name).joint.sample(400, 3)
+        for x in data.names:
+            self.assert_agrees(lambda: GTestOracle(data), x, UNBOUNDED)
+
+    def test_partner_order_is_kept(self, example1):
+        o = DiscreteOracle(example1.joint)
+        got = weak_associations(o, "X", ["Z", "Y"])
+        assert [r.partners for r in got] == [("Z", "Y")]
+
+
 class TestUnfaithfulTriples:
     def test_example1_minimal_triple(self, example1):
         o = DiscreteOracle(example1.joint)
@@ -149,9 +189,6 @@ class TestUnfaithfulTriples:
         assert minimal == [frozenset({"U", "W", "Z"})]
         non_minimal = [frozenset(t.nodes) for t in triples if not t.minimal]
         assert frozenset({"X", "Y", "Z"}) in non_minimal
-
-    def test_disjunction_on_example1(self, example1):
-        assert mutual_dependence_disjunction(example1.joint, "X", "Y", "Z")
 
 
 class TestColliderTheoremExhaustive:

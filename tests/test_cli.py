@@ -186,9 +186,17 @@ class TestScenarioLoading:
     @pytest.mark.parametrize("defect", [
         "cyclic_edges", "cardinality", "cyclic_gaussian",
         "params_list", "coefficients_list", "noise_list",
+        "node_not_a_string", "nodes_not_a_list", "name_null",
     ])
     def test_invalid_file_contents_exit_two(self, tmp_path, capsys, defect):
-        if defect == "cyclic_edges":
+        graph = {"name": "g", "nodes": ["X", "Y"], "edges": [], "payload": {"type": "graph"}}
+        if defect == "node_not_a_string":
+            doc = {**graph, "nodes": ["X", 1]}
+        elif defect == "nodes_not_a_list":
+            doc = {**graph, "nodes": "XYZ"}
+        elif defect == "name_null":
+            doc = {**graph, "name": None}
+        elif defect == "cyclic_edges":
             doc = save(builtin("example1"))
             doc["edges"] = ["X->Y", "Y->X"]
         elif defect == "cardinality":
@@ -360,6 +368,7 @@ class TestGoldenStability:
             "runs = [['audit', '--scenario', 'builtin:' + n] for n in sorted(BUILTINS)]\n"
             "runs += [['audit', '--scenario', path] for path in sys.argv[1:]]\n"
             "runs += [['sp', '--scenario', path] for path in sys.argv[1:]]\n"
+            "runs += [['assoc', '--scenario', path, '--target', 'V0'] for path in sys.argv[1:]]\n"
             "runs += [['sp', '--scenario', 'builtin:example2'],\n"
             "         ['mb', '--scenario', 'builtin:example2', '--target', 'Y']]\n"
             "for argv in runs:\n"
@@ -385,6 +394,7 @@ class TestGoldenStability:
         assert outputs[0] == outputs[1]
         assert outputs[0].count('"command": "audit"') == len(BUILTINS) + len(files)
         assert outputs[0].count('"command": "sp"') == 1 + len(files)
+        assert outputs[0].count('"command": "assoc"') == len(files)
 
     def test_out_flag_writes_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
