@@ -13,6 +13,10 @@ and the spouse condition read one table of each node's weak associations
 one audit.  OF, 2-OF and the spouse condition are the orientation rule's
 own scan (rule i at a collider, rule ii elsewhere), so the audit checks
 exactly the conditions under which ``orient`` is sound.
+
+Exhaustive means exponential: AF alone may ask every subset of the other
+nodes for every edge, so ``audit_scenario`` refuses scenarios of more than
+``MAX_AUDIT_NODES`` nodes.
 """
 
 from __future__ import annotations
@@ -23,8 +27,10 @@ from dataclasses import dataclass, field
 
 from .association import UNBOUNDED, first_separating_set, weak_associations
 from .graph import Dag
-from .oracle import IndependenceOracle
+from .oracle import IndependenceOracle, OracleError
 from .orientation import _rule_defeat
+
+MAX_AUDIT_NODES = 12
 
 
 @dataclass(frozen=True)
@@ -160,6 +166,11 @@ def check_2of_and_spouse(
 
 def audit_scenario(scenario) -> AuditReport:
     """Run every assumption check against the scenario's exact oracle."""
+    if len(scenario.dag.nodes) > MAX_AUDIT_NODES:
+        raise OracleError(
+            f"audits are exhaustive and run on at most {MAX_AUDIT_NODES} nodes "
+            f"(this scenario has {len(scenario.dag.nodes)})"
+        )
     dag, oracle = scenario.dag, scenario.oracle()
 
     @functools.cache  # one table per audit, filled on first use

@@ -143,7 +143,10 @@ def _cmd_sp(scenario, args):
 
 
 def _cmd_audit(scenario, args):
-    report = audit_scenario(scenario)
+    try:
+        report = audit_scenario(scenario)
+    except OracleError as exc:
+        raise CliError(str(exc), EXIT_ANALYSIS)
     flags = ", ".join(
         f"{r.assumption}={'ok' if r.holds else 'FAIL'}" for r in report.results
     )

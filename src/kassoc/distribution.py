@@ -7,7 +7,15 @@ independence checks run on those Python ints: the CI criterion
 P(x,y,s) P(s) == P(x,s) P(y,s) is scale-invariant, so the weights give
 exactly the answer the probabilities give.  Independence is decided by
 exact equality, never by a tolerance.  Tables are dense over all
-assignments (desk scale, capped at 2**20 cells).
+assignments (desk scale, capped at ``MAX_CELLS`` = 2**20 cells).
+
+Every marginal comes from one projection, ``_Lattice``: the marginal over
+a set of positions is summed out of the cached marginal over that set plus
+one more position, down from the full table.  An oracle keeps one lattice
+for all of its queries (``DiscreteJoint._with_lattice``,
+``Dataset._with_lattice``), so the many conditioning sets of a scan share
+their partial sums; the lattice stores at most ``MAX_CELLS`` cells and
+goes away with its owner.
 """
 
 from __future__ import annotations
@@ -121,6 +129,29 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.rows)
 
+    def _project(self, order: Sequence[int]) -> Sequence[int]:
+        """Counts of the marginal over the positions ``order``, kept in that
+        order, through a lattice that lives for this call."""
+        return _Lattice(self._counts, [c for _, c in self.variables]).project(order)
+
+    def _with_lattice(self) -> "Dataset":
+        """This dataset, sharing its rows and counts, projecting through a
+        lattice of its own for as long as the returned object lives."""
+        data = object.__new__(_LatticeDataset)
+        for name in ("variables", "rows", "_counts"):
+            object.__setattr__(data, name, getattr(self, name))
+        lattice = _Lattice(self._counts, [c for _, c in self.variables])
+        object.__setattr__(data, "_lattice", lattice)
+        return data
+
+
+class _LatticeDataset(Dataset):
+    """A dataset that keeps its marginal lattice across calls (made by
+    ``Dataset._with_lattice``)."""
+
+    def _project(self, order):
+        return self._lattice.project(order)
+
 
 def _strides(cards: Sequence[int], order: Sequence[int]) -> tuple[list[int], int]:
     """Strides sending each cell of a row-major table over ``cards`` to its
@@ -177,23 +208,77 @@ def _sum_out(table: Sequence[int], cards: Sequence[int], p: int) -> Sequence[int
     return out
 
 
-def _marginal(weights: Sequence[int], cards: Sequence[int], order: Sequence[int]) -> list[int]:
-    """Integer weights of the row-major marginal over the positions
-    ``order``, kept in that order."""
-    table, kept = weights, list(cards)
-    keep = set(order)
-    for p in range(len(cards) - 1, -1, -1):
-        if p not in keep:
-            table = _sum_out(table, kept, p)
-            del kept[p]
-    ascending = sorted(order)
-    if list(order) == ascending:
-        return list(table)
-    strides, _ = _strides(cards, order)
-    out = [0] * len(table)
-    for k, w in zip(_index_map(kept, [strides[p] for p in ascending]), table):
-        out[k] = w
-    return out
+class _Budgeted(dict):
+    """A cache that stores an entry only while the cells it stores stay
+    within ``MAX_CELLS``; past that budget, callers use what they computed
+    without storing it."""
+
+    __slots__ = ("cells",)
+
+    def __init__(self):
+        super().__init__()
+        self.cells = 0
+
+    def keep(self, key, cells: Sequence[int]) -> Sequence[int]:
+        if self.cells + len(cells) <= MAX_CELLS:
+            self[key] = cells
+            self.cells += len(cells)
+        return cells
+
+
+# shape -> gather index list; a shape fixes its list, so every lattice shares them
+_GATHERS = _Budgeted()
+
+
+class _Lattice:
+    """Cached marginals of one dense row-major integer table over ``cards``.
+
+    ``marginals`` maps a position bitmask K to the marginal over K, kept in
+    ascending position order.  On a miss, the highest position p outside K
+    is summed out of the marginal of K | p; that lookup recurses, and the
+    full mask is the table itself.  Any other position order reads the
+    ascending marginal through a gather index list, built once per shape
+    (the kept cardinalities and their strides) and shared by all lattices.
+
+    An owner (an oracle, or a scenario's construction-time Markov check)
+    keeps one lattice for as long as it queries the table; ``prob`` and
+    ``marginalize`` use one per call.
+    """
+
+    __slots__ = ("table", "cards", "marginals")
+
+    def __init__(self, table: Sequence[int], cards: Sequence[int]):
+        self.table = table
+        self.cards = tuple(cards)
+        self.marginals = _Budgeted()
+
+    def project(self, order: Sequence[int]) -> Sequence[int]:
+        """Weights of the row-major marginal over the positions ``order``,
+        kept in that order."""
+        mask = 0
+        for p in order:
+            mask |= 1 << p
+        table = self._ascending(mask)
+        ascending = sorted(order)
+        if list(order) == ascending:
+            return table
+        strides, _ = _strides(self.cards, ascending)
+        shape = (tuple(self.cards[p] for p in order), tuple(strides[p] for p in order))
+        gather = _GATHERS.get(shape) or _GATHERS.keep(shape, _index_map(*shape))
+        return [table[i] for i in gather]
+
+    def _ascending(self, mask: int) -> Sequence[int]:
+        full = (1 << len(self.cards)) - 1
+        if mask == full:
+            return self.table
+        table = self.marginals.get(mask)
+        if table is None:
+            p = (full & ~mask).bit_length() - 1
+            up = mask | 1 << p
+            kept = [c for q, c in enumerate(self.cards) if up >> q & 1]
+            below = (mask & ((1 << p) - 1)).bit_count()  # p's axis in the marginal of up
+            table = self.marginals.keep(mask, _sum_out(self._ascending(up), kept, below))
+        return table
 
 
 def _domains(variables: Iterable[tuple[str, int]]) -> tuple[tuple[tuple[str, int], ...], int]:
@@ -323,8 +408,21 @@ class DiscreteJoint:
             if v not in range(c):
                 return ZERO
             index = index * c + int(v)
-        weights = _marginal(self._weights, self._cards, list(fixed))
+        weights = self._project(list(fixed))
         return Fraction(weights[index], self._denom)
+
+    def _project(self, order: Sequence[int]) -> Sequence[int]:
+        """Integer weights of the marginal over the positions ``order``,
+        kept in that order, through a lattice that lives for this call."""
+        return _Lattice(self._weights, self._cards).project(order)
+
+    def _with_lattice(self) -> "DiscreteJoint":
+        """This joint, sharing its table, projecting through a lattice of
+        its own for as long as the returned object lives."""
+        joint = object.__new__(_LatticeJoint)
+        joint._fill(self.variables, self._weights, self._denom)
+        object.__setattr__(joint, "_lattice", _Lattice(self._weights, self._cards))
+        return joint
 
     # -- construction --------------------------------------------------------
 
@@ -382,7 +480,7 @@ class DiscreteJoint:
         positions = [self._position(n) for n in keep]
         if len(set(positions)) != len(positions):
             raise DistributionError("duplicate variable names")
-        weights = _marginal(self._weights, self._cards, positions)
+        weights = self._project(positions)
         return DiscreteJoint._from_weights(
             tuple(self.variables[p] for p in positions), weights, self._denom
         )
@@ -400,9 +498,12 @@ class DiscreteJoint:
         by: the criterion is the cross-multiplied identity
         P(x,y,s) * P(s) == P(x,s) * P(y,s), checked on the integer
         weights (scaling every cell by the common denominator keeps it
-        exact).  One pass over the full table projects it onto s, xs, ys
-        in that order; within each block of one s value, P(s) is the
-        block sum and P(x,s), P(y,s) are its row and column sums.
+        exact).  The table is projected onto s in ascending position
+        order (the answer does not depend on the order of s), then xs,
+        then ys; within each block of one s value, P(s) is the block sum
+        and P(x,s), P(y,s) are its row and column sums.  The projection
+        comes from the joint's marginal lattice (see ``_Lattice``): an
+        oracle's joint keeps one for all of its queries.
         """
         xs, ys, s = list(xs), list(ys), list(s)
         if not xs or not ys:
@@ -410,7 +511,8 @@ class DiscreteJoint:
         names = s + xs + ys
         if len(set(names)) != len(names):
             raise DistributionError("query sets must be pairwise disjoint")
-        w = _marginal(self._weights, self._cards, [self._position(n) for n in names])
+        w = self._project(sorted(self._position(n) for n in s)
+                          + [self._position(n) for n in xs + ys])
         nx = math.prod(self.card(n) for n in xs)
         ny = math.prod(self.card(n) for n in ys)
         block = nx * ny
@@ -436,3 +538,13 @@ class DiscreteJoint:
         cells = list(self.assignments())
         idx = rng.choices(range(len(cells)), cum_weights=cum, k=n)
         return Dataset(self.variables, tuple(cells[i] for i in idx))
+
+
+class _LatticeJoint(DiscreteJoint):
+    """A joint that keeps its marginal lattice across calls (made by
+    ``DiscreteJoint._with_lattice``)."""
+
+    __slots__ = ("_lattice",)
+
+    def _project(self, order):
+        return self._lattice.project(order)

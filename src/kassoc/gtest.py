@@ -1,5 +1,7 @@
 """G-test of conditional independence on the count table a ``Dataset``
-builds once, projected per query by the exact backend's ``_marginal``.
+builds once, projected per query by the exact backend's marginal lattice
+(``distribution._Lattice``): a ``GTestOracle``'s dataset keeps one lattice
+for all of its queries.
 
 The only floating-point zone in the codebase: the G statistic, and the
 chi-squared tail (series / continued-fraction regularized incomplete gamma).
@@ -11,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .distribution import Dataset, DistributionError, _marginal
+from .distribution import Dataset, DistributionError
 
 _EPS = 3e-14
 _MAX_ITER = 500
@@ -106,7 +108,7 @@ def g_test(
         raise DistributionError(f"unknown variable {unknown[0]!r}")
     order = [pos[n] for n in names]
     cards = [c for _, c in dataset.variables]
-    table = _marginal(dataset._counts, cards, order)
+    table = dataset._project(order)
     cx, cy = cards[order[-2]], cards[order[-1]]
     block = cx * cy
 

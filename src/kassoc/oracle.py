@@ -99,12 +99,13 @@ class DiscreteOracle(IndependenceOracle):
     def __init__(self, joint: DiscreteJoint):
         super().__init__(joint.names)
         self.joint = joint
+        self._joint = joint._with_lattice()  # marginals cached for this oracle
 
     def _query(self, x, y, s):
-        return self.joint.is_independent(x, y, s)
+        return self._joint.is_independent(x, y, s)
 
     def query_sets(self, xs, ys, s=()):
-        ans = self.joint.is_independent_sets(*self._check(xs, ys, s))
+        ans = self._joint.is_independent_sets(*self._check(xs, ys, s))
         self._count += 1
         return ans
 
@@ -143,6 +144,7 @@ class GTestOracle(IndependenceOracle):
         super().__init__(dataset.names)
         self.dataset = dataset
         self.config = config or GTestConfig()
+        self._dataset = dataset._with_lattice()  # marginals cached for this oracle
 
     def _query(self, x, y, s):
-        return g_test(self.dataset, x, y, sorted(s), self.config).independent
+        return g_test(self._dataset, x, y, sorted(s), self.config).independent

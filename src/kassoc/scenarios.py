@@ -55,8 +55,9 @@ class Scenario:
             object.__setattr__(self, "cpts", tuple(self.cpts))
             joint = DiscreteJoint.from_cpts(self.dag, self.cpts)
             object.__setattr__(self, "_joint", joint)
+            checked = joint._with_lattice()  # marginals shared by the statements
             for v, rest, parents in self.dag.local_markov_statements():
-                if not joint.is_independent_sets([v], rest, parents):
+                if not checked.is_independent_sets([v], rest, parents):
                     raise ScenarioError(
                         f"CMC violated: {v} dependent on non-descendants {rest} given parents {parents}"
                     )

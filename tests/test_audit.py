@@ -16,8 +16,8 @@ from kassoc.audit import audit_scenario, check_cmc
 from kassoc.distribution import Cpt, DiscreteJoint
 from kassoc.gaussian import GaussianSystem
 from kassoc.graph import Dag, enumerate_dags, random_dag
-from kassoc.oracle import DiscreteOracle, GaussianOracle, GraphOracle
-from kassoc.scenarios import BUILTINS, builtin
+from kassoc.oracle import DiscreteOracle, GaussianOracle, GraphOracle, OracleError
+from kassoc.scenarios import BUILTINS, Scenario, builtin
 
 
 def exhaustive_cmc_holds(dag, oracle):
@@ -326,3 +326,12 @@ def test_large_and_tied_separating_sets_are_found():
     report = assert_report_agrees(dag, GraphOracle(truth))
     assert report["results"][3]["witness"] == {
         "triple": ["x", "y", "z"], "collider": False, "given": ["a"]}
+
+
+def test_audit_runs_on_at_most_twelve_nodes():
+    nodes = [f"v{i:02d}" for i in range(13)]
+    chain = list(zip(nodes, nodes[1:]))
+    report = audit_scenario(Scenario("chain12", Dag(nodes[:12], chain[:11]), "graph"))
+    assert all(r.holds for r in report.results)
+    with pytest.raises(OracleError, match=r"at most 12 nodes \(this scenario has 13\)"):
+        audit_scenario(Scenario("chain13", Dag(nodes, chain), "graph"))

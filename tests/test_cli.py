@@ -141,6 +141,19 @@ class TestSpAuditSample:
         assert af["witness"]["separating_set"] == []
         assert "AF=FAIL" in err
 
+    def test_audit_refuses_more_than_twelve_nodes(self, tmp_path, capsys):
+        nodes = [f"v{i:02d}" for i in range(13)]
+        p = tmp_path / "chain13.json"
+        p.write_text(json.dumps({
+            "name": "chain13", "nodes": nodes, "params": {}, "notes": "",
+            "edges": [f"{a}->{b}" for a, b in zip(nodes, nodes[1:])],
+            "payload": {"type": "graph"},
+        }))
+        code, report, err = invoke(capsys, "audit", "--scenario", str(p))
+        assert code == 1 and report is None
+        assert err == "error: audits are exhaustive and run on at most 12 nodes " \
+                      "(this scenario has 13)\n"
+
     def test_sample_deterministic(self, capsys):
         _, a, _ = invoke(
             capsys, "sample", "--scenario", "builtin:example1",
