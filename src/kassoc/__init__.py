@@ -23,8 +23,8 @@ from .association import (
 from .audit import AuditReport, AuditResult, audit_scenario
 from .distribution import Cpt, Dataset, DiscreteJoint, DistributionError
 from .gaussian import GaussianError, GaussianSystem, partial_correlation_zero
-from .graph import KERNEL, MAX_NODES, Dag, GraphError, enumerate_dags, random_dag
-from .growshrink import GsStep, GsTrace, markov_blanket
+from .graph import KERNEL, MAX_NODES, Dag, GraphError
+from .growshrink import GsStep, markov_blanket
 from .gtest import GTestConfig, GTestResult, g_test
 from .oracle import (
     DiscreteOracle,
@@ -68,7 +68,6 @@ __all__ = [
     "GraphError",
     "GraphOracle",
     "GsStep",
-    "GsTrace",
     "IndependenceOracle",
     "KERNEL",
     "MAX_NODES",
@@ -86,7 +85,6 @@ __all__ = [
     "check_nonadjacency",
     "dag_from_permutation",
     "detect_of_failure",
-    "enumerate_dags",
     "find_unfaithful_triples",
     "g_test",
     "is_1_associated",
@@ -98,7 +96,6 @@ __all__ = [
     "markov_blanket",
     "orient",
     "partial_correlation_zero",
-    "random_dag",
     "save",
     "sparsest_permutations",
     "weak_associations",

@@ -55,8 +55,12 @@ class Cpt:
     rows: Mapping[tuple[int, ...], tuple[Fraction, ...]]
 
     def __post_init__(self):
-        expected = set(itertools.product(*(range(c) for c in self.parent_cards)))
-        if set(self.rows) != expected:
+        size = math.prod(self.parent_cards)
+        if size > MAX_CELLS:
+            raise DistributionError(f"CPT for {self.child}: more than {MAX_CELLS} parent rows")
+        if len(self.rows) != size or set(self.rows) != set(
+            itertools.product(*(range(c) for c in self.parent_cards))
+        ):
             raise DistributionError(f"CPT for {self.child}: wrong set of parent rows")
         for pa, vec in self.rows.items():
             if len(vec) != self.child_card:
@@ -121,10 +125,6 @@ class Dataset:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.variables)
-
-    def column(self, name: str) -> list[int]:
-        i = self.names.index(name)
-        return [row[i] for row in self.rows]
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -461,17 +461,6 @@ class DiscreteJoint:
             positions = [pos[q] for q in cpt.parents] + [pos[node]]
             factors.append((positions, *_int_factor(cpt)))
         return DiscreteJoint._product([(n, cards[n]) for n in dag.nodes], factors)
-
-    @staticmethod
-    def independent(cpts: Iterable[Cpt]) -> "DiscreteJoint":
-        """Product distribution of parentless CPTs."""
-        cpts = list(cpts)
-        if any(c.parents for c in cpts):
-            raise DistributionError("independent() takes parentless CPTs only")
-        return DiscreteJoint._product(
-            [(c.child, c.child_card) for c in cpts],
-            [([i], *_int_factor(c)) for i, c in enumerate(cpts)],
-        )
 
     # -- queries --------------------------------------------------------------
 

@@ -1,22 +1,16 @@
-"""DAGs, d-separation and exhaustive enumeration of small graphs.
+"""DAGs and d-separation.
 
 Node identity is a dense integer index; labels are display-only.  All set
 operations run on integer bitmasks, which keeps the d-separation kernel
 cheap for graphs of up to 32 nodes.
 
-Two independent d-separation implementations are provided:
-
-* :meth:`Dag.d_separated` -- one reachability ("Bayes-Ball") traversal
-  from all of X over the parent/children bitmasks, stopping at the first
-  node of Y, see :func:`dconnected`.
-* :meth:`Dag.d_separated_bruteforce` -- literal enumeration of all simple
-  paths, checked clause by clause.  Correctness anchor for the fast path.
+:meth:`Dag.d_separated` answers a set query with one reachability
+("Bayes-Ball") traversal from all of X over the parent/children bitmasks,
+stopping at the first node of Y, see :func:`dconnected`.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 from typing import Iterable, Iterator, Sequence
 
 KERNEL = "python"  # the d-separation kernel is pure Python
@@ -222,116 +216,14 @@ class Dag:
             if rest:
                 yield v, self._ordered(rest), self._ordered(parents)
 
-    # -- paths -------------------------------------------------------------
-
-    def check_path(self, path: Sequence[str]) -> None:
-        if len(path) < 2:
-            raise GraphError("a path has at least two nodes")
-        if len(set(path)) != len(path):
-            raise GraphError("path nodes must be distinct")
-        for a, b in zip(path, path[1:]):
-            if not self.adjacent(a, b):
-                raise GraphError(f"{a} and {b} are not adjacent")
-
-    def is_collider(self, path: Sequence[str], position: int) -> bool:
-        """True iff both path neighbours point into path[position]."""
-        self.check_path(path)
-        if not 0 < position < len(path) - 1:
-            raise GraphError("collider status is undefined at path endpoints")
-        c = path[position]
-        return (path[position - 1], c) in self.edges and (path[position + 1], c) in self.edges
-
-    def simple_paths(self, x: str, y: str) -> Iterator[tuple[str, ...]]:
-        """All simple paths between x and y, ignoring edge direction."""
-        adj = [self._parent_masks[i] | self._child_masks[i] for i in range(self.n)]
-        xi, yi = self.index(x), self.index(y)
-        path = [xi]
-
-        def walk(cur: int, used: int) -> Iterator[tuple[str, ...]]:
-            for nxt in _bits(adj[cur] & ~used):
-                path.append(nxt)
-                if nxt == yi:
-                    yield tuple(self.nodes[i] for i in path)
-                else:
-                    yield from walk(nxt, used | 1 << nxt)
-                path.pop()
-
-        yield from walk(xi, 1 << xi)
-
     # -- d-separation -------------------------------------------------------
 
-    def _check_query(self, xs, ys, zs):
+    def d_separated(self, xs: Iterable[str], ys: Iterable[str], zs: Iterable[str] = ()) -> bool:
+        """Set query answered by one reachability traversal from all of xs."""
+        xs, ys, zs = set(xs), set(ys), set(zs)
         xm, ym, zm = self._mask(xs), self._mask(ys), self._mask(zs)
         if not xs or not ys:
             raise GraphError("query sets must be non-empty")
         if xm & ym or xm & zm or ym & zm:
             raise GraphError("query sets must be pairwise disjoint")
-        return xm, ym, zm
-
-    def d_separated(self, xs: Iterable[str], ys: Iterable[str], zs: Iterable[str] = ()) -> bool:
-        """Set query answered by one reachability traversal from all of xs."""
-        xm, ym, zm = self._check_query(set(xs), set(ys), set(zs))
         return not dconnected(self._parent_masks, self._child_masks, xm, ym, zm)
-
-    def d_separated_bruteforce(
-        self, xs: Iterable[str], ys: Iterable[str], zs: Iterable[str] = ()
-    ) -> bool:
-        """Independent oracle: enumerate simple paths, test the definition."""
-        if self.n > 12:
-            raise GraphError("brute-force oracle limited to 12 nodes")
-        xs, ys, zs = set(xs), set(ys), set(zs)
-        self._check_query(xs, ys, zs)
-        zm = self._mask(zs)
-        anc_z = self._labels(ancestor_mask(self._parent_masks, zm))
-        for x in sorted(xs):
-            for y in sorted(ys):
-                for path in self.simple_paths(x, y):
-                    if self._path_d_connecting(path, zs, anc_z):
-                        return False
-        return True
-
-    def _path_d_connecting(self, path, zs, anc_z):
-        for pos in range(1, len(path) - 1):
-            node = path[pos]
-            if self.is_collider(path, pos):
-                if node not in anc_z:
-                    return False
-            elif node in zs:
-                return False
-        return True
-
-
-def enumerate_dags(n: int) -> Iterator[Dag]:
-    """Every labelled DAG on n nodes, exactly once.
-
-    Enumerates {absent, forward, backward} per unordered node pair and
-    keeps the acyclic assignments.
-    """
-    if not 1 <= n <= 5:
-        raise GraphError("exhaustive enumeration limited to 1..5 nodes")
-    nodes = [f"V{i}" for i in range(n)]
-    pairs = list(itertools.combinations(range(n), 2))
-    for choice in itertools.product((0, 1, 2), repeat=len(pairs)):
-        edges = []
-        for (i, j), c in zip(pairs, choice):
-            if c == 1:
-                edges.append((nodes[i], nodes[j]))
-            elif c == 2:
-                edges.append((nodes[j], nodes[i]))
-        try:
-            yield Dag(nodes, edges)
-        except GraphError:
-            continue
-
-
-def random_dag(rng: random.Random, n: int, edge_prob: float = 0.35) -> Dag:
-    """Random labelled DAG: random topological order, then Bernoulli edges."""
-    nodes = [f"V{i}" for i in range(n)]
-    order = list(range(n))
-    rng.shuffle(order)
-    edges = []
-    for a, b in itertools.combinations(range(n), 2):
-        if rng.random() < edge_prob:
-            i, j = order[a], order[b]
-            edges.append((nodes[i], nodes[j]))
-    return Dag(nodes, edges)

@@ -3,7 +3,8 @@
 ``modified`` mode adds the paired-conditioning clause to the grow phase
 (add X when the target depends on X given S plus one helper node Z), which
 picks up strict 2-associations that the classic grow phase misses.  The
-shrink phase removes singletons only and is shared by both modes.
+shrink phase removes singletons only and is shared by both modes.  Every
+query is logged, in order, as a :class:`GsStep` in a plain list.
 """
 
 from __future__ import annotations
@@ -34,23 +35,13 @@ class GsStep:
         }
 
 
-class GsTrace(list):
-    """Ordered oracle-query log; replaying it reproduces every answer."""
-
-    def replay_consistent(self, o: IndependenceOracle, target: str) -> bool:
-        return all(
-            o.query(target, step.candidate, step.conditioning) == step.independent
-            for step in self
-        )
-
-
 def grow(
     o: IndependenceOracle,
     target: str,
     *,
     mode: str = "modified",
     scan_order: Sequence[str] | None = None,
-    trace: GsTrace | None = None,
+    trace: list[GsStep] | None = None,
 ) -> set[str]:
     """Fixpoint of the grow clauses; returns a superset of the blanket.
 
@@ -61,7 +52,7 @@ def grow(
     """
     _check_target(o, target, mode)
     order = _scan_order(o, target, scan_order)
-    trace = trace if trace is not None else GsTrace()
+    trace = trace if trace is not None else []
     s: set[str] = set()
     while True:
         added = _grow_pass(o, target, s, order, mode, trace)
@@ -102,14 +93,14 @@ def shrink(
     s: Iterable[str],
     *,
     scan_order: Sequence[str] | None = None,
-    trace: GsTrace | None = None,
+    trace: list[GsStep] | None = None,
 ) -> set[str]:
     """Fixpoint removal of single nodes separable from the target."""
     s = set(s)
     if target in s:
         raise OracleError("target cannot be in its own candidate blanket")
     order = _scan_order(o, target, scan_order)
-    trace = trace if trace is not None else GsTrace()
+    trace = trace if trace is not None else []
     changed = True
     while changed:
         changed = False
@@ -134,9 +125,9 @@ def markov_blanket(
     *,
     mode: str = "modified",
     scan_order: Sequence[str] | None = None,
-) -> tuple[set[str], GsTrace]:
+) -> tuple[set[str], list[GsStep]]:
     """Grow then shrink; ``modified`` or ``classic`` grow phase."""
-    trace = GsTrace()
+    trace: list[GsStep] = []
     grown = grow(o, target, mode=mode, scan_order=scan_order, trace=trace)
     final = shrink(o, target, grown, scan_order=scan_order, trace=trace)
     return final, trace

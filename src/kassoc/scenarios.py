@@ -8,15 +8,15 @@ construction: a discrete scenario checks the local Markov statements of
 its DAG (:meth:`Dag.local_markov_statements`, each node independent of its
 other non-descendants given its parents, one exact query per node), the
 same definition :func:`kassoc.audit.check_cmc` uses, and a Gaussian
-scenario's coefficients must form its DAG.  Full assumption audits live
-in :mod:`kassoc.audit`.
+scenario's coefficients must form its DAG.  The assumption annotations
+of a scenario come from :func:`kassoc.audit.audit_scenario`; a scenario
+neither runs nor caches an audit itself.  :func:`save` and :func:`load`
+give a bit-exact JSON form, with every rational as a "num/den" string.
 """
 
 from __future__ import annotations
 
 import json
-import random
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -92,16 +92,6 @@ class Scenario:
         if self.kind == "gaussian":
             return GaussianOracle(self.gaussian)
         return GraphOracle(self.dag)
-
-    def annotations(self):
-        """Verified assumption report (cached); see :mod:`kassoc.audit`."""
-        cached = getattr(self, "_annotations", None)
-        if cached is None:
-            from .audit import audit_scenario
-
-            cached = audit_scenario(self)
-            object.__setattr__(self, "_annotations", cached)
-        return cached
 
 
 def _xor(*bits: int) -> int:
@@ -355,39 +345,6 @@ def cancelling_paths_4(
     )
 
 
-# -- continuous sampler (no exact oracle) -------------------------------------
-
-
-def sign_product_sampler(n: int, seed: int) -> list[tuple[float, float, float]]:
-    """Samples of the continuous collider Y = sign(X*Z) * E.
-
-    X, Z standard normal, E exponential with scale 1/sqrt(2) (so Y has
-    unit variance).  Provided for downstream experimentation with
-    discretised tests only; there is no exact oracle for it.
-    """
-    if n < 1:
-        raise ScenarioError("need at least one sample")
-    rng = random.Random(seed)
-    out = []
-    for _ in range(n):
-        x = rng.gauss(0.0, 1.0)
-        z = rng.gauss(0.0, 1.0)
-        e = rng.expovariate(math.sqrt(2.0))
-        y = math.copysign(e, x * z) if x * z != 0 else 0.0
-        out.append((x, z, y))
-    return out
-
-
-def sign_buckets(rows: list[tuple[float, float, float]]):
-    """Discretise sign-product samples into 0/1 sign indicators."""
-    from .distribution import Dataset
-
-    coded = tuple(
-        (int(x > 0), int(z > 0), int(y > 0)) for x, z, y in rows
-    )
-    return Dataset((("X", 2), ("Z", 2), ("Y", 2)), coded)
-
-
 # -- registry and serialization ------------------------------------------------
 
 BUILTINS = {
@@ -417,6 +374,9 @@ def _frac_str(f: Fraction) -> str:
 
 
 def _parse_frac(s: str) -> Fraction:
+    """A rational literal: a JSON string such as "1/2", as :func:`save` writes."""
+    if not isinstance(s, str):
+        raise ScenarioError(f"rational literal {s!r} must be a JSON string such as \"1/2\"")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -479,6 +439,20 @@ def _strings(value, what: str) -> list[str]:
     return value
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer; true and false are not integers here."""
+    if type(value) is not int:
+        raise ScenarioError(f"{what} must be a JSON integer, not {value!r}")
+    return value
+
+
+def _integers(value, what: str) -> list[int]:
+    """A JSON list of integers, as given."""
+    if not isinstance(value, list) or not all(type(v) is int for v in value):
+        raise ScenarioError(f"{what} must be a JSON list of integers")
+    return value
+
+
 def _split_edge(text: str) -> tuple[str, str]:
     if "->" not in text:
         raise ScenarioError(f"bad edge string {text!r}, expected 'parent->child'")
@@ -489,9 +463,12 @@ def _split_edge(text: str) -> tuple[str, str]:
 def load(doc: dict) -> Scenario:
     """Inverse of :func:`save`; bit-exact round trip.
 
-    Every invalid document raises :class:`ScenarioError`, including those
-    the graph, distribution and Gaussian layers reject (a cyclic edge list,
-    a non-integer cardinality, cyclic coefficients).
+    Fields are read as strictly as :func:`save` writes them: node lists,
+    CPT parents and the Gaussian order are JSON lists of strings,
+    cardinalities and parent values JSON integers, and rationals JSON
+    strings.  Every invalid document raises :class:`ScenarioError`,
+    including those the graph, distribution and Gaussian layers reject (a
+    cyclic edge list, a cardinality below 1, cyclic coefficients).
     """
     try:
         return _load(doc)
@@ -519,16 +496,19 @@ def _load(doc: dict) -> Scenario:
         try:
             cpts = []
             for block in payload["cpts"]:
+                child = block["child"]
                 rows = {
-                    tuple(row["given"]): tuple(_parse_frac(p) for p in row["probs"])
+                    tuple(_integers(row["given"], f"given of {child!r}")):
+                        tuple(map(_parse_frac, _strings(row["probs"], f"probs of {child!r}")))
                     for row in block["rows"]
                 }
                 cpts.append(
                     Cpt(
-                        block["child"],
-                        int(block["cardinality"]),
-                        tuple(block["parents"]),
-                        tuple(int(c) for c in block["parent_cardinalities"]),
+                        child,
+                        _integer(block["cardinality"], f"cardinality of {child!r}"),
+                        tuple(_strings(block["parents"], f"parents of {child!r}")),
+                        tuple(_integers(block["parent_cardinalities"],
+                                        f"parent_cardinalities of {child!r}")),
                         rows,
                     )
                 )
@@ -539,7 +519,7 @@ def _load(doc: dict) -> Scenario:
         return Scenario(name, dag, "discrete", cpts=tuple(cpts), params=params, notes=notes)
     if kind == "gaussian":
         try:
-            order = tuple(payload["order"])
+            order = tuple(_strings(payload["order"], "order"))
             coeffs = {}
             for key, w in _fractions(payload["coefficients"], "coefficients").items():
                 p, c = _split_edge(key)

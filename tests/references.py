@@ -1,0 +1,161 @@
+"""Reference implementations and graph generators that only the tests use.
+
+* A second d-separation implementation, written from the definition: list
+  every simple path between x and y and test it clause by clause.  It
+  reads only ``dag.nodes`` and ``dag.edges`` and collects the ancestors of
+  Z itself, so it shares no helper with the reachability kernel in
+  :mod:`kassoc.graph` that it checks.
+* :func:`enumerate_dags` and :func:`random_dag`: every labelled DAG on a
+  few nodes, and seeded random DAGs.
+* :func:`replay_consistent`: asks every query of a grow-shrink trace again.
+"""
+
+import itertools
+import random
+from typing import Iterable, Iterator, Sequence
+
+from kassoc.graph import Dag, GraphError
+from kassoc.oracle import IndependenceOracle
+
+# -- brute-force d-separation -------------------------------------------------
+
+
+def check_path(dag: Dag, path: Sequence[str]) -> None:
+    if len(path) < 2:
+        raise GraphError("a path has at least two nodes")
+    if len(set(path)) != len(path):
+        raise GraphError("path nodes must be distinct")
+    for a, b in zip(path, path[1:]):
+        if (a, b) not in dag.edges and (b, a) not in dag.edges:
+            raise GraphError(f"{a} and {b} are not adjacent")
+
+
+def is_collider(dag: Dag, path: Sequence[str], position: int) -> bool:
+    """True iff both path neighbours point into path[position]."""
+    check_path(dag, path)
+    if not 0 < position < len(path) - 1:
+        raise GraphError("collider status is undefined at path endpoints")
+    c = path[position]
+    return (path[position - 1], c) in dag.edges and (path[position + 1], c) in dag.edges
+
+
+def simple_paths(dag: Dag, x: str, y: str) -> Iterator[tuple[str, ...]]:
+    """All simple paths between x and y, ignoring edge direction."""
+    for v in (x, y):
+        if v not in dag.nodes:
+            raise GraphError(f"unknown node {v!r}")
+    neighbours = {v: [] for v in dag.nodes}
+    for a, b in dag.edges:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    path = [x]
+
+    def walk(cur: str) -> Iterator[tuple[str, ...]]:
+        for nxt in neighbours[cur]:
+            if nxt in path:
+                continue
+            path.append(nxt)
+            if nxt == y:
+                yield tuple(path)
+            else:
+                yield from walk(nxt)
+            path.pop()
+
+    yield from walk(x)
+
+
+def _ancestors(dag: Dag, zs: set[str]) -> set[str]:
+    """The nodes of zs and every node with a directed path into one of them."""
+    anc = set(zs)
+    frontier = list(zs)
+    while frontier:
+        v = frontier.pop()
+        for a, b in dag.edges:
+            if b == v and a not in anc:
+                anc.add(a)
+                frontier.append(a)
+    return anc
+
+
+def _path_d_connecting(dag: Dag, path, zs, anc_z) -> bool:
+    for pos in range(1, len(path) - 1):
+        node = path[pos]
+        if is_collider(dag, path, pos):
+            if node not in anc_z:
+                return False
+        elif node in zs:
+            return False
+    return True
+
+
+def d_separated_bruteforce(
+    dag: Dag, xs: Iterable[str], ys: Iterable[str], zs: Iterable[str] = ()
+) -> bool:
+    """Enumerate the simple paths from xs to ys and test the definition."""
+    if len(dag.nodes) > 12:
+        raise GraphError("brute-force oracle limited to 12 nodes")
+    xs, ys, zs = set(xs), set(ys), set(zs)
+    unknown = (xs | ys | zs) - set(dag.nodes)
+    if unknown:
+        raise GraphError(f"unknown node {sorted(unknown)[0]!r}")
+    if not xs or not ys:
+        raise GraphError("query sets must be non-empty")
+    if xs & ys or xs & zs or ys & zs:
+        raise GraphError("query sets must be pairwise disjoint")
+    anc_z = _ancestors(dag, zs)
+    for x in sorted(xs):
+        for y in sorted(ys):
+            for path in simple_paths(dag, x, y):
+                if _path_d_connecting(dag, path, zs, anc_z):
+                    return False
+    return True
+
+
+# -- graph generators -----------------------------------------------------------
+
+
+def enumerate_dags(n: int) -> Iterator[Dag]:
+    """Every labelled DAG on n nodes, exactly once.
+
+    Enumerates {absent, forward, backward} per unordered node pair and
+    keeps the acyclic assignments.
+    """
+    if not 1 <= n <= 5:
+        raise GraphError("exhaustive enumeration limited to 1..5 nodes")
+    nodes = [f"V{i}" for i in range(n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    for choice in itertools.product((0, 1, 2), repeat=len(pairs)):
+        edges = []
+        for (i, j), c in zip(pairs, choice):
+            if c == 1:
+                edges.append((nodes[i], nodes[j]))
+            elif c == 2:
+                edges.append((nodes[j], nodes[i]))
+        try:
+            yield Dag(nodes, edges)
+        except GraphError:
+            continue
+
+
+def random_dag(rng: random.Random, n: int, edge_prob: float = 0.35) -> Dag:
+    """Random labelled DAG: random topological order, then Bernoulli edges."""
+    nodes = [f"V{i}" for i in range(n)]
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = []
+    for a, b in itertools.combinations(range(n), 2):
+        if rng.random() < edge_prob:
+            i, j = order[a], order[b]
+            edges.append((nodes[i], nodes[j]))
+    return Dag(nodes, edges)
+
+
+# -- grow-shrink ------------------------------------------------------------------
+
+
+def replay_consistent(trace, o: IndependenceOracle, target: str) -> bool:
+    """True iff the oracle answers every query of the trace as recorded."""
+    return all(
+        o.query(target, step.candidate, step.conditioning) == step.independent
+        for step in trace
+    )

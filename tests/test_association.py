@@ -16,9 +16,10 @@ from kassoc.association import (
     subsets_by_size,
     weak_associations,
 )
-from kassoc.graph import Dag, enumerate_dags
+from kassoc.graph import Dag
 from kassoc.oracle import DiscreteOracle, GraphOracle, GTestOracle, OracleError
 from kassoc.scenarios import BUILTINS, builtin
+from references import enumerate_dags
 
 
 class TestSubsetOrder:

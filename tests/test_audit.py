@@ -12,10 +12,11 @@ import pytest
 
 from kassoc.association import first_separating_set, is_weakly_associated
 from conftest import random_cpt_net
+from references import enumerate_dags, random_dag
 from kassoc.audit import audit_scenario, check_cmc
 from kassoc.distribution import Cpt, DiscreteJoint
 from kassoc.gaussian import GaussianSystem
-from kassoc.graph import Dag, enumerate_dags, random_dag
+from kassoc.graph import Dag
 from kassoc.oracle import DiscreteOracle, GaussianOracle, GraphOracle, OracleError
 from kassoc.scenarios import BUILTINS, Scenario, builtin
 

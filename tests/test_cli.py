@@ -7,6 +7,7 @@ import random
 import shlex
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,8 @@ from conftest import random_cpt_net
 
 from kassoc import cli
 from kassoc.cli import run
+from kassoc.distribution import Cpt
+from kassoc.graph import Dag
 from kassoc.scenarios import BUILTINS, Scenario, builtin, save
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -200,10 +203,35 @@ class TestScenarioLoading:
         "cyclic_edges", "cardinality", "cyclic_gaussian",
         "params_list", "coefficients_list", "noise_list",
         "node_not_a_string", "nodes_not_a_list", "name_null",
+        "cardinality_float", "parent_cardinality_float", "cardinality_bool",
+        "parents_string", "order_not_a_list", "probs_bool", "param_float",
     ])
     def test_invalid_file_contents_exit_two(self, tmp_path, capsys, defect):
         graph = {"name": "g", "nodes": ["X", "Y"], "edges": [], "payload": {"type": "graph"}}
-        if defect == "node_not_a_string":
+        if defect == "cardinality_bool":
+            # a one-state X, so that true read as 1 would load
+            one = Scenario("one", Dag(["X", "Y"], []), "discrete",
+                           cpts=(Cpt.prior("X", [F(1)]), Cpt.coin("Y", F(1, 2))))
+            doc = save(one)
+            doc["payload"]["cpts"][0]["cardinality"] = True
+        elif defect in ("cardinality_float", "parent_cardinality_float",
+                        "parents_string", "probs_bool", "param_float"):
+            doc = save(builtin("example1"))  # CPTs X, Z, then Y given X, Z
+            cpts = doc["payload"]["cpts"]
+            if defect == "cardinality_float":
+                cpts[0]["cardinality"] = 2.5
+            elif defect == "parent_cardinality_float":
+                cpts[2]["parent_cardinalities"] = [2.9, 2]
+            elif defect == "parents_string":
+                cpts[2]["parents"] = "XZ"
+            elif defect == "probs_bool":
+                cpts[0]["rows"][0]["probs"] = [True, False]
+            else:
+                doc["params"]["p"] = 0.1
+        elif defect == "order_not_a_list":
+            doc = save(builtin("cancel3"))
+            doc["payload"]["order"] = {v: i for i, v in enumerate(doc["payload"]["order"])}
+        elif defect == "node_not_a_string":
             doc = {**graph, "nodes": ["X", 1]}
         elif defect == "nodes_not_a_list":
             doc = {**graph, "nodes": "XYZ"}

@@ -81,7 +81,9 @@ def random_joint(rng):
 
 
 def coin_pair():
-    return DiscreteJoint.independent([Cpt.coin("A", F(1, 2)), Cpt.coin("B", F(1, 3))])
+    return DiscreteJoint.from_cpts(
+        Dag(["A", "B"], []), [Cpt.coin("A", F(1, 2)), Cpt.coin("B", F(1, 3))]
+    )
 
 
 class TestCpt:
@@ -96,6 +98,13 @@ class TestCpt:
     def test_rows_must_cover_parent_domain(self):
         with pytest.raises(DistributionError):
             Cpt("Y", 2, ("X",), (2,), {(0,): (F(1, 2), F(1, 2))})
+
+    def test_parent_rows_are_counted_before_they_are_listed(self):
+        rows = {(0,): (F(1, 2), F(1, 2)), (1,): (F(1, 2), F(1, 2))}
+        with pytest.raises(DistributionError, match="more than"):
+            Cpt("Y", 2, ("X",), (10**12,), rows)
+        with pytest.raises(DistributionError, match="wrong set of parent rows"):
+            Cpt("Y", 2, ("X", "Z"), (1000, 1000), {(0, v): rows[(v,)] for v in (0, 1)})
 
     def test_noisy_function_marginalizes_the_coin(self):
         xor = Cpt.noisy_function(
@@ -204,13 +213,14 @@ class TestSampling:
 
     def test_values_in_domain(self, example1):
         data = example1.joint.sample(100, seed=3)
-        for name in data.names:
-            col = data.column(name)
+        for i in range(len(data.names)):
+            col = [row[i] for row in data.rows]
             assert set(col) <= {0, 1}
 
     def test_empirical_mean_tracks_marginal(self, example1):
         data = example1.joint.sample(20000, seed=11)
-        freq = sum(data.column("Y")) / len(data.rows)
+        y = data.names.index("Y")
+        freq = sum(row[y] for row in data.rows) / len(data.rows)
         assert abs(freq - 0.5) < 0.02
 
 

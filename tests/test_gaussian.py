@@ -11,7 +11,7 @@ from kassoc.gaussian import (
     GaussianSystem,
     partial_correlation_zero,
 )
-from kassoc.graph import random_dag
+from references import random_dag
 
 
 # -- reference algebra: the earlier Gauss-Jordan criterion and the matrix

@@ -7,8 +7,9 @@ at full scale.
 import itertools
 import random
 
-from kassoc.graph import Dag, random_dag
+from kassoc.graph import Dag
 from kassoc.scenarios import BUILTINS, builtin
+from references import random_dag
 
 AXIOMS = (
     "symmetry",

@@ -4,9 +4,11 @@ import itertools
 
 import pytest
 
-from kassoc.growshrink import GsTrace, grow, markov_blanket, shrink
+from kassoc.audit import audit_scenario
+from kassoc.growshrink import grow, markov_blanket, shrink
 from kassoc.oracle import DiscreteOracle, GraphOracle, OracleError
 from kassoc.scenarios import builtin
+from references import replay_consistent
 
 
 class TestExampleOne:
@@ -43,7 +45,7 @@ class TestScenarioSuite:
 
     def test_annotated_scenarios(self, all_builtins):
         for name, s in all_builtins.items():
-            ann = s.annotations()
+            ann = audit_scenario(s)
             needed = ("CMC", "2-AF", "spouse-condition")
             if not all(ann[a].holds for a in needed):
                 continue
@@ -81,11 +83,11 @@ class TestTrace:
     def test_trace_replays_consistently(self, example2):
         o = DiscreteOracle(example2.joint)
         _, trace = markov_blanket(o, "W")
-        assert trace.replay_consistent(DiscreteOracle(example2.joint), "W")
+        assert replay_consistent(trace, DiscreteOracle(example2.joint), "W")
 
     def test_grow_superset_then_shrink_subset(self, example2):
         o = DiscreteOracle(example2.joint)
-        trace = GsTrace()
+        trace = []
         grown = grow(o, "W", trace=trace)
         final = shrink(o, "W", grown, trace=trace)
         assert example2.dag.markov_blanket("W") <= grown

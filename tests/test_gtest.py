@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from kassoc.distribution import MAX_CELLS, Cpt, Dataset, DiscreteJoint, DistributionError
+from kassoc.graph import Dag
 from kassoc.gtest import GTestConfig, GTestResult, chi2_sf, g_test, regularized_gamma_p
 from kassoc.scenarios import BUILTINS, builtin
 
@@ -94,16 +95,14 @@ class TestChiSquaredTail:
 
 
 def two_coins(n, seed):
-    j = DiscreteJoint.independent(
-        [Cpt.coin("A", F(1, 2)), Cpt.coin("B", F(1, 2))]
+    j = DiscreteJoint.from_cpts(
+        Dag(["A", "B"], []), [Cpt.coin("A", F(1, 2)), Cpt.coin("B", F(1, 2))]
     )
     return j.sample(n, seed)
 
 
 def coupled(n, seed):
     # B is a noisy copy of A
-    from kassoc.graph import Dag
-
     a = Cpt.coin("A", F(1, 2))
     b = Cpt.noisy_function("B", ("A",), (2,), lambda v: v, F(1, 10))
     j = DiscreteJoint.from_cpts(Dag(["A", "B"], [("A", "B")]), [a, b])

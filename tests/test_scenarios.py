@@ -2,7 +2,7 @@
 
 import itertools
 import json
-import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +11,6 @@ from kassoc.audit import audit_scenario
 from kassoc.distribution import DiscreteJoint
 from kassoc.gaussian import GaussianSystem
 from kassoc.graph import Dag
-from kassoc.gtest import GTestConfig, g_test
 from kassoc.scenarios import (
     BUILTINS,
     Scenario,
@@ -23,10 +22,9 @@ from kassoc.scenarios import (
     load_path,
     noisy_xor,
     save,
-    sign_buckets,
-    sign_product_sampler,
     xor_with_context,
 )
+from test_gaussian import random_sem
 
 
 def pairwise_markov_holds(dag, joint):
@@ -124,7 +122,8 @@ class TestConstructionInvariants:
         for dag in (Dag(["X", "Y", "Z"], [("X", "Y")]), Dag(["Z", "Y", "X"], chain.dag.edges)):
             with pytest.raises(ScenarioError, match="gaussian coefficients"):
                 Scenario("mismatched", dag, "gaussian", gaussian=chain)
-        assert Scenario("chain", chain.dag, "gaussian", gaussian=chain).annotations()["CMC"].holds
+        scenario = Scenario("chain", chain.dag, "gaussian", gaussian=chain)
+        assert audit_scenario(scenario)["CMC"].holds
 
     def test_discrete_scenario_requires_cpts(self, example1):
         with pytest.raises(ScenarioError):
@@ -140,6 +139,21 @@ class TestSerialization:
     def test_round_trip_is_bit_exact(self, name):
         s = builtin(name)
         assert load(save(s)) == s
+
+    def test_round_trip_of_random_cpt_nets(self, cpt_nets):
+        # cardinality-1 nodes and zero cells, which no builtin has
+        cpts = [cpt for _, net in cpt_nets for cpt in net]
+        assert any(cpt.child_card == 1 for cpt in cpts)
+        assert any(p == 0 for cpt in cpts for row in cpt.rows.values() for p in row)
+        for i, (dag, net) in enumerate(cpt_nets):
+            s = Scenario(f"net{i}", dag, "discrete", cpts=tuple(net))
+            assert load(json.loads(json.dumps(save(s)))) == s
+
+    def test_round_trip_of_a_random_gaussian_system(self):
+        system = random_sem(random.Random("round-trip"), 6)
+        assert system.dag.edges
+        s = Scenario("sem", system.dag, "gaussian", gaussian=system, params={"w": F(-3, 2)})
+        assert load(json.loads(json.dumps(save(s)))) == s
 
     def test_document_is_json_serializable(self, example2):
         text = json.dumps(save(example2))
@@ -164,37 +178,34 @@ class TestSerialization:
 
 class TestAnnotations:
     def test_example1_flags(self, example1):
-        ann = example1.annotations()
+        ann = audit_scenario(example1)
         assert ann["CMC"].holds
         assert not ann["AF"].holds
         assert ann["AF"].witness["edge"] in (["X", "Y"], ["Z", "Y"])
         assert ann["2-AF"].holds
 
     def test_example2_flags(self, example2):
-        ann = example2.annotations()
+        ann = audit_scenario(example2)
         assert ann["2-AF"].holds
         assert ann["2-OF"].holds
         assert ann["spouse-condition"].holds
 
     def test_faithful_controls(self, all_builtins):
         for name in ("chain", "fork", "collider", "coins"):
-            ann = all_builtins[name].annotations()
+            ann = audit_scenario(all_builtins[name])
             assert ann["AF"].holds and ann["OF"].holds, name
 
     def test_transitivity_failure_breaks_2of(self, all_builtins):
-        ann = all_builtins["transitivity_failure"].annotations()
+        ann = audit_scenario(all_builtins["transitivity_failure"])
         assert not ann["OF"].holds
         assert not ann["2-OF"].holds
         assert ann["2-OF"].witness["condition"] == "ii"
 
     def test_cancellations_break_af(self, all_builtins):
         for name in ("cancel3", "cancel4"):
-            ann = all_builtins[name].annotations()
+            ann = audit_scenario(all_builtins[name])
             assert ann["CMC"].holds
             assert not ann["AF"].holds
-
-    def test_annotations_cached(self, example1):
-        assert example1.annotations() is example1.annotations()
 
     def test_report_is_exhaustive_at_desk_scale(self, all_builtins):
         for s in all_builtins.values():
@@ -212,23 +223,3 @@ class TestAnnotations:
             "CMC", "AF", "2-AF", "OF", "2-OF", "spouse-condition"]
         for r in report["results"]:
             assert r["holds"] and r["witness"] is None, r["assumption"]
-
-
-class TestSignProductSampler:
-    def test_deterministic(self):
-        assert sign_product_sampler(50, 3) == sign_product_sampler(50, 3)
-
-    def test_near_zero_marginal_correlation(self):
-        rows = sign_product_sampler(100_000, 9)
-        n = len(rows)
-        mx = sum(r[0] for r in rows) / n
-        my = sum(r[2] for r in rows) / n
-        cov = sum((r[0] - mx) * (r[2] - my) for r in rows) / n
-        sx = math.sqrt(sum((r[0] - mx) ** 2 for r in rows) / n)
-        sy = math.sqrt(sum((r[2] - my) ** 2 for r in rows) / n)
-        assert abs(cov / (sx * sy)) < 0.02
-
-    def test_discretized_conditional_dependence(self):
-        data = sign_buckets(sign_product_sampler(100_000, 9))
-        res = g_test(data, "X", "Z", ("Y",), GTestConfig(alpha=0.01))
-        assert not res.independent

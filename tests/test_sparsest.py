@@ -6,7 +6,8 @@ import random
 import pytest
 
 from conftest import random_cpt_net
-from kassoc.graph import Dag, enumerate_dags, random_dag
+from references import enumerate_dags, random_dag
+from kassoc.graph import Dag
 from kassoc.oracle import DiscreteOracle, GraphOracle, GTestOracle, OracleError
 from kassoc.scenarios import BUILTINS, Scenario, builtin
 from kassoc.sparsest import dag_from_permutation, sparsest_permutations
