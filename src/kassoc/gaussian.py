@@ -80,13 +80,22 @@ class GaussianSystem:
         return cov
 
 
+def integer_scaled(cov: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
+    """``cov`` times the lcm of its denominators: an integer matrix with the
+    same zero partial correlations and, the scale being positive, the same
+    pivot signs.  An integer matrix comes back unchanged, as a copy."""
+    den = math.lcm(*(v.denominator for row in cov for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in cov]
+
+
 def partial_correlation_zero(
-    cov: Sequence[Sequence[Fraction]], x: int, y: int, s: Sequence[int]
+    cov: Sequence[Sequence[Fraction | int]], x: int, y: int, s: Sequence[int]
 ) -> bool:
     """True iff the partial correlation of (x, y) given s is exactly zero.
 
-    One fraction-free (Bareiss) elimination of the submatrix over s + [x, y],
-    scaled to integers by the lcm of its denominators.  Every pivot is a
+    ``cov`` holds Fractions or ints (floats are not accepted), ideally
+    already :func:`integer_scaled`.  One fraction-free (Bareiss) elimination
+    of the integer-scaled submatrix over s + [x, y].  Every pivot is a
     leading principal minor, so the submatrix is positive definite iff all
     pivots are positive; after s is eliminated, the (x, y) entry is
     det(cov[s, s]) * Cov(x, y | s) up to a positive scale.
@@ -94,9 +103,7 @@ def partial_correlation_zero(
     idx = list(s) + [x, y]
     if len(set(idx)) != len(idx):
         raise GaussianError("query indices must be distinct")
-    sub = [[Fraction(cov[i][j]) for j in idx] for i in idx]
-    den = math.lcm(*(v.denominator for row in sub for v in row))
-    a = [[v.numerator * (den // v.denominator) for v in row] for row in sub]
+    a = integer_scaled([[cov[i][j] for j in idx] for i in idx])
     m = len(a)
     prev = 1
     for k in range(m):

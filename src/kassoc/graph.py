@@ -30,13 +30,13 @@ def _bits(mask: int) -> Iterator[int]:
 
 def ancestor_mask(parents: Sequence[int], seed_mask: int) -> int:
     """Reflexive-transitive parent closure of the nodes in ``seed_mask``."""
-    anc = seed_mask
-    frontier = list(_bits(seed_mask))
-    while frontier:
-        i = frontier.pop()
-        new = parents[i] & ~anc
+    anc = todo = seed_mask
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = parents[low.bit_length() - 1] & ~anc
         anc |= new
-        frontier.extend(_bits(new))
+        todo |= new
     return anc
 
 
@@ -46,39 +46,43 @@ def dconnected(
     """True iff some node of X has a d-connecting path to some node of Y given Z.
 
     ``parents[i]`` / ``children[i]`` are bitmasks of the parents/children of
-    node i.  One reachability traversal from all of X (Bayes-Ball): the ball
-    travels up (toward parents) or down (toward children); a collider
-    bounces back up only if it is an ancestor of Z.  The traversal stops at
-    the first node of Y it reaches.
+    node i.  One reachability traversal from all of X (Bayes-Ball) over
+    frontier bitmasks: the ball travels up (toward parents) or down (toward
+    children), and each direction keeps a "to visit" and a "visited" mask.
+    A node reached going up passes the ball on to its parents and children
+    unless it is in Z; a node reached going down passes it on to its
+    children unless it is in Z, and bounces it back up to its parents if it
+    is an ancestor of Z (a collider that Z opens).  Each step pops the
+    lowest node of a frontier and ORs in its unvisited parents/children;
+    the traversal stops as soon as a newly reached node lies in Y.
     """
+    if x_mask & y_mask:
+        return True
     anc_z = ancestor_mask(parents, z_mask)
-    visited_up = 0
-    visited_down = 0
-    stack = [(x, True) for x in _bits(x_mask)]  # (node, travelling up)
-    while stack:
-        w, up = stack.pop()
-        bit = 1 << w
-        if y_mask & bit:
-            return True
+    # "up": reached from a child (or a start node); "down": from a parent.
+    # A node of Z reached going up blocks, so it is marked visited but
+    # never enters the up frontier.
+    seen_up, up = x_mask, x_mask & ~z_mask
+    seen_down = down = 0
+    while up or down:
         if up:
-            if visited_up & bit:
-                continue
-            visited_up |= bit
-            if not z_mask & bit:
-                for p in _bits(parents[w]):
-                    stack.append((p, True))
-                for c in _bits(children[w]):
-                    stack.append((c, False))
+            low = up & -up
+            up ^= low
+            i = low.bit_length() - 1
+            new_up = parents[i] & ~seen_up
+            new_down = children[i] & ~seen_down
         else:
-            if visited_down & bit:
-                continue
-            visited_down |= bit
-            if not z_mask & bit:
-                for c in _bits(children[w]):
-                    stack.append((c, False))
-            if anc_z & bit:
-                for p in _bits(parents[w]):
-                    stack.append((p, True))
+            low = down & -down
+            down ^= low
+            i = low.bit_length() - 1
+            new_up = parents[i] & ~seen_up if low & anc_z else 0
+            new_down = 0 if low & z_mask else children[i] & ~seen_down
+        if (new_up | new_down) & y_mask:
+            return True
+        seen_up |= new_up
+        up |= new_up & ~z_mask
+        seen_down |= new_down
+        down |= new_down
     return False
 
 
@@ -141,9 +145,13 @@ class Dag:
             raise GraphError(f"unknown node {node!r}") from None
 
     def _mask(self, nodes: Iterable[str]) -> int:
+        index = self._index
         m = 0
         for n in nodes:
-            m |= 1 << self.index(n)
+            try:
+                m |= 1 << index[n]
+            except KeyError:
+                raise GraphError(f"unknown node {n!r}") from None
         return m
 
     def _labels(self, mask: int) -> set[str]:
@@ -220,9 +228,8 @@ class Dag:
 
     def d_separated(self, xs: Iterable[str], ys: Iterable[str], zs: Iterable[str] = ()) -> bool:
         """Set query answered by one reachability traversal from all of xs."""
-        xs, ys, zs = set(xs), set(ys), set(zs)
         xm, ym, zm = self._mask(xs), self._mask(ys), self._mask(zs)
-        if not xs or not ys:
+        if not xm or not ym:
             raise GraphError("query sets must be non-empty")
         if xm & ym or xm & zm or ym & zm:
             raise GraphError("query sets must be pairwise disjoint")

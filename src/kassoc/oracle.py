@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .distribution import Dataset, DiscreteJoint
-from .gaussian import GaussianSystem, partial_correlation_zero
+from .gaussian import GaussianSystem, integer_scaled, partial_correlation_zero
 from .graph import Dag
 from .gtest import GTestConfig, g_test
 
@@ -83,7 +83,7 @@ class GraphOracle(IndependenceOracle):
         self.dag = dag
 
     def _query(self, x, y, s):
-        return self.dag.d_separated({x}, {y}, s)
+        return self.dag.d_separated((x,), (y,), s)
 
     def query_sets(self, xs, ys, s=()):
         ans = self.dag.d_separated(*self._check(xs, ys, s))
@@ -118,7 +118,7 @@ class GaussianOracle(IndependenceOracle):
     def __init__(self, system: GaussianSystem):
         super().__init__(system.nodes)
         self.system = system
-        self._cov = system.covariance()
+        self._cov = integer_scaled(system.covariance())
         self._idx = {n: i for i, n in enumerate(system.nodes)}
 
     def _query(self, x, y, s):

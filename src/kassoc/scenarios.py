@@ -465,8 +465,8 @@ def load(doc: dict) -> Scenario:
 
     Fields are read as strictly as :func:`save` writes them: node lists,
     CPT parents and the Gaussian order are JSON lists of strings,
-    cardinalities and parent values JSON integers, and rationals JSON
-    strings.  Every invalid document raises :class:`ScenarioError`,
+    cardinalities and parent values JSON integers, and rationals and the
+    notes JSON strings.  Every invalid document raises :class:`ScenarioError`,
     including those the graph, distribution and Gaussian layers reject (a
     cyclic edge list, a cardinality below 1, cyclic coefficients).
     """
@@ -492,6 +492,8 @@ def _load(doc: dict) -> Scenario:
     dag = Dag(nodes, edges)
     params = _fractions(doc.get("params", {}), "params")
     notes = doc.get("notes", "")
+    if not isinstance(notes, str):
+        raise ScenarioError("notes must be a JSON string")
     if kind == "discrete":
         try:
             cpts = []

@@ -6,12 +6,15 @@ The sparsest permutations are the minimizers of the induced edge count.
 
 The edges a node adds depend only on the *set* of nodes before it, so
 ``sparsest_permutations`` is the exact subset DP of Silander & Myllymäki
-(UAI 2006): one query per prefix set S, node v outside S and parent
-candidate u in S, n(n-1)2^(n-2) in all, instead of one per ordered pair in
-each of the n! permutations.  These are exactly the distinct queries of the
-factorial search, which survives in ``tests/test_sparsest.py`` as the
-reference.  The minimizers are listed, and an empty graph has n! of them,
-so the search is guarded at 8 variables.
+(UAI 2006) over prefix sets S, nodes v outside S and parent candidates u
+in S.  Candidate u of v at S and candidate v of u at S - {u} + {v} are one
+question, so ``query`` is asked once per unordered pair and conditioning
+set, n(n-1)2^(n-3) in all, instead of once per ordered pair in each of the
+n! permutations.  These are exactly the distinct queries of the factorial
+search, each in the same orientation; the factorial search survives in
+``tests/test_sparsest.py`` as the reference.  The minimizers are listed,
+and an empty graph has n! of them, so the search is guarded at 8
+variables.
 """
 
 from __future__ import annotations
@@ -74,16 +77,28 @@ def sparsest_permutations(
     prefix = [frozenset(names[u] for u in range(n) if S >> u & 1)
               for S in range(full + 1)]
     # parents[S][v]: the nodes of S that v stays dependent on given the rest
-    # of S.  Ascending masks ask each pair first as (lower, higher) in
-    # variable order, as the lexicographic walk over permutations does, so
-    # an order-sensitive backend sees the same calls.
+    # of S.  The pair (u, v) given T comes up at the masks T|u and T|v.
+    # Ascending masks reach the lower one first and ask the pair there as
+    # (lower, higher) in variable order, as the lexicographic walk over
+    # permutations does, so an order-sensitive backend sees the same calls;
+    # the higher mask reads that answer back.
     parents = []
     for S in range(full + 1):
-        inside = [(1 << u, names[u]) for u in range(n) if S >> u & 1]
-        parents.append({
-            v: tuple(x for bit, x in inside if not o.query(x, names[v], prefix[S ^ bit]))
-            for v in range(n) if not S >> v & 1
-        })
+        inside = [u for u in range(n) if S >> u & 1]
+        row = {}
+        for v in range(n):
+            if S >> v & 1:
+                continue
+            pa = []
+            for u in inside:
+                if u < v:
+                    dependent = not o.query(names[u], names[v], prefix[S ^ 1 << u])
+                else:  # asked at the lower mask S - {u} + {v}
+                    dependent = names[v] in parents[S ^ 1 << u | 1 << v][u]
+                if dependent:
+                    pa.append(names[u])
+            row[v] = tuple(pa)
+        parents.append(row)
     # rest[S]: the fewest edges that complete the prefix set S
     rest = [0] * (full + 1)
     for S in range(full - 1, -1, -1):

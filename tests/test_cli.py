@@ -205,6 +205,7 @@ class TestScenarioLoading:
         "node_not_a_string", "nodes_not_a_list", "name_null",
         "cardinality_float", "parent_cardinality_float", "cardinality_bool",
         "parents_string", "order_not_a_list", "probs_bool", "param_float",
+        "notes_not_a_string",
     ])
     def test_invalid_file_contents_exit_two(self, tmp_path, capsys, defect):
         graph = {"name": "g", "nodes": ["X", "Y"], "edges": [], "payload": {"type": "graph"}}
@@ -237,6 +238,9 @@ class TestScenarioLoading:
             doc = {**graph, "nodes": "XYZ"}
         elif defect == "name_null":
             doc = {**graph, "name": None}
+        elif defect == "notes_not_a_string":
+            doc = save(builtin("example1"))
+            doc["notes"] = {"a": [1]}
         elif defect == "cyclic_edges":
             doc = save(builtin("example1"))
             doc["edges"] = ["X->Y", "Y->X"]

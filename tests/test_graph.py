@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kassoc.graph import Dag, GraphError, KERNEL, MAX_NODES, dconnected
+from kassoc.graph import Dag, GraphError, KERNEL, MAX_NODES, ancestor_mask, dconnected
 from references import (
+    _ancestors,
     check_path,
     d_separated_bruteforce,
     enumerate_dags,
@@ -151,6 +152,17 @@ class TestDSeparation:
         with pytest.raises(GraphError):
             CHAIN.d_separated(set(), {"Z"})
 
+    def test_error_texts(self):
+        with pytest.raises(GraphError, match=r"^unknown node 'Q'$"):
+            CHAIN.d_separated({"X"}, {"Z"}, ["Q"])
+        with pytest.raises(GraphError, match=r"^query sets must be non-empty$"):
+            CHAIN.d_separated({"X"}, ())
+        with pytest.raises(GraphError, match=r"^query sets must be pairwise disjoint$"):
+            CHAIN.d_separated({"X"}, {"Z"}, {"Z"})
+
+    def test_repeated_names_count_once(self):
+        assert CHAIN.d_separated(["X", "X"], ("Z",), ["Y", "Y"])
+
 
 class TestKernelAgreement:
     """The reachability kernel must match brute-force path enumeration."""
@@ -198,6 +210,34 @@ class TestKernelAgreement:
             zs = {v for v in rest if rng.random() < 0.4}
             fast = dag.d_separated(xs, ys, zs)
             assert fast == d_separated_bruteforce(dag, xs, ys, zs), (dag.edges, xs, ys, zs)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_set_valued_kernel_matches_bruteforce_on_9_nodes(self, seed):
+        rng = random.Random(seed + 3000)
+        dag = random_dag(rng, 9)
+        parents, children = dag._parent_masks, dag._child_masks
+        for _ in range(40):
+            x_mask, y_mask = rng.randrange(1, 512), rng.randrange(1, 512)
+            y_mask &= ~x_mask
+            if not y_mask:
+                continue
+            z_mask = rng.randrange(512) & ~x_mask & ~y_mask
+            xs, ys, zs = (
+                {dag.nodes[i] for i in range(9) if m >> i & 1} for m in (x_mask, y_mask, z_mask)
+            )
+            separated = d_separated_bruteforce(dag, xs, ys, zs)
+            assert dconnected(parents, children, x_mask, y_mask, z_mask) != separated, (
+                dag.edges, xs, ys, zs)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ancestor_mask_matches_reference(self, seed):
+        rng = random.Random(seed + 4000)
+        n = rng.randint(1, 10)
+        dag = random_dag(rng, n)
+        for seed_mask in [0, *(rng.randrange(1 << n) for _ in range(20))]:
+            zs = {dag.nodes[i] for i in range(n) if seed_mask >> i & 1}
+            expected = sum(1 << dag.nodes.index(v) for v in _ancestors(dag, zs))
+            assert ancestor_mask(dag._parent_masks, seed_mask) == expected, (dag.edges, zs)
 
     def test_bruteforce_guard(self):
         rng = random.Random(0)

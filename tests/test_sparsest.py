@@ -159,8 +159,51 @@ class CountingOracle(GraphOracle):
 
 
 def test_search_is_not_factorial():
-    # one call per (prefix set S, node v outside S, candidate u in S):
-    # n(n-1)2^(n-2) = 1,344 at n = 7; the factorial search makes 105,840
+    # one call per unordered pair and conditioning set: n(n-1)2^(n-3) = 672
+    # at n = 7; the factorial search makes 105,840
     o = CountingOracle(random_dag(random.Random("sparsest:count"), 7))
     sparsest_permutations(o)
     assert o.calls <= 7 * 6 * 2 ** 5
+
+
+class QueryLog(GraphOracle):
+    """Logs every ``query`` call, cache hits included, and every backend
+    call, each in call order."""
+
+    def __init__(self, dag):
+        super().__init__(dag)
+        self.queries, self.backend_calls = [], []
+
+    def query(self, x, y, s=()):
+        self.queries.append((x, y, frozenset(s)))
+        return super().query(x, y, s)
+
+    def _query(self, x, y, s):
+        self.backend_calls.append((x, y, s))
+        return super()._query(x, y, s)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("seed", range(2))
+def test_one_query_per_pair_and_conditioning_set(n, seed):
+    base = random_dag(random.Random(f"sparsest:mirror:{n}:{seed}"), n)
+    # labels in reverse string order, so variable order is not label order
+    label = {v: chr(ord("Z") - i) for i, v in enumerate(base.nodes)}
+    dag = Dag([label[v] for v in base.nodes], [(label[a], label[b]) for a, b in base.edges])
+    o, ref = QueryLog(dag), QueryLog(dag)
+    got, want = sparsest_permutations(o), factorial_sparsest(ref)
+    assert [(p, d.to_dict()) for p, d in got] == [(p, d.to_dict()) for p, d in want]
+    pos = {v: i for i, v in enumerate(o.variables)}
+    assert all(pos[x] < pos[y] for x, y, _ in o.queries)
+    assert len(set(o.queries)) == len(o.queries) == n * (n - 1) * 2 ** n // 8
+    # every query is a miss, met in the same orientation as by the factorial
+    # search, and asked in ascending order of its prefix set T + {x}, then
+    # of v = y, then of the candidate u = x
+    assert o.backend_calls == o.queries
+    assert set(o.backend_calls) == set(ref.backend_calls)
+
+    def visit(call):
+        x, y, s = call
+        return sum(1 << pos[v] for v in s | {x}), pos[y], pos[x]
+
+    assert o.backend_calls == sorted(o.backend_calls, key=visit)
