@@ -11,11 +11,11 @@ assignments (desk scale, capped at ``MAX_CELLS`` = 2**20 cells).
 
 Every marginal comes from one projection, ``_Lattice``: the marginal over
 a set of positions is summed out of the cached marginal over that set plus
-one more position, down from the full table.  An oracle keeps one lattice
-for all of its queries (``DiscreteJoint._with_lattice``,
-``Dataset._with_lattice``), so the many conditioning sets of a scan share
-their partial sums; the lattice stores at most ``MAX_CELLS`` cells and
-goes away with its owner.
+one more position, down from the full table.  Each ``DiscreteJoint`` and
+``Dataset`` makes one lattice when it is built and projects every query
+through it, so all queries on one table (a scenario's Markov check, every
+oracle over it, ``prob`` and ``marginalize``) share their partial sums; the
+lattice stores at most ``MAX_CELLS`` cells and goes away with its table.
 """
 
 from __future__ import annotations
@@ -106,11 +106,13 @@ class Cpt:
 class Dataset:
     """Finite sample of integer-coded rows, one value in ``range(card)`` per
     variable (at most ``MAX_CELLS`` assignments), counted once into ``_counts``:
-    the dense row-major table over ``variables`` that each G-test query projects."""
+    the dense row-major table over ``variables`` that each G-test query
+    projects through the dataset's own marginal lattice, ``_lattice``."""
 
     variables: tuple[tuple[str, int], ...]
     rows: tuple[tuple[int, ...], ...]
     _counts: list[int] = field(init=False, repr=False, compare=False)
+    _lattice: _Lattice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cards = [c for _, c in _domains(self.variables)[0]]
@@ -121,6 +123,7 @@ class Dataset:
                 raise DistributionError(f"row {row} is not one value in range(card) per variable")
             counts[sum(int(v) * st for v, st in zip(row, strides))] += n
         object.__setattr__(self, "_counts", counts)
+        object.__setattr__(self, "_lattice", _Lattice(counts, cards))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -129,28 +132,9 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def _project(self, order: Sequence[int]) -> Sequence[int]:
-        """Counts of the marginal over the positions ``order``, kept in that
-        order, through a lattice that lives for this call."""
-        return _Lattice(self._counts, [c for _, c in self.variables]).project(order)
-
-    def _with_lattice(self) -> "Dataset":
-        """This dataset, sharing its rows and counts, projecting through a
-        lattice of its own for as long as the returned object lives."""
-        data = object.__new__(_LatticeDataset)
-        for name in ("variables", "rows", "_counts"):
-            object.__setattr__(data, name, getattr(self, name))
-        lattice = _Lattice(self._counts, [c for _, c in self.variables])
-        object.__setattr__(data, "_lattice", lattice)
-        return data
-
-
-class _LatticeDataset(Dataset):
-    """A dataset that keeps its marginal lattice across calls (made by
-    ``Dataset._with_lattice``)."""
-
-    def _project(self, order):
-        return self._lattice.project(order)
+    def __reduce__(self):
+        # rebuilt from the rows, so a copy starts with an empty lattice
+        return Dataset, (self.variables, self.rows)
 
 
 def _strides(cards: Sequence[int], order: Sequence[int]) -> tuple[list[int], int]:
@@ -240,9 +224,9 @@ class _Lattice:
     ascending marginal through a gather index list, built once per shape
     (the kept cardinalities and their strides) and shared by all lattices.
 
-    An owner (an oracle, or a scenario's construction-time Markov check)
-    keeps one lattice for as long as it queries the table; ``prob`` and
-    ``marginalize`` use one per call.
+    A lattice belongs to its table: each ``DiscreteJoint`` and ``Dataset``
+    makes one at construction, every query on that table reads it, and a
+    copy or unpickled table starts with an empty one.
     """
 
     __slots__ = ("table", "cards", "marginals")
@@ -314,10 +298,11 @@ class DiscreteJoint:
     The table is kept once, as integer weights over the common
     denominator ``_denom``; ``probs`` reads it as Fractions
     (``probs[i] == _weights[i] / _denom``).  Marginals and CI checks run
-    on the integers.
+    on the integers, projected through the joint's own marginal lattice,
+    ``_lattice``.
     """
 
-    __slots__ = ("variables", "_weights", "_denom", "_cards", "_pos")
+    __slots__ = ("variables", "_weights", "_denom", "_cards", "_pos", "_lattice")
 
     def __init__(
         self,
@@ -342,6 +327,7 @@ class DiscreteJoint:
         object.__setattr__(self, "_denom", denom)
         object.__setattr__(self, "_cards", tuple(c for _, c in variables))
         object.__setattr__(self, "_pos", {n: i for i, (n, _) in enumerate(variables)})
+        object.__setattr__(self, "_lattice", _Lattice(weights, self._cards))
 
     @classmethod
     def _from_weights(cls, variables, weights, denom) -> "DiscreteJoint":
@@ -408,21 +394,12 @@ class DiscreteJoint:
             if v not in range(c):
                 return ZERO
             index = index * c + int(v)
-        weights = self._project(list(fixed))
+        weights = self._lattice.project(list(fixed))
         return Fraction(weights[index], self._denom)
 
-    def _project(self, order: Sequence[int]) -> Sequence[int]:
-        """Integer weights of the marginal over the positions ``order``,
-        kept in that order, through a lattice that lives for this call."""
-        return _Lattice(self._weights, self._cards).project(order)
-
-    def _with_lattice(self) -> "DiscreteJoint":
-        """This joint, sharing its table, projecting through a lattice of
-        its own for as long as the returned object lives."""
-        joint = object.__new__(_LatticeJoint)
-        joint._fill(self.variables, self._weights, self._denom)
-        object.__setattr__(joint, "_lattice", _Lattice(self._weights, self._cards))
-        return joint
+    def __reduce__(self):
+        # the lattice is not pickled: a copy starts with an empty one
+        return DiscreteJoint._from_weights, (self.variables, self._weights, self._denom)
 
     # -- construction --------------------------------------------------------
 
@@ -469,7 +446,7 @@ class DiscreteJoint:
         positions = [self._position(n) for n in keep]
         if len(set(positions)) != len(positions):
             raise DistributionError("duplicate variable names")
-        weights = self._project(positions)
+        weights = self._lattice.project(positions)
         return DiscreteJoint._from_weights(
             tuple(self.variables[p] for p in positions), weights, self._denom
         )
@@ -491,8 +468,8 @@ class DiscreteJoint:
         order (the answer does not depend on the order of s), then xs,
         then ys; within each block of one s value, P(s) is the block sum
         and P(x,s), P(y,s) are its row and column sums.  The projection
-        comes from the joint's marginal lattice (see ``_Lattice``): an
-        oracle's joint keeps one for all of its queries.
+        comes from the joint's marginal lattice (see ``_Lattice``), which
+        every query on this joint shares, whichever oracle asks it.
         """
         xs, ys, s = list(xs), list(ys), list(s)
         if not xs or not ys:
@@ -500,8 +477,8 @@ class DiscreteJoint:
         names = s + xs + ys
         if len(set(names)) != len(names):
             raise DistributionError("query sets must be pairwise disjoint")
-        w = self._project(sorted(self._position(n) for n in s)
-                          + [self._position(n) for n in xs + ys])
+        w = self._lattice.project(sorted(self._position(n) for n in s)
+                                  + [self._position(n) for n in xs + ys])
         nx = math.prod(self.card(n) for n in xs)
         ny = math.prod(self.card(n) for n in ys)
         block = nx * ny
@@ -527,13 +504,3 @@ class DiscreteJoint:
         cells = list(self.assignments())
         idx = rng.choices(range(len(cells)), cum_weights=cum, k=n)
         return Dataset(self.variables, tuple(cells[i] for i in idx))
-
-
-class _LatticeJoint(DiscreteJoint):
-    """A joint that keeps its marginal lattice across calls (made by
-    ``DiscreteJoint._with_lattice``)."""
-
-    __slots__ = ("_lattice",)
-
-    def _project(self, order):
-        return self._lattice.project(order)

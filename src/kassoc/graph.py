@@ -123,6 +123,9 @@ class Dag:
     def __setattr__(self, name, value):
         raise AttributeError("Dag is immutable")
 
+    def __reduce__(self):
+        return Dag, (self.nodes, self.edges)
+
     def __eq__(self, other):
         return (
             isinstance(other, Dag)

@@ -1,7 +1,7 @@
 """G-test of conditional independence on the count table a ``Dataset``
 builds once, projected per query by the exact backend's marginal lattice
-(``distribution._Lattice``): a ``GTestOracle``'s dataset keeps one lattice
-for all of its queries.
+(``distribution._Lattice``).  The lattice belongs to the dataset, so every
+query on one dataset, from any ``GTestOracle`` or direct call, shares it.
 
 The only floating-point zone in the codebase: the G statistic, and the
 chi-squared tail (series / continued-fraction regularized incomplete gamma).
@@ -108,7 +108,7 @@ def g_test(
         raise DistributionError(f"unknown variable {unknown[0]!r}")
     order = [pos[n] for n in names]
     cards = [c for _, c in dataset.variables]
-    table = dataset._project(order)
+    table = dataset._lattice.project(order)
     cx, cy = cards[order[-2]], cards[order[-1]]
     block = cx * cy
 

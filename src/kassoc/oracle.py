@@ -1,9 +1,12 @@
 """A single independence-query capability with interchangeable backends.
 
 Backends: graph truth (d-separation), exact discrete joint, exact
-linear-Gaussian partial correlation, and a sample-based G-test.  All
-backends are immutable after construction except the answer cache and the
-query counter, which counts the queries a backend answered.
+linear-Gaussian partial correlation, and a sample-based G-test.  An
+oracle itself changes after construction only in its answer cache and its
+query counter, which counts the queries a backend answered.  The marginal
+lattice a discrete or G-test query reads belongs to the table (the
+``DiscreteJoint`` or ``Dataset``), not to the oracle: every oracle over
+one table, and the table's other users, share its cached marginals.
 """
 
 from __future__ import annotations
@@ -99,13 +102,12 @@ class DiscreteOracle(IndependenceOracle):
     def __init__(self, joint: DiscreteJoint):
         super().__init__(joint.names)
         self.joint = joint
-        self._joint = joint._with_lattice()  # marginals cached for this oracle
 
     def _query(self, x, y, s):
-        return self._joint.is_independent(x, y, s)
+        return self.joint.is_independent(x, y, s)
 
     def query_sets(self, xs, ys, s=()):
-        ans = self._joint.is_independent_sets(*self._check(xs, ys, s))
+        ans = self.joint.is_independent_sets(*self._check(xs, ys, s))
         self._count += 1
         return ans
 
@@ -144,7 +146,6 @@ class GTestOracle(IndependenceOracle):
         super().__init__(dataset.names)
         self.dataset = dataset
         self.config = config or GTestConfig()
-        self._dataset = dataset._with_lattice()  # marginals cached for this oracle
 
     def _query(self, x, y, s):
-        return g_test(self._dataset, x, y, sorted(s), self.config).independent
+        return g_test(self.dataset, x, y, sorted(s), self.config).independent

@@ -7,10 +7,11 @@ graph nodes.  Every scenario satisfies the causal Markov condition by
 construction: a discrete scenario checks the local Markov statements of
 its DAG (:meth:`Dag.local_markov_statements`, each node independent of its
 other non-descendants given its parents, one exact query per node), the
-same definition :func:`kassoc.audit.check_cmc` uses, and a Gaussian
-scenario's coefficients must form its DAG.  The assumption annotations
-of a scenario come from :func:`kassoc.audit.audit_scenario`; a scenario
-neither runs nor caches an audit itself.  :func:`save` and :func:`load`
+same definition :func:`kassoc.audit.check_cmc` uses, and fills the joint's
+marginal lattice that every oracle over the scenario then reads; a
+Gaussian scenario's coefficients must form its DAG.  The assumption
+annotations of a scenario come from :func:`kassoc.audit.audit_scenario`;
+a scenario neither runs nor caches an audit itself.  :func:`save` and :func:`load`
 give a bit-exact JSON form, with every rational as a "num/den" string.
 """
 
@@ -55,9 +56,8 @@ class Scenario:
             object.__setattr__(self, "cpts", tuple(self.cpts))
             joint = DiscreteJoint.from_cpts(self.dag, self.cpts)
             object.__setattr__(self, "_joint", joint)
-            checked = joint._with_lattice()  # marginals shared by the statements
             for v, rest, parents in self.dag.local_markov_statements():
-                if not checked.is_independent_sets([v], rest, parents):
+                if not joint.is_independent_sets([v], rest, parents):
                     raise ScenarioError(
                         f"CMC violated: {v} dependent on non-descendants {rest} given parents {parents}"
                     )
@@ -529,6 +529,9 @@ def _load(doc: dict) -> Scenario:
             noise = _fractions(payload["noise"], "noise")
         except (KeyError, TypeError) as exc:
             raise ScenarioError(f"malformed gaussian payload: {exc}") from exc
+        if order != dag.nodes:
+            raise ScenarioError(f"gaussian order {list(order)} must list the nodes "
+                                f"{list(dag.nodes)} in the same sequence")
         system = GaussianSystem(order, coeffs, noise)
         return Scenario(name, dag, "gaussian", gaussian=system, params=params, notes=notes)
     if kind == "graph":

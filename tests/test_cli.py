@@ -205,7 +205,7 @@ class TestScenarioLoading:
         "node_not_a_string", "nodes_not_a_list", "name_null",
         "cardinality_float", "parent_cardinality_float", "cardinality_bool",
         "parents_string", "order_not_a_list", "probs_bool", "param_float",
-        "notes_not_a_string",
+        "notes_not_a_string", "order_permuted",
     ])
     def test_invalid_file_contents_exit_two(self, tmp_path, capsys, defect):
         graph = {"name": "g", "nodes": ["X", "Y"], "edges": [], "payload": {"type": "graph"}}
@@ -232,6 +232,9 @@ class TestScenarioLoading:
         elif defect == "order_not_a_list":
             doc = save(builtin("cancel3"))
             doc["payload"]["order"] = {v: i for i, v in enumerate(doc["payload"]["order"])}
+        elif defect == "order_permuted":
+            doc = save(builtin("cancel3"))
+            doc["payload"]["order"] = doc["payload"]["order"][::-1]
         elif defect == "node_not_a_string":
             doc = {**graph, "nodes": ["X", 1]}
         elif defect == "nodes_not_a_list":
@@ -263,6 +266,8 @@ class TestScenarioLoading:
         assert code == 2
         assert report is None
         assert err.startswith("error: ") and err.count("\n") == 1
+        if defect == "order_permuted":
+            assert "gaussian order" in err
 
     def test_gaussian_payload_off_the_graph_exits_two(self, tmp_path, capsys):
         doc = save(builtin("cancel3"))

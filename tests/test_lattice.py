@@ -1,20 +1,21 @@
 """The marginal lattice (``distribution._Lattice``) against the sum-out loop
-it replaced, and the lattices the oracles own."""
+it replaced, and the one lattice each joint and dataset owns."""
 
 import math
 import random
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_cpt_net
 from kassoc import distribution
-from kassoc.audit import audit_scenario
-from kassoc.distribution import DiscreteJoint, _Lattice, _index_map, _strides, _sum_out
+from kassoc.audit import audit_scenario, check_cmc
+from kassoc.distribution import Dataset, DiscreteJoint, _Lattice, _index_map, _strides, _sum_out
 from kassoc.gtest import g_test
-from kassoc.oracle import DiscreteOracle, GTestOracle
-from kassoc.scenarios import Scenario
+from kassoc.oracle import GTestOracle
+from kassoc.scenarios import Scenario, builtin
 
 
 def reference_marginal(weights, cards, order):
@@ -109,18 +110,17 @@ def test_one_lattice_reused_matches_the_reference(joint, budget, data):
 @settings(max_examples=150, deadline=None)
 @given(joint=joints(), budget=st.sampled_from([None, 0, 4]), data=st.data())
 def test_ci_answers_match_the_reference_projection(joint, budget, data):
-    """An oracle's joint (one lattice for all its queries) and a plain joint
-    (one per call) give the answer the reference projection gives, for s in
-    any order."""
+    """One joint, reused across many queries through its own lattice, gives
+    the answer the reference projection gives, for s in any order."""
     if len(joint.names) < 2:
         return
     with mock.patch.object(distribution, "MAX_CELLS", budget or distribution.MAX_CELLS):
-        cached = joint._with_lattice()
         for _ in range(15):
             xs, ys, s = data.draw(queries(joint.names))
             want = reference_is_independent(joint, xs, ys, s)
-            assert cached.is_independent_sets(xs, ys, s) == want, (xs, ys, s)
+            assert joint.is_independent_sets(xs, ys, s) == want, (xs, ys, s)
             assert joint.is_independent_sets(xs, ys, s[::-1]) == want, (xs, ys, s)
+        assert joint._lattice.marginals.cells <= distribution.MAX_CELLS
 
 
 def seeded_scenario(n):
@@ -130,42 +130,40 @@ def seeded_scenario(n):
 
 
 def test_audit_lattice_stays_within_a_small_budget(monkeypatch):
-    """A full audit of an 8-node net under a 300-cell budget (its lattice
-    has 3**8 = 6561 cells) stores at most 300 and reports what an
-    unbudgeted audit reports."""
-    scenario = seeded_scenario(8)
-    want = audit_scenario(scenario).to_dict()
+    """A scenario built and fully audited under a 300-cell budget (its
+    8-node table has 3**8 = 6561 cells) stores at most 300 cells in its
+    joint's lattice and reports what an unbudgeted audit reports."""
+    want = audit_scenario(seeded_scenario(8)).to_dict()
     monkeypatch.setattr(distribution, "MAX_CELLS", 300)
-    made = []
-
-    def oracle(sc):
-        made.append(DiscreteOracle(sc.joint))
-        return made[-1]
-
-    monkeypatch.setattr(Scenario, "oracle", oracle)
+    scenario = seeded_scenario(8)
     assert audit_scenario(scenario).to_dict() == want
-    (oracle,) = made
-    marginals = oracle._joint._lattice.marginals
+    marginals = scenario.joint._lattice.marginals
     assert 0 < marginals.cells <= 300
     assert marginals.cells == sum(map(len, marginals.values()))
 
 
-def test_oracles_over_one_joint_share_no_marginals():
-    joint = seeded_scenario(7).joint
-    a, b = DiscreteOracle(joint), DiscreteOracle(joint)
-    for o in (a, b):
-        for x, y in zip(joint.names, joint.names[1:]):
-            o.query(x, y, [v for v in joint.names if v not in (x, y)][:3])
-    ma, mb = a._joint._lattice.marginals, b._joint._lattice.marginals
-    assert ma is not mb and ma.keys() == mb.keys() and ma
-    assert not {id(m) for m in ma.values()} & {id(m) for m in mb.values()}
-    assert a.joint is joint and a._joint == joint
-    assert DiscreteJoint.__slots__ == ("variables", "_weights", "_denom", "_cards", "_pos")
+@pytest.mark.parametrize("make", [
+    lambda: builtin("example1"),
+    lambda: builtin("example2"),
+    lambda: builtin("xor_chain"),
+    lambda: seeded_scenario(8),
+], ids=["example1", "example2", "xor_chain", "net8"])
+def test_markov_check_fills_the_lattice_the_oracle_reads(make):
+    """The construction-time local-Markov check and the audit's CMC check
+    ask the same statements of the same joint, so the audit adds no
+    marginal to the lattice the scenario's check filled."""
+    scenario = make()
+    marginals = scenario.joint._lattice.marginals
+    before = dict(marginals)
+    assert before
+    assert check_cmc(scenario.dag, scenario.oracle()).holds
+    assert marginals.keys() == before.keys()
+    assert all(marginals[k] is v for k, v in before.items())
 
 
 def test_gtest_oracle_statistics_are_bit_identical():
-    """The G-test projects (name-sorted s, x, y) through the oracle's lattice
-    and gets the very statistic a per-call projection gets."""
+    """The G-test projects (name-sorted s, x, y) through the dataset's
+    reused lattice and gets the very statistic a fresh dataset gets."""
     data = seeded_scenario(7).joint.sample(500, 3)
     oracle = GTestOracle(data)
     names = data.names
@@ -173,7 +171,7 @@ def test_gtest_oracle_statistics_are_bit_identical():
         for y in names[i + 1 :]:
             rest = sorted(v for v in names if v not in (x, y))
             for s in (rest[:1], rest[1:4], rest[::-2]):
-                got = g_test(oracle._dataset, x, y, sorted(s))
-                assert got == g_test(data, x, y, sorted(s))
+                got = g_test(data, x, y, sorted(s))
+                assert got == g_test(Dataset(data.variables, data.rows), x, y, sorted(s))
                 assert oracle.query(x, y, s) == got.independent
-    assert oracle._dataset._lattice.marginals
+    assert data._lattice.marginals

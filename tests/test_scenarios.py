@@ -1,7 +1,9 @@
 """Scenario generators, parameter guards, serialization, audits."""
 
+import copy
 import itertools
 import json
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -11,6 +13,7 @@ from kassoc.audit import audit_scenario
 from kassoc.distribution import DiscreteJoint
 from kassoc.gaussian import GaussianSystem
 from kassoc.graph import Dag
+from kassoc.oracle import DiscreteOracle, GraphOracle, GTestOracle
 from kassoc.scenarios import (
     BUILTINS,
     Scenario,
@@ -154,6 +157,35 @@ class TestSerialization:
         assert system.dag.edges
         s = Scenario("sem", system.dag, "gaussian", gaussian=system, params={"w": F(-3, 2)})
         assert load(json.loads(json.dumps(save(s)))) == s
+
+    @pytest.mark.parametrize("kind", ["dag", "joint", "dataset", "discrete", "gaussian"])
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_equal_the_original_and_answer_alike(self, kind, clone):
+        example2 = builtin("example2")
+        original, oracle = {
+            "dag": (example2.dag, GraphOracle),
+            "joint": (example2.joint, DiscreteOracle),
+            "dataset": (example2.joint.sample(300, 5), GTestOracle),
+            "discrete": (example2, Scenario.oracle),
+            "gaussian": (builtin("cancel4"), Scenario.oracle),
+        }[kind]
+
+        def answers(obj):
+            o = oracle(obj)
+            return [o.query(x, y, s)
+                    for x, y in itertools.combinations(o.variables, 2)
+                    for k in range(len(o.variables) - 1)
+                    for s in itertools.combinations(
+                        [v for v in o.variables if v not in (x, y)], k)]
+
+        want = answers(original)
+        twin = clone(original)
+        assert twin is not original and twin == original
+        if kind in ("joint", "dataset"):
+            assert not twin._lattice.marginals  # the cache is not copied
+        assert answers(twin) == want
 
     def test_document_is_json_serializable(self, example2):
         text = json.dumps(save(example2))
