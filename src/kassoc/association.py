@@ -3,9 +3,10 @@
 1-, 2- and strict 2-associations are universally quantified dependence
 patterns; they are decided by exhaustive enumeration of conditioning sets
 against an independence oracle.  Subsets are enumerated smallest-first
-(ties broken lexicographically by node index) so reported separating
-witnesses are minimal-size and reproducible.  ``weak_associations`` alone
-lists a node's weak associations, for ``assoc`` and the 2-AF and 2-OF audits.
+(ties broken lexicographically in pool order; the pools here keep the
+oracle's variable order) so reported separating witnesses are minimal-size
+and reproducible.  ``weak_associations`` alone lists a node's weak
+associations, for ``assoc`` and the 2-AF and 2-OF audits.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
-from .distribution import DiscreteJoint
 from .oracle import DiscreteOracle, IndependenceOracle, OracleError
 
 
@@ -74,12 +74,8 @@ class AssociationReport:
         }
 
 
-def subsets_by_size(
-    pool: Sequence[str], order: Sequence[str], max_size: int
-) -> Iterator[tuple[str, ...]]:
-    """Subsets of ``pool``, smallest first, lexicographic in ``order`` index."""
-    rank = {v: i for i, v in enumerate(order)}
-    pool = sorted(pool, key=rank.__getitem__)
+def subsets_by_size(pool: Sequence[str], max_size: int) -> Iterator[tuple[str, ...]]:
+    """Subsets of ``pool``, smallest first, lexicographic in ``pool`` order."""
     for size in range(min(max_size, len(pool)) + 1):
         yield from itertools.combinations(pool, size)
 
@@ -90,15 +86,14 @@ def first_separating_set(
     y: str,
     core: frozenset[str],
     pool: Sequence[str],
-    order: Sequence[str],
     max_size: int,
 ) -> frozenset[str] | None:
     """First ``core | S`` given which x and y are independent, or None.
 
-    S runs over ``subsets_by_size(pool, order, max_size)``, so None means x
-    and y stay dependent given ``core`` plus every such S.
+    S runs over ``subsets_by_size(pool, max_size)``, so None means x and y
+    stay dependent given ``core`` plus every such S.
     """
-    for s in subsets_by_size(pool, order, max_size):
+    for s in subsets_by_size(pool, max_size):
         given = core.union(s)
         if o.query(x, y, given):
             return given
@@ -119,9 +114,7 @@ def is_1_associated(
     if x == y:
         raise OracleError("x and y must be distinct")
     pool = [v for v in o.variables if v not in (x, y)]
-    given = first_separating_set(
-        o, x, y, frozenset(), pool, o.variables, budget.cap(len(pool))
-    )
+    given = first_separating_set(o, x, y, frozenset(), pool, budget.cap(len(pool)))
     if given is not None:
         return AssociationReport(
             x, (y,), "one", False, _ci_statement(x, y, given, True)
@@ -145,7 +138,7 @@ def is_2_associated(
         raise OracleError("x, y1, y2 must be distinct")
     pool = [v for v in o.variables if v not in (x, y1, y2)]
     clauses = ((x, y1, y2), (x, y2, y1), (y1, y2, x))
-    for s in subsets_by_size(pool, o.variables, budget.cap(len(pool))):
+    for s in subsets_by_size(pool, budget.cap(len(pool))):
         for a, b, extra in clauses:
             given = set(s) | {extra}
             if o.query(a, b, given):
@@ -195,13 +188,13 @@ def is_weakly_associated(
 def weak_associations(
     o: IndependenceOracle,
     x: str,
-    partners: Sequence[str],
     budget: AssociationBudget = UNBOUNDED,
 ) -> list[AssociationReport]:
-    """The holding reports of x's weak associations among ``partners``:
-    1-associations in the given order, then strict 2-associations to pairs
-    in ``itertools.combinations`` order.  A pair's strictness is read off
-    the single-partner reports (a refuted one is never up to budget)."""
+    """The holding reports of x's weak associations: 1-associations to the
+    other variables in oracle order, then strict 2-associations to pairs of
+    them in ``itertools.combinations`` order.  A pair's strictness is read
+    off the single-partner reports (a refuted one is never up to budget)."""
+    partners = [v for v in o.variables if v != x]
     ones = {y: is_1_associated(o, x, y, budget) for y in partners}
     found = [r for r in ones.values() if r.holds]
     for y1, y2 in itertools.combinations(partners, 2):
@@ -225,44 +218,27 @@ class UnfaithfulTriple:
         }
 
 
-def _mutually_independent(joint: DiscreteJoint, x: str, y: str, z: str) -> bool:
-    """P(x,y,z) == P(x) P(y) P(z) everywhere, on the integer weights:
-    w_xyz * T**2 == w_x * w_y * w_z with T the total weight."""
-    sub = joint.marginalize([x, y, z])
-    wx, wy, wz = (sub.marginalize([v])._weights for v in (x, y, z))
-    t2 = sub._denom ** 2
-    for (xv, yv, zv), w in zip(sub.assignments(), sub._weights):
-        if w * t2 != wx[xv] * wy[yv] * wz[zv]:
-            return False
-    return True
-
-
-def find_unfaithful_triples(
-    o: IndependenceOracle,
-    budget: AssociationBudget = UNBOUNDED,
-) -> list[UnfaithfulTriple]:
+def find_unfaithful_triples(o: IndependenceOracle) -> list[UnfaithfulTriple]:
     """All triples that are pairwise marginally independent but whose joint
     does not factorize, flagged minimal when every within-triple pair stays
     dependent under all outside conditioning sets.
 
-    Requires the discrete backend: the mutual-independence check needs the
-    joint table.
+    Requires the discrete backend: the mutual-independence check reads the
+    joint table.  Given y and z independent, x, y, z are mutually
+    independent iff x is independent of (y, z).
     """
     if not isinstance(o, DiscreteOracle):
         raise OracleError("unfaithful-triple search needs the discrete backend")
-    joint = o.joint
     out = []
     for x, y, z in itertools.combinations(o.variables, 3):
         if not (o.query(x, y) and o.query(x, z) and o.query(y, z)):
             continue
-        if _mutually_independent(joint, x, y, z):
+        if o.joint.is_independent_sets([x], [y, z]):
             continue
         witnesses = ()
         pool = [v for v in o.variables if v not in (x, y, z)]
         for a, b, third in ((x, y, z), (x, z, y), (y, z, x)):
-            given = first_separating_set(
-                o, a, b, frozenset((third,)), pool, o.variables, budget.cap(len(pool))
-            )
+            given = first_separating_set(o, a, b, frozenset((third,)), pool, len(pool))
             if given is not None:
                 witnesses = (_ci_statement(a, b, given, True),)
                 break

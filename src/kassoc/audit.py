@@ -86,7 +86,7 @@ def check_af(dag: Dag, oracle: IndependenceOracle) -> AuditResult:
     order = sorted(dag.nodes)
     for x, y in dag.edges:
         pool = [v for v in order if v not in (x, y)]
-        s = first_separating_set(oracle, x, y, frozenset(), pool, order, len(pool))
+        s = first_separating_set(oracle, x, y, frozenset(), pool, len(pool))
         if s is not None:
             return AuditResult("AF", False, {"edge": [x, y], "separating_set": sorted(s)})
     return AuditResult("AF", True)
@@ -175,8 +175,7 @@ def audit_scenario(scenario) -> AuditReport:
 
     @functools.cache  # one table per audit, filled on first use
     def partner_sets(y: str) -> list[tuple[str, ...]]:
-        others = [v for v in dag.nodes if v != y]
-        return [r.partners for r in weak_associations(oracle, y, others)]
+        return [r.partners for r in weak_associations(oracle, y)]
 
     results = (
         check_cmc(dag, oracle),

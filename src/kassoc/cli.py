@@ -87,8 +87,7 @@ def _cmd_assoc(scenario, args):
     _require_vars(scenario, [args.target])
     o = _make_oracle(scenario, args)
     budget = args.budget or UNBOUNDED  # direct callers may pass budget=None
-    others = [v for v in o.variables if v != args.target]
-    found = [r.to_dict() for r in weak_associations(o, args.target, others, budget)]
+    found = [r.to_dict() for r in weak_associations(o, args.target, budget)]
     summary = f"{len(found)} association(s) for {args.target}"
     return {"target": args.target, "associations": found}, summary, o
 

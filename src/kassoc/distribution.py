@@ -107,7 +107,8 @@ class Dataset:
     """Finite sample of integer-coded rows, one value in ``range(card)`` per
     variable (at most ``MAX_CELLS`` assignments), counted once into ``_counts``:
     the dense row-major table over ``variables`` that each G-test query
-    projects through the dataset's own marginal lattice, ``_lattice``."""
+    projects through the dataset's own marginal lattice, ``_lattice``.
+    ``variables`` and ``rows`` are stored validated, as tuples of tuples."""
 
     variables: tuple[tuple[str, int], ...]
     rows: tuple[tuple[int, ...], ...]
@@ -115,10 +116,14 @@ class Dataset:
     _lattice: _Lattice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cards = [c for _, c in _domains(self.variables)[0]]
+        variables = _domains(self.variables)[0]
+        rows = tuple(map(tuple, self.rows))
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "rows", rows)
+        cards = [c for _, c in variables]
         strides, size = _strides(cards, range(len(cards)))
         counts = [0] * size
-        for row, n in Counter(map(tuple, self.rows)).items():
+        for row, n in Counter(rows).items():
             if len(row) != len(cards) or not all(v in range(c) for v, c in zip(row, cards)):
                 raise DistributionError(f"row {row} is not one value in range(card) per variable")
             counts[sum(int(v) * st for v, st in zip(row, strides))] += n

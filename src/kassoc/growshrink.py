@@ -3,14 +3,16 @@
 ``modified`` mode adds the paired-conditioning clause to the grow phase
 (add X when the target depends on X given S plus one helper node Z), which
 picks up strict 2-associations that the classic grow phase misses.  The
-shrink phase removes singletons only and is shared by both modes.  Every
-query is logged, in order, as a :class:`GsStep` in a plain list.
+shrink phase removes singletons only and is shared by both modes.  Both
+phases scan the non-target variables in the oracle's order; the blanket
+does not depend on that order, only the query log does.  Every query is
+logged, in order, as a :class:`GsStep` in a plain list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .oracle import IndependenceOracle, OracleError
 
@@ -40,18 +42,17 @@ def grow(
     target: str,
     *,
     mode: str = "modified",
-    scan_order: Sequence[str] | None = None,
     trace: list[GsStep] | None = None,
 ) -> set[str]:
     """Fixpoint of the grow clauses; returns a superset of the blanket.
 
-    Scan policy per pass: single-node candidates in scan order first, then
+    Scan policy per pass: single-node candidates in oracle order first, then
     (candidate, helper) pairs; the first hit is added and the pass
     restarts.  The helper may already be in S (then the pair clause
     coincides with the single clause and never fires anew).
     """
     _check_target(o, target, mode)
-    order = _scan_order(o, target, scan_order)
+    order = [v for v in o.variables if v != target]
     trace = trace if trace is not None else []
     s: set[str] = set()
     while True:
@@ -92,14 +93,13 @@ def shrink(
     target: str,
     s: Iterable[str],
     *,
-    scan_order: Sequence[str] | None = None,
     trace: list[GsStep] | None = None,
 ) -> set[str]:
     """Fixpoint removal of single nodes separable from the target."""
     s = set(s)
     if target in s:
         raise OracleError("target cannot be in its own candidate blanket")
-    order = _scan_order(o, target, scan_order)
+    order = [v for v in o.variables if v != target]
     trace = trace if trace is not None else []
     changed = True
     while changed:
@@ -124,12 +124,11 @@ def markov_blanket(
     target: str,
     *,
     mode: str = "modified",
-    scan_order: Sequence[str] | None = None,
 ) -> tuple[set[str], list[GsStep]]:
     """Grow then shrink; ``modified`` or ``classic`` grow phase."""
     trace: list[GsStep] = []
-    grown = grow(o, target, mode=mode, scan_order=scan_order, trace=trace)
-    final = shrink(o, target, grown, scan_order=scan_order, trace=trace)
+    grown = grow(o, target, mode=mode, trace=trace)
+    final = shrink(o, target, grown, trace=trace)
     return final, trace
 
 
@@ -138,12 +137,3 @@ def _check_target(o, target, mode):
         raise OracleError(f"unknown target {target!r}")
     if mode not in ("modified", "classic"):
         raise OracleError(f"unknown mode {mode!r}")
-
-
-def _scan_order(o, target, scan_order):
-    if scan_order is None:
-        return [v for v in o.variables if v != target]
-    order = list(scan_order)
-    if set(order) != set(o.variables) - {target}:
-        raise OracleError("scan order must cover all non-target variables")
-    return order

@@ -73,12 +73,7 @@ class OrientationVerdict:
         }
 
 
-def check_nonadjacency(
-    o: IndependenceOracle,
-    x: str,
-    z: str,
-    budget: AssociationBudget = UNBOUNDED,
-) -> bool:
+def check_nonadjacency(o: IndependenceOracle, x: str, z: str) -> bool:
     """True iff no association evidence of adjacency between x and z exists.
 
     Evidence of adjacency: a 1-association between x and z, or a third node
@@ -90,8 +85,8 @@ def check_nonadjacency(
     if x == z:
         raise PreconditionError("x and z must be distinct")
     return not (
-        is_1_associated(o, x, z, budget).holds
-        or _strict2_third_node_evidence(o, x, z, budget)
+        is_1_associated(o, x, z).holds
+        or _strict2_third_node_evidence(o, x, z, UNBOUNDED)
     )
 
 
@@ -121,9 +116,7 @@ def _rule_defeat(o, center, left, right, with_center, order, budget):
         if with_center:
             core.add(center)
         pool = [v for v in order if v not in {x, z, center, *core}]
-        given = first_separating_set(
-            o, x, z, frozenset(core), pool, order, budget.cap(len(pool))
-        )
+        given = first_separating_set(o, x, z, frozenset(core), pool, budget.cap(len(pool)))
         if given is not None:
             return x, z, given
     return None

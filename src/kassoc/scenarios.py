@@ -62,7 +62,11 @@ class Scenario:
                         f"CMC violated: {v} dependent on non-descendants {rest} given parents {parents}"
                     )
         elif self.kind == "gaussian":
-            if self.gaussian is None or self.gaussian.dag != self.dag:
+            g = self.gaussian
+            if g is not None and g.dag.nodes != self.dag.nodes:
+                raise ScenarioError(f"gaussian order {list(g.dag.nodes)} must list the nodes "
+                                    f"{list(self.dag.nodes)} in the same sequence")
+            if g is None or g.dag != self.dag:
                 raise ScenarioError("gaussian coefficients must form the scenario graph")
             object.__setattr__(self, "_joint", None)
         elif self.kind == "graph":
@@ -384,7 +388,16 @@ def _parse_frac(s: str) -> Fraction:
 
 
 def save(scenario: Scenario) -> dict:
-    """JSON-ready document; rationals as "num/den" strings."""
+    """JSON-ready document; rationals as "num/den" strings.
+
+    Edges are written as "parent->child" strings, which :func:`load` splits
+    at the first "->" and strips, so a label containing "->" or with
+    surrounding whitespace is refused here rather than written unloadable.
+    """
+    for v in scenario.dag.nodes:
+        if "->" in v or v != v.strip():
+            raise ScenarioError(f"node label {v!r} cannot be saved: it contains '->' "
+                                "or surrounding whitespace")
     doc = {
         "name": scenario.name,
         "nodes": list(scenario.dag.nodes),
@@ -529,9 +542,6 @@ def _load(doc: dict) -> Scenario:
             noise = _fractions(payload["noise"], "noise")
         except (KeyError, TypeError) as exc:
             raise ScenarioError(f"malformed gaussian payload: {exc}") from exc
-        if order != dag.nodes:
-            raise ScenarioError(f"gaussian order {list(order)} must list the nodes "
-                                f"{list(dag.nodes)} in the same sequence")
         system = GaussianSystem(order, coeffs, noise)
         return Scenario(name, dag, "gaussian", gaussian=system, params=params, notes=notes)
     if kind == "graph":

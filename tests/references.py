@@ -8,12 +8,16 @@
 * :func:`enumerate_dags` and :func:`random_dag`: every labelled DAG on a
   few nodes, and seeded random DAGs.
 * :func:`replay_consistent`: asks every query of a grow-shrink trace again.
+* :func:`mutually_independent`: full factorisation of a three-variable
+  marginal, checked cell by cell on the integer weights; the reference for
+  the unfaithful-triple search's one set query.
 """
 
 import itertools
 import random
 from typing import Iterable, Iterator, Sequence
 
+from kassoc.distribution import DiscreteJoint
 from kassoc.graph import Dag, GraphError
 from kassoc.oracle import IndependenceOracle
 
@@ -159,3 +163,18 @@ def replay_consistent(trace, o: IndependenceOracle, target: str) -> bool:
         o.query(target, step.candidate, step.conditioning) == step.independent
         for step in trace
     )
+
+
+# -- mutual independence ----------------------------------------------------------
+
+
+def mutually_independent(joint: DiscreteJoint, x: str, y: str, z: str) -> bool:
+    """P(x,y,z) == P(x) P(y) P(z) everywhere, on the integer weights:
+    w_xyz * T**2 == w_x * w_y * w_z with T the total weight."""
+    sub = joint.marginalize([x, y, z])
+    wx, wy, wz = (sub.marginalize([v])._weights for v in (x, y, z))
+    t2 = sub._denom ** 2
+    for (xv, yv, zv), w in zip(sub.assignments(), sub._weights):
+        if w * t2 != wx[xv] * wy[yv] * wz[zv]:
+            return False
+    return True

@@ -1,6 +1,7 @@
 """k-association scans and unfaithful-triple detection."""
 
 import itertools
+from fractions import Fraction as F
 
 import pytest
 
@@ -18,21 +19,25 @@ from kassoc.association import (
 )
 from kassoc.graph import Dag
 from kassoc.oracle import DiscreteOracle, GraphOracle, GTestOracle, OracleError
-from kassoc.scenarios import BUILTINS, builtin
-from references import enumerate_dags
+from kassoc.scenarios import BUILTINS, builtin, noisy_xor
+from references import enumerate_dags, mutually_independent
 
 
 class TestSubsetOrder:
     def test_smallest_first(self):
-        subs = list(subsets_by_size(["B", "A", "C"], ["A", "B", "C"], 3))
+        subs = list(subsets_by_size(["A", "B", "C"], 3))
         sizes = [len(s) for s in subs]
         assert sizes == sorted(sizes)
         assert subs[0] == ()
         assert subs[1:4] == [("A",), ("B",), ("C",)]
 
     def test_budget_truncates(self):
-        subs = list(subsets_by_size(["A", "B", "C"], ["A", "B", "C"], 1))
+        subs = list(subsets_by_size(["A", "B", "C"], 1))
         assert max(len(s) for s in subs) == 1
+
+    def test_ties_follow_pool_order(self):
+        subs = list(subsets_by_size(["C", "A", "B"], 2))
+        assert subs == [(), ("C",), ("A",), ("B",), ("C", "A"), ("C", "B"), ("A", "B")]
 
 
 class TestFirstSeparatingSet:
@@ -41,20 +46,20 @@ class TestFirstSeparatingSet:
 
     def test_first_set_in_enumeration_order(self):
         o = self.CHAIN
-        assert first_separating_set(o, "X", "Z", frozenset(), ["W", "Y"], o.variables, 2) == {"Y"}
+        assert first_separating_set(o, "X", "Z", frozenset(), ["W", "Y"], 2) == {"Y"}
 
     def test_core_is_part_of_every_set(self):
         o = self.CHAIN
-        got = first_separating_set(o, "X", "Z", frozenset({"W"}), ["Y"], o.variables, 1)
+        got = first_separating_set(o, "X", "Z", frozenset({"W"}), ["Y"], 1)
         assert got == {"W", "Y"}
 
     def test_none_when_dependent_given_every_set(self):
         o = self.COLLIDER
-        assert first_separating_set(o, "X", "Z", frozenset({"Y"}), ["W"], o.variables, 1) is None
+        assert first_separating_set(o, "X", "Z", frozenset({"Y"}), ["W"], 1) is None
 
     def test_max_size_bounds_the_scan(self):
         o = self.CHAIN
-        assert first_separating_set(o, "X", "Z", frozenset(), ["W", "Y"], o.variables, 0) is None
+        assert first_separating_set(o, "X", "Z", frozenset(), ["W", "Y"], 0) is None
 
 
 class TestExampleOne:
@@ -142,8 +147,7 @@ class TestWeakAssociations:
     def assert_agrees(make_oracle, x, budget):
         ref, got = make_oracle(), make_oracle()
         want = per_candidate_scan(ref, x, budget)
-        others = [v for v in got.variables if v != x]
-        assert weak_associations(got, x, others, budget) == want
+        assert weak_associations(got, x, budget) == want
         assert got.query_count == ref.query_count
         return want
 
@@ -164,8 +168,8 @@ class TestWeakAssociations:
             self.assert_agrees(lambda: GTestOracle(data), x, UNBOUNDED)
 
     def test_partner_order_is_kept(self, example1):
-        o = DiscreteOracle(example1.joint)
-        got = weak_associations(o, "X", ["Z", "Y"])
+        o = DiscreteOracle(example1.joint.marginalize(["X", "Z", "Y"]))
+        got = weak_associations(o, "X")
         assert [r.partners for r in got] == [("Z", "Y")]
 
 
@@ -190,6 +194,22 @@ class TestUnfaithfulTriples:
         assert minimal == [frozenset({"U", "W", "Z"})]
         non_minimal = [frozenset(t.nodes) for t in triples if not t.minimal]
         assert frozenset({"X", "Y", "Z"}) in non_minimal
+
+    def test_one_set_query_agrees_with_full_factorisation(self, all_builtins):
+        """Given y and z independent, x independent of (y, z) is mutual
+        independence: the search's set query against the cell-by-cell
+        reference, on every pairwise-independent triple."""
+        joints = [s.joint for s in all_builtins.values() if s.kind == "discrete"]
+        joints += [noisy_xor(F(k, 12)).joint for k in range(6)]
+        verdicts = set()
+        for joint in joints:
+            for x, y, z in itertools.combinations(joint.names, 3):
+                if not all(joint.is_independent(a, b) for a, b in ((x, y), (x, z), (y, z))):
+                    continue
+                want = mutually_independent(joint, x, y, z)
+                assert joint.is_independent_sets([x], [y, z]) == want, (x, y, z)
+                verdicts.add(want)
+        assert verdicts == {True, False}
 
 
 class TestColliderTheoremExhaustive:

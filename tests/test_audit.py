@@ -125,7 +125,7 @@ def _separating_set(oracle, x, z, core, pool):
     """First ``core | S`` separating x and z; S runs over every subset of
     ``pool``, smallest first, lexicographic by label."""
     pool = sorted(pool)
-    return first_separating_set(oracle, x, z, frozenset(core), pool, pool, len(pool))
+    return first_separating_set(oracle, x, z, frozenset(core), pool, len(pool))
 
 
 def reference_af(dag, oracle):

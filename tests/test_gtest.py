@@ -218,3 +218,12 @@ class TestDatasetChecks:
         a = Dataset(self.VARIABLES, ((0, 1), (1, 2)))
         b = Dataset(self.VARIABLES, ((0, 1), (1, 2)))
         assert a == b and hash(a) == hash(b) and "_counts" not in repr(a)
+
+    def test_list_input_is_stored_as_its_tuple_twin(self):
+        rows = ((0, 1), (1, 2), (1, 0), (0, 2), (1, 1))
+        twin = Dataset(self.VARIABLES, rows)
+        for variables in ([["A", 2], ["B", 3]], [["A", "2"], ["B", "3"]]):
+            data = Dataset(variables, [list(r) for r in rows])
+            assert data.variables == self.VARIABLES and data.rows == rows
+            assert data == twin and hash(data) == hash(twin)
+            assert g_test(data, "A", "B") == g_test(twin, "A", "B")

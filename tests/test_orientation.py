@@ -159,9 +159,7 @@ def reference_rule_defeat(q, with_center):
         if with_center:
             core.add(q.center)
         pool = [v for v in o.variables if v not in {x, z, q.center, *core}]
-        given = first_separating_set(
-            o, x, z, frozenset(core), pool, o.variables, q.budget.cap(len(pool))
-        )
+        given = first_separating_set(o, x, z, frozenset(core), pool, q.budget.cap(len(pool)))
         if given is not None:
             return _ci_statement(x, z, given, True)
     return None

@@ -122,9 +122,12 @@ class TestConstructionInvariants:
         chain = GaussianSystem(
             ("X", "Y", "Z"), {("Y", "X"): 1, ("Z", "Y"): 1}, {v: 1 for v in "XYZ"}
         )
-        for dag in (Dag(["X", "Y", "Z"], [("X", "Y")]), Dag(["Z", "Y", "X"], chain.dag.edges)):
-            with pytest.raises(ScenarioError, match="gaussian coefficients"):
-                Scenario("mismatched", dag, "gaussian", gaussian=chain)
+        with pytest.raises(ScenarioError, match="gaussian coefficients"):
+            Scenario("mismatched", Dag(["X", "Y", "Z"], [("X", "Y")]), "gaussian", gaussian=chain)
+        # the same graph with its nodes listed in another sequence
+        with pytest.raises(ScenarioError, match=r"gaussian order \['X', 'Y', 'Z'\] must list "
+                           r"the nodes \['Z', 'Y', 'X'\] in the same sequence"):
+            Scenario("permuted", Dag(["Z", "Y", "X"], chain.dag.edges), "gaussian", gaussian=chain)
         scenario = Scenario("chain", chain.dag, "gaussian", gaussian=chain)
         assert audit_scenario(scenario)["CMC"].holds
 
@@ -186,6 +189,17 @@ class TestSerialization:
         if kind in ("joint", "dataset"):
             assert not twin._lattice.marginals  # the cache is not copied
         assert answers(twin) == want
+
+    @pytest.mark.parametrize("label", ["A->B", " X", "X ", "->"])
+    def test_labels_that_load_would_misread_are_refused(self, label):
+        s = Scenario("labels", Dag([label, "Y"], [(label, "Y")]), "graph")
+        with pytest.raises(ScenarioError, match="cannot be saved"):
+            save(s)
+
+    @pytest.mark.parametrize("label", ["A,B", "a b", "Zürich", "-", ">"])
+    def test_other_labels_round_trip(self, label):
+        s = Scenario("labels", Dag([label, "Y"], [(label, "Y")]), "graph")
+        assert load(json.loads(json.dumps(save(s)))) == s
 
     def test_document_is_json_serializable(self, example2):
         text = json.dumps(save(example2))
