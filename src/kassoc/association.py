@@ -223,9 +223,9 @@ def find_unfaithful_triples(o: IndependenceOracle) -> list[UnfaithfulTriple]:
     does not factorize, flagged minimal when every within-triple pair stays
     dependent under all outside conditioning sets.
 
-    Requires the discrete backend: the mutual-independence check reads the
-    joint table.  Given y and z independent, x, y, z are mutually
-    independent iff x is independent of (y, z).
+    Requires the discrete backend.  Given y and z independent, x, y, z are
+    mutually independent iff x is independent of (y, z): one set query,
+    counted by the oracle like every other.
     """
     if not isinstance(o, DiscreteOracle):
         raise OracleError("unfaithful-triple search needs the discrete backend")
@@ -233,7 +233,7 @@ def find_unfaithful_triples(o: IndependenceOracle) -> list[UnfaithfulTriple]:
     for x, y, z in itertools.combinations(o.variables, 3):
         if not (o.query(x, y) and o.query(x, z) and o.query(y, z)):
             continue
-        if o.joint.is_independent_sets([x], [y, z]):
+        if o.query_sets([x], [y, z]):
             continue
         witnesses = ()
         pool = [v for v in o.variables if v not in (x, y, z)]

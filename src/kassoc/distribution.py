@@ -3,9 +3,7 @@
 The API speaks ``fractions.Fraction``: CPT rows, ``DiscreteJoint.probs``
 and ``prob`` are exact rationals.  Each joint also keeps its table as
 integer weights over one common denominator, and marginals and
-independence checks run on those Python ints: the CI criterion
-P(x,y,s) P(s) == P(x,s) P(y,s) is scale-invariant, so the weights give
-exactly the answer the probabilities give.  Independence is decided by
+independence checks run on those Python ints.  Independence is decided by
 exact equality, never by a tolerance.  Tables are dense over all
 assignments (desk scale, capped at ``MAX_CELLS`` = 2**20 cells).
 
@@ -16,6 +14,14 @@ one more position, down from the full table.  Each ``DiscreteJoint`` and
 through it, so all queries on one table (a scenario's Markov check, every
 oracle over it, ``prob`` and ``marginalize``) share their partial sums; the
 lattice stores at most ``MAX_CELLS`` cells and goes away with its table.
+
+A CI query "xs independent of ys given s" reads four marginals from the
+lattice, over M = s | xs | ys and over s, s | xs and s | ys, and checks
+w_M * w_s == w_{s,xs} * w_{s,ys} on every cell of M in one pass, the three
+smaller tables read at M's cells through gather lists shared by shape.
+The criterion is P(x,y,s) P(s) == P(x,s) P(y,s) cross-multiplied, so it
+needs no division, passes every cell where P(s) = 0, and, being
+scale-invariant, gives on the weights exactly the probabilities' answer.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
+from operator import add, eq, mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 MAX_CELLS = 1 << 20
@@ -215,8 +221,37 @@ class _Budgeted(dict):
         return cells
 
 
-# shape -> gather index list; a shape fixes its list, so every lattice shares them
-_GATHERS = _Budgeted()
+class _Recent(_Budgeted):
+    """A ``_Budgeted`` cache that makes room for an entry past its budget
+    by dropping every entry it holds, so it keeps serving the shapes that
+    recent queries use rather than the first ones it saw."""
+
+    __slots__ = ()
+
+    def keep(self, key, cells: Sequence[int]) -> Sequence[int]:
+        if self.cells + len(cells) > MAX_CELLS:
+            self.clear()
+            self.cells = 0
+        return super().keep(key, cells)
+
+
+# shape -> gather index list, keyed (cards, strides) by ``_Lattice.project`` and
+# (cards, kept mask) by ``_spread``; a shape fixes its list, so every lattice
+# shares them
+_GATHERS = _Recent()
+
+
+def _spread(cards: tuple[int, ...], kept: int) -> list[int]:
+    """Index, in the row-major marginal over the axes in the bitmask ``kept``
+    (axis i is bit i), of each cell of the row-major table over ``cards``:
+    the gather that reads a marginal at the cells of a table over more
+    variables.  Kept in ``_GATHERS`` by shape, ``(cards, kept)``."""
+    shape = (cards, kept)
+    gather = _GATHERS.get(shape)
+    if gather is None:
+        strides, _ = _strides(cards, [i for i in range(len(cards)) if kept >> i & 1])
+        gather = _GATHERS.keep(shape, _index_map(cards, strides))
+    return gather
 
 
 class _Lattice:
@@ -257,16 +292,16 @@ class _Lattice:
         return [table[i] for i in gather]
 
     def _ascending(self, mask: int) -> Sequence[int]:
-        full = (1 << len(self.cards)) - 1
-        if mask == full:
-            return self.table
         table = self.marginals.get(mask)
         if table is None:
+            full = (1 << len(self.cards)) - 1
+            if mask == full:
+                return self.table
             p = (full & ~mask).bit_length() - 1
-            up = mask | 1 << p
-            kept = [c for q, c in enumerate(self.cards) if up >> q & 1]
-            below = (mask & ((1 << p) - 1)).bit_count()  # p's axis in the marginal of up
-            table = self.marginals.keep(mask, _sum_out(self._ascending(up), kept, below))
+            # every position above p is kept, so p's axis is followed by
+            # exactly those of self.cards[p + 1:]
+            up = self._ascending(mask | 1 << p)
+            table = self.marginals.keep(mask, _sum_out(up, self.cards[p:], 0))
         return table
 
 
@@ -463,41 +498,54 @@ class DiscreteJoint:
     def is_independent_sets(
         self, xs: Iterable[str], ys: Iterable[str], s: Iterable[str] = ()
     ) -> bool:
-        """Set-valued exact CI check on the marginal table over s, xs, ys.
+        """Set-valued exact CI: are xs and ys independent given s?
 
-        Zero-probability conditioning events are skipped, never divided
-        by: the criterion is the cross-multiplied identity
-        P(x,y,s) * P(s) == P(x,s) * P(y,s), checked on the integer
-        weights (scaling every cell by the common denominator keeps it
-        exact).  The table is projected onto s in ascending position
-        order (the answer does not depend on the order of s), then xs,
-        then ys; within each block of one s value, P(s) is the block sum
-        and P(x,s), P(y,s) are its row and column sums.  The projection
-        comes from the joint's marginal lattice (see ``_Lattice``), which
-        every query on this joint shares, whichever oracle asks it.
+        With M = s | xs | ys, checks the cross-multiplied identity
+        w_M[s,x,y] * w_s[s] == w_{s,xs}[s,x] * w_{s,ys}[s,y] on every cell
+        of the marginal over M, on the integer weights (scaling every cell
+        by the common denominator keeps it exact).  It holds exactly when
+        P(x,y|s) == P(x|s) P(y|s) wherever P(s) > 0; a cell with P(s) = 0
+        has every term 0 and passes.  All four marginals are ascending
+        ones from the joint's lattice (see ``_Lattice``), which every
+        query on this joint shares, and each of the three smaller ones is
+        read at M's cells through a gather list shared by shape
+        (``_spread``).  The cells are compared lazily, so a dependence
+        stops at the first cell that breaks the identity.
         """
         xs, ys, s = list(xs), list(ys), list(s)
         if not xs or not ys:
             raise DistributionError("query sets must be non-empty")
-        names = s + xs + ys
-        if len(set(names)) != len(names):
+        mx, my, ms = self._mask(xs), self._mask(ys), self._mask(s)
+        m = mx | my | ms
+        if m.bit_count() != len(xs) + len(ys) + len(s):
             raise DistributionError("query sets must be pairwise disjoint")
-        w = self._lattice.project(sorted(self._position(n) for n in s)
-                                  + [self._position(n) for n in xs + ys])
-        nx = math.prod(self.card(n) for n in xs)
-        ny = math.prod(self.card(n) for n in ys)
-        block = nx * ny
-        for b in range(0, len(w), block):
-            w_s = sum(w[b : b + block])
-            if not w_s:
-                continue
-            w_ys = [sum(w[b + j : b + block : ny]) for j in range(ny)]
-            for r in range(b, b + block, ny):
-                row = w[r : r + ny]
-                w_xs = sum(row)
-                if any(v * w_s != w_xs * w_y for v, w_y in zip(row, w_ys)):
-                    return False
-        return True
+        # axis i of the marginal over M is M's i-th lowest position; the
+        # bitmasks rx, ry and rs mark the axes of xs, ys and s
+        cards = []
+        rx = ry = 0
+        for p in range(m.bit_length()):
+            if m >> p & 1:
+                axis = 1 << len(cards)
+                if mx >> p & 1:
+                    rx |= axis
+                elif my >> p & 1:
+                    ry |= axis
+                cards.append(self._cards[p])
+        rs = (1 << len(cards)) - 1 ^ rx ^ ry
+        cards = tuple(cards)
+        ascending = self._lattice._ascending
+        w_m = ascending(m)
+        w_s = map(ascending(ms).__getitem__, _spread(cards, rs))
+        w_sx = map(ascending(ms | mx).__getitem__, _spread(cards, rs | rx))
+        w_sy = map(ascending(ms | my).__getitem__, _spread(cards, rs | ry))
+        return all(map(eq, map(mul, w_m, w_s), map(mul, w_sx, w_sy)))
+
+    def _mask(self, names: list[str]) -> int:
+        """Bitmask of the positions of ``names``."""
+        mask = 0
+        for n in names:
+            mask |= 1 << self._position(n)
+        return mask
 
     def sample(self, n: int, seed: int) -> Dataset:
         """n i.i.d. draws; deterministic for a fixed seed."""

@@ -51,7 +51,9 @@ def grow(
     restarts.  The helper may already be in S (then the pair clause
     coincides with the single clause and never fires anew).
     """
-    _check_target(o, target, mode)
+    _check_target(o, target)
+    if mode not in ("modified", "classic"):
+        raise OracleError(f"unknown mode {mode!r}")
     order = [v for v in o.variables if v != target]
     trace = trace if trace is not None else []
     s: set[str] = set()
@@ -96,6 +98,7 @@ def shrink(
     trace: list[GsStep] | None = None,
 ) -> set[str]:
     """Fixpoint removal of single nodes separable from the target."""
+    _check_target(o, target)
     s = set(s)
     if target in s:
         raise OracleError("target cannot be in its own candidate blanket")
@@ -132,8 +135,6 @@ def markov_blanket(
     return final, trace
 
 
-def _check_target(o, target, mode):
+def _check_target(o, target):
     if target not in o.variables:
         raise OracleError(f"unknown target {target!r}")
-    if mode not in ("modified", "classic"):
-        raise OracleError(f"unknown mode {mode!r}")

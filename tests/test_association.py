@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
@@ -17,6 +18,7 @@ from kassoc.association import (
     subsets_by_size,
     weak_associations,
 )
+from kassoc.distribution import DiscreteJoint
 from kassoc.graph import Dag
 from kassoc.oracle import DiscreteOracle, GraphOracle, GTestOracle, OracleError
 from kassoc.scenarios import BUILTINS, builtin, noisy_xor
@@ -194,6 +196,18 @@ class TestUnfaithfulTriples:
         assert minimal == [frozenset({"U", "W", "Z"})]
         non_minimal = [frozenset(t.nodes) for t in triples if not t.minimal]
         assert frozenset({"X", "Y", "Z"}) in non_minimal
+
+    def test_mutual_independence_is_a_counted_set_query(self, example1):
+        """The search asks whether x is independent of (y, z) through the
+        oracle, so ``query_count`` counts that set query with every other
+        backend call."""
+        o = DiscreteOracle(example1.joint)
+        with mock.patch.object(DiscreteJoint, "is_independent_sets", autospec=True,
+                               side_effect=DiscreteJoint.is_independent_sets) as backend:
+            triples = find_unfaithful_triples(o)
+        assert [t.nodes for t in triples] == [("X", "Y", "Z")]
+        assert mock.call(o.joint, ("X",), ("Y", "Z"), ()) in backend.call_args_list
+        assert o.query_count == backend.call_count
 
     def test_one_set_query_agrees_with_full_factorisation(self, all_builtins):
         """Given y and z independent, x independent of (y, z) is mutual

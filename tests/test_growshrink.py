@@ -98,6 +98,20 @@ class TestValidation:
         with pytest.raises(OracleError):
             markov_blanket(DiscreteOracle(example1.joint), "Q")
 
+    @pytest.mark.parametrize("phase", [
+        lambda o: grow(o, "Q"),
+        lambda o: shrink(o, "Q", []),
+        lambda o: shrink(o, "Q", ["X"]),
+        lambda o: markov_blanket(o, "Q"),
+    ], ids=["grow", "shrink-empty", "shrink", "markov_blanket"])
+    def test_every_phase_checks_its_target(self, example1, phase):
+        """Each phase raises the one unknown-target error before it asks
+        anything, also a shrink with nothing to remove."""
+        o = DiscreteOracle(example1.joint)
+        with pytest.raises(OracleError, match="unknown target 'Q'"):
+            phase(o)
+        assert o.query_count == 0
+
     def test_unknown_mode(self, example1):
         with pytest.raises(OracleError):
             markov_blanket(DiscreteOracle(example1.joint), "Y", mode="turbo")

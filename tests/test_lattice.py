@@ -1,8 +1,10 @@
 """The marginal lattice (``distribution._Lattice``) against the sum-out loop
 it replaced, and the one lattice each joint and dataset owns."""
 
+import itertools
 import math
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -12,7 +14,8 @@ from hypothesis import strategies as st
 from conftest import random_cpt_net
 from kassoc import distribution
 from kassoc.audit import audit_scenario, check_cmc
-from kassoc.distribution import Dataset, DiscreteJoint, _Lattice, _index_map, _strides, _sum_out
+from kassoc.distribution import (
+    Dataset, DiscreteJoint, DistributionError, _Lattice, _index_map, _strides, _sum_out)
 from kassoc.gtest import g_test
 from kassoc.oracle import GTestOracle
 from kassoc.scenarios import Scenario, builtin
@@ -92,13 +95,18 @@ def queries(names):
     return st.permutations(names).flatmap(split)
 
 
+def unless_none(budget):
+    """The patched ``MAX_CELLS``: ``budget``, or the real one for None."""
+    return distribution.MAX_CELLS if budget is None else budget
+
+
 @settings(max_examples=150, deadline=None)
 @given(joint=joints(), budget=st.sampled_from([None, 0, 1, 5, 20]), data=st.data())
 def test_one_lattice_reused_matches_the_reference(joint, budget, data):
     """One lattice serves many projections; with a small budget it stops
     storing partway through and keeps answering exactly."""
     weights, cards = joint._weights, joint._cards
-    with mock.patch.object(distribution, "MAX_CELLS", budget or distribution.MAX_CELLS):
+    with mock.patch.object(distribution, "MAX_CELLS", unless_none(budget)):
         lattice = _Lattice(weights, cards)
         for _ in range(25):
             order = data.draw(orders(len(cards)))
@@ -114,13 +122,94 @@ def test_ci_answers_match_the_reference_projection(joint, budget, data):
     the answer the reference projection gives, for s in any order."""
     if len(joint.names) < 2:
         return
-    with mock.patch.object(distribution, "MAX_CELLS", budget or distribution.MAX_CELLS):
+    with mock.patch.object(distribution, "MAX_CELLS", unless_none(budget)):
         for _ in range(15):
             xs, ys, s = data.draw(queries(joint.names))
             want = reference_is_independent(joint, xs, ys, s)
             assert joint.is_independent_sets(xs, ys, s) == want, (xs, ys, s)
             assert joint.is_independent_sets(xs, ys, s[::-1]) == want, (xs, ys, s)
         assert joint._lattice.marginals.cells <= distribution.MAX_CELLS
+
+
+def seeded_joint(seed, cards):
+    """Integer weights over ``cards``, about half of them 0 (so that many
+    conditioning values have P(s) = 0), or for odd seeds a product of one
+    such factor per variable (so that independences hold)."""
+    rng = random.Random(f"ci-kernel:{seed}")
+    if seed % 2:
+        weights = [1]
+        for c in cards:
+            factor = [rng.choice((0, 1, 2, 3)) for _ in range(c)]
+            weights = [w * f for w in weights for f in factor]
+    else:
+        weights = [rng.choice((0, 0, 0, 1, 2, 5)) for _ in range(math.prod(cards))]
+    weights[-1] += not any(weights)
+    variables = tuple((f"V{i}", c) for i, c in enumerate(cards))
+    return DiscreteJoint._from_weights(variables, weights, sum(weights))
+
+
+def every_query(names):
+    """Every (xs, ys, s) with disjoint sides, xs and ys non-empty."""
+    for roles in itertools.product("xys-", repeat=len(names)):
+        xs, ys, s = ([n for n, r in zip(names, roles) if r == k] for k in "xys")
+        if xs and ys:
+            yield xs, ys, s
+
+
+@pytest.mark.parametrize("budget", [None, 0], ids=["stored", "never-stored"])
+@pytest.mark.parametrize("cards", [(2, 3, 1, 2), (3, 2, 2, 3), (1, 3, 2, 2, 2)])
+def test_ci_kernel_matches_the_block_loop_on_every_query(cards, budget):
+    """The one-pass four-marginal check gives the block loop's answer on
+    every query of seeded joints with cardinalities 1-3 and zero cells,
+    multi-variable sides included, also with marginals that are never
+    stored (a budget of 0)."""
+    seen = set()
+    for seed in range(4):
+        joint = seeded_joint(seed, cards)
+        with mock.patch.object(distribution, "MAX_CELLS", unless_none(budget)):
+            for xs, ys, s in every_query(joint.names):
+                want = reference_is_independent(joint, xs, ys, s)
+                assert joint.is_independent_sets(xs, ys, s) == want, (seed, xs, ys, s)
+                w_s = reference_marginal(joint._weights, joint._cards,
+                                         [joint.names.index(n) for n in s])
+                seen.add((want, "multi") if len(xs) + len(ys) > 2 else (want, "single"))
+                if 0 in w_s:
+                    seen.add((want, "P(s) = 0"))
+        assert joint._lattice.marginals.cells <= unless_none(budget)
+    assert seen == {(want, case) for want in (True, False)
+                    for case in ("single", "multi", "P(s) = 0")}
+
+
+@pytest.mark.parametrize("xs, ys, s, message", [
+    (["Q"], ["V1"], [], "unknown variable 'Q'"),
+    (["V0"], ["V1"], ["V2", "Q"], "unknown variable 'Q'"),
+    ([], ["V1"], [], "query sets must be non-empty"),
+    (["V0"], [], ["V1"], "query sets must be non-empty"),
+    (["V0"], ["V0"], [], "query sets must be pairwise disjoint"),
+    (["V0"], ["V1"], ["V1"], "query sets must be pairwise disjoint"),
+    (["V0", "V0"], ["V1"], [], "query sets must be pairwise disjoint"),
+])
+def test_ci_kernel_errors_keep_their_texts(xs, ys, s, message):
+    joint = seeded_joint(0, (2, 3, 2))
+    with pytest.raises(DistributionError, match=f"^{re.escape(message)}$"):
+        joint.is_independent_sets(xs, ys, s)
+
+
+def test_gather_cache_starts_over_past_its_budget(monkeypatch):
+    """Shared gather lists stay within ``MAX_CELLS``: a list that would pass
+    it empties the cache first, so the shapes of the latest query are kept
+    rather than the first ones ever seen, and every answer stays exact."""
+    monkeypatch.setattr(distribution, "MAX_CELLS", 60)
+    monkeypatch.setattr(distribution, "_GATHERS", distribution._Recent())
+    joint = seeded_joint(1, (2, 3, 2, 2))
+    gathers = distribution._GATHERS
+    for xs, ys, s in every_query(joint.names):
+        assert joint.is_independent_sets(xs, ys, s) == reference_is_independent(joint, xs, ys, s)
+        assert gathers.cells == sum(map(len, gathers.values())) <= 60
+        positions = sorted(joint.names.index(n) for n in [*xs, *ys, *s])
+        cards = tuple(joint._cards[p] for p in positions)
+        kept = sum(1 << i for i, p in enumerate(positions) if joint.names[p] not in xs)
+        assert (cards, kept) in gathers, (xs, ys, s)  # the last list it read
 
 
 def seeded_scenario(n):

@@ -1,8 +1,14 @@
 """Oracle layer: caching, counting, and backend agreement."""
 
+import itertools
+from unittest import mock
+
 import pytest
 
+from kassoc.association import find_unfaithful_triples, weak_associations
+from kassoc.distribution import DiscreteJoint
 from kassoc.graph import Dag
+from kassoc.growshrink import markov_blanket
 from kassoc.oracle import (
     DiscreteOracle,
     GaussianOracle,
@@ -18,6 +24,30 @@ def test_query_counts_cache_hits_once(example1):
     o.query("Y", "X")  # symmetric, cached
     o.query("X", "Y", ())
     assert o.query_count == 1
+
+
+def test_every_discrete_backend_call_enters_the_joint_kernel_once(all_builtins):
+    """Each backend call of a discrete oracle, pairwise or set, is one
+    ``DiscreteJoint.is_independent_sets`` call, so ``query_count`` counts
+    exactly the kernel calls (and a trace of the kernel counts the backend
+    calls); cache hits reach neither."""
+    for name, scenario in all_builtins.items():
+        if scenario.kind != "discrete":
+            continue
+        o = DiscreteOracle(scenario.joint)
+        with mock.patch.object(DiscreteJoint, "is_independent_sets", autospec=True,
+                               side_effect=DiscreteJoint.is_independent_sets) as kernel:
+            for v in o.variables:
+                markov_blanket(o, v)
+                weak_associations(o, v)
+            find_unfaithful_triples(o)
+            for x, y in itertools.combinations(o.variables, 2):
+                o.query(y, x)  # cached by now
+                rest = [v for v in o.variables if v not in (x, y)]
+                o.query_sets([x], [y], rest)
+                o.query_sets([x], [y], rest)  # set queries are not cached
+        assert kernel.call_count == o.query_count > 0, name
+        assert all(c.args[0] is scenario.joint for c in kernel.call_args_list), name
 
 
 @pytest.mark.parametrize(
