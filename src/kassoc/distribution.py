@@ -11,8 +11,8 @@ Every marginal comes from one projection, ``_Lattice``: the marginal over
 a set of positions is summed out of the cached marginal over that set plus
 one more position, down from the full table.  Each ``DiscreteJoint`` and
 ``Dataset`` makes one lattice when it is built and projects every query
-through it, so all queries on one table (a scenario's Markov check, every
-oracle over it, ``prob`` and ``marginalize``) share their partial sums; the
+through it, so all queries on one table (every oracle over it, an audit's
+CMC check, ``prob`` and ``marginalize``) share their partial sums; the
 lattice stores at most ``MAX_CELLS`` cells and goes away with its table.
 
 A CI query "xs independent of ys given s" reads four marginals from the
@@ -45,13 +45,21 @@ class DistributionError(ValueError):
     """Invalid distribution construction or query."""
 
 
+def exact(value, error: type[ValueError], what: str) -> Fraction:
+    """``value`` as a Fraction if it is an int or a Fraction, else ``error``:
+    a float such as 0.1 is a binary fraction, not the rational it shows."""
+    if not isinstance(value, (int, Fraction)):
+        raise error(f"{what} must be an int or a Fraction, not {value!r}")
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 @dataclass(frozen=True)
 class Cpt:
     """Conditional probability table of one variable given its parents.
 
     ``rows`` maps a parent assignment (tuple of values in ``parents``
-    order) to a probability vector over the child's domain.  Each vector
-    must sum to exactly 1.
+    order) to a probability vector over the child's domain.  Each entry
+    must be an int or a Fraction, and each vector must sum to exactly 1.
     """
 
     child: str
@@ -71,6 +79,8 @@ class Cpt:
         for pa, vec in self.rows.items():
             if len(vec) != self.child_card:
                 raise DistributionError(f"CPT for {self.child}: bad row length at {pa}")
+            for p in vec:
+                exact(p, DistributionError, f"CPT for {self.child}: probability")
             if any(p < 0 for p in vec):
                 raise DistributionError(f"CPT for {self.child}: negative probability")
             if sum(vec) != ONE:
@@ -78,11 +88,11 @@ class Cpt:
 
     @staticmethod
     def prior(name: str, probs: Sequence[Fraction]) -> "Cpt":
-        return Cpt(name, len(probs), (), (), {(): tuple(Fraction(p) for p in probs)})
+        return Cpt(name, len(probs), (), (), {(): tuple(probs)})
 
     @staticmethod
     def coin(name: str, p_one: Fraction) -> "Cpt":
-        p = Fraction(p_one)
+        p = exact(p_one, DistributionError, f"bias of {name}")
         return Cpt.prior(name, (ONE - p, p))
 
     @staticmethod
@@ -97,7 +107,7 @@ class Cpt:
 
         The noise coin is marginalised into the table, it is not a node.
         """
-        flip = Fraction(flip)
+        flip = exact(flip, DistributionError, f"flip of {child}")
         rows = {}
         for pa in itertools.product(*(range(c) for c in parent_cards)):
             v = fn(*pa)
@@ -324,10 +334,7 @@ def _domains(variables: Iterable[tuple[str, int]]) -> tuple[tuple[tuple[str, int
 def _int_factor(cpt: Cpt) -> tuple[int, list[int]]:
     """A CPT as one denominator and its entries scaled to integers, flat in
     row-major order over (parents..., child)."""
-    rows = [
-        [Fraction(p) for p in cpt.rows[pa]]
-        for pa in itertools.product(*(range(c) for c in cpt.parent_cards))
-    ]
+    rows = [cpt.rows[pa] for pa in itertools.product(*(range(c) for c in cpt.parent_cards))]
     denom = math.lcm(*(p.denominator for row in rows for p in row))
     return denom, [p.numerator * (denom // p.denominator) for row in rows for p in row]
 
@@ -350,7 +357,7 @@ class DiscreteJoint:
         probs: Sequence[Fraction],
     ):
         variables, size = _domains(variables)
-        probs = tuple(Fraction(p) for p in probs)
+        probs = tuple(exact(p, DistributionError, "probability entry") for p in probs)
         if len(probs) != size:
             raise DistributionError("table size does not match variable domains")
         denom = math.lcm(*(p.denominator for p in probs))

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .distribution import exact
 from .graph import Dag, GraphError
 
 ZERO = Fraction(0)
@@ -29,6 +30,7 @@ class GaussianSystem:
 
     ``coefficients`` maps (child, parent) to the structural weight; the
     implied graph must be acyclic and every noise variance positive.
+    Weights and variances must be ints or Fractions.
     """
 
     nodes: tuple[str, ...]
@@ -37,10 +39,10 @@ class GaussianSystem:
     _dag: Dag = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coeffs = {
-            (c, p): Fraction(v) for (c, p), v in self.coefficients.items()
-        }
-        noises = {n: Fraction(v) for n, v in self.noise_variances.items()}
+        coeffs = {(c, p): exact(v, GaussianError, f"coefficient of {p}->{c}")
+                  for (c, p), v in self.coefficients.items()}
+        noises = {n: exact(v, GaussianError, f"noise variance of {n}")
+                  for n, v in self.noise_variances.items()}
         if set(noises) != set(self.nodes):
             raise GaussianError("need one noise variance per node")
         if any(v <= 0 for v in noises.values()):

@@ -4,15 +4,15 @@ Each scenario bundles a ground-truth DAG with an exact distribution
 payload (discrete CPTs or a linear-Gaussian system) plus its parameters.
 Unobserved noise coins are marginalised into the CPTs, they are never
 graph nodes.  Every scenario satisfies the causal Markov condition by
-construction: a discrete scenario checks the local Markov statements of
-its DAG (:meth:`Dag.local_markov_statements`, each node independent of its
-other non-descendants given its parents, one exact query per node), the
-same definition :func:`kassoc.audit.check_cmc` uses, and fills the joint's
-marginal lattice that every oracle over the scenario then reads; a
-Gaussian scenario's coefficients must form its DAG.  The assumption
-annotations of a scenario come from :func:`kassoc.audit.audit_scenario`;
-a scenario neither runs nor caches an audit itself.  :func:`save` and :func:`load`
-give a bit-exact JSON form, with every rational as a "num/den" string.
+construction, so building one asks no CI question: a distribution that
+factorizes along a DAG satisfies each of its local Markov statements
+exactly, zero cells included (Lauritzen 1996, Thm 3.27).  A discrete joint
+is such a product, of one exact CPT per node over its DAG parents (checked
+by :class:`Cpt` and :meth:`DiscreteJoint.from_cpts`), and so is a Gaussian
+system whose coefficients form the DAG.  The one CMC check is the audit's
+(:func:`kassoc.audit.check_cmc`); a scenario neither runs nor caches an
+audit itself.  :func:`save` and :func:`load` give a bit-exact JSON form,
+with every rational as a "num/den" string.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .distribution import Cpt, DiscreteJoint, DistributionError
+from .distribution import Cpt, DiscreteJoint, DistributionError, exact
 from .gaussian import GaussianSystem
 from .graph import Dag
 from .oracle import (
@@ -48,19 +48,14 @@ class Scenario:
     gaussian: GaussianSystem | None = None
     params: Mapping[str, Fraction] = field(default_factory=dict)
     notes: str = ""
+    joint: DiscreteJoint | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind == "discrete":
             if self.cpts is None:
                 raise ScenarioError("discrete payload needs CPTs")
             object.__setattr__(self, "cpts", tuple(self.cpts))
-            joint = DiscreteJoint.from_cpts(self.dag, self.cpts)
-            object.__setattr__(self, "_joint", joint)
-            for v, rest, parents in self.dag.local_markov_statements():
-                if not joint.is_independent_sets([v], rest, parents):
-                    raise ScenarioError(
-                        f"CMC violated: {v} dependent on non-descendants {rest} given parents {parents}"
-                    )
+            object.__setattr__(self, "joint", DiscreteJoint.from_cpts(self.dag, self.cpts))
         elif self.kind == "gaussian":
             g = self.gaussian
             if g is not None and g.dag.nodes != self.dag.nodes:
@@ -68,18 +63,10 @@ class Scenario:
                                     f"{list(self.dag.nodes)} in the same sequence")
             if g is None or g.dag != self.dag:
                 raise ScenarioError("gaussian coefficients must form the scenario graph")
-            object.__setattr__(self, "_joint", None)
-        elif self.kind == "graph":
-            object.__setattr__(self, "_joint", None)
-        else:
+        elif self.kind != "graph":
             raise ScenarioError(f"unknown payload kind {self.kind!r}")
-        object.__setattr__(
-            self, "params", {k: Fraction(v) for k, v in self.params.items()}
-        )
-
-    @property
-    def joint(self) -> DiscreteJoint | None:
-        return self._joint
+        object.__setattr__(self, "params", {
+            k: exact(v, ScenarioError, f"parameter {k}") for k, v in self.params.items()})
 
     def __eq__(self, other):
         return isinstance(other, Scenario) and (
@@ -110,7 +97,6 @@ def noisy_xor(p: Fraction = Fraction(1, 4)) -> Scenario:
     coin of bias p (0 <= p < 1/2).  All three pairs are marginally
     independent; the triple is a minimal unfaithful triple.
     """
-    p = Fraction(p)
     if not 0 <= p < HALF:
         raise ScenarioError("noise bias must satisfy 0 <= p < 1/2")
     dag = Dag(["X", "Y", "Z"], [("X", "Y"), ("Z", "Y")])
@@ -133,7 +119,6 @@ def xor_with_context(p: Fraction = HALF, q: Fraction = Fraction(1, 4)) -> Scenar
     detectable.  The W edge breaks the triple's symmetry, so the collider
     at Y is identifiable.
     """
-    p, q = Fraction(p), Fraction(q)
     if not 0 < p < 1:
         raise ScenarioError("context bias must satisfy 0 < p < 1")
     if not 0 < q < HALF:
@@ -160,7 +145,7 @@ def baseline(kind: str, strength: Fraction = Fraction(1, 9)) -> Scenario:
     independencies); the collider CPT uses distinct row probabilities
     s, 3s, 5s, 7s.
     """
-    s = Fraction(strength)
+    s = strength
     if kind in ("chain", "fork") and (s <= 0 or s >= HALF):
         raise ScenarioError("copy strength must satisfy 0 < s < 1/2")
     if kind == "collider" and (s <= 0 or 7 * s >= 1 or s == Fraction(1, 10)):
@@ -271,7 +256,7 @@ def transitivity_failure() -> Scenario:
     cpts = [
         Cpt.coin("X", HALF),
         Cpt("Y", 4, ("X",), (2,), rows_y),
-        Cpt("Z", 2, ("Y",), (4,), {k: tuple(Fraction(v) for v in vec) for k, vec in rows_z.items()}),
+        Cpt("Z", 2, ("Y",), (4,), rows_z),
     ]
     return Scenario(
         "transitivity_failure", dag, "discrete",
@@ -301,7 +286,6 @@ def cancelling_paths_3(
     detectable in principle: the implied independencies are Markov
     equivalent to a graph without the direct edge.
     """
-    alpha, beta = Fraction(alpha), Fraction(beta)
     if alpha == 0 or beta == 0:
         raise ScenarioError("coefficients must be nonzero")
     dag = Dag(["X", "Z", "Y"], [("X", "Z"), ("Z", "Y"), ("X", "Y")])
@@ -325,7 +309,6 @@ def cancelling_paths_4(
     Direct weight is -a*b*c by construction.  Unlike the 3-node case this
     violation is detectable: X ends up strictly 2-associated to {W, Y}.
     """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if 0 in (a, b, c):
         raise ScenarioError("coefficients must be nonzero")
     dag = Dag(
@@ -492,13 +475,17 @@ def load(doc: dict) -> Scenario:
 
 
 def _load(doc: dict) -> Scenario:
+    if not isinstance(doc, dict):
+        raise ScenarioError("scenario document must be a JSON object")
     try:
         name = doc["name"]
         nodes = _strings(doc["nodes"], "nodes")
         edges = [_split_edge(e) for e in _strings(doc["edges"], "edges")]
         payload = doc["payload"]
+        if not isinstance(payload, dict):
+            raise ScenarioError("payload must be a JSON object")
         kind = payload["type"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ScenarioError(f"malformed scenario document: missing {exc}") from exc
     if not isinstance(name, str):
         raise ScenarioError("name must be a string")

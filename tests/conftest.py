@@ -24,10 +24,10 @@ def all_builtins():
     return {name: scenarios.builtin(name) for name in scenarios.BUILTINS}
 
 
-def random_cpt_net(rng, n, edges, max_in, cards=(2,)):
+def random_cpt_net(rng, n, edges, max_in, cards=(2,), denom=12):
     """Seeded DAG over V0..V{n-1} with ``edges`` edges (as the in-degree cap
     allows) drawn along a random topological order, and CPTs whose entries
-    are multiples of 1/12 (zeros allowed) over cardinalities from ``cards``."""
+    are multiples of 1/denom (zeros allowed) over cardinalities from ``cards``."""
     names = [f"V{i}" for i in range(n)]
     order = rng.sample(range(n), n)
     pairs = list(itertools.combinations(range(n), 2))
@@ -47,9 +47,9 @@ def random_cpt_net(rng, n, edges, max_in, cards=(2,)):
         pcards = tuple(card[p] for p in parents)
         rows = {}
         for pa in itertools.product(*(range(c) for c in pcards)):
-            cuts = sorted(rng.randint(0, 12) for _ in range(card[v] - 1))
-            bounds = [0, *cuts, 12]
-            rows[pa] = tuple(F(hi - lo, 12) for lo, hi in zip(bounds, bounds[1:]))
+            cuts = sorted(rng.randint(0, denom) for _ in range(card[v] - 1))
+            bounds = [0, *cuts, denom]
+            rows[pa] = tuple(F(hi - lo, denom) for lo, hi in zip(bounds, bounds[1:]))
         cpts.append(Cpt(v, card[v], parents, pcards, rows))
     return dag, cpts
 

@@ -206,6 +206,7 @@ class TestScenarioLoading:
         "cardinality_float", "parent_cardinality_float", "cardinality_bool",
         "parents_string", "order_not_a_list", "probs_bool", "param_float",
         "notes_not_a_string", "order_permuted",
+        "document_list", "document_null", "document_string", "payload_list",
     ])
     def test_invalid_file_contents_exit_two(self, tmp_path, capsys, defect):
         graph = {"name": "g", "nodes": ["X", "Y"], "edges": [], "payload": {"type": "graph"}}
@@ -235,6 +236,10 @@ class TestScenarioLoading:
         elif defect == "order_permuted":
             doc = save(builtin("cancel3"))
             doc["payload"]["order"] = doc["payload"]["order"][::-1]
+        elif defect.startswith("document_"):
+            doc = {"document_list": [], "document_null": None, "document_string": "x"}[defect]
+        elif defect == "payload_list":
+            doc = {**graph, "payload": []}
         elif defect == "node_not_a_string":
             doc = {**graph, "nodes": ["X", 1]}
         elif defect == "nodes_not_a_list":
@@ -268,6 +273,10 @@ class TestScenarioLoading:
         assert err.startswith("error: ") and err.count("\n") == 1
         if defect == "order_permuted":
             assert "gaussian order" in err
+        elif defect.startswith("document_"):
+            assert err.endswith(": scenario document must be a JSON object\n")
+        elif defect == "payload_list":
+            assert err.endswith(": payload must be a JSON object\n")
 
     def test_gaussian_payload_off_the_graph_exits_two(self, tmp_path, capsys):
         doc = save(builtin("cancel3"))

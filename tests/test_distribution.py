@@ -54,6 +54,12 @@ def fraction_product(dag, cpts):
     return probs
 
 
+def reversed_parents(cpt):
+    """The same CPT with its parents listed in reverse order."""
+    return Cpt(cpt.child, cpt.child_card, cpt.parents[::-1], cpt.parent_cards[::-1],
+               {pa[::-1]: vec for pa, vec in cpt.rows.items()})
+
+
 def random_queries(rng, names, count):
     """``count`` queries with xs and ys of size 1-2 and any conditioning set
     from the remaining names."""
@@ -113,6 +119,28 @@ class TestCpt:
         assert xor.rows[(0, 0)] == (F(3, 4), F(1, 4))
         assert xor.rows[(1, 0)] == (F(1, 4), F(3, 4))
 
+    def test_float_rows_are_refused(self):
+        # 0.1 + 0.9 == 1 in float arithmetic, but the exact values of the two
+        # floats sum to 1 + 2**-55: a collider with this row is not Markov
+        # to its graph
+        rows = {(x, z): (F(1, 2), F(1, 2)) for x in (0, 1) for z in (0, 1)}
+        rows[(1, 1)] = (0.1, 0.9)
+        with pytest.raises(DistributionError, match="not 0.1"):
+            Cpt("Y", 2, ("X", "Z"), (2, 2), rows)
+        assert Cpt("Y", 2, ("X",), (2,), {(0,): (1, 0), (1,): (F(1, 3), F(2, 3))})
+
+    def test_prior_refuses_floats(self):
+        with pytest.raises(DistributionError, match="int or a Fraction"):
+            Cpt.prior("A", [0.5, 0.5])
+
+    def test_coin_refuses_a_float_bias(self):
+        with pytest.raises(DistributionError, match="bias of E"):
+            Cpt.coin("E", 0.25)
+
+    def test_noisy_function_refuses_a_float_flip(self):
+        with pytest.raises(DistributionError, match="flip of Y"):
+            Cpt.noisy_function("Y", ("X",), (2,), lambda x: x, 0.25)
+
 
 class TestJoint:
     def test_probabilities_sum_to_one(self):
@@ -132,6 +160,11 @@ class TestJoint:
         j = coin_pair()
         m = j.marginalize(["B"])
         assert m.prob({"B": 1}) == F(1, 3)
+
+    def test_float_probabilities_are_refused(self):
+        with pytest.raises(DistributionError, match="probability entry"):
+            DiscreteJoint([("A", 2)], [0.5, 0.5])
+        assert DiscreteJoint([("A", 2)], [1, 0]).probs == (F(1), F(0))
 
     def test_marginalize_to_scalar(self):
         m = coin_pair().marginalize([])
@@ -266,6 +299,13 @@ class TestIntegerPathAgainstFractionReference:
     def test_from_cpts_matches_fraction_product(self, cpt_nets):
         for dag, cpts in cpt_nets:
             assert list(DiscreteJoint.from_cpts(dag, cpts).probs) == fraction_product(dag, cpts)
+
+    def test_from_cpts_reads_each_cpt_in_its_own_parent_order(self, cpt_nets):
+        for dag, cpts in cpt_nets:
+            flipped = [reversed_parents(c) for c in cpts]
+            joint = DiscreteJoint.from_cpts(dag, flipped)
+            assert joint == DiscreteJoint.from_cpts(dag, cpts)
+            assert list(joint.probs) == fraction_product(dag, flipped)
 
     def test_marginal_and_prob_match_fraction_sums(self, cpt_nets):
         rng = random.Random(11)

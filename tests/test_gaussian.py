@@ -149,6 +149,15 @@ class TestSystem:
         with pytest.raises(GaussianError):
             GaussianSystem(("A",), {}, {"A": F(0)})
 
+    def test_float_coefficients_are_refused(self):
+        # Fraction(0.1) would store 3602879701896397/36028797018963968
+        with pytest.raises(GaussianError, match="coefficient of X->Y"):
+            GaussianSystem(("X", "Y"), {("Y", "X"): 0.1}, {"X": F(1), "Y": F(1)})
+
+    def test_float_noise_variances_are_refused(self):
+        with pytest.raises(GaussianError, match="noise variance of Y"):
+            GaussianSystem(("X", "Y"), {("Y", "X"): 1}, {"X": 1, "Y": 0.5})
+
     def test_chain_covariance_exact(self):
         cov = chain_system().covariance()
         # Var(Z) = 1 + 1 = 2, Cov(X, Y) = 1, Var(Y) = 2 + 1 = 3

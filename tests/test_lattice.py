@@ -237,15 +237,19 @@ def test_audit_lattice_stays_within_a_small_budget(monkeypatch):
     lambda: builtin("xor_chain"),
     lambda: seeded_scenario(8),
 ], ids=["example1", "example2", "xor_chain", "net8"])
-def test_markov_check_fills_the_lattice_the_oracle_reads(make):
-    """The construction-time local-Markov check and the audit's CMC check
-    ask the same statements of the same joint, so the audit adds no
-    marginal to the lattice the scenario's check filled."""
+def test_the_lattice_belongs_to_the_table_not_the_oracle(make):
+    """After one CMC check through ``scenario.oracle()``, a second through a
+    fresh oracle (an empty answer cache) sums nothing out: it adds no
+    marginal and reads the very lists the first check stored."""
     scenario = make()
     marginals = scenario.joint._lattice.marginals
+    assert not marginals
+    assert check_cmc(scenario.dag, scenario.oracle()).holds
     before = dict(marginals)
     assert before
-    assert check_cmc(scenario.dag, scenario.oracle()).holds
+    with mock.patch.object(distribution, "_sum_out", wraps=distribution._sum_out) as sum_out:
+        assert check_cmc(scenario.dag, scenario.oracle()).holds
+    assert sum_out.call_count == 0
     assert marginals.keys() == before.keys()
     assert all(marginals[k] is v for k, v in before.items())
 

@@ -6,10 +6,12 @@ import json
 import pickle
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
-from kassoc.audit import audit_scenario
+from conftest import random_cpt_net
+from kassoc.audit import audit_scenario, check_cmc
 from kassoc.distribution import DiscreteJoint
 from kassoc.gaussian import GaussianSystem
 from kassoc.graph import Dag
@@ -87,12 +89,47 @@ class TestParameterGuards:
         with pytest.raises(ScenarioError):
             cancelling_paths_3(F(0), F(1))
 
+    def test_float_parameters_are_refused(self):
+        for make in (lambda: noisy_xor(0.25), lambda: xor_with_context(0.5),
+                     lambda: baseline("chain", 0.1), lambda: cancelling_paths_3(0.5)):
+            with pytest.raises(ValueError, match="must be an int or a Fraction"):
+                make()
+        with pytest.raises(ScenarioError, match="parameter p must be"):
+            Scenario("g", Dag(["X"], []), "graph", params={"p": 0.1})
+
+
+def markov_sweep_nets(count):
+    """Seeded (dag, cpts) pairs over 2-6 nodes, any edge count, cardinalities
+    1-3 and CPT entries k/6, so that many rows hold zeros."""
+    rng = random.Random("markov-sweep")
+    nets = []
+    for _ in range(count):
+        n = rng.randint(2, 6)
+        edges = rng.randint(0, n * (n - 1) // 2)
+        nets.append(random_cpt_net(rng, n, edges, n - 1, cards=(1, 2, 3), denom=6))
+    return nets
+
 
 class TestConstructionInvariants:
     def test_every_discrete_builtin_satisfies_pairwise_markov(self):
-        # construction raises if the local Markov check fails in the joint
+        # the audit's CMC check is the only one: construction asks none
         for name in BUILTINS:
-            builtin(name)
+            s = builtin(name)
+            assert check_cmc(s.dag, s.oracle()).holds, name
+
+    def test_building_a_scenario_asks_no_ci_question(self):
+        """Construction is the product of the CPTs and nothing more: no CI
+        query and no marginal, for every builtin, a seeded random net, and
+        each one's round-tripped copy."""
+        dag, cpts = random_cpt_net(random.Random("no-ci-at-build"), 7, 9, 3, cards=(1, 2, 3))
+        makers = [*BUILTINS.values(), lambda: Scenario("net7", dag, "discrete", cpts=cpts)]
+        with mock.patch.object(DiscreteJoint, "is_independent_sets") as ci:
+            built = [make() for make in makers]
+            built += [load(save(s)) for s in built]
+        assert ci.call_count == 0
+        joints = [s.joint for s in built if s.kind == "discrete"]
+        assert len(joints) == 2 * 10  # nine discrete builtins and the net
+        assert all(not j._lattice.marginals for j in joints)
 
     def test_both_markov_checks_pass_on_builtins(self, all_builtins):
         for scenario in all_builtins.values():
@@ -101,10 +138,15 @@ class TestConstructionInvariants:
                 assert pairwise_markov_holds(scenario.dag, scenario.joint)
 
     def test_both_markov_checks_pass_on_from_cpts_joints(self, cpt_nets):
-        for dag, cpts in cpt_nets:
+        """A product of exact CPTs over a DAG is Markov to it, zero cells
+        included; with no check at construction, this guards ``from_cpts``."""
+        zeros = 0
+        for dag, cpts in [*cpt_nets, *markov_sweep_nets(300)]:
             joint = DiscreteJoint.from_cpts(dag, cpts)
             assert local_markov_holds(dag, joint)
             assert pairwise_markov_holds(dag, joint)
+            zeros += 0 in joint.probs
+        assert zeros > 50
 
     @pytest.mark.parametrize("edges, source, target", [
         ([("X", "Y"), ("Z", "Y")], "X", "Z"),  # collider: X, Z marginally dependent
