@@ -17,8 +17,8 @@ lattice stores at most ``MAX_CELLS`` cells and goes away with its table.
 
 A CI query "xs independent of ys given s" reads four marginals from the
 lattice, over M = s | xs | ys and over s, s | xs and s | ys, and checks
-w_M * w_s == w_{s,xs} * w_{s,ys} on every cell of M in one pass, the three
-smaller tables read at M's cells through gather lists shared by shape.
+w_M * w_s == w_{s,xs} * w_{s,ys} on every cell of M in one pass
+(``_Lattice.ci_cells``; the G-test in ``gtest`` reads the same four).
 The criterion is P(x,y,s) P(s) == P(x,s) P(y,s) cross-multiplied, so it
 needs no division, passes every cell where P(s) = 0, and, being
 scale-invariant, gives on the weights exactly the probabilities' answer.
@@ -245,23 +245,15 @@ class _Recent(_Budgeted):
         return super().keep(key, cells)
 
 
-# shape -> gather index list, keyed (cards, strides) by ``_Lattice.project`` and
-# (cards, kept mask) by ``_spread``; a shape fixes its list, so every lattice
-# shares them
+# shape (cards, strides) -> gather index list; a shape fixes its list, so
+# every lattice shares them
 _GATHERS = _Recent()
 
 
-def _spread(cards: tuple[int, ...], kept: int) -> list[int]:
-    """Index, in the row-major marginal over the axes in the bitmask ``kept``
-    (axis i is bit i), of each cell of the row-major table over ``cards``:
-    the gather that reads a marginal at the cells of a table over more
-    variables.  Kept in ``_GATHERS`` by shape, ``(cards, kept)``."""
-    shape = (cards, kept)
-    gather = _GATHERS.get(shape)
-    if gather is None:
-        strides, _ = _strides(cards, [i for i in range(len(cards)) if kept >> i & 1])
-        gather = _GATHERS.keep(shape, _index_map(cards, strides))
-    return gather
+def _gather(cards: tuple[int, ...], strides: tuple[int, ...]) -> list[int]:
+    """``_index_map(cards, strides)``, kept in ``_GATHERS`` by shape."""
+    shape = (cards, strides)
+    return _GATHERS.get(shape) or _GATHERS.keep(shape, _index_map(cards, strides))
 
 
 class _Lattice:
@@ -270,9 +262,8 @@ class _Lattice:
     ``marginals`` maps a position bitmask K to the marginal over K, kept in
     ascending position order.  On a miss, the highest position p outside K
     is summed out of the marginal of K | p; that lookup recurses, and the
-    full mask is the table itself.  Any other position order reads the
-    ascending marginal through a gather index list, built once per shape
-    (the kept cardinalities and their strides) and shared by all lattices.
+    full mask is the table itself.  ``ci_cells`` and ``project`` read
+    marginals at other cells through gather index lists (``_gather``).
 
     A lattice belongs to its table: each ``DiscreteJoint`` and ``Dataset``
     makes one at construction, every query on that table reads it, and a
@@ -289,19 +280,48 @@ class _Lattice:
     def project(self, order: Sequence[int]) -> Sequence[int]:
         """Weights of the row-major marginal over the positions ``order``,
         kept in that order."""
-        mask = 0
-        for p in order:
-            mask |= 1 << p
-        table = self._ascending(mask)
+        table = self.ascending(sum(1 << p for p in order))
         ascending = sorted(order)
         if list(order) == ascending:
             return table
         strides, _ = _strides(self.cards, ascending)
-        shape = (tuple(self.cards[p] for p in order), tuple(strides[p] for p in order))
-        gather = _GATHERS.get(shape) or _GATHERS.keep(shape, _index_map(*shape))
+        gather = _gather(tuple(self.cards[p] for p in order), tuple(strides[p] for p in order))
         return [table[i] for i in gather]
 
-    def _ascending(self, mask: int) -> Sequence[int]:
+    def ci_cells(self, mx: int, my: int, ms: int) -> tuple[Iterable[int], ...]:
+        """For disjoint position bitmasks, the marginals w_M, w_s, w_{s,x}
+        and w_{s,y} over M = ms | mx | my, ms, ms | mx and ms | my, each read
+        at every cell of w_M (the last three lazily)."""
+        m = mx | my | ms
+        ascending = self.ascending
+        w_m, w_s, w_sx, w_sy = ascending(m), ascending(ms), ascending(ms | mx), ascending(ms | my)
+        # axis i of w_m is M's i-th lowest position; its stride in a smaller
+        # marginal of size n is n over that marginal's cardinalities up to
+        # and including it, or 0 if that marginal sums it out
+        n_s, n_sx, n_sy = len(w_s), len(w_sx), len(w_sy)
+        cards, strides = [], []
+        for p in range(m.bit_length()):
+            if m >> p & 1:
+                c = self.cards[p]
+                cards.append(c)
+                if mx >> p & 1:
+                    n_sx //= c
+                    strides.append((0, n_sx, 0))
+                elif my >> p & 1:
+                    n_sy //= c
+                    strides.append((0, 0, n_sy))
+                else:
+                    n_s, n_sx, n_sy = n_s // c, n_sx // c, n_sy // c
+                    strides.append((n_s, n_sx, n_sy))
+        cards = tuple(cards)
+        st_s, st_sx, st_sy = zip(*strides)
+        return (w_m, map(w_s.__getitem__, _gather(cards, st_s)),
+                map(w_sx.__getitem__, _gather(cards, st_sx)),
+                map(w_sy.__getitem__, _gather(cards, st_sy)))
+
+    def ascending(self, mask: int) -> Sequence[int]:
+        """Weights of the row-major marginal over the positions in ``mask``,
+        in ascending position order."""
         table = self.marginals.get(mask)
         if table is None:
             full = (1 << len(self.cards)) - 1
@@ -310,7 +330,7 @@ class _Lattice:
             p = (full & ~mask).bit_length() - 1
             # every position above p is kept, so p's axis is followed by
             # exactly those of self.cards[p + 1:]
-            up = self._ascending(mask | 1 << p)
+            up = self.ascending(mask | 1 << p)
             table = self.marginals.keep(mask, _sum_out(up, self.cards[p:], 0))
         return table
 
@@ -433,16 +453,16 @@ class DiscreteJoint:
         return itertools.product(*(range(c) for c in self._cards))
 
     def prob(self, assignment: Mapping[str, int]) -> Fraction:
-        """Probability of a full or partial assignment (exact sum)."""
+        """Probability of a full or partial assignment: one lattice cell."""
         fixed = {self._position(n): v for n, v in assignment.items()}
-        index = 0
-        for p, v in fixed.items():
-            c = self._cards[p]
+        mask = index = 0
+        for p in sorted(fixed):
+            c, v = self._cards[p], fixed[p]
             if v not in range(c):
                 return ZERO
             index = index * c + int(v)
-        weights = self._lattice.project(list(fixed))
-        return Fraction(weights[index], self._denom)
+            mask |= 1 << p
+        return Fraction(self._lattice.ascending(mask)[index], self._denom)
 
     def __reduce__(self):
         # the lattice is not pickled: a copy starts with an empty one
@@ -512,39 +532,18 @@ class DiscreteJoint:
         of the marginal over M, on the integer weights (scaling every cell
         by the common denominator keeps it exact).  It holds exactly when
         P(x,y|s) == P(x|s) P(y|s) wherever P(s) > 0; a cell with P(s) = 0
-        has every term 0 and passes.  All four marginals are ascending
-        ones from the joint's lattice (see ``_Lattice``), which every
-        query on this joint shares, and each of the three smaller ones is
-        read at M's cells through a gather list shared by shape
-        (``_spread``).  The cells are compared lazily, so a dependence
-        stops at the first cell that breaks the identity.
+        has every term 0 and passes.  The four marginals come from the
+        joint's lattice (``_Lattice.ci_cells``), which every query on this
+        joint shares.  The cells are compared lazily, so a dependence stops
+        at the first cell that breaks the identity.
         """
         xs, ys, s = list(xs), list(ys), list(s)
         if not xs or not ys:
             raise DistributionError("query sets must be non-empty")
         mx, my, ms = self._mask(xs), self._mask(ys), self._mask(s)
-        m = mx | my | ms
-        if m.bit_count() != len(xs) + len(ys) + len(s):
+        if (mx | my | ms).bit_count() != len(xs) + len(ys) + len(s):
             raise DistributionError("query sets must be pairwise disjoint")
-        # axis i of the marginal over M is M's i-th lowest position; the
-        # bitmasks rx, ry and rs mark the axes of xs, ys and s
-        cards = []
-        rx = ry = 0
-        for p in range(m.bit_length()):
-            if m >> p & 1:
-                axis = 1 << len(cards)
-                if mx >> p & 1:
-                    rx |= axis
-                elif my >> p & 1:
-                    ry |= axis
-                cards.append(self._cards[p])
-        rs = (1 << len(cards)) - 1 ^ rx ^ ry
-        cards = tuple(cards)
-        ascending = self._lattice._ascending
-        w_m = ascending(m)
-        w_s = map(ascending(ms).__getitem__, _spread(cards, rs))
-        w_sx = map(ascending(ms | mx).__getitem__, _spread(cards, rs | rx))
-        w_sy = map(ascending(ms | my).__getitem__, _spread(cards, rs | ry))
+        w_m, w_s, w_sx, w_sy = self._lattice.ci_cells(mx, my, ms)
         return all(map(eq, map(mul, w_m, w_s), map(mul, w_sx, w_sy)))
 
     def _mask(self, names: list[str]) -> int:

@@ -85,8 +85,13 @@ class GaussianSystem:
 def integer_scaled(cov: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
     """``cov`` times the lcm of its denominators: an integer matrix with the
     same zero partial correlations and, the scale being positive, the same
-    pivot signs.  An integer matrix comes back unchanged, as a copy."""
-    den = math.lcm(*(v.denominator for row in cov for v in row))
+    pivot signs.  An integer matrix comes back unchanged, as a copy.  Any
+    other entry, such as a float, raises ``GaussianError``."""
+    try:
+        den = math.lcm(*(v.denominator for row in cov for v in row))
+    except AttributeError:
+        bad = next(v for row in cov for v in row if not isinstance(v, (int, Fraction)))
+        raise GaussianError(f"covariance entries must be ints or Fractions, not {bad!r}") from None
     return [[v.numerator * (den // v.denominator) for v in row] for row in cov]
 
 

@@ -1,7 +1,9 @@
 """G-test of conditional independence on the count table a ``Dataset``
-builds once, projected per query by the exact backend's marginal lattice
-(``distribution._Lattice``).  The lattice belongs to the dataset, so every
-query on one dataset, from any ``GTestOracle`` or direct call, shares it.
+builds once.  Each query reads the four marginals the exact backend's CI
+check reads, from the dataset's own marginal lattice
+(``distribution._Lattice.ci_cells``).  The lattice belongs to the dataset,
+so every query on one dataset, from any ``GTestOracle`` or direct call,
+shares it.
 
 The only floating-point zone in the codebase: the G statistic, and the
 chi-squared tail (series / continued-fraction regularized incomplete gamma).
@@ -92,40 +94,32 @@ def g_test(
     s: Iterable[str] = (),
     cfg: GTestConfig | None = None,
 ) -> GTestResult:
-    """Stratified G statistic: 2 sum O ln(O/E) within each s-assignment.
+    """Stratified G statistic: G = 2 sum O ln(O/E) over the cells with
+    O > 0, where O = n_sxy and E = n_sx n_sy / n_s within each s-assignment.
 
-    E = n_x n_y / n_s, from the dataset's counts projected onto (s, x, y).
+    The counts n_sxy, n_s, n_sx and n_sy come from the dataset's lattice,
+    aligned on the cells over s | x | y in variable order.  Each term is
+    O ln(O n_s / (n_sx n_sy)), one correctly rounded quotient of integers,
+    and ``math.fsum`` rounds their sum once, so G is the same float for
+    any order of s and either order of x and y.
     df = (|dom x| - 1)(|dom y| - 1) * number of strata, where the strata
     are all possible s-assignments, empty ones included.
     """
     if len(dataset) == 0:
         raise DistributionError("dataset is empty")
-    names = list(s) + [x, y]
+    s = list(s)
+    names = s + [x, y]
     if len(set(names)) != len(names):
         raise DistributionError("query variables must be distinct")
     pos = {n: i for i, (n, _) in enumerate(dataset.variables)}
     if unknown := [n for n in names if n not in pos]:
         raise DistributionError(f"unknown variable {unknown[0]!r}")
-    order = [pos[n] for n in names]
-    cards = [c for _, c in dataset.variables]
-    table = dataset._lattice.project(order)
-    cx, cy = cards[order[-2]], cards[order[-1]]
-    block = cx * cy
-
-    stat = 0.0
-    for b in range(0, len(table), block):
-        n_s = sum(table[b : b + block])
-        if not n_s:
-            continue
-        cols = [sum(table[b + j : b + block : cy]) for j in range(cy)]
-        for r in range(b, b + block, cy):
-            row = table[r : r + cy]
-            n_x = sum(row)
-            for obs, n_y in zip(row, cols):
-                if obs:
-                    stat += 2.0 * obs * math.log(obs / (n_x * n_y / n_s))
-
-    df = (cx - 1) * (cy - 1) * (len(table) // block)
+    cells = dataset._lattice.ci_cells(1 << pos[x], 1 << pos[y], sum(1 << pos[v] for v in s))
+    stat = 2.0 * math.fsum(
+        obs * math.log(obs * n_s / (n_sx * n_sy)) for obs, n_s, n_sx, n_sy in zip(*cells) if obs
+    )
+    card = dict(dataset.variables)
+    df = (card[x] - 1) * (card[y] - 1) * math.prod(card[v] for v in s)
     if df <= 0:
         return GTestResult(stat, 0, True)
     return GTestResult(stat, df, chi2_sf(stat, df) >= (cfg or GTestConfig()).alpha)

@@ -148,4 +148,4 @@ class GTestOracle(IndependenceOracle):
         self.config = config or GTestConfig()
 
     def _query(self, x, y, s):
-        return g_test(self.dataset, x, y, sorted(s), self.config).independent
+        return g_test(self.dataset, x, y, s, self.config).independent

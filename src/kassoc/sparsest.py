@@ -80,8 +80,8 @@ def sparsest_permutations(
     # of S.  The pair (u, v) given T comes up at the masks T|u and T|v.
     # Ascending masks reach the lower one first and ask the pair there as
     # (lower, higher) in variable order, as the lexicographic walk over
-    # permutations does, so an order-sensitive backend sees the same calls;
-    # the higher mask reads that answer back.
+    # permutations does, so the backend sees the very calls that walk
+    # makes; the higher mask reads that answer back.
     parents = []
     for S in range(full + 1):
         inside = [u for u in range(n) if S >> u & 1]

@@ -158,6 +158,14 @@ class TestSystem:
         with pytest.raises(GaussianError, match="noise variance of Y"):
             GaussianSystem(("X", "Y"), {("Y", "X"): 1}, {"X": 1, "Y": 0.5})
 
+    @pytest.mark.parametrize("matrix", [
+        [[1.0, 0.5], [0.5, 1.0]],
+        [[F(1), F(1, 2)], [F(1, 2), 1.0]],
+    ], ids=["all-float", "one-float"])
+    def test_float_covariance_is_refused(self, matrix):
+        with pytest.raises(GaussianError, match="ints or Fractions, not 1.0"):
+            partial_correlation_zero(matrix, 0, 1, [])
+
     def test_chain_covariance_exact(self):
         cov = chain_system().covariance()
         # Var(Z) = 1 + 1 = 2, Cov(X, Y) = 1, Var(Y) = 2 + 1 = 3

@@ -10,6 +10,7 @@ import pytest
 from kassoc.distribution import MAX_CELLS, Cpt, Dataset, DiscreteJoint, DistributionError
 from kassoc.graph import Dag
 from kassoc.gtest import GTestConfig, GTestResult, chi2_sf, g_test, regularized_gamma_p
+from kassoc.oracle import GTestOracle
 from kassoc.scenarios import BUILTINS, builtin
 
 
@@ -154,7 +155,9 @@ class TestFrozenAcceptanceThresholds:
 
 def assert_agrees_with_rowscan(data, cfg=None):
     """Every pair and every conditioning set: same df and verdict as the
-    row scan, and the statistic equal up to float summation order."""
+    row scan, and the statistic equal up to float summation order.  The
+    result is the very same with x and y swapped and s reversed, and fresh
+    oracles (empty caches) give one verdict for either orientation."""
     names = data.names
     for x, y in itertools.permutations(names, 2):
         rest = [v for v in names if v not in (x, y)]
@@ -163,6 +166,8 @@ def assert_agrees_with_rowscan(data, cfg=None):
                 got, want = g_test(data, x, y, s, cfg), rowscan_g_test(data, x, y, s, cfg)
                 assert (got.df, got.independent) == (want.df, want.independent)
                 assert abs(got.statistic - want.statistic) <= 1e-10 * max(1.0, want.statistic)
+                assert got == g_test(data, y, x, s[::-1], cfg), (x, y, s)
+                assert GTestOracle(data, cfg).query(y, x, s) == GTestOracle(data, cfg).query(x, y, s)
 
 
 DISCRETE = sorted(n for n in BUILTINS if builtin(n).kind == "discrete")

@@ -208,8 +208,9 @@ def test_gather_cache_starts_over_past_its_budget(monkeypatch):
         assert gathers.cells == sum(map(len, gathers.values())) <= 60
         positions = sorted(joint.names.index(n) for n in [*xs, *ys, *s])
         cards = tuple(joint._cards[p] for p in positions)
-        kept = sum(1 << i for i, p in enumerate(positions) if joint.names[p] not in xs)
-        assert (cards, kept) in gathers, (xs, ys, s)  # the last list it read
+        kept = [i for i, p in enumerate(positions) if joint.names[p] not in xs]
+        strides = tuple(_strides(cards, kept)[0])
+        assert (cards, strides) in gathers, (xs, ys, s)  # the last list it read
 
 
 def seeded_scenario(n):
@@ -255,8 +256,8 @@ def test_the_lattice_belongs_to_the_table_not_the_oracle(make):
 
 
 def test_gtest_oracle_statistics_are_bit_identical():
-    """The G-test projects (name-sorted s, x, y) through the dataset's
-    reused lattice and gets the very statistic a fresh dataset gets."""
+    """The G-test reads its four marginals from the dataset's reused
+    lattice and gets the very statistic a fresh dataset gets."""
     data = seeded_scenario(7).joint.sample(500, 3)
     oracle = GTestOracle(data)
     names = data.names

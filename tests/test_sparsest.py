@@ -41,9 +41,9 @@ def recording(o):
 
 
 def assert_agrees(make_oracle):
-    """Same minimizers, same order, same edges, same backend calls.  The
-    G statistic sums in an x/y-dependent order, so each pair must reach the
-    backend in the same orientation, not just the same number of times."""
+    """Same minimizers, same order, same edges, same backend calls: each
+    pair reaches the backend in the same orientation, with the same
+    conditioning set, not just the same number of times."""
     (o, calls), (ref, ref_calls) = recording(make_oracle()), recording(make_oracle())
     got, want = sparsest_permutations(o), factorial_sparsest(ref)
     assert [(p, d.to_dict()) for p, d in got] == [(p, d.to_dict()) for p, d in want]
