@@ -535,7 +535,9 @@ class DiscreteJoint:
         has every term 0 and passes.  The four marginals come from the
         joint's lattice (``_Lattice.ci_cells``), which every query on this
         joint shares.  The cells are compared lazily, so a dependence stops
-        at the first cell that breaks the identity.
+        at the first cell that breaks the identity.  The names are checked
+        here; the check itself is ``_independent``, on position masks, which
+        a ``DiscreteOracle`` calls directly with the masks it validated.
         """
         xs, ys, s = list(xs), list(ys), list(s)
         if not xs or not ys:
@@ -543,6 +545,11 @@ class DiscreteJoint:
         mx, my, ms = self._mask(xs), self._mask(ys), self._mask(s)
         if (mx | my | ms).bit_count() != len(xs) + len(ys) + len(s):
             raise DistributionError("query sets must be pairwise disjoint")
+        return self._independent(mx, my, ms)
+
+    def _independent(self, mx: int, my: int, ms: int) -> bool:
+        """The check of ``is_independent_sets`` on the position bitmasks of
+        xs, ys and s, which must be disjoint and the first two non-empty."""
         w_m, w_s, w_sx, w_sy = self._lattice.ci_cells(mx, my, ms)
         return all(map(eq, map(mul, w_m, w_s), map(mul, w_sx, w_sy)))
 

@@ -4,9 +4,11 @@ Node identity is a dense integer index; labels are display-only.  All set
 operations run on integer bitmasks, which keeps the d-separation kernel
 cheap for graphs of up to 32 nodes.
 
-:meth:`Dag.d_separated` answers a set query with one reachability
+:func:`dconnected` answers a set query with one reachability
 ("Bayes-Ball") traversal from all of X over the parent/children bitmasks,
-stopping at the first node of Y, see :func:`dconnected`.
+stopping at the first node of Y.  A ``GraphOracle`` checks a query's names
+once and calls it on position masks directly; :meth:`Dag.d_separated`
+takes labels, checks them itself and calls the same kernel.
 """
 
 from __future__ import annotations
@@ -230,7 +232,8 @@ class Dag:
     # -- d-separation -------------------------------------------------------
 
     def d_separated(self, xs: Iterable[str], ys: Iterable[str], zs: Iterable[str] = ()) -> bool:
-        """Set query answered by one reachability traversal from all of xs."""
+        """Set query on labels, answered by one reachability traversal from
+        all of xs; checks its arguments and raises ``GraphError``."""
         xm, ym, zm = self._mask(xs), self._mask(ys), self._mask(zs)
         if not xm or not ym:
             raise GraphError("query sets must be non-empty")

@@ -7,6 +7,12 @@ query counter, which counts the queries a backend answered.  The marginal
 lattice a discrete or G-test query reads belongs to the table (the
 ``DiscreteJoint`` or ``Dataset``), not to the oracle: every oracle over
 one table, and the table's other users, share its cached marginals.
+
+Names are checked once per query, by ``IndependenceOracle._masks``, which
+turns them into bitmasks of positions in the oracle's variable order
+through the table's own name index.  The cache is keyed on those masks and
+every backend answers on them (``_query(mx, my, ms)``), so no backend
+looks a name up again.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import Iterable
 
 from .distribution import Dataset, DiscreteJoint
 from .gaussian import GaussianSystem, integer_scaled, partial_correlation_zero
-from .graph import Dag
+from .graph import Dag, _bits, dconnected
 from .gtest import GTestConfig, g_test
 
 
@@ -24,9 +30,14 @@ class OracleError(ValueError):
 
 
 class IndependenceOracle:
-    """Base type: answers "is x independent of y given s?"."""
+    """Base type: answers "is x independent of y given s?".
+
+    A backend sets ``_index``, the position of each name of ``variables``,
+    and implements ``_query(mx, my, ms)`` on validated position bitmasks.
+    """
 
     backend = "abstract"
+    _index: dict[str, int]
 
     def __init__(self, variables: Iterable[str]):
         self._variables = tuple(variables)
@@ -43,36 +54,45 @@ class IndependenceOracle:
 
     def query(self, x: str, y: str, s: Iterable[str] = ()) -> bool:
         """True = independent. Deterministic given the backend state."""
-        s = frozenset(s)
-        key = (x, y, s) if x <= y else (y, x, s)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        self._check((x,), (y,), s)  # a cached key passed this check when stored
-        ans = self._cache[key] = self._query(x, y, s)
-        self._count += 1
+        mx, my, ms = self._masks((x,), (y,), s)
+        key = (mx | my, ms)
+        ans = self._cache.get(key)
+        if ans is None:
+            ans = self._cache[key] = self._query(mx, my, ms)
+            self._count += 1
         return ans
 
     def query_sets(self, xs: Iterable[str], ys: Iterable[str], s: Iterable[str] = ()) -> bool:
-        """Set-valued query; not every backend supports it."""
-        raise OracleError(f"{self.backend} backend does not support set queries")
+        """Set-valued query, not cached; not every backend supports it."""
+        ans = self._query(*self._masks(xs, ys, s))
+        self._count += 1
+        return ans
 
-    def _check(self, xs, ys, s):
-        """The sides and conditioning set as tuples.  Raises OracleError
-        unless both sides are non-empty, every name is known and no name
+    def _masks(self, xs, ys, s) -> tuple[int, int, int]:
+        """Position bitmasks of both sides and the conditioning set.  Raises
+        OracleError unless both sides are non-empty, every name is known
+        (the first unknown one named, in the order xs, ys, s) and no name
         occurs twice."""
         xs, ys, s = tuple(xs), tuple(ys), tuple(s)
-        names = xs + ys + s
         if not xs or not ys:
             raise OracleError("query sets must be non-empty")
-        for v in names:
-            if v not in self._variables:
-                raise OracleError(f"unknown variable {v!r}")
-        if len(set(names)) != len(names):
+        index = self._index
+        mx = my = ms = 0
+        try:
+            for v in xs:
+                mx |= 1 << index[v]
+            for v in ys:
+                my |= 1 << index[v]
+            for v in s:
+                ms |= 1 << index[v]
+        except KeyError:
+            unknown = next(v for v in xs + ys + s if v not in index)
+            raise OracleError(f"unknown variable {unknown!r}") from None
+        if (mx | my | ms).bit_count() != len(xs) + len(ys) + len(s):
             raise OracleError("query sets must be pairwise disjoint and repeat no variable")
-        return xs, ys, s
+        return mx, my, ms
 
-    def _query(self, x, y, s) -> bool:
+    def _query(self, mx: int, my: int, ms: int) -> bool:
         raise NotImplementedError
 
 
@@ -84,14 +104,14 @@ class GraphOracle(IndependenceOracle):
     def __init__(self, dag: Dag):
         super().__init__(dag.nodes)
         self.dag = dag
+        self._index = dag._index
+        self._parents, self._children = dag._parent_masks, dag._child_masks
 
-    def _query(self, x, y, s):
-        return self.dag.d_separated((x,), (y,), s)
+    def _query(self, mx, my, ms):
+        return not dconnected(self._parents, self._children, mx, my, ms)
 
-    def query_sets(self, xs, ys, s=()):
-        ans = self.dag.d_separated(*self._check(xs, ys, s))
-        self._count += 1
-        return ans
+    # each backend's own name, so that a trace can tell its set queries apart
+    query_sets = IndependenceOracle.query_sets
 
 
 class DiscreteOracle(IndependenceOracle):
@@ -102,14 +122,12 @@ class DiscreteOracle(IndependenceOracle):
     def __init__(self, joint: DiscreteJoint):
         super().__init__(joint.names)
         self.joint = joint
+        self._index = joint._pos
 
-    def _query(self, x, y, s):
-        return self.joint.is_independent(x, y, s)
+    def _query(self, mx, my, ms):
+        return self.joint._independent(mx, my, ms)
 
-    def query_sets(self, xs, ys, s=()):
-        ans = self.joint.is_independent_sets(*self._check(xs, ys, s))
-        self._count += 1
-        return ans
+    query_sets = IndependenceOracle.query_sets
 
 
 class GaussianOracle(IndependenceOracle):
@@ -120,21 +138,17 @@ class GaussianOracle(IndependenceOracle):
     def __init__(self, system: GaussianSystem):
         super().__init__(system.nodes)
         self.system = system
+        self._index = system.dag._index
         self._cov = integer_scaled(system.covariance())
-        self._idx = {n: i for i, n in enumerate(system.nodes)}
 
-    def _query(self, x, y, s):
-        return partial_correlation_zero(
-            self._cov, self._idx[x], self._idx[y], [self._idx[v] for v in s]
-        )
-
-    def query_sets(self, xs, ys, s=()):
+    def _query(self, mx, my, ms):
         # for a multivariate Gaussian, block independence reduces to all
         # pairwise partial correlations vanishing
-        xs, ys, s = self._check(xs, ys, s)
-        ans = all(self._query(x, y, s) for x in xs for y in ys)
-        self._count += 1
-        return ans
+        s = list(_bits(ms))
+        return all(partial_correlation_zero(self._cov, i, j, s)
+                   for i in _bits(mx) for j in _bits(my))
+
+    query_sets = IndependenceOracle.query_sets
 
 
 class GTestOracle(IndependenceOracle):
@@ -146,6 +160,12 @@ class GTestOracle(IndependenceOracle):
         super().__init__(dataset.names)
         self.dataset = dataset
         self.config = config or GTestConfig()
+        self._index = {v: i for i, v in enumerate(self._variables)}
 
-    def _query(self, x, y, s):
-        return g_test(self.dataset, x, y, s, self.config).independent
+    def _query(self, mx, my, ms):
+        names = self._variables
+        x, y = names[mx.bit_length() - 1], names[my.bit_length() - 1]
+        return g_test(self.dataset, x, y, [names[i] for i in _bits(ms)], self.config).independent
+
+    def query_sets(self, xs, ys, s=()):
+        raise OracleError(f"{self.backend} backend does not support set queries")

@@ -202,11 +202,12 @@ class TestUnfaithfulTriples:
         oracle, so ``query_count`` counts that set query with every other
         backend call."""
         o = DiscreteOracle(example1.joint)
-        with mock.patch.object(DiscreteJoint, "is_independent_sets", autospec=True,
-                               side_effect=DiscreteJoint.is_independent_sets) as backend:
+        with mock.patch.object(DiscreteJoint, "_independent", autospec=True,
+                               side_effect=DiscreteJoint._independent) as backend:
             triples = find_unfaithful_triples(o)
         assert [t.nodes for t in triples] == [("X", "Y", "Z")]
-        assert mock.call(o.joint, ("X",), ("Y", "Z"), ()) in backend.call_args_list
+        bit = {v: 1 << i for i, v in enumerate(o.variables)}
+        assert mock.call(o.joint, bit["X"], bit["Y"] | bit["Z"], 0) in backend.call_args_list
         assert o.query_count == backend.call_count
 
     def test_one_set_query_agrees_with_full_factorisation(self, all_builtins):

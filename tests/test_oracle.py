@@ -1,20 +1,28 @@
 """Oracle layer: caching, counting, and backend agreement."""
 
 import itertools
+import random
+import re
 from unittest import mock
 
 import pytest
 
+from conftest import random_cpt_net
+from references import random_dag
 from kassoc.association import find_unfaithful_triples, weak_associations
 from kassoc.distribution import DiscreteJoint
+from kassoc.gaussian import integer_scaled, partial_correlation_zero
 from kassoc.graph import Dag
 from kassoc.growshrink import markov_blanket
+from kassoc.gtest import GTestConfig, g_test
 from kassoc.oracle import (
     DiscreteOracle,
     GaussianOracle,
     GraphOracle,
+    GTestOracle,
     OracleError,
 )
+from kassoc.scenarios import builtin
 
 
 def test_query_counts_cache_hits_once(example1):
@@ -27,16 +35,16 @@ def test_query_counts_cache_hits_once(example1):
 
 
 def test_every_discrete_backend_call_enters_the_joint_kernel_once(all_builtins):
-    """Each backend call of a discrete oracle, pairwise or set, is one
-    ``DiscreteJoint.is_independent_sets`` call, so ``query_count`` counts
-    exactly the kernel calls (and a trace of the kernel counts the backend
-    calls); cache hits reach neither."""
+    """Each backend call of a discrete oracle, pairwise or set, is one call
+    of the mask-level kernel ``DiscreteJoint._independent``, so
+    ``query_count`` counts exactly the kernel calls (and a trace of the
+    kernel counts the backend calls); cache hits reach neither."""
     for name, scenario in all_builtins.items():
         if scenario.kind != "discrete":
             continue
         o = DiscreteOracle(scenario.joint)
-        with mock.patch.object(DiscreteJoint, "is_independent_sets", autospec=True,
-                               side_effect=DiscreteJoint.is_independent_sets) as kernel:
+        with mock.patch.object(DiscreteJoint, "_independent", autospec=True,
+                               side_effect=DiscreteJoint._independent) as kernel:
             for v in o.variables:
                 markov_blanket(o, v)
                 weak_associations(o, v)
@@ -102,26 +110,161 @@ def test_gaussian_set_query(all_builtins):
     assert not o.query_sets({"X", "Z"}, {"W", "Y"})
 
 
+def every_backend():
+    cancel4 = builtin("cancel4")
+    return {
+        "graph": GraphOracle(cancel4.dag),
+        "discrete": DiscreteOracle(builtin("example2").joint),
+        "gaussian": GaussianOracle(cancel4.gaussian),
+        "gtest": GTestOracle(builtin("example2").joint.sample(200, seed=1)),
+    }
+
+
+EMPTY = "query sets must be non-empty"
+OVERLAP = "query sets must be pairwise disjoint and repeat no variable"
+UNKNOWN_Q = "unknown variable 'Q'"
+
+
 @pytest.mark.parametrize("backend,error", [
     ("graph", OracleError), ("discrete", OracleError), ("gaussian", OracleError),
+    ("gtest", OracleError),
 ])
-@pytest.mark.parametrize("xs,ys,s", [
-    (set(), {"Y"}, ()),
-    ({"X"}, (), ()),
-    ({"X"}, {"Q"}, ()),
-    ({"X"}, {"Y"}, {"Q"}),
-    ({"X"}, {"X", "Y"}, ()),
-    ({"X"}, {"Y"}, {"X"}),
-    (["X", "X"], ["Y"], ()),
+@pytest.mark.parametrize("xs,ys,s,message", [
+    (set(), {"Y"}, (), EMPTY),
+    ({"X"}, (), (), EMPTY),
+    ({"X"}, {"Q"}, (), UNKNOWN_Q),
+    ({"X"}, {"Y"}, {"Q"}, UNKNOWN_Q),
+    ({"X"}, {"X", "Y"}, (), OVERLAP),
+    ({"X"}, {"Y"}, {"X"}, OVERLAP),
+    (["X", "X"], ["Y"], (), OVERLAP),
+    ((), ("Q",), (), EMPTY),
 ], ids=["empty-xs", "empty-ys", "unknown-side", "unknown-given",
-        "overlapping-sides", "side-in-given", "repeated-in-side"])
-def test_set_query_rejects_malformed_input(all_builtins, backend, error, xs, ys, s):
-    oracle = {
-        "graph": lambda: GraphOracle(all_builtins["cancel4"].dag),
-        "discrete": lambda: DiscreteOracle(all_builtins["example2"].joint),
-        "gaussian": lambda: GaussianOracle(all_builtins["cancel4"].gaussian),
-    }[backend]()
+        "overlapping-sides", "side-in-given", "repeated-in-side",
+        "empty-before-unknown"])
+def test_set_query_rejects_malformed_input(backend, error, xs, ys, s, message):
+    """Each malformed set query raises its exact text, the G-test backend
+    refusing set queries first; empty sides are named before unknown names
+    and those before overlaps."""
+    oracle = every_backend()[backend]
     assert {"X", "Y"} <= set(oracle.variables)
-    with pytest.raises(error):
+    if backend == "gtest":
+        message = "gtest backend does not support set queries"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         oracle.query_sets(xs, ys, s)
     assert oracle.query_count == 0  # a rejected query is not counted
+
+
+# -- the mask path against the name-level backend calls ------------------------
+
+
+def name_level(o):
+    """The slow twin of ``o._query``: the backend's own call on names, which
+    looks every name up and checks the sets again."""
+    if isinstance(o, GraphOracle):
+        return o.dag.d_separated
+    if isinstance(o, DiscreteOracle):
+        return o.joint.is_independent_sets
+    if isinstance(o, GaussianOracle):
+        cov = integer_scaled(o.system.covariance())
+        pos = {v: i for i, v in enumerate(o.system.nodes)}
+        return lambda xs, ys, s: all(
+            partial_correlation_zero(cov, pos[x], pos[y], [pos[v] for v in s])
+            for x in xs for y in ys)
+    assert isinstance(o, GTestOracle)
+    return lambda xs, ys, s: g_test(o.dataset, *xs, *ys, s, o.config).independent
+
+
+def assert_mask_path_agrees(o, rng, set_queries=40):
+    """Every pairwise query, each pair in both orientations and with the
+    conditioning set in reverse, answers as the name-level call; a query is
+    counted once, on its first asking, and answered from the cache after.
+    Then ``set_queries`` seeded set queries, each counted."""
+    twin, names = name_level(o), o.variables
+    asked = set()
+    for x, y in itertools.permutations(names, 2):
+        rest = [v for v in names if v not in (x, y)]
+        for r in range(len(rest) + 1):
+            for s in itertools.combinations(rest, r):
+                key = frozenset((x, y)), frozenset(s)
+                before = o.query_count
+                assert o.query(x, y, s[::-1]) == twin([x], [y], s), (x, y, s)
+                assert o.query_count == before + (key not in asked)
+                asked.add(key)
+    assert o.query_count == len(asked) == len(names) * (len(names) - 1) * 2 ** len(names) // 8
+    if isinstance(o, GTestOracle):
+        return
+    for _ in range(set_queries):
+        roles = [rng.choice("xys-") for _ in names]
+        xs, ys, s = ([v for v, r in zip(names, roles) if r == k] for k in "xys")
+        if not xs or not ys:
+            continue
+        before = o.query_count
+        assert o.query_sets(xs, ys, s) == twin(xs, ys, s), (xs, ys, s)
+        assert o.query_count == before + 1  # set queries are not cached
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "chain", "fork", "collider",
+                                  "xor_chain", "noncollider_xor", "transitivity_failure",
+                                  "coins", "cancel3", "cancel4"])
+def test_mask_path_agrees_on_every_builtin(name):
+    scenario = builtin(name)
+    rng = random.Random(f"masks:{name}")
+    assert_mask_path_agrees(scenario.oracle(), rng)
+    assert_mask_path_agrees(GraphOracle(scenario.dag), rng)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_mask_path_agrees_on_random_dags(n):
+    for seed in range(3):
+        rng = random.Random(f"masks:dag:{n}:{seed}")
+        assert_mask_path_agrees(GraphOracle(random_dag(rng, n)), rng)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mask_path_agrees_on_random_joints(seed):
+    """Cardinalities 1-3, entries k/12, so most joints have zero cells."""
+    rng = random.Random(f"masks:joint:{seed}")
+    n = 3 + seed % 3
+    dag, cpts = random_cpt_net(rng, n, n + 1, 2, cards=(1, 2, 3))
+    joint = DiscreteJoint.from_cpts(dag, cpts)
+    assert_mask_path_agrees(DiscreteOracle(joint), rng)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "xor_chain"])
+def test_mask_path_agrees_on_a_gtest_dataset(name):
+    dataset = builtin(name).joint.sample(500, seed=3)
+    o = GTestOracle(dataset, GTestConfig(alpha=0.05))
+    assert_mask_path_agrees(o, random.Random(0))
+
+
+# -- one validation, the same texts on every backend ----------------------------
+
+
+@pytest.mark.parametrize("backend", ["graph", "discrete", "gaussian", "gtest"])
+@pytest.mark.parametrize("x,y,s,message", [
+    ("Q", "Y", (), UNKNOWN_Q),
+    ("X", "Q", (), UNKNOWN_Q),
+    ("X", "Y", ("Z", "Q"), UNKNOWN_Q),
+    ("Q", "R", (), UNKNOWN_Q),
+    ("X", "Y", ("R", "Q"), "unknown variable 'R'"),  # the caller's order
+    ("X", "Y", ("Q", "R"), UNKNOWN_Q),
+    ("X", "Y", ("X",), OVERLAP),
+    ("X", "X", (), OVERLAP),
+    ("X", "Y", ("Y", "Z"), OVERLAP),
+    ("X", "Y", ("Z", "Z"), OVERLAP),
+    ("X", "X", ("Q",), UNKNOWN_Q),  # unknown names before overlap
+], ids=["unknown-x", "unknown-y", "unknown-in-s", "two-unknown-sides", "two-unknown-in-s",
+        "two-unknown-in-s-swapped", "x-in-s", "x-is-y", "y-in-s", "repeated-in-s",
+        "unknown-before-overlap"])
+def test_a_malformed_query_raises_its_exact_text(backend, x, y, s, message):
+    """Through ``query`` and ``query_sets`` alike; of two unknown names in s
+    the first in the caller's order is named."""
+    o = every_backend()[backend]
+    assert {"X", "Y", "Z"} <= set(o.variables) and not {"Q", "R"} & set(o.variables)
+    with pytest.raises(OracleError, match=f"^{re.escape(message)}$"):
+        o.query(x, y, s)
+    if backend == "gtest":
+        message = "gtest backend does not support set queries"
+    with pytest.raises(OracleError, match=f"^{re.escape(message)}$"):
+        o.query_sets([x], [y], s)
+    assert o.query_count == 0  # a rejected query is not counted

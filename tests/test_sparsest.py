@@ -168,7 +168,8 @@ def test_search_is_not_factorial():
 
 class QueryLog(GraphOracle):
     """Logs every ``query`` call, cache hits included, and every backend
-    call, each in call order."""
+    call, each in call order and each as ``(x, y, frozenset(s))`` names (a
+    backend call's decoded from its position masks)."""
 
     def __init__(self, dag):
         super().__init__(dag)
@@ -178,9 +179,11 @@ class QueryLog(GraphOracle):
         self.queries.append((x, y, frozenset(s)))
         return super().query(x, y, s)
 
-    def _query(self, x, y, s):
-        self.backend_calls.append((x, y, s))
-        return super()._query(x, y, s)
+    def _query(self, mx, my, ms):
+        names = self.dag._ordered
+        (x,), (y,) = names(mx), names(my)
+        self.backend_calls.append((x, y, frozenset(names(ms))))
+        return super()._query(mx, my, ms)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
