@@ -56,11 +56,14 @@ def dconnected(
     children unless it is in Z, and bounces it back up to its parents if it
     is an ancestor of Z (a collider that Z opens).  Each step pops the
     lowest node of a frontier and ORs in its unvisited parents/children;
-    the traversal stops as soon as a newly reached node lies in Y.
+    the traversal stops as soon as a newly reached node lies in Y.  The
+    ancestors of Z are closed over only when the first node is popped going
+    down, since nothing else reads them, so a query that reaches Y before
+    that never computes them.
     """
     if x_mask & y_mask:
         return True
-    anc_z = ancestor_mask(parents, z_mask)
+    anc_z = None
     # "up": reached from a child (or a start node); "down": from a parent.
     # A node of Z reached going up blocks, so it is marked visited but
     # never enters the up frontier.
@@ -77,6 +80,8 @@ def dconnected(
             low = down & -down
             down ^= low
             i = low.bit_length() - 1
+            if anc_z is None:
+                anc_z = ancestor_mask(parents, z_mask)
             new_up = parents[i] & ~seen_up if low & anc_z else 0
             new_down = 0 if low & z_mask else children[i] & ~seen_down
         if (new_up | new_down) & y_mask:

@@ -8,11 +8,14 @@ lattice a discrete or G-test query reads belongs to the table (the
 ``DiscreteJoint`` or ``Dataset``), not to the oracle: every oracle over
 one table, and the table's other users, share its cached marginals.
 
-Names are checked once per query, by ``IndependenceOracle._masks``, which
-turns them into bitmasks of positions in the oracle's variable order
-through the table's own name index.  The cache is keyed on those masks and
-every backend answers on them (``_query(mx, my, ms)``), so no backend
-looks a name up again.
+Names are checked once per query and turned into bitmasks of positions
+in the oracle's variable order through the table's own name index.
+``query`` looks its one x, its one y and each name of s up directly in
+that index; a query that fails a check (an unknown or repeated name) is
+handed to ``IndependenceOracle._masks``, which ``query_sets`` always uses
+and which alone words an ``OracleError``.  The cache is keyed on those
+masks and every backend answers on them (``_query(mx, my, ms)``), so no
+backend looks a name up again.
 """
 
 from __future__ import annotations
@@ -54,7 +57,18 @@ class IndependenceOracle:
 
     def query(self, x: str, y: str, s: Iterable[str] = ()) -> bool:
         """True = independent. Deterministic given the backend state."""
-        mx, my, ms = self._masks((x,), (y,), s)
+        s = tuple(s)  # read once: a failed check hands the same names to _masks
+        index = self._index
+        try:
+            mx, my = 1 << index[x], 1 << index[y]
+            ms = 0
+            for v in s:
+                ms |= 1 << index[v]
+            valid = (mx | my | ms).bit_count() == len(s) + 2
+        except KeyError:
+            valid = False
+        if not valid:
+            mx, my, ms = self._masks((x,), (y,), s)
         key = (mx | my, ms)
         ans = self._cache.get(key)
         if ans is None:

@@ -2,11 +2,13 @@
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kassoc import graph
 from kassoc.graph import Dag, GraphError, KERNEL, MAX_NODES, ancestor_mask, dconnected
 from references import (
     _ancestors,
@@ -228,6 +230,42 @@ class TestKernelAgreement:
             separated = d_separated_bruteforce(dag, xs, ys, zs)
             assert dconnected(parents, children, x_mask, y_mask, z_mask) != separated, (
                 dag.edges, xs, ys, zs)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_kernel_matches_bruteforce_on_every_small_dag(self, n):
+        """Every labelled DAG on n nodes, every ordered pair, every Z."""
+        for dag in enumerate_dags(n):
+            parents, children, nodes = dag._parent_masks, dag._child_masks, dag.nodes
+            for x, y in itertools.permutations(range(n), 2):
+                for z in range(1 << n):
+                    if z >> x & 1 or z >> y & 1:
+                        continue
+                    zs = {nodes[i] for i in range(n) if z >> i & 1}
+                    separated = d_separated_bruteforce(dag, {nodes[x]}, {nodes[y]}, zs)
+                    assert dconnected(parents, children, 1 << x, 1 << y, z) != separated, (
+                        dag.edges, x, y, zs)
+
+    @staticmethod
+    def closures(dag, x, y, zs):
+        """``dconnected`` on labels, with the ``ancestor_mask`` calls it made."""
+        with mock.patch.object(graph, "ancestor_mask", wraps=ancestor_mask) as closure:
+            connected = dconnected(dag._parent_masks, dag._child_masks,
+                                   dag._mask([x]), dag._mask([y]), dag._mask(zs))
+        assert connected != d_separated_bruteforce(dag, {x}, {y}, zs)
+        return connected, [c.args for c in closure.call_args_list]
+
+    def test_y_reached_going_up_never_closes_z(self):
+        # X <- A <- Y: the ball reaches Y going up; Z = {C}, a child of X,
+        # waits in the down frontier and is never popped
+        dag = Dag(["X", "A", "Y", "C"], [("Y", "A"), ("A", "X"), ("X", "C")])
+        assert self.closures(dag, "X", "Y", {"C"}) == (True, [])
+
+    def test_only_a_descendant_of_z_opens_the_collider(self):
+        # X -> C <- Y, C -> D: Z = {D} opens C, once the ball comes down to C
+        dag = Dag(["X", "Y", "C", "D"], [("X", "C"), ("Y", "C"), ("C", "D")])
+        parents = dag._parent_masks
+        assert self.closures(dag, "X", "Y", {"D"}) == (True, [(parents, 0b1000)])
+        assert self.closures(dag, "X", "Y", set()) == (False, [(parents, 0)])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_ancestor_mask_matches_reference(self, seed):

@@ -59,8 +59,8 @@ def test_every_discrete_backend_call_enters_the_joint_kernel_once(all_builtins):
 
 
 @pytest.mark.parametrize(
-    "given", [lambda: ("Y",), lambda: {"Y"}, lambda: (v for v in ["Y"])],
-    ids=["tuple", "set", "generator"],
+    "given", [lambda: ("Y",), lambda: "Y", lambda: ["Y"], lambda: {"Y"}, lambda: (v for v in ["Y"])],
+    ids=["tuple", "str", "list", "set", "generator"],
 )
 def test_conditioning_set_may_be_any_iterable(example1, given):
     o = DiscreteOracle(example1.joint)
@@ -268,3 +268,18 @@ def test_a_malformed_query_raises_its_exact_text(backend, x, y, s, message):
     with pytest.raises(OracleError, match=f"^{re.escape(message)}$"):
         o.query_sets([x], [y], s)
     assert o.query_count == 0  # a rejected query is not counted
+
+
+@pytest.mark.parametrize("backend", ["graph", "discrete", "gaussian", "gtest"])
+@pytest.mark.parametrize("s,message", [
+    (("Z", "Q"), UNKNOWN_Q),
+    (("Z", "Z"), OVERLAP),
+], ids=["unknown", "repeated"])
+def test_a_one_shot_conditioning_set_raises_the_tuple_text(backend, s, message):
+    """``query`` reads a generator once, so the check that words the error
+    sees every name of it, as it sees a tuple's."""
+    o = every_backend()[backend]
+    for given in (s, (v for v in s)):
+        with pytest.raises(OracleError, match=f"^{re.escape(message)}$"):
+            o.query("X", "Y", given)
+    assert o.query_count == 0

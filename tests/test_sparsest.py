@@ -158,6 +158,14 @@ class CountingOracle(GraphOracle):
         return super().query(x, y, s)
 
 
+def test_no_variables_give_one_empty_minimizer():
+    # the DP and the moves at full == 0: one mask, nothing to ask or walk
+    o = CountingOracle(Dag([], []))
+    assert [(p, d.to_dict()) for p, d in sparsest_permutations(o)] == [
+        ((), {"permutation": [], "edges": [], "edge_count": 0})]
+    assert o.calls == o.query_count == 0
+
+
 def test_search_is_not_factorial():
     # one call per unordered pair and conditioning set: n(n-1)2^(n-3) = 672
     # at n = 7; the factorial search makes 105,840
