@@ -193,13 +193,16 @@ def weak_associations(
     """The holding reports of x's weak associations: 1-associations to the
     other variables in oracle order, then strict 2-associations to pairs of
     them in ``itertools.combinations`` order.  A pair's strictness is read
-    off the single-partner reports (a refuted one is never up to budget)."""
+    off the single-partner reports (a refuted one is never up to budget), so
+    a pair with a 1-associated partner cannot be strict and is not scanned."""
     partners = [v for v in o.variables if v != x]
     ones = {y: is_1_associated(o, x, y, budget) for y in partners}
     found = [r for r in ones.values() if r.holds]
     for y1, y2 in itertools.combinations(partners, 2):
+        if ones[y1].holds or ones[y2].holds:
+            continue
         two = is_2_associated(o, x, y1, y2, budget)
-        if two.holds and not ones[y1].holds and not ones[y2].holds:
+        if two.holds:
             found.append(replace(two, kind="strict-two"))
     return found
 

@@ -22,6 +22,8 @@ w_M * w_s == w_{s,xs} * w_{s,ys} on every cell of M in one pass
 The criterion is P(x,y,s) P(s) == P(x,s) P(y,s) cross-multiplied, so it
 needs no division, passes every cell where P(s) = 0, and, being
 scale-invariant, gives on the weights exactly the probabilities' answer.
+Each table keeps one name index, ``_pos``; a query's names go through
+``graph.query_masks``, the rule every CI entry point shares.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, eq, mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+from .graph import query_masks
 
 MAX_CELLS = 1 << 20
 
@@ -121,14 +125,14 @@ class Cpt:
 @dataclass(frozen=True)
 class Dataset:
     """Finite sample of integer-coded rows, one value in ``range(card)`` per
-    variable (at most ``MAX_CELLS`` assignments), counted once into ``_counts``:
-    the dense row-major table over ``variables`` that each G-test query
-    projects through the dataset's own marginal lattice, ``_lattice``.
-    ``variables`` and ``rows`` are stored validated, as tuples of tuples."""
+    variable (at most ``MAX_CELLS`` assignments), counted once into the
+    dense row-major table over ``variables`` that the dataset's own marginal
+    lattice, ``_lattice``, holds and each G-test query reads; ``_pos`` is its
+    name index.  ``variables`` and ``rows`` are stored validated, as tuples."""
 
     variables: tuple[tuple[str, int], ...]
     rows: tuple[tuple[int, ...], ...]
-    _counts: list[int] = field(init=False, repr=False, compare=False)
+    _pos: dict[str, int] = field(init=False, repr=False, compare=False)
     _lattice: _Lattice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -143,7 +147,7 @@ class Dataset:
             if len(row) != len(cards) or not all(v in range(c) for v, c in zip(row, cards)):
                 raise DistributionError(f"row {row} is not one value in range(card) per variable")
             counts[sum(int(v) * st for v, st in zip(row, strides))] += n
-        object.__setattr__(self, "_counts", counts)
+        object.__setattr__(self, "_pos", {n: i for i, (n, _) in enumerate(variables)})
         object.__setattr__(self, "_lattice", _Lattice(counts, cards))
 
     @property
@@ -498,7 +502,7 @@ class DiscreteJoint:
                     raise DistributionError(
                         f"CPT for {node}: cardinality mismatch on parent {p}"
                     )
-        pos = {n: i for i, n in enumerate(dag.nodes)}
+        pos = dag._index
         factors = []
         for node in dag.nodes:
             cpt = by_child[node]
@@ -525,40 +529,22 @@ class DiscreteJoint:
     def is_independent_sets(
         self, xs: Iterable[str], ys: Iterable[str], s: Iterable[str] = ()
     ) -> bool:
-        """Set-valued exact CI: are xs and ys independent given s?
-
-        With M = s | xs | ys, checks the cross-multiplied identity
-        w_M[s,x,y] * w_s[s] == w_{s,xs}[s,x] * w_{s,ys}[s,y] on every cell
-        of the marginal over M, on the integer weights (scaling every cell
-        by the common denominator keeps it exact).  It holds exactly when
-        P(x,y|s) == P(x|s) P(y|s) wherever P(s) > 0; a cell with P(s) = 0
-        has every term 0 and passes.  The four marginals come from the
-        joint's lattice (``_Lattice.ci_cells``), which every query on this
-        joint shares.  The cells are compared lazily, so a dependence stops
-        at the first cell that breaks the identity.  The names are checked
-        here; the check itself is ``_independent``, on position masks, which
-        a ``DiscreteOracle`` calls directly with the masks it validated.
+        """Set-valued exact CI: are xs and ys independent given s?  The names
+        go through ``graph.query_masks`` (a malformed query raises
+        DistributionError); the check is ``_independent``, on position masks,
+        which a ``DiscreteOracle`` calls directly with the masks it validated.
         """
-        xs, ys, s = list(xs), list(ys), list(s)
-        if not xs or not ys:
-            raise DistributionError("query sets must be non-empty")
-        mx, my, ms = self._mask(xs), self._mask(ys), self._mask(s)
-        if (mx | my | ms).bit_count() != len(xs) + len(ys) + len(s):
-            raise DistributionError("query sets must be pairwise disjoint")
-        return self._independent(mx, my, ms)
+        return self._independent(*query_masks(self._pos, xs, ys, s, DistributionError))
 
     def _independent(self, mx: int, my: int, ms: int) -> bool:
         """The check of ``is_independent_sets`` on the position bitmasks of
-        xs, ys and s, which must be disjoint and the first two non-empty."""
+        xs, ys and s, which must be disjoint and the first two non-empty.
+        With M = s | xs | ys, w_M * w_s == w_{s,xs} * w_{s,ys} on every cell
+        of M (the module docstring's criterion; a cell with P(s) = 0 has
+        every term 0 and passes), compared lazily, so a dependence stops at
+        the first cell that breaks it."""
         w_m, w_s, w_sx, w_sy = self._lattice.ci_cells(mx, my, ms)
         return all(map(eq, map(mul, w_m, w_s), map(mul, w_sx, w_sy)))
-
-    def _mask(self, names: list[str]) -> int:
-        """Bitmask of the positions of ``names``."""
-        mask = 0
-        for n in names:
-            mask |= 1 << self._position(n)
-        return mask
 
     def sample(self, n: int, seed: int) -> Dataset:
         """n i.i.d. draws; deterministic for a fixed seed."""

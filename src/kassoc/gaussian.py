@@ -66,7 +66,7 @@ class GaussianSystem:
         of i, and Var(i) = sum_p b_ip Cov(p, i) + d_i.
         """
         n = len(self.nodes)
-        pos = {name: i for i, name in enumerate(self.nodes)}
+        pos = self._dag._index
         weights: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
         for (c, p), w in self.coefficients.items():
             weights[pos[c]].append((pos[p], w))
@@ -105,11 +105,14 @@ def partial_correlation_zero(
     of the integer-scaled submatrix over s + [x, y].  Every pivot is a
     leading principal minor, so the submatrix is positive definite iff all
     pivots are positive; after s is eliminated, the (x, y) entry is
-    det(cov[s, s]) * Cov(x, y | s) up to a positive scale.
+    det(cov[s, s]) * Cov(x, y | s) up to a positive scale.  Every index
+    must lie in ``range(len(cov))`` and occur once.
     """
     idx = list(s) + [x, y]
     if len(set(idx)) != len(idx):
         raise GaussianError("query indices must be distinct")
+    if min(idx) < 0 or max(idx) >= len(cov):
+        raise GaussianError(f"query indices must lie in range({len(cov)})")
     a = integer_scaled([[cov[i][j] for j in idx] for i in idx])
     m = len(a)
     prev = 1

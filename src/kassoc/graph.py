@@ -6,14 +6,15 @@ cheap for graphs of up to 32 nodes.
 
 :func:`dconnected` answers a set query with one reachability
 ("Bayes-Ball") traversal from all of X over the parent/children bitmasks,
-stopping at the first node of Y.  A ``GraphOracle`` checks a query's names
-once and calls it on position masks directly; :meth:`Dag.d_separated`
-takes labels, checks them itself and calls the same kernel.
+stopping at the first node of Y.  :func:`query_masks` is the one rule for a
+well-formed CI query on names: every name-level entry point (the oracles,
+:meth:`Dag.d_separated`, ``DiscreteJoint.is_independent_sets``,
+``gtest.g_test``) calls it with its table's name index and error class.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 KERNEL = "python"  # the d-separation kernel is pure Python
 MAX_NODES = 32
@@ -28,6 +29,31 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def query_masks(index: Mapping[str, int], xs: Iterable[str], ys: Iterable[str],
+                s: Iterable[str], error: type[ValueError]) -> tuple[int, int, int]:
+    """Position bitmasks of a CI query's sides and conditioning set through
+    ``index`` (name to position).  Raises ``error`` unless both sides are
+    non-empty, every name is known (the first unknown one named, in the
+    order xs, ys, s) and no name occurs twice, within or across the three."""
+    xs, ys, s = tuple(xs), tuple(ys), tuple(s)
+    if not xs or not ys:
+        raise error("query sets must be non-empty")
+    mx = my = ms = 0
+    try:
+        for v in xs:
+            mx |= 1 << index[v]
+        for v in ys:
+            my |= 1 << index[v]
+        for v in s:
+            ms |= 1 << index[v]
+    except KeyError:
+        unknown = next(v for v in xs + ys + s if v not in index)
+        raise error(f"unknown variable {unknown!r}") from None
+    if (mx | my | ms).bit_count() != len(xs) + len(ys) + len(s):
+        raise error("query sets must be pairwise disjoint and repeat no variable")
+    return mx, my, ms
 
 
 def ancestor_mask(parents: Sequence[int], seed_mask: int) -> int:
@@ -154,16 +180,6 @@ class Dag:
         except KeyError:
             raise GraphError(f"unknown node {node!r}") from None
 
-    def _mask(self, nodes: Iterable[str]) -> int:
-        index = self._index
-        m = 0
-        for n in nodes:
-            try:
-                m |= 1 << index[n]
-            except KeyError:
-                raise GraphError(f"unknown node {n!r}") from None
-        return m
-
     def _labels(self, mask: int) -> set[str]:
         return {self.nodes[i] for i in _bits(mask)}
 
@@ -238,10 +254,6 @@ class Dag:
 
     def d_separated(self, xs: Iterable[str], ys: Iterable[str], zs: Iterable[str] = ()) -> bool:
         """Set query on labels, answered by one reachability traversal from
-        all of xs; checks its arguments and raises ``GraphError``."""
-        xm, ym, zm = self._mask(xs), self._mask(ys), self._mask(zs)
-        if not xm or not ym:
-            raise GraphError("query sets must be non-empty")
-        if xm & ym or xm & zm or ym & zm:
-            raise GraphError("query sets must be pairwise disjoint")
+        all of xs; a malformed query (:func:`query_masks`) raises ``GraphError``."""
+        xm, ym, zm = query_masks(self._index, xs, ys, zs, GraphError)
         return not dconnected(self._parent_masks, self._child_masks, xm, ym, zm)

@@ -1,9 +1,9 @@
 """G-test of conditional independence on the count table a ``Dataset``
-builds once.  Each query reads the four marginals the exact backend's CI
+builds once.  Each query checks its names with ``graph.query_masks`` on the
+dataset's name index, then reads the four marginals the exact backend's CI
 check reads, from the dataset's own marginal lattice
-(``distribution._Lattice.ci_cells``).  The lattice belongs to the dataset,
-so every query on one dataset, from any ``GTestOracle`` or direct call,
-shares it.
+(``distribution._Lattice.ci_cells``), which every query on one dataset,
+from any ``GTestOracle`` or direct call, shares.
 
 The only floating-point zone in the codebase: the G statistic, and the
 chi-squared tail (series / continued-fraction regularized incomplete gamma).
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .distribution import Dataset, DistributionError
+from .graph import _bits, query_masks
 
 _EPS = 3e-14
 _MAX_ITER = 500
@@ -107,19 +108,14 @@ def g_test(
     """
     if len(dataset) == 0:
         raise DistributionError("dataset is empty")
-    s = list(s)
-    names = s + [x, y]
-    if len(set(names)) != len(names):
-        raise DistributionError("query variables must be distinct")
-    pos = {n: i for i, (n, _) in enumerate(dataset.variables)}
-    if unknown := [n for n in names if n not in pos]:
-        raise DistributionError(f"unknown variable {unknown[0]!r}")
-    cells = dataset._lattice.ci_cells(1 << pos[x], 1 << pos[y], sum(1 << pos[v] for v in s))
+    mx, my, ms = query_masks(dataset._pos, (x,), (y,), s, DistributionError)
+    cells = dataset._lattice.ci_cells(mx, my, ms)
     stat = 2.0 * math.fsum(
         obs * math.log(obs * n_s / (n_sx * n_sy)) for obs, n_s, n_sx, n_sy in zip(*cells) if obs
     )
-    card = dict(dataset.variables)
-    df = (card[x] - 1) * (card[y] - 1) * math.prod(card[v] for v in s)
+    card = dataset._lattice.cards
+    strata = math.prod(card[i] for i in _bits(ms))
+    df = (card[mx.bit_length() - 1] - 1) * (card[my.bit_length() - 1] - 1) * strata
     if df <= 0:
         return GTestResult(stat, 0, True)
     return GTestResult(stat, df, chi2_sf(stat, df) >= (cfg or GTestConfig()).alpha)

@@ -9,13 +9,15 @@ lattice a discrete or G-test query reads belongs to the table (the
 one table, and the table's other users, share its cached marginals.
 
 Names are checked once per query and turned into bitmasks of positions
-in the oracle's variable order through the table's own name index.
-``query`` looks its one x, its one y and each name of s up directly in
-that index; a query that fails a check (an unknown or repeated name) is
-handed to ``IndependenceOracle._masks``, which ``query_sets`` always uses
-and which alone words an ``OracleError``.  The cache is keyed on those
-masks and every backend answers on them (``_query(mx, my, ms)``), so no
-backend looks a name up again.
+in the oracle's variable order through the table's own name index
+(``Dag._index``, ``DiscreteJoint._pos`` or ``Dataset._pos``).  ``query``
+looks its one x, its one y and each name of s up directly in that index;
+a query that fails a check goes to ``graph.query_masks``, which
+``query_sets`` always uses: the one rule, and the one wording, that every
+name-level CI entry point shares (here with ``OracleError``).  The cache
+is keyed on those masks and every backend answers on them
+(``_query(mx, my, ms)``); only the G-test oracle turns them back into
+names, for ``gtest.g_test``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Iterable
 
 from .distribution import Dataset, DiscreteJoint
 from .gaussian import GaussianSystem, integer_scaled, partial_correlation_zero
-from .graph import Dag, _bits, dconnected
+from .graph import Dag, _bits, dconnected, query_masks
 from .gtest import GTestConfig, g_test
 
 
@@ -57,7 +59,7 @@ class IndependenceOracle:
 
     def query(self, x: str, y: str, s: Iterable[str] = ()) -> bool:
         """True = independent. Deterministic given the backend state."""
-        s = tuple(s)  # read once: a failed check hands the same names to _masks
+        s = tuple(s)  # read once: a failed check hands the same names to query_masks
         index = self._index
         try:
             mx, my = 1 << index[x], 1 << index[y]
@@ -68,7 +70,7 @@ class IndependenceOracle:
         except KeyError:
             valid = False
         if not valid:
-            mx, my, ms = self._masks((x,), (y,), s)
+            mx, my, ms = query_masks(self._index, (x,), (y,), s, OracleError)
         key = (mx | my, ms)
         ans = self._cache.get(key)
         if ans is None:
@@ -78,33 +80,9 @@ class IndependenceOracle:
 
     def query_sets(self, xs: Iterable[str], ys: Iterable[str], s: Iterable[str] = ()) -> bool:
         """Set-valued query, not cached; not every backend supports it."""
-        ans = self._query(*self._masks(xs, ys, s))
+        ans = self._query(*query_masks(self._index, xs, ys, s, OracleError))
         self._count += 1
         return ans
-
-    def _masks(self, xs, ys, s) -> tuple[int, int, int]:
-        """Position bitmasks of both sides and the conditioning set.  Raises
-        OracleError unless both sides are non-empty, every name is known
-        (the first unknown one named, in the order xs, ys, s) and no name
-        occurs twice."""
-        xs, ys, s = tuple(xs), tuple(ys), tuple(s)
-        if not xs or not ys:
-            raise OracleError("query sets must be non-empty")
-        index = self._index
-        mx = my = ms = 0
-        try:
-            for v in xs:
-                mx |= 1 << index[v]
-            for v in ys:
-                my |= 1 << index[v]
-            for v in s:
-                ms |= 1 << index[v]
-        except KeyError:
-            unknown = next(v for v in xs + ys + s if v not in index)
-            raise OracleError(f"unknown variable {unknown!r}") from None
-        if (mx | my | ms).bit_count() != len(xs) + len(ys) + len(s):
-            raise OracleError("query sets must be pairwise disjoint and repeat no variable")
-        return mx, my, ms
 
     def _query(self, mx: int, my: int, ms: int) -> bool:
         raise NotImplementedError
@@ -174,7 +152,7 @@ class GTestOracle(IndependenceOracle):
         super().__init__(dataset.names)
         self.dataset = dataset
         self.config = config or GTestConfig()
-        self._index = {v: i for i, v in enumerate(self._variables)}
+        self._index = dataset._pos
 
     def _query(self, mx, my, ms):
         names = self._variables

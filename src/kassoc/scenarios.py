@@ -542,6 +542,8 @@ def load_path(path: str) -> Scenario:
             doc = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ScenarioError("scenario file nests too deeply to parse") from None
     return load(doc)

@@ -143,15 +143,29 @@ def per_candidate_scan(o, x, budget):
 
 class TestWeakAssociations:
     """``weak_associations`` against the per-candidate scan: the same
-    reports in the same order, from the same backend calls."""
+    reports in the same order, from no more backend calls (a pair with a
+    1-associated partner cannot be strict, so its scan is skipped)."""
 
     @staticmethod
     def assert_agrees(make_oracle, x, budget):
         ref, got = make_oracle(), make_oracle()
         want = per_candidate_scan(ref, x, budget)
         assert weak_associations(got, x, budget) == want
-        assert got.query_count == ref.query_count
+        assert got.query_count <= ref.query_count
         return want
+
+    def test_backend_calls_over_every_builtin_node(self):
+        """The skipped scans, pinned: 351 backend calls over every node of
+        every builtin on a fresh exact oracle (402 when every pair was
+        scanned)."""
+        total = 0
+        for name in sorted(BUILTINS):
+            s = builtin(name)
+            for x in s.dag.nodes:
+                o = s.oracle()
+                weak_associations(o, x)
+                total += o.query_count
+        assert total == 351
 
     @pytest.mark.parametrize("budget", [UNBOUNDED, AssociationBudget(max_size=1)],
                              ids=["unbounded", "budget-1"])

@@ -207,6 +207,7 @@ class TestScenarioLoading:
         "parents_string", "order_not_a_list", "probs_bool", "param_float",
         "notes_not_a_string", "order_permuted",
         "document_list", "document_null", "document_string", "payload_list",
+        "not_utf8", "nested_deep",
     ])
     def test_invalid_file_contents_exit_two(self, tmp_path, capsys, defect):
         graph = {"name": "g", "nodes": ["X", "Y"], "edges": [], "payload": {"type": "graph"}}
@@ -261,12 +262,19 @@ class TestScenarioLoading:
         elif defect == "cyclic_gaussian":
             doc = save(builtin("cancel3"))
             doc["payload"]["coefficients"]["Y->X"] = "1/1"
+        elif defect in ("not_utf8", "nested_deep"):
+            doc = None
         else:
             doc = save(builtin("cancel3"))
             key = defect.split("_")[0]
             doc["payload"][key] = list(doc["payload"][key])
         p = tmp_path / "bad.json"
-        p.write_text(json.dumps(doc))
+        if defect == "not_utf8":
+            p.write_bytes(b'{"name": "\xff"}')
+        elif defect == "nested_deep":
+            p.write_text("[" * 200_000 + "]" * 200_000)  # past the parser's recursion limit
+        else:
+            p.write_text(json.dumps(doc))
         code, report, err = invoke(capsys, "mb", "--scenario", str(p), "--target", "X")
         assert code == 2
         assert report is None
@@ -277,6 +285,10 @@ class TestScenarioLoading:
             assert err.endswith(": scenario document must be a JSON object\n")
         elif defect == "payload_list":
             assert err.endswith(": payload must be a JSON object\n")
+        elif defect == "not_utf8":
+            assert "scenario file is not valid JSON: 'utf-8' codec can't decode" in err
+        elif defect == "nested_deep":
+            assert err.endswith(": scenario file nests too deeply to parse\n")
 
     def test_gaussian_payload_off_the_graph_exits_two(self, tmp_path, capsys):
         doc = save(builtin("cancel3"))

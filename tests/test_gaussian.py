@@ -280,3 +280,13 @@ class TestAgreementWithReferences:
             partial_correlation_zero(cov, 0, 2, (0,))
         with pytest.raises(GaussianError):
             inverse_partial_correlation_zero(cov, 0, 2, (0,))
+
+    @pytest.mark.parametrize("x,y,s", [
+        (0, -1, []), (0, 5, []), (0, -1, [2]), (0, 1, [3]),
+    ], ids=["negative", "past-the-end", "negative-with-given", "given-past-the-end"])
+    def test_out_of_range_index_is_refused(self, x, y, s):
+        """A negative index would silently read from the end of the matrix."""
+        cov = chain_system().covariance()
+        assert len(cov) == 3
+        with pytest.raises(GaussianError, match=r"^query indices must lie in range\(3\)$"):
+            partial_correlation_zero(cov, x, y, s)

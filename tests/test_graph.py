@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kassoc import graph
-from kassoc.graph import Dag, GraphError, KERNEL, MAX_NODES, ancestor_mask, dconnected
+from kassoc.graph import (Dag, GraphError, KERNEL, MAX_NODES, ancestor_mask, dconnected,
+                          query_masks)
 from references import (
     _ancestors,
     check_path,
@@ -155,15 +156,21 @@ class TestDSeparation:
             CHAIN.d_separated(set(), {"Z"})
 
     def test_error_texts(self):
-        with pytest.raises(GraphError, match=r"^unknown node 'Q'$"):
+        """The oracles' texts (``graph.query_masks``), emptiness first."""
+        with pytest.raises(GraphError, match=r"^unknown variable 'Q'$"):
             CHAIN.d_separated({"X"}, {"Z"}, ["Q"])
         with pytest.raises(GraphError, match=r"^query sets must be non-empty$"):
             CHAIN.d_separated({"X"}, ())
-        with pytest.raises(GraphError, match=r"^query sets must be pairwise disjoint$"):
+        with pytest.raises(GraphError, match=r"^query sets must be non-empty$"):
+            CHAIN.d_separated({"Q"}, ())
+        with pytest.raises(GraphError, match=r"^query sets must be pairwise disjoint "
+                                             r"and repeat no variable$"):
             CHAIN.d_separated({"X"}, {"Z"}, {"Z"})
 
-    def test_repeated_names_count_once(self):
-        assert CHAIN.d_separated(["X", "X"], ("Z",), ["Y", "Y"])
+    def test_repeated_names_are_refused(self):
+        for xs, zs in ((["X", "X"], ()), (["X"], ["Y", "Y"])):
+            with pytest.raises(GraphError, match="repeat no variable"):
+                CHAIN.d_separated(xs, ("Z",), zs)
 
 
 class TestKernelAgreement:
@@ -250,7 +257,7 @@ class TestKernelAgreement:
         """``dconnected`` on labels, with the ``ancestor_mask`` calls it made."""
         with mock.patch.object(graph, "ancestor_mask", wraps=ancestor_mask) as closure:
             connected = dconnected(dag._parent_masks, dag._child_masks,
-                                   dag._mask([x]), dag._mask([y]), dag._mask(zs))
+                                   *query_masks(dag._index, [x], [y], zs, GraphError))
         assert connected != d_separated_bruteforce(dag, {x}, {y}, zs)
         return connected, [c.args for c in closure.call_args_list]
 

@@ -185,9 +185,9 @@ def test_ci_kernel_matches_the_block_loop_on_every_query(cards, budget):
     (["V0"], ["V1"], ["V2", "Q"], "unknown variable 'Q'"),
     ([], ["V1"], [], "query sets must be non-empty"),
     (["V0"], [], ["V1"], "query sets must be non-empty"),
-    (["V0"], ["V0"], [], "query sets must be pairwise disjoint"),
-    (["V0"], ["V1"], ["V1"], "query sets must be pairwise disjoint"),
-    (["V0", "V0"], ["V1"], [], "query sets must be pairwise disjoint"),
+    (["V0"], ["V0"], [], "query sets must be pairwise disjoint and repeat no variable"),
+    (["V0"], ["V1"], ["V1"], "query sets must be pairwise disjoint and repeat no variable"),
+    (["V0", "V0"], ["V1"], [], "query sets must be pairwise disjoint and repeat no variable"),
 ])
 def test_ci_kernel_errors_keep_their_texts(xs, ys, s, message):
     joint = seeded_joint(0, (2, 3, 2))

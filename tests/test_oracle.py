@@ -10,9 +10,9 @@ import pytest
 from conftest import random_cpt_net
 from references import random_dag
 from kassoc.association import find_unfaithful_triples, weak_associations
-from kassoc.distribution import DiscreteJoint
+from kassoc.distribution import DiscreteJoint, DistributionError
 from kassoc.gaussian import integer_scaled, partial_correlation_zero
-from kassoc.graph import Dag
+from kassoc.graph import Dag, GraphError
 from kassoc.growshrink import markov_blanket
 from kassoc.gtest import GTestConfig, g_test
 from kassoc.oracle import (
@@ -268,6 +268,51 @@ def test_a_malformed_query_raises_its_exact_text(backend, x, y, s, message):
     with pytest.raises(OracleError, match=f"^{re.escape(message)}$"):
         o.query_sets([x], [y], s)
     assert o.query_count == 0  # a rejected query is not counted
+
+
+def name_level_entry_points():
+    """Every name-level CI entry point, with the error class it raises:
+    the set queries of the oracles that take them, and the tables' own."""
+    cancel4, example2 = builtin("cancel4"), builtin("example2")
+    data = example2.joint.sample(200, seed=1)
+    backends = every_backend()
+    return {
+        **{f"{b}.query_sets": (backends[b].query_sets, OracleError)
+           for b in ("graph", "discrete", "gaussian")},
+        "Dag.d_separated": (cancel4.dag.d_separated, GraphError),
+        "DiscreteJoint.is_independent_sets":
+            (example2.joint.is_independent_sets, DistributionError),
+        "g_test": (lambda xs, ys, s: g_test(data, *xs, *ys, s), DistributionError),
+    }
+
+
+MALFORMED = {
+    "empty-xs": ((), ("Y",), (), EMPTY),
+    "empty-ys-before-unknown": (("X",), (), ("Q",), EMPTY),
+    "unknown-in-xs": (("Q",), ("Y",), (), UNKNOWN_Q),
+    "unknown-in-ys": (("X",), ("Q",), (), UNKNOWN_Q),
+    "unknown-in-s": (("X",), ("Y",), ("Z", "Q"), UNKNOWN_Q),
+    "overlap-with-s": (("X",), ("Y",), ("X",), OVERLAP),
+    "overlapping-sides": (("X",), ("X",), (), OVERLAP),
+    "repeat-in-xs": (("X", "X"), ("Y",), (), OVERLAP),
+    "repeat-in-s": (("X",), ("Y",), ("Z", "Z"), OVERLAP),
+}
+ENTRY_POINTS = ["graph.query_sets", "discrete.query_sets", "gaussian.query_sets",
+                "Dag.d_separated", "DiscreteJoint.is_independent_sets", "g_test"]
+
+
+@pytest.mark.parametrize("entry,xs,ys,s,message", [
+    pytest.param(entry, *query, id=f"{entry}-{case}")
+    for entry in ENTRY_POINTS for case, query in MALFORMED.items()
+    # g_test takes one name per side, so no other shape can reach it
+    if entry != "g_test" or len(query[0]) == len(query[1]) == 1
+])
+def test_every_entry_point_refuses_a_malformed_query_alike(entry, xs, ys, s, message):
+    """One rule (``graph.query_masks``): the same text from every entry
+    point, each with its own error class."""
+    call, error = name_level_entry_points()[entry]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(xs, ys, s)
 
 
 @pytest.mark.parametrize("backend", ["graph", "discrete", "gaussian", "gtest"])
