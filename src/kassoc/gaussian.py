@@ -3,8 +3,9 @@
 Path cancellations are measure-zero events, so conditional independence is
 decided by exact rational partial correlations, never by thresholding a
 float.  The covariance is filled in by the structural recursion along a
-topological order, and each CI query is one fraction-free (Bareiss)
-elimination over integers that also checks positive definiteness.
+topological order, and each CI query, pairwise or set, is one
+fraction-free (Bareiss) elimination over integers (``_pcorr_zero``) that
+also checks positive definiteness.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class GaussianSystem:
     nodes: tuple[str, ...]
     coefficients: Mapping[tuple[str, str], Fraction]
     noise_variances: Mapping[str, Fraction]
-    _dag: Dag = field(init=False, repr=False, compare=False)
+    dag: Dag = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = {(c, p): exact(v, GaussianError, f"coefficient of {p}->{c}")
@@ -53,11 +54,7 @@ class GaussianSystem:
             raise GaussianError(f"invalid coefficient structure: {exc}") from exc
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "noise_variances", noises)
-        object.__setattr__(self, "_dag", dag)
-
-    @property
-    def dag(self) -> Dag:
-        return self._dag
+        object.__setattr__(self, "dag", dag)
 
     def covariance(self) -> list[list[Fraction]]:
         """Exact covariance in ``nodes`` order, filled in topological order.
@@ -66,13 +63,13 @@ class GaussianSystem:
         of i, and Var(i) = sum_p b_ip Cov(p, i) + d_i.
         """
         n = len(self.nodes)
-        pos = self._dag._index
+        pos = self.dag._index
         weights: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
         for (c, p), w in self.coefficients.items():
             weights[pos[c]].append((pos[p], w))
         cov = [[ZERO] * n for _ in range(n)]
         done: list[int] = []
-        for name in self._dag.topological_order():
+        for name in self.dag.topological_order():
             i = pos[name]
             row = cov[i]
             for j in done:
@@ -95,25 +92,16 @@ def integer_scaled(cov: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
     return [[v.numerator * (den // v.denominator) for v in row] for row in cov]
 
 
-def partial_correlation_zero(
-    cov: Sequence[Sequence[Fraction | int]], x: int, y: int, s: Sequence[int]
-) -> bool:
-    """True iff the partial correlation of (x, y) given s is exactly zero.
+def _pcorr_zero(a: list[list[int]], ns: int, nx: int) -> bool:
+    """True iff X and Y are independent given s, for the integer covariance
+    submatrix ``a`` over s + X + Y (``ns`` rows of s, then ``nx`` of X).
 
-    ``cov`` holds Fractions or ints (floats are not accepted), ideally
-    already :func:`integer_scaled`.  One fraction-free (Bareiss) elimination
-    of the integer-scaled submatrix over s + [x, y].  Every pivot is a
-    leading principal minor, so the submatrix is positive definite iff all
-    pivots are positive; after s is eliminated, the (x, y) entry is
-    det(cov[s, s]) * Cov(x, y | s) up to a positive scale.  Every index
-    must lie in ``range(len(cov))`` and occur once.
+    One fraction-free (Bareiss) pass over every pivot, in place.  Each pivot
+    is a leading principal minor, so ``a`` is positive definite iff all are
+    positive.  The pass leaves det(a[:k, :k]) * Cov(x_r, y | s, x_1..x_{r-1})
+    at row k = x_r, column y, so by the chain rule X and Y are independent
+    given s iff every entry in an X row and a Y column is 0.
     """
-    idx = list(s) + [x, y]
-    if len(set(idx)) != len(idx):
-        raise GaussianError("query indices must be distinct")
-    if min(idx) < 0 or max(idx) >= len(cov):
-        raise GaussianError(f"query indices must lie in range({len(cov)})")
-    a = integer_scaled([[cov[i][j] for j in idx] for i in idx])
     m = len(a)
     prev = 1
     for k in range(m):
@@ -127,4 +115,23 @@ def partial_correlation_zero(
             for j in range(k + 1, m):
                 row_i[j] = (pivot * row_i[j] - f * row_k[j]) // prev
         prev = pivot
-    return a[-2][-1] == 0
+    return not any(any(row[ns + nx:]) for row in a[ns:ns + nx])
+
+
+def partial_correlation_zero(
+    cov: Sequence[Sequence[Fraction | int]], x: int, y: int, s: Sequence[int]
+) -> bool:
+    """True iff the partial correlation of (x, y) given s is exactly zero.
+
+    ``cov`` holds Fractions or ints (floats are not accepted).  Every index
+    must lie in ``range(len(cov))`` and occur once.  The submatrix over
+    s + [x, y] is :func:`integer_scaled` and decided by ``_pcorr_zero``
+    with one X row; an oracle scales its covariance once and calls
+    ``_pcorr_zero`` itself.
+    """
+    idx = list(s) + [x, y]
+    if len(set(idx)) != len(idx):
+        raise GaussianError("query indices must be distinct")
+    if min(idx) < 0 or max(idx) >= len(cov):
+        raise GaussianError(f"query indices must lie in range({len(cov)})")
+    return _pcorr_zero(integer_scaled([[cov[i][j] for j in idx] for i in idx]), len(idx) - 2, 1)

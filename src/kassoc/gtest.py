@@ -1,9 +1,10 @@
 """G-test of conditional independence on the count table a ``Dataset``
-builds once.  Each query checks its names with ``graph.query_masks`` on the
-dataset's name index, then reads the four marginals the exact backend's CI
-check reads, from the dataset's own marginal lattice
-(``distribution._Lattice.ci_cells``), which every query on one dataset,
-from any ``GTestOracle`` or direct call, shares.
+builds once.  The test itself, ``_g_test``, takes position bitmasks and
+reads the four marginals the exact backend's CI check reads, from the
+dataset's own marginal lattice (``distribution._Lattice.ci_cells``), which
+every query on one dataset, from any ``GTestOracle`` or direct call,
+shares.  A ``GTestOracle`` hands it the masks it checked; ``g_test``
+checks its names with ``graph.query_masks`` on the dataset's name index.
 
 The only floating-point zone in the codebase: the G statistic, and the
 chi-squared tail (series / continued-fraction regularized incomplete gamma).
@@ -104,11 +105,17 @@ def g_test(
     and ``math.fsum`` rounds their sum once, so G is the same float for
     any order of s and either order of x and y.
     df = (|dom x| - 1)(|dom y| - 1) * number of strata, where the strata
-    are all possible s-assignments, empty ones included.
+    are all possible s-assignments, empty ones included.  A malformed
+    query is refused before an empty dataset, as by a ``GTestOracle``.
     """
+    masks = query_masks(dataset._pos, (x,), (y,), s, DistributionError)
+    return _g_test(dataset, *masks, cfg or GTestConfig())
+
+
+def _g_test(dataset: Dataset, mx: int, my: int, ms: int, cfg: GTestConfig) -> GTestResult:
+    """``g_test`` on the position bitmasks of x, y and s in ``dataset``."""
     if len(dataset) == 0:
         raise DistributionError("dataset is empty")
-    mx, my, ms = query_masks(dataset._pos, (x,), (y,), s, DistributionError)
     cells = dataset._lattice.ci_cells(mx, my, ms)
     stat = 2.0 * math.fsum(
         obs * math.log(obs * n_s / (n_sx * n_sy)) for obs, n_s, n_sx, n_sy in zip(*cells) if obs
@@ -118,4 +125,4 @@ def g_test(
     df = (card[mx.bit_length() - 1] - 1) * (card[my.bit_length() - 1] - 1) * strata
     if df <= 0:
         return GTestResult(stat, 0, True)
-    return GTestResult(stat, df, chi2_sf(stat, df) >= (cfg or GTestConfig()).alpha)
+    return GTestResult(stat, df, chi2_sf(stat, df) >= cfg.alpha)

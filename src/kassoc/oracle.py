@@ -16,8 +16,8 @@ a query that fails a check goes to ``graph.query_masks``, which
 ``query_sets`` always uses: the one rule, and the one wording, that every
 name-level CI entry point shares (here with ``OracleError``).  The cache
 is keyed on those masks and every backend answers on them
-(``_query(mx, my, ms)``); only the G-test oracle turns them back into
-names, for ``gtest.g_test``.
+(``_query(mx, my, ms)``) with one call of its mask-level core, never
+of the name-level twin that would check the names again.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from __future__ import annotations
 from typing import Iterable
 
 from .distribution import Dataset, DiscreteJoint
-from .gaussian import GaussianSystem, integer_scaled, partial_correlation_zero
+from .gaussian import GaussianSystem, _pcorr_zero, integer_scaled
 from .graph import Dag, _bits, dconnected, query_masks
-from .gtest import GTestConfig, g_test
+from .gtest import GTestConfig, _g_test
 
 
 class OracleError(ValueError):
@@ -134,11 +134,9 @@ class GaussianOracle(IndependenceOracle):
         self._cov = integer_scaled(system.covariance())
 
     def _query(self, mx, my, ms):
-        # for a multivariate Gaussian, block independence reduces to all
-        # pairwise partial correlations vanishing
-        s = list(_bits(ms))
-        return all(partial_correlation_zero(self._cov, i, j, s)
-                   for i in _bits(mx) for j in _bits(my))
+        idx = [*_bits(ms), *_bits(mx), *_bits(my)]
+        cov = self._cov
+        return _pcorr_zero([[cov[i][j] for j in idx] for i in idx], ms.bit_count(), mx.bit_count())
 
     query_sets = IndependenceOracle.query_sets
 
@@ -155,9 +153,7 @@ class GTestOracle(IndependenceOracle):
         self._index = dataset._pos
 
     def _query(self, mx, my, ms):
-        names = self._variables
-        x, y = names[mx.bit_length() - 1], names[my.bit_length() - 1]
-        return g_test(self.dataset, x, y, [names[i] for i in _bits(ms)], self.config).independent
+        return _g_test(self.dataset, mx, my, ms, self.config).independent
 
     def query_sets(self, xs, ys, s=()):
         raise OracleError(f"{self.backend} backend does not support set queries")

@@ -11,13 +11,20 @@
 * :func:`mutually_independent`: full factorisation of a three-variable
   marginal, checked cell by cell on the integer weights; the reference for
   the unfaithful-triple search's one set query.
+* :func:`inverse_partial_correlation_zero`: the Gauss-Jordan criterion
+  (the precision matrix of the submatrix over x, y and s) on Fractions,
+  which shares no code with the Bareiss elimination in
+  :mod:`kassoc.gaussian`; and :func:`random_sem`, seeded linear-Gaussian
+  systems.
 """
 
 import itertools
 import random
+from fractions import Fraction as F
 from typing import Iterable, Iterator, Sequence
 
 from kassoc.distribution import DiscreteJoint
+from kassoc.gaussian import GaussianError, GaussianSystem
 from kassoc.graph import Dag, GraphError
 from kassoc.oracle import IndependenceOracle
 
@@ -178,3 +185,63 @@ def mutually_independent(joint: DiscreteJoint, x: str, y: str, z: str) -> bool:
         if w * t2 != wx[xv] * wy[yv] * wz[zv]:
             return False
     return True
+
+
+# -- linear-Gaussian systems ------------------------------------------------------
+
+
+def random_sem(rng: random.Random, n: int) -> GaussianSystem:
+    """Seeded SEM on a random DAG: weights k/2 with k in -4..4 (zero allowed,
+    which leaves an edge without effect), noise variances 1-3."""
+    dag = random_dag(rng, n, edge_prob=0.5)
+    return GaussianSystem(
+        dag.nodes,
+        {(c, p): F(rng.randint(-4, 4), 2) for p, c in dag.edges},
+        {v: F(rng.randint(1, 3)) for v in dag.nodes},
+    )
+
+
+def identity(n):
+    return [[F(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def mat_inverse(a):
+    """Exact Gauss-Jordan inverse; raises on a singular matrix."""
+    n = len(a)
+    m = [row[:] + ident for row, ident in zip(a, identity(n))]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            raise GaussianError("singular matrix")
+        m[col], m[pivot] = m[pivot], m[col]
+        inv_p = 1 / m[col][col]
+        m[col] = [v * inv_p for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
+    return [row[n:] for row in m]
+
+
+def _check_positive_definite(m):
+    # leading principal minors via fraction-exact elimination
+    n = len(m)
+    a = [row[:] for row in m]
+    for k in range(n):
+        if a[k][k] <= 0:
+            raise GaussianError("covariance submatrix is not positive definite")
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+
+
+def inverse_partial_correlation_zero(cov, x, y, s):
+    """Reference criterion: the (x, y) entry of the inverse of the positive
+    definite covariance submatrix over [x, y] + s vanishes."""
+    idx = [x, y] + list(s)
+    if len(set(idx)) != len(idx):
+        raise GaussianError("query indices must be distinct")
+    sub = [[F(cov[i][j]) for j in idx] for i in idx]
+    _check_positive_definite(sub)
+    return mat_inverse(sub)[0][1] == 0

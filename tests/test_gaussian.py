@@ -11,15 +11,11 @@ from kassoc.gaussian import (
     GaussianSystem,
     partial_correlation_zero,
 )
-from references import random_dag
+from references import identity, inverse_partial_correlation_zero, mat_inverse, random_sem
 
 
-# -- reference algebra: the earlier Gauss-Jordan criterion and the matrix
-# -- covariance, kept as the slow twins of the one-pass code in kassoc.gaussian
-
-
-def _identity(n):
-    return [[F(int(i == j)) for j in range(n)] for i in range(n)]
+# -- reference algebra: the matrix covariance, kept as the slow twin of the
+# -- recursion in kassoc.gaussian; the Gauss-Jordan criterion is in references
 
 
 def mat_mul(a, b):
@@ -30,72 +26,19 @@ def mat_mul(a, b):
     ]
 
 
-def mat_inverse(a):
-    """Exact Gauss-Jordan inverse; raises on a singular matrix."""
-    n = len(a)
-    m = [row[:] + ident for row, ident in zip(a, _identity(n))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise GaussianError("singular matrix")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv_p = 1 / m[col][col]
-        m[col] = [v * inv_p for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return [row[n:] for row in m]
-
-
-def _check_positive_definite(m):
-    # leading principal minors via fraction-exact elimination
-    n = len(m)
-    a = [row[:] for row in m]
-    for k in range(n):
-        if a[k][k] <= 0:
-            raise GaussianError("covariance submatrix is not positive definite")
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-
-
-def inverse_partial_correlation_zero(cov, x, y, s):
-    """Reference criterion: the (x, y) entry of the inverse of the positive
-    definite covariance submatrix over [x, y] + s vanishes."""
-    idx = [x, y] + list(s)
-    if len(set(idx)) != len(idx):
-        raise GaussianError("query indices must be distinct")
-    sub = [[F(cov[i][j]) for j in idx] for i in idx]
-    _check_positive_definite(sub)
-    return mat_inverse(sub)[0][1] == 0
-
-
 def matrix_covariance(system):
     """Reference covariance (I - B)^-1 D (I - B)^-T in ``nodes`` order."""
     n = len(system.nodes)
     pos = {name: i for i, name in enumerate(system.nodes)}
-    a = _identity(n)
+    a = identity(n)
     for (c, p), w in system.coefficients.items():
         a[pos[c]][pos[p]] -= w
     ainv = mat_inverse(a)
-    d = _identity(n)
+    d = identity(n)
     for name, v in system.noise_variances.items():
         d[pos[name]][pos[name]] = v
     at = [[ainv[j][i] for j in range(n)] for i in range(n)]
     return mat_mul(mat_mul(ainv, d), at)
-
-
-def random_sem(rng, n):
-    """Seeded SEM on a random DAG: weights k/2 with k in -4..4 (zero allowed,
-    which leaves an edge without effect), noise variances 1-3."""
-    dag = random_dag(rng, n, edge_prob=0.5)
-    return GaussianSystem(
-        dag.nodes,
-        {(c, p): F(rng.randint(-4, 4), 2) for p, c in dag.edges},
-        {v: F(rng.randint(1, 3)) for v in dag.nodes},
-    )
 
 
 def every_query(n):

@@ -219,6 +219,17 @@ class TestDatasetChecks:
         with pytest.raises(DistributionError, match="unknown variable 'Q'"):
             g_test(data, x, y, s)
 
+    def test_empty_dataset_is_refused_after_the_names(self):
+        """``g_test`` checks its names first, as an oracle does before its
+        backend reads the dataset."""
+        data = Dataset(self.VARIABLES, ())
+        with pytest.raises(DistributionError, match="^unknown variable 'Q'$"):
+            g_test(data, "A", "Q")
+        with pytest.raises(DistributionError, match="^dataset is empty$"):
+            g_test(data, "A", "B")
+        with pytest.raises(DistributionError, match="^dataset is empty$"):
+            GTestOracle(data).query("A", "B")
+
     def test_counts_do_not_affect_equality(self):
         a = Dataset(self.VARIABLES, ((0, 1), (1, 2)))
         b = Dataset(self.VARIABLES, ((0, 1), (1, 2)))

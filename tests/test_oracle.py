@@ -1,17 +1,19 @@
 """Oracle layer: caching, counting, and backend agreement."""
 
+import contextlib
 import itertools
 import random
 import re
+import sys
 from unittest import mock
 
 import pytest
 
 from conftest import random_cpt_net
-from references import random_dag
+from references import inverse_partial_correlation_zero, random_dag, random_sem
+from kassoc import gaussian, gtest
 from kassoc.association import find_unfaithful_triples, weak_associations
 from kassoc.distribution import DiscreteJoint, DistributionError
-from kassoc.gaussian import integer_scaled, partial_correlation_zero
 from kassoc.graph import Dag, GraphError
 from kassoc.growshrink import markov_blanket
 from kassoc.gtest import GTestConfig, g_test
@@ -34,28 +36,57 @@ def test_query_counts_cache_hits_once(example1):
     assert o.query_count == 1
 
 
-def test_every_discrete_backend_call_enters_the_joint_kernel_once(all_builtins):
-    """Each backend call of a discrete oracle, pairwise or set, is one call
-    of the mask-level kernel ``DiscreteJoint._independent``, so
+@contextlib.contextmanager
+def calls_of(owner, attr):
+    """Count the calls of ``owner.attr``, each passed through: a method on
+    its class, a function in every kassoc module that binds it by that
+    name, so an oracle's own import of it is counted too."""
+    fn = vars(owner)[attr]
+    spy = mock.create_autospec(fn, side_effect=fn)
+    homes = [owner] if isinstance(owner, type) else [
+        m for k, m in sorted(sys.modules.items())
+        if k.split(".")[0] == "kassoc" and vars(m).get(attr) is fn]
+    with contextlib.ExitStack() as stack:
+        for home in homes:
+            stack.enter_context(mock.patch.object(home, attr, spy))
+        yield spy
+
+
+@pytest.mark.parametrize("backend,kernel,twin", [
+    ("discrete", (DiscreteJoint, "_independent"), (DiscreteJoint, "is_independent_sets")),
+    ("gaussian", (gaussian, "_pcorr_zero"), (gaussian, "partial_correlation_zero")),
+    ("gtest", (gtest, "_g_test"), (gtest, "g_test")),
+], ids=["discrete", "gaussian", "gtest"])
+def test_every_backend_call_enters_its_mask_kernel_once(all_builtins, backend, kernel, twin):
+    """Each backend call of an oracle, pairwise or set, is one call of its
+    backend's mask-level kernel and none of the name-level twin, so
     ``query_count`` counts exactly the kernel calls (and a trace of the
-    kernel counts the backend calls); cache hits reach neither."""
+    kernel counts the backend calls); cache hits reach neither.  The
+    G-test oracles run on 300 samples of each discrete builtin."""
     for name, scenario in all_builtins.items():
-        if scenario.kind != "discrete":
+        if scenario.kind != ("discrete" if backend == "gtest" else backend):
             continue
-        o = DiscreteOracle(scenario.joint)
-        with mock.patch.object(DiscreteJoint, "_independent", autospec=True,
-                               side_effect=DiscreteJoint._independent) as kernel:
+        if backend == "gtest":
+            o = GTestOracle(scenario.joint.sample(300, seed=1))
+        else:
+            o = scenario.oracle()
+        with calls_of(*kernel) as core, calls_of(*twin) as name_level_call:
             for v in o.variables:
                 markov_blanket(o, v)
                 weak_associations(o, v)
-            find_unfaithful_triples(o)
+            if backend == "discrete":  # the one backend the triple search takes
+                find_unfaithful_triples(o)
             for x, y in itertools.combinations(o.variables, 2):
                 o.query(y, x)  # cached by now
-                rest = [v for v in o.variables if v not in (x, y)]
-                o.query_sets([x], [y], rest)
-                o.query_sets([x], [y], rest)  # set queries are not cached
-        assert kernel.call_count == o.query_count > 0, name
-        assert all(c.args[0] is scenario.joint for c in kernel.call_args_list), name
+                if backend != "gtest":
+                    rest = [v for v in o.variables if v not in (x, y)]
+                    o.query_sets([x], [y], rest)
+                    o.query_sets([x], [y], rest)  # set queries are not cached
+        assert core.call_count == o.query_count > 0, name
+        assert name_level_call.call_count == 0, name
+        if backend != "gaussian":  # the Gaussian kernel takes a submatrix, not a table
+            table = o.dataset if backend == "gtest" else o.joint
+            assert all(c.args[0] is table for c in core.call_args_list), name
 
 
 @pytest.mark.parametrize(
@@ -165,10 +196,12 @@ def name_level(o):
     if isinstance(o, DiscreteOracle):
         return o.joint.is_independent_sets
     if isinstance(o, GaussianOracle):
-        cov = integer_scaled(o.system.covariance())
+        # Gauss-Jordan on Fractions, one pair at a time: no code in common
+        # with the one Bareiss pass the oracle makes per query
+        cov = o.system.covariance()
         pos = {v: i for i, v in enumerate(o.system.nodes)}
         return lambda xs, ys, s: all(
-            partial_correlation_zero(cov, pos[x], pos[y], [pos[v] for v in s])
+            inverse_partial_correlation_zero(cov, pos[x], pos[y], [pos[v] for v in s])
             for x in xs for y in ys)
     assert isinstance(o, GTestOracle)
     return lambda xs, ys, s: g_test(o.dataset, *xs, *ys, s, o.config).independent
@@ -215,9 +248,13 @@ def test_mask_path_agrees_on_every_builtin(name):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_mask_path_agrees_on_random_dags(n):
+    """Graph oracles, and from 5 nodes on linear-Gaussian ones too, whose
+    set queries mostly put two or more nodes on a side."""
     for seed in range(3):
         rng = random.Random(f"masks:dag:{n}:{seed}")
         assert_mask_path_agrees(GraphOracle(random_dag(rng, n)), rng)
+        if n >= 5:
+            assert_mask_path_agrees(GaussianOracle(random_sem(rng, n)), rng)
 
 
 @pytest.mark.parametrize("seed", range(6))
