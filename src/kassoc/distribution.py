@@ -551,7 +551,10 @@ class DiscreteJoint:
         if n < 1:
             raise DistributionError("need at least one sample")
         rng = random.Random(seed)
-        cum = list(itertools.accumulate(float(p) for p in self.probs))
+        # w / denom is float(Fraction(w, denom)): both are the correctly
+        # rounded quotient of the same rational
+        denom = self._denom
+        cum = list(itertools.accumulate(w / denom for w in self._weights))
         cum[-1] = 1.0
         cells = list(self.assignments())
         idx = rng.choices(range(len(cells)), cum_weights=cum, k=n)

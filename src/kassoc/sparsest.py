@@ -10,24 +10,28 @@ The edges a node adds depend only on the *set* of nodes before it, so
 in S.  Every set is a bitmask of positions in the oracle's variable order:
 ``parents[S][v]`` is the mask of candidates that v stays dependent on,
 and ``rest[S]``, the fewest edges that complete S, sums their popcounts.
-Candidate u of v at S and candidate v of u at S - {u} + {v} are one
-question, so ``query`` is asked once per unordered pair and conditioning
-set, n(n-1)2^(n-3) in all, instead of once per ordered pair in each of the
-n! permutations; the higher mask reads the answer back as bit v of the
-lower mask's ``parents[S - {u} + {v}][u]``.  These are exactly the
-distinct queries of the factorial search, each in the same orientation;
-the factorial search survives in ``tests/test_sparsest.py`` as the
-reference.
+The DP runs over descending masks, so each mask's ``parents`` row and its
+``rest`` are computed together.  Candidate u of v at S and candidate v of
+u at S - {u} + {v} are one question, so ``query`` is asked once per
+unordered pair and conditioning set, n(n-1)2^(n-3) in all, instead of once
+per ordered pair in each of the n! permutations; the higher mask asks it,
+and when S is the lower one it reads the answer back as bit v of
+``parents[S - {u} + {v}][u]``.  These are exactly the distinct queries of
+the factorial search, each in the same orientation; the factorial search
+survives in ``tests/test_sparsest.py`` as the reference.
 
-The minimizers are then listed by a walk from the empty set that follows
-only optimal moves.  Each mask it reaches lists its moves once, as (next
-mask, name, edges added), so names appear only in the query arguments
-and in the output.  An empty graph has n! minimizers, so the search is
-guarded at 8 variables.
+The minimizers are then listed from one completion list per mask on an
+optimal path, each built from its successors' lists: the name of the step
+prepended, the step's edges ORed into an int mask whose byte v holds v's
+parents.  Names appear only in the query arguments and in the output, and
+each distinct edge mask, that is each distinct minimizer DAG, is decoded
+into one shared edge set.  An empty graph has n! minimizers, so the search
+is guarded at 8 variables, which also keeps a node's parents within a byte.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -91,51 +95,65 @@ def sparsest_permutations(
         members[S] = members[S ^ 1 << top] + (top,)
         prefix[S] = prefix[S ^ 1 << top] + (names[top],)
     # parents[S][v]: the mask of nodes of S that v stays dependent on given
-    # the rest of S.  The pair (u, v) given T comes up at the masks T|u and
-    # T|v.  Ascending masks reach the lower one first and ask the pair there
-    # as (lower, higher) in variable order, as the lexicographic walk over
-    # permutations does, so the backend sees the very calls that walk
-    # makes; the higher mask reads that answer back.
+    # the rest of S; rest[S]: the fewest edges that complete S.  The pair
+    # (u, v) given T comes up at the masks T|u and T|v.  Descending masks
+    # reach the higher one first and ask the pair there as (lower, higher)
+    # in variable order, as the lexicographic walk over permutations does,
+    # so the backend sees the very calls that walk makes; the lower mask
+    # reads that answer back.
     query = o.query
-    parents = []
-    for S in range(full + 1):
+    parents, rest = [None] * (full + 1), [0] * (full + 1)
+    for S in range(full - 1, -1, -1):
         row = [0] * n
+        best = n * n
         for v in range(n):
             bit_v = 1 << v
             if S & bit_v:
                 continue
             pa = 0
-            for u in members[S & bit_v - 1]:  # u < v: ask
-                if not query(names[u], names[v], prefix[S ^ 1 << u]):
-                    pa |= 1 << u
-            for u in members[S & -bit_v]:  # u > v: asked at S - {u} + {v}
+            for u in members[S & bit_v - 1]:  # u < v: asked at S - {u} + {v}
                 pa |= (parents[S ^ 1 << u | bit_v][u] >> v & 1) << u
+            for u in members[S & -bit_v]:  # u > v: ask
+                if not query(names[v], names[u], prefix[S ^ 1 << u]):
+                    pa |= 1 << u
             row[v] = pa
-        parents.append(row)
-    # rest[S]: the fewest edges that complete the prefix set S
-    rest = [0] * (full + 1)
-    for S in range(full - 1, -1, -1):
+            cost = pa.bit_count() + rest[S | bit_v]
+            if cost < best:
+                best = cost
+        parents[S], rest[S] = row, best
+
+    # perms[S], masks[S], filled for each mask S on an optimal path: the
+    # optimal completions of S in lexicographic order, as the names they
+    # append and as the edges they add, byte v of a mask holding v's
+    # parents.  A list is its successors' lists with one name prepended and
+    # one step's edges ORed in.  pairs[v][pa]: v's edges from parent mask pa
+    perms, masks = [None] * (full + 1), [None] * (full + 1)
+    perms[full], masks[full] = [()], [0]
+    pairs = [{} for _ in range(n)]
+
+    def complete(S):
+        ps, ms = perms[S], masks[S] = [], []
         row = parents[S]
-        rest[S] = min(row[v].bit_count() + rest[S | 1 << v] for v in range(n) if not S >> v & 1)
+        for v in range(n):
+            nxt, pa = S | 1 << v, row[v]
+            if nxt == S or pa.bit_count() + rest[nxt] != rest[S]:
+                continue
+            if perms[nxt] is None:
+                complete(nxt)
+            if pa not in pairs[v]:
+                pairs[v][pa] = tuple((names[u], names[v]) for u in members[pa])
+            ps += map((names[v],).__add__, perms[nxt])
+            ms += map((pa << 8 * v).__or__, masks[nxt])
 
-    # moves[S], built on the walk's first visit to S: its optimal steps as
-    # (next mask, name, edges added)
-    moves = [None] * (full + 1)
-    results = []
-
-    def walk(S, perm, edges):
-        if S == full:
-            results.append((perm, PermutationDag(perm, frozenset(edges))))
-            return
-        steps = moves[S]
-        if steps is None:
-            row = parents[S]
-            steps = moves[S] = [
-                (S | 1 << v, names[v], tuple((names[u], names[v]) for u in members[row[v]]))
-                for v in range(n)
-                if not S >> v & 1 and row[v].bit_count() + rest[S | 1 << v] == rest[S]]
-        for nxt, name, added in steps:
-            walk(nxt, perm + (name,), edges + added)
-
-    walk(0, (), ())
-    return results
+    if perms[0] is None:
+        complete(0)
+    ps, ms = perms[0], masks[0]
+    # complete's reference to itself is a cycle that would keep the lists
+    # alive until the cyclic collector runs
+    perms.clear()
+    masks.clear()
+    edges = {
+        m: frozenset(itertools.chain.from_iterable(
+            map(dict.__getitem__, pairs, m.to_bytes(n, "little"))))
+        for m in set(ms)}
+    return [(p, PermutationDag(p, edges[m])) for p, m in zip(ps, ms)]

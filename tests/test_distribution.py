@@ -8,6 +8,7 @@ import pytest
 
 from kassoc.distribution import Cpt, DiscreteJoint, DistributionError
 from kassoc.graph import Dag
+from kassoc.scenarios import BUILTINS, builtin
 
 
 def fraction_marginal(joint, names):
@@ -255,6 +256,21 @@ class TestSampling:
         y = data.names.index("Y")
         freq = sum(row[y] for row in data.rows) / len(data.rows)
         assert abs(freq - 0.5) < 0.02
+
+    def test_draws_match_the_fraction_path(self, cpt_nets):
+        # sample reads each cell's probability as weight / denominator, not
+        # as float(Fraction): the same floats, so the same draws
+        joints = [s.joint for s in map(builtin, sorted(BUILTINS)) if s.kind == "discrete"]
+        joints += [DiscreteJoint.from_cpts(dag, cpts) for dag, cpts in cpt_nets]
+        assert len(joints) == 21
+        for j in joints:
+            floats = [float(p) for p in j.probs]
+            assert [w / j._denom for w in j._weights] == floats
+            cum = list(itertools.accumulate(floats))
+            cum[-1] = 1.0
+            cells = list(j.assignments())
+            idx = random.Random(5).choices(range(len(cells)), cum_weights=cum, k=300)
+            assert j.sample(300, seed=5).rows == tuple(cells[i] for i in idx)
 
 
 class TestIntegerPathAgainstFractionReference:

@@ -114,6 +114,28 @@ def test_guard_rejects_large_variable_sets():
         sparsest_permutations(o)
 
 
+# eight labels in reverse string order, so variable order is not label order
+EIGHT = [chr(ord("Z") - i) for i in range(8)]
+
+
+def test_eight_node_empty_dag_lists_every_order():
+    # the most minimizers the guard allows: all 8! orders, one edge set
+    o = GraphOracle(Dag(EIGHT, []))
+    got = sparsest_permutations(o)
+    assert [p for p, _ in got] == list(itertools.permutations(o.variables))
+    assert all(d.permutation == p and d.edge_count == 0 for p, d in got)
+
+
+def test_eight_node_complete_dag_gives_one_dag_per_order():
+    # the most distinct minimizer DAGs: every order induces its own
+    o = GraphOracle(Dag(EIGHT, list(itertools.combinations(EIGHT, 2))))
+    got = sparsest_permutations(o)
+    assert [p for p, _ in got] == list(itertools.permutations(o.variables))
+    assert all(d.permutation == p and d.edges == set(itertools.combinations(p, 2))
+               for p, d in got)
+    assert len({d.edges for _, d in got}) == 40320
+
+
 class TestAgreesWithFactorialSearch:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_small_dag(self, n):
@@ -208,13 +230,13 @@ def test_one_query_per_pair_and_conditioning_set(n, seed):
     assert all(pos[x] < pos[y] for x, y, _ in o.queries)
     assert len(set(o.queries)) == len(o.queries) == n * (n - 1) * 2 ** n // 8
     # every query is a miss, met in the same orientation as by the factorial
-    # search, and asked in ascending order of its prefix set T + {x}, then
-    # of v = y, then of the candidate u = x
+    # search, and asked in descending order of its prefix set T + {y}, then
+    # in ascending order of v = x, then of the candidate u = y
     assert o.backend_calls == o.queries
     assert set(o.backend_calls) == set(ref.backend_calls)
 
     def visit(call):
         x, y, s = call
-        return sum(1 << pos[v] for v in s | {x}), pos[y], pos[x]
+        return -sum(1 << pos[v] for v in s | {y}), pos[x], pos[y]
 
     assert o.backend_calls == sorted(o.backend_calls, key=visit)
