@@ -112,10 +112,7 @@ def _cmd_orient(scenario, args):
 def _cmd_mb(scenario, args):
     _require_vars(scenario, [args.target])
     o = _make_oracle(scenario, args)
-    try:
-        blanket, trace = markov_blanket(o, args.target, mode=args.mode)
-    except OracleError as exc:
-        raise CliError(str(exc), EXIT_ANALYSIS)
+    blanket, trace = markov_blanket(o, args.target, mode=args.mode)
     result = {"target": args.target, "mode": args.mode, "blanket": sorted(blanket)}
     if args.trace:
         result["trace"] = [step.to_dict() for step in trace]
@@ -125,10 +122,7 @@ def _cmd_mb(scenario, args):
 
 def _cmd_sp(scenario, args):
     o = _make_oracle(scenario, args)
-    try:
-        minimizers = sparsest_permutations(o)
-    except OracleError as exc:
-        raise CliError(str(exc), EXIT_ANALYSIS)
+    minimizers = sparsest_permutations(o)
     count = minimizers[0][1].edge_count
     result = {
         "minimum_edges": count,
@@ -142,10 +136,7 @@ def _cmd_sp(scenario, args):
 
 
 def _cmd_audit(scenario, args):
-    try:
-        report = audit_scenario(scenario)
-    except OracleError as exc:
-        raise CliError(str(exc), EXIT_ANALYSIS)
+    report = audit_scenario(scenario)
     flags = ", ".join(
         f"{r.assumption}={'ok' if r.holds else 'FAIL'}" for r in report.results
     )
@@ -234,6 +225,9 @@ def run(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except OracleError as exc:  # a query the analysis cannot ask
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ANALYSIS
     report = {
         "command": args.command,
         "scenario": {
@@ -247,7 +241,7 @@ def run(argv=None) -> int:
         "oracle_queries": oracle.query_count if oracle is not None else 0,
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
-    text = json.dumps(report, sort_keys=True, indent=2, default=str)
+    text = json.dumps(report, sort_keys=True, indent=2)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

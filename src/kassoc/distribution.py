@@ -1,19 +1,24 @@
 """Exact discrete joint distributions.
 
-The API speaks ``fractions.Fraction``: CPT rows, ``DiscreteJoint.probs``
-and ``prob`` are exact rationals.  Each joint also keeps its table as
-integer weights over one common denominator, and marginals and
+The API speaks ``fractions.Fraction``: CPT rows and ``DiscreteJoint.probs``
+are exact rationals.  Each joint also keeps its table as integer weights
+over one common denominator, in lowest terms, and marginals and
 independence checks run on those Python ints.  Independence is decided by
 exact equality, never by a tolerance.  Tables are dense over all
 assignments (desk scale, capped at ``MAX_CELLS`` = 2**20 cells).
 
-Every marginal comes from one projection, ``_Lattice``: the marginal over
-a set of positions is summed out of the cached marginal over that set plus
+Every joint that is not built from Fractions comes out of one builder, a
+product of integer factors (``DiscreteJoint._product``): one per CPT for
+``from_cpts``, one lattice marginal for ``marginalize``, the table itself
+for a copy.
+
+Every marginal comes from one lattice, ``_Lattice``: the marginal over a
+set of positions is summed out of the cached marginal over that set plus
 one more position, down from the full table.  Each ``DiscreteJoint`` and
-``Dataset`` makes one lattice when it is built and projects every query
+``Dataset`` makes one lattice when it is built and reads every query
 through it, so all queries on one table (every oracle over it, an audit's
-CMC check, ``prob`` and ``marginalize``) share their partial sums; the
-lattice stores at most ``MAX_CELLS`` cells and goes away with its table.
+CMC check and ``marginalize``) share their partial sums; the lattice
+stores at most ``MAX_CELLS`` cells and goes away with its table.
 
 A CI query "xs independent of ys given s" reads four marginals from the
 lattice, over M = s | xs | ys and over s, s | xs and s | ys, and checks
@@ -42,7 +47,6 @@ from .graph import query_masks
 MAX_CELLS = 1 << 20
 
 ONE = Fraction(1)
-ZERO = Fraction(0)
 
 
 class DistributionError(ValueError):
@@ -266,8 +270,8 @@ class _Lattice:
     ``marginals`` maps a position bitmask K to the marginal over K, kept in
     ascending position order.  On a miss, the highest position p outside K
     is summed out of the marginal of K | p; that lookup recurses, and the
-    full mask is the table itself.  ``ci_cells`` and ``project`` read
-    marginals at other cells through gather index lists (``_gather``).
+    full mask is the table itself.  ``ci_cells`` reads marginals at other
+    cells through gather index lists (``_gather``).
 
     A lattice belongs to its table: each ``DiscreteJoint`` and ``Dataset``
     makes one at construction, every query on that table reads it, and a
@@ -280,17 +284,6 @@ class _Lattice:
         self.table = table
         self.cards = tuple(cards)
         self.marginals = _Budgeted()
-
-    def project(self, order: Sequence[int]) -> Sequence[int]:
-        """Weights of the row-major marginal over the positions ``order``,
-        kept in that order."""
-        table = self.ascending(sum(1 << p for p in order))
-        ascending = sorted(order)
-        if list(order) == ascending:
-            return table
-        strides, _ = _strides(self.cards, ascending)
-        gather = _gather(tuple(self.cards[p] for p in order), tuple(strides[p] for p in order))
-        return [table[i] for i in gather]
 
     def ci_cells(self, mx: int, my: int, ms: int) -> tuple[Iterable[int], ...]:
         """For disjoint position bitmasks, the marginals w_M, w_s, w_{s,x}
@@ -401,17 +394,10 @@ class DiscreteJoint:
         object.__setattr__(self, "_lattice", _Lattice(weights, self._cards))
 
     @classmethod
-    def _from_weights(cls, variables, weights, denom) -> "DiscreteJoint":
-        """Joint over already validated ``variables`` from non-negative
-        integer weights that sum to ``denom``."""
-        joint = object.__new__(cls)
-        joint._fill(variables, tuple(weights), denom)
-        return joint
-
-    @classmethod
     def _product(cls, variables, factors) -> "DiscreteJoint":
-        """Product of integer factors ``(positions, denom, flat_ints)``, one
-        division by the product of their denominators at the end."""
+        """The one builder of a joint from integer weights: the product of
+        factors ``(positions, denom, flat_ints)``, each row-major over its
+        ``positions``, over the product of their denominators, in lowest terms."""
         variables, size = _domains(variables)
         cards = [c for _, c in variables]
         weights = [1] * size
@@ -421,7 +407,9 @@ class DiscreteJoint:
             weights = [w * ints[k] for w, k in zip(weights, _index_map(cards, strides))]
             denom *= d
         g = math.gcd(*weights)  # positive: the weights sum to denom
-        return cls._from_weights(variables, [w // g for w in weights], denom // g)
+        joint = object.__new__(cls)
+        joint._fill(variables, tuple(w // g for w in weights), denom // g)
+        return joint
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteJoint is immutable")
@@ -444,9 +432,6 @@ class DiscreteJoint:
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.variables)
 
-    def card(self, name: str) -> int:
-        return self._cards[self._position(name)]
-
     def _position(self, name: str) -> int:
         try:
             return self._pos[name]
@@ -456,21 +441,10 @@ class DiscreteJoint:
     def assignments(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(*(range(c) for c in self._cards))
 
-    def prob(self, assignment: Mapping[str, int]) -> Fraction:
-        """Probability of a full or partial assignment: one lattice cell."""
-        fixed = {self._position(n): v for n, v in assignment.items()}
-        mask = index = 0
-        for p in sorted(fixed):
-            c, v = self._cards[p], fixed[p]
-            if v not in range(c):
-                return ZERO
-            index = index * c + int(v)
-            mask |= 1 << p
-        return Fraction(self._lattice.ascending(mask)[index], self._denom)
-
     def __reduce__(self):
         # the lattice is not pickled: a copy starts with an empty one
-        return DiscreteJoint._from_weights, (self.variables, self._weights, self._denom)
+        return DiscreteJoint._product, (
+            self.variables, [(range(len(self._cards)), self._denom, self._weights)])
 
     # -- construction --------------------------------------------------------
 
@@ -517,9 +491,11 @@ class DiscreteJoint:
         positions = [self._position(n) for n in keep]
         if len(set(positions)) != len(positions):
             raise DistributionError("duplicate variable names")
-        weights = self._lattice.project(positions)
-        return DiscreteJoint._from_weights(
-            tuple(self.variables[p] for p in positions), weights, self._denom
+        # the lattice marginal's axes are the kept variables in ascending position
+        ascending = sorted(range(len(positions)), key=positions.__getitem__)
+        return DiscreteJoint._product(
+            [self.variables[p] for p in positions],
+            [(ascending, self._denom, self._lattice.ascending(sum(1 << p for p in positions)))],
         )
 
     def is_independent(self, x: str, y: str, s: Iterable[str] = ()) -> bool:

@@ -65,6 +65,11 @@ class Scenario:
                 raise ScenarioError("gaussian coefficients must form the scenario graph")
         elif self.kind != "graph":
             raise ScenarioError(f"unknown payload kind {self.kind!r}")
+        # save writes only its kind's payload, so another would not round-trip
+        for kind, payload, what in (("discrete", self.cpts, "CPTs"),
+                                    ("gaussian", self.gaussian, "Gaussian system")):
+            if payload is not None and self.kind != kind:
+                raise ScenarioError(f"a {self.kind} scenario carries no {what}")
         object.__setattr__(self, "params", {
             k: exact(v, ScenarioError, f"parameter {k}") for k, v in self.params.items()})
 

@@ -8,6 +8,11 @@
 * :func:`enumerate_dags` and :func:`random_dag`: every labelled DAG on a
   few nodes, and seeded random DAGs.
 * :func:`replay_consistent`: asks every query of a grow-shrink trace again.
+* Fraction readers of a discrete joint, written from the definitions on
+  ``variables`` and ``probs`` alone, so they share no helper with the
+  integer lattice in :mod:`kassoc.distribution` that they check:
+  :func:`prob` (a full or partial assignment), :func:`fraction_marginal`
+  and the CI criterion :func:`fraction_is_independent_sets`.
 * :func:`mutually_independent`: full factorisation of a three-variable
   marginal, checked cell by cell on the integer weights; the reference for
   the unfaithful-triple search's one set query.
@@ -172,17 +177,74 @@ def replay_consistent(trace, o: IndependenceOracle, target: str) -> bool:
     )
 
 
+# -- discrete joints on Fractions --------------------------------------------------
+
+
+def cells(joint: DiscreteJoint) -> Iterator[tuple[tuple[int, ...], F]]:
+    """(assignment, probability) for every cell, in row-major order."""
+    domains = (range(c) for _, c in joint.variables)
+    return zip(itertools.product(*domains), joint.probs)
+
+
+def prob(joint: DiscreteJoint, assignment: dict[str, int]) -> F:
+    """Probability of a full or partial assignment: the sum over every cell
+    that agrees with it.  An unknown name raises ValueError."""
+    names = [n for n, _ in joint.variables]
+    fixed = [(names.index(n), v) for n, v in assignment.items()]
+    return sum((p for a, p in cells(joint) if all(a[i] == v for i, v in fixed)), F(0))
+
+
+def _accumulate(acc: dict, key, p: F) -> None:
+    """acc[key] += p, starting the sum at p."""
+    if key not in acc:
+        acc[key] = p
+    elif p:
+        acc[key] += p
+
+
+def fraction_marginal(joint: DiscreteJoint, names: Sequence[str]) -> dict[tuple, F]:
+    """Marginal over ``names``: a dict of Fraction sums keyed by value
+    tuples in that order."""
+    index = [n for n, _ in joint.variables]
+    pos = [index.index(n) for n in names]
+    acc = {}
+    for a, p in cells(joint):
+        _accumulate(acc, tuple(map(a.__getitem__, pos)), p)
+    return acc
+
+
+def fraction_is_independent_sets(joint: DiscreteJoint, xs, ys, s=()) -> bool:
+    """CI criterion on Fractions: P(x,y,s) P(s) == P(x,s) P(y,s) wherever
+    P(s) > 0, with every marginal a dict of Fraction sums."""
+    xs, ys, s = list(xs), list(ys), list(s)
+    nx, ny = len(xs), len(ys)
+    p_s, p_xs, p_ys = {}, {}, {}
+    marginal = fraction_marginal(joint, xs + ys + s)
+    for a, p in marginal.items():
+        xk, yk, sk = a[:nx], a[nx : nx + ny], a[nx + ny :]
+        _accumulate(p_s, sk, p)
+        _accumulate(p_xs, (xk, sk), p)
+        _accumulate(p_ys, (yk, sk), p)
+    for a, p in marginal.items():
+        xk, yk, sk = a[:nx], a[nx : nx + ny], a[nx + ny :]
+        if p_s[sk] != 0 and p * p_s[sk] != p_xs[(xk, sk)] * p_ys[(yk, sk)]:
+            return False
+    return True
+
+
 # -- mutual independence ----------------------------------------------------------
 
 
 def mutually_independent(joint: DiscreteJoint, x: str, y: str, z: str) -> bool:
-    """P(x,y,z) == P(x) P(y) P(z) everywhere, on the integer weights:
-    w_xyz * T**2 == w_x * w_y * w_z with T the total weight."""
+    """P(x,y,z) == P(x) P(y) P(z) everywhere, on the integer weights of
+    marginals that each keep their own denominator:
+    w_xyz * d_x * d_y * d_z == w_x * w_y * w_z * d_xyz."""
     sub = joint.marginalize([x, y, z])
-    wx, wy, wz = (sub.marginalize([v])._weights for v in (x, y, z))
-    t2 = sub._denom ** 2
+    margins = [sub.marginalize([v]) for v in (x, y, z)]
+    (wx, wy, wz), (dx, dy, dz) = zip(*((m._weights, m._denom) for m in margins))
+    d_margins, d_sub = dx * dy * dz, sub._denom
     for (xv, yv, zv), w in zip(sub.assignments(), sub._weights):
-        if w * t2 != wx[xv] * wy[yv] * wz[zv]:
+        if w * d_margins != wx[xv] * wy[yv] * wz[zv] * d_sub:
             return False
     return True
 

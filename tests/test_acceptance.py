@@ -23,7 +23,7 @@ from kassoc.orientation import OrientationQuery, PreconditionError, orient
 from kassoc.scenarios import BUILTINS, builtin
 from kassoc.sparsest import dag_from_permutation, sparsest_permutations
 
-from references import d_separated_bruteforce, enumerate_dags, random_dag
+from references import d_separated_bruteforce, enumerate_dags, prob, random_dag
 from test_graphoid import AXIOMS, SEMI_GRAPHOID, run_axiom_sweep
 
 
@@ -43,8 +43,8 @@ def test_criterion_01_example1_exact_identities(capsys):
     with criterion(capsys, 1, "example-1 exact identities"):
         s = builtin("example1")
         j = s.joint
-        assert j.prob({"X": 1, "Z": 1, "Y": 1}) == F(1, 16)
-        assert j.prob({"X": 1, "Z": 1}) * j.prob({"Y": 1}) == F(1, 8)
+        assert prob(j, {"X": 1, "Z": 1, "Y": 1}) == F(1, 16)
+        assert prob(j, {"X": 1, "Z": 1}) * prob(j, {"Y": 1}) == F(1, 8)
         o = DiscreteOracle(j)
         assert o.query("X", "Y") and o.query("Z", "Y") and o.query("X", "Z")
         assert not o.query("X", "Z", {"Y"})
@@ -55,9 +55,9 @@ def test_criterion_01_example1_exact_identities(capsys):
 def test_criterion_02_example2_exact_identities(capsys):
     with criterion(capsys, 2, "example-2 exact identities"):
         j = builtin("example2").joint
-        assert j.prob({"Y": 1}) == F(3, 8)
-        assert j.prob({"W": 1, "Y": 1}) == F(1, 4)
-        assert j.prob({"X": 1, "W": 1, "Y": 1, "Z": 1}) == F(1, 32)
+        assert prob(j, {"Y": 1}) == F(3, 8)
+        assert prob(j, {"W": 1, "Y": 1}) == F(1, 4)
+        assert prob(j, {"X": 1, "W": 1, "Y": 1, "Z": 1}) == F(1, 32)
         assert not j.is_independent("W", "Y")
         assert not j.is_independent("X", "W", {"Y", "Z"})
         assert not j.is_independent("Z", "W", {"X", "Y"})

@@ -17,6 +17,7 @@ from kassoc import cli
 from kassoc.cli import run
 from kassoc.distribution import Cpt
 from kassoc.graph import Dag
+from kassoc.oracle import OracleError
 from kassoc.scenarios import BUILTINS, Scenario, builtin, save
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -391,6 +392,32 @@ class TestParser:
             run(["mb", "--help"])
         assert exc.value.code == 0
         assert "--target" in capsys.readouterr().out
+
+
+class TestRunBoundary:
+    @pytest.mark.parametrize("analysis, argv", [
+        ("markov_blanket", ["mb", "--scenario", "builtin:example1", "--target", "Y"]),
+        ("sparsest_permutations", ["sp", "--scenario", "builtin:example1"]),
+        ("audit_scenario", ["audit", "--scenario", "builtin:example1"]),
+        ("weak_associations", ["assoc", "--scenario", "builtin:example1", "--target", "Y"]),
+    ], ids=["mb", "sp", "audit", "assoc"])
+    def test_an_oracle_error_exits_one_with_its_text(self, capsys, monkeypatch, analysis, argv):
+        def refuse(*args, **kwargs):
+            raise OracleError("no such query")
+        monkeypatch.setattr(cli, analysis, refuse)
+        code, report, err = invoke(capsys, *argv)
+        assert (code, report, err) == (1, None, "error: no such query\n")
+
+    def test_a_value_json_cannot_write_raises(self, monkeypatch):
+        # no str() fallback: a set would be written in hash-seed order
+        class Report:
+            results = ()
+
+            def to_dict(self):
+                return {"holds": {"AF", "OF"}}
+        monkeypatch.setattr(cli, "audit_scenario", lambda scenario: Report())
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            run(["audit", "--scenario", "builtin:example1"])
 
 
 def readme_commands():

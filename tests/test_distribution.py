@@ -1,6 +1,9 @@
 """Exact discrete joints: construction, marginals, independence, sampling."""
 
+import copy
 import itertools
+import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -9,35 +12,7 @@ import pytest
 from kassoc.distribution import Cpt, DiscreteJoint, DistributionError
 from kassoc.graph import Dag
 from kassoc.scenarios import BUILTINS, builtin
-
-
-def fraction_marginal(joint, names):
-    """Reference marginal: dict of Fraction sums keyed by value tuples."""
-    pos = [joint.names.index(n) for n in names]
-    acc = {}
-    for a, p in zip(joint.assignments(), joint.probs):
-        key = tuple(a[i] for i in pos)
-        acc[key] = acc.get(key, F(0)) + p
-    return acc
-
-
-def fraction_is_independent_sets(joint, xs, ys, s=()):
-    """Reference CI criterion on Fractions: P(x,y,s) P(s) == P(x,s) P(y,s)
-    wherever P(s) > 0, with every marginal a dict of Fraction sums."""
-    xs, ys, s = list(xs), list(ys), list(s)
-    nx, ny = len(xs), len(ys)
-    p_s, p_xs, p_ys = {}, {}, {}
-    cells = fraction_marginal(joint, xs + ys + s)
-    for a, p in cells.items():
-        xk, yk, sk = a[:nx], a[nx : nx + ny], a[nx + ny :]
-        p_s[sk] = p_s.get(sk, F(0)) + p
-        p_xs[(xk, sk)] = p_xs.get((xk, sk), F(0)) + p
-        p_ys[(yk, sk)] = p_ys.get((yk, sk), F(0)) + p
-    for a, p in cells.items():
-        xk, yk, sk = a[:nx], a[nx : nx + ny], a[nx + ny :]
-        if p_s[sk] != 0 and p * p_s[sk] != p_xs[(xk, sk)] * p_ys[(yk, sk)]:
-            return False
-    return True
+from references import fraction_is_independent_sets, fraction_marginal, prob
 
 
 def fraction_product(dag, cpts):
@@ -148,19 +123,10 @@ class TestJoint:
         j = coin_pair()
         assert sum(j.probs) == 1
 
-    def test_prob_partial_assignment(self):
-        j = coin_pair()
-        assert j.prob({"A": 1}) == F(1, 2)
-        assert j.prob({"A": 1, "B": 0}) == F(1, 3)
-
-    def test_prob_rejects_unknown_variable(self):
-        with pytest.raises(DistributionError):
-            coin_pair().prob({"C": 0})
-
     def test_marginalize_keeps_exact_mass(self):
         j = coin_pair()
         m = j.marginalize(["B"])
-        assert m.prob({"B": 1}) == F(1, 3)
+        assert prob(m, {"B": 1}) == F(1, 3)
 
     def test_float_probabilities_are_refused(self):
         with pytest.raises(DistributionError, match="probability entry"):
@@ -188,13 +154,13 @@ class TestExampleOneIdentities:
 
     def test_joint_point_mass(self, example1):
         j = example1.joint
-        assert j.prob({"X": 1, "Z": 1, "Y": 1}) == F(1, 16)
+        assert prob(j, {"X": 1, "Z": 1, "Y": 1}) == F(1, 16)
 
     def test_product_differs(self, example1):
         j = example1.joint
-        prod = j.prob({"X": 1, "Z": 1}) * j.prob({"Y": 1})
+        prod = prob(j, {"X": 1, "Z": 1}) * prob(j, {"Y": 1})
         assert prod == F(1, 8)
-        assert j.prob({"X": 1, "Z": 1, "Y": 1}) != prod
+        assert prob(j, {"X": 1, "Z": 1, "Y": 1}) != prod
 
     def test_marginal_independencies(self, example1):
         j = example1.joint
@@ -213,14 +179,14 @@ class TestExampleTwoIdentities:
     """Contextual xor (p=1/2, q=1/4) closed forms from the and-gate."""
 
     def test_y_marginal(self, example2):
-        assert example2.joint.prob({"Y": 1}) == F(3, 8)
+        assert prob(example2.joint, {"Y": 1}) == F(3, 8)
 
     def test_wy_joint_is_half_p(self, example2):
-        assert example2.joint.prob({"W": 1, "Y": 1}) == F(1, 4)
+        assert prob(example2.joint, {"W": 1, "Y": 1}) == F(1, 4)
 
     def test_full_point_mass(self, example2):
         j = example2.joint
-        assert j.prob({"X": 1, "W": 1, "Y": 1, "Z": 1}) == F(1, 32)
+        assert prob(j, {"X": 1, "W": 1, "Y": 1, "Z": 1}) == F(1, 32)
 
     def test_context_node_dependence(self, example2):
         j = example2.joint
@@ -324,6 +290,7 @@ class TestIntegerPathAgainstFractionReference:
             assert list(joint.probs) == fraction_product(dag, flipped)
 
     def test_marginal_and_prob_match_fraction_sums(self, cpt_nets):
+        # the reference prob reads the joint cell by cell, not the marginal
         rng = random.Random(11)
         for dag, cpts in cpt_nets:
             j = DiscreteJoint.from_cpts(dag, cpts)
@@ -332,5 +299,44 @@ class TestIntegerPathAgainstFractionReference:
             m = j.marginalize(keep)
             assert m.names == tuple(keep)
             assert dict(zip(m.assignments(), m.probs)) == ref
-            for key, p in ref.items():
-                assert j.prob(dict(zip(keep, key))) == p
+            for key, p in zip(m.assignments(), m.probs):
+                assert prob(j, dict(zip(keep, key))) == p
+
+    def test_every_ordered_marginal_matches_fraction_sums(self, all_builtins, cpt_nets):
+        """Every ordered ``keep`` of every discrete builtin and of the small
+        seeded nets: the marginal's cells, in its own variable order, are
+        the Fraction sums of the joint's."""
+        joints = [s.joint for s in all_builtins.values() if s.kind == "discrete"]
+        joints += [DiscreteJoint.from_cpts(dag, cpts) for dag, cpts in cpt_nets
+                   if len(dag.nodes) <= 5]
+        checked = 0
+        for j in joints:
+            for k in range(len(j.names) + 1):
+                for keep in itertools.permutations(j.names, k):
+                    m = j.marginalize(keep)
+                    assert m.variables == tuple(j.variables[j.names.index(n)] for n in keep)
+                    assert dict(zip(m.assignments(), m.probs)) == fraction_marginal(j, keep)
+                    checked += 1
+        assert checked > 1500
+
+
+def lowest_terms(j):
+    return math.gcd(*j._weights, j._denom) == 1
+
+
+def test_every_builder_leaves_lowest_terms(all_builtins, cpt_nets):
+    """``__init__``, ``from_cpts``, ``marginalize`` and every copy leave a
+    joint's weights and denominator coprime."""
+    joints = [s.joint for s in all_builtins.values() if s.kind == "discrete"]
+    joints += [DiscreteJoint.from_cpts(dag, cpts) for dag, cpts in cpt_nets]
+    joints += [random_joint(random.Random(f"lowest-terms:{i}")) for i in range(10)]
+    for j in joints:
+        assert lowest_terms(j)
+        for clone in (copy.copy(j), copy.deepcopy(j), pickle.loads(pickle.dumps(j))):
+            assert clone == j and clone._weights == j._weights and lowest_terms(clone)
+        for k in range(min(3, len(j.names)) + 1):
+            for keep in itertools.combinations(j.names, k):
+                m = j.marginalize(keep)
+                assert lowest_terms(m) and lowest_terms(pickle.loads(pickle.dumps(m)))
+    # so a marginal need not keep its joint's denominator
+    assert coin_pair().marginalize([])._denom == 1

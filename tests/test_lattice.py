@@ -1,10 +1,12 @@
-"""The marginal lattice (``distribution._Lattice``) against the sum-out loop
-it replaced, and the one lattice each joint and dataset owns."""
+"""The marginal lattice (``distribution._Lattice``) and the CI kernel on it
+against the Fraction references of ``references``, which share no helper
+with them, and the one lattice each joint and dataset owns."""
 
 import itertools
 import math
 import random
 import re
+from fractions import Fraction as F
 from unittest import mock
 
 import pytest
@@ -14,48 +16,25 @@ from hypothesis import strategies as st
 from conftest import random_cpt_net
 from kassoc import distribution
 from kassoc.audit import audit_scenario, check_cmc
-from kassoc.distribution import (
-    Dataset, DiscreteJoint, DistributionError, _Lattice, _index_map, _strides, _sum_out)
+from kassoc.distribution import Dataset, DiscreteJoint, DistributionError, _Lattice, _strides
 from kassoc.gtest import g_test
 from kassoc.oracle import GTestOracle
 from kassoc.scenarios import Scenario, builtin
+from references import fraction_is_independent_sets, fraction_marginal
 
 
-def reference_marginal(weights, cards, order):
-    """Reference: the projection every query ran before the lattice.  It sums
-    the full table over each dropped position, highest first, then scatters
-    the ascending marginal into ``order``."""
-    table, kept = weights, list(cards)
-    keep = set(order)
-    for p in range(len(cards) - 1, -1, -1):
-        if p not in keep:
-            table = _sum_out(table, kept, p)
-            del kept[p]
-    ascending = sorted(order)
-    if list(order) == ascending:
-        return list(table)
-    strides, _ = _strides(cards, order)
-    out = [0] * len(table)
-    for k, w in zip(_index_map(kept, [strides[p] for p in ascending]), table):
-        out[k] = w
-    return out
+def from_weights(variables, weights):
+    """The joint of non-negative integer ``weights`` over ``variables``,
+    built the way a copy is: one identity factor."""
+    return DiscreteJoint._product(variables, [(range(len(variables)), sum(weights), weights)])
 
 
-def reference_is_independent(joint, xs, ys, s):
-    """The exact CI criterion on the reference projection over (s, xs, ys),
-    with s in the order given."""
-    pos = [joint.names.index(n) for n in [*s, *xs, *ys]]
-    w = reference_marginal(joint._weights, joint._cards, pos)
-    ny = math.prod(joint.card(n) for n in ys)
-    block = math.prod(joint.card(n) for n in xs) * ny
-    for b in range(0, len(w), block):
-        w_s = sum(w[b : b + block])
-        w_ys = [sum(w[b + j : b + block : ny]) for j in range(ny)]
-        for r in range(b, b + block, ny):
-            row = w[r : r + ny]
-            if any(v * w_s != sum(row) * w_y for v, w_y in zip(row, w_ys)):
-                return False
-    return True
+def ascending_marginal(joint, mask):
+    """Reference: the marginal over the positions in ``mask``, in ascending
+    order, as Fractions in row-major order."""
+    kept = [(n, c) for p, (n, c) in enumerate(joint.variables) if mask >> p & 1]
+    want = fraction_marginal(joint, [n for n, _ in kept])
+    return [want[a] for a in itertools.product(*(range(c) for _, c in kept))]
 
 
 @st.composite
@@ -75,13 +54,7 @@ def joints(draw):
     if not any(weights):
         weights[-1] = 1
     variables = tuple((f"V{i}", c) for i, c in enumerate(cards))
-    return DiscreteJoint._from_weights(variables, weights, sum(weights))
-
-
-def orders(n):
-    """A random ordered subset of range(n)."""
-    return st.permutations(range(n)).flatmap(
-        lambda perm: st.integers(0, n).map(lambda k: perm[:k]))
+    return from_weights(variables, weights)
 
 
 def queries(names):
@@ -103,14 +76,15 @@ def unless_none(budget):
 @settings(max_examples=150, deadline=None)
 @given(joint=joints(), budget=st.sampled_from([None, 0, 1, 5, 20]), data=st.data())
 def test_one_lattice_reused_matches_the_reference(joint, budget, data):
-    """One lattice serves many projections; with a small budget it stops
+    """One lattice serves many marginals; with a small budget it stops
     storing partway through and keeps answering exactly."""
     weights, cards = joint._weights, joint._cards
     with mock.patch.object(distribution, "MAX_CELLS", unless_none(budget)):
         lattice = _Lattice(weights, cards)
         for _ in range(25):
-            order = data.draw(orders(len(cards)))
-            assert list(lattice.project(order)) == reference_marginal(weights, cards, order)
+            mask = data.draw(st.integers(0, (1 << len(cards)) - 1))
+            got = [F(w, joint._denom) for w in lattice.ascending(mask)]
+            assert got == ascending_marginal(joint, mask), mask
             assert lattice.marginals.cells <= distribution.MAX_CELLS
             assert lattice.marginals.cells == sum(map(len, lattice.marginals.values()))
 
@@ -119,13 +93,13 @@ def test_one_lattice_reused_matches_the_reference(joint, budget, data):
 @given(joint=joints(), budget=st.sampled_from([None, 0, 4]), data=st.data())
 def test_ci_answers_match_the_reference_projection(joint, budget, data):
     """One joint, reused across many queries through its own lattice, gives
-    the answer the reference projection gives, for s in any order."""
+    the Fraction criterion's answer, for s in any order."""
     if len(joint.names) < 2:
         return
     with mock.patch.object(distribution, "MAX_CELLS", unless_none(budget)):
         for _ in range(15):
             xs, ys, s = data.draw(queries(joint.names))
-            want = reference_is_independent(joint, xs, ys, s)
+            want = fraction_is_independent_sets(joint, xs, ys, s)
             assert joint.is_independent_sets(xs, ys, s) == want, (xs, ys, s)
             assert joint.is_independent_sets(xs, ys, s[::-1]) == want, (xs, ys, s)
         assert joint._lattice.marginals.cells <= distribution.MAX_CELLS
@@ -145,7 +119,7 @@ def seeded_joint(seed, cards):
         weights = [rng.choice((0, 0, 0, 1, 2, 5)) for _ in range(math.prod(cards))]
     weights[-1] += not any(weights)
     variables = tuple((f"V{i}", c) for i, c in enumerate(cards))
-    return DiscreteJoint._from_weights(variables, weights, sum(weights))
+    return from_weights(variables, weights)
 
 
 def every_query(names):
@@ -159,21 +133,19 @@ def every_query(names):
 @pytest.mark.parametrize("budget", [None, 0], ids=["stored", "never-stored"])
 @pytest.mark.parametrize("cards", [(2, 3, 1, 2), (3, 2, 2, 3), (1, 3, 2, 2, 2)])
 def test_ci_kernel_matches_the_block_loop_on_every_query(cards, budget):
-    """The one-pass four-marginal check gives the block loop's answer on
-    every query of seeded joints with cardinalities 1-3 and zero cells,
-    multi-variable sides included, also with marginals that are never
-    stored (a budget of 0)."""
+    """The one-pass four-marginal check gives the Fraction criterion's
+    answer on every query of seeded joints with cardinalities 1-3 and zero
+    cells, multi-variable sides included, also with marginals that are
+    never stored (a budget of 0)."""
     seen = set()
     for seed in range(4):
         joint = seeded_joint(seed, cards)
         with mock.patch.object(distribution, "MAX_CELLS", unless_none(budget)):
             for xs, ys, s in every_query(joint.names):
-                want = reference_is_independent(joint, xs, ys, s)
+                want = fraction_is_independent_sets(joint, xs, ys, s)
                 assert joint.is_independent_sets(xs, ys, s) == want, (seed, xs, ys, s)
-                w_s = reference_marginal(joint._weights, joint._cards,
-                                         [joint.names.index(n) for n in s])
                 seen.add((want, "multi") if len(xs) + len(ys) > 2 else (want, "single"))
-                if 0 in w_s:
+                if 0 in fraction_marginal(joint, s).values():
                     seen.add((want, "P(s) = 0"))
         assert joint._lattice.marginals.cells <= unless_none(budget)
     assert seen == {(want, case) for want in (True, False)
@@ -204,7 +176,7 @@ def test_gather_cache_starts_over_past_its_budget(monkeypatch):
     joint = seeded_joint(1, (2, 3, 2, 2))
     gathers = distribution._GATHERS
     for xs, ys, s in every_query(joint.names):
-        assert joint.is_independent_sets(xs, ys, s) == reference_is_independent(joint, xs, ys, s)
+        assert joint.is_independent_sets(xs, ys, s) == fraction_is_independent_sets(joint, xs, ys, s)
         assert gathers.cells == sum(map(len, gathers.values())) <= 60
         positions = sorted(joint.names.index(n) for n in [*xs, *ys, *s])
         cards = tuple(joint._cards[p] for p in positions)

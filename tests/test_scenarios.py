@@ -29,7 +29,7 @@ from kassoc.scenarios import (
     save,
     xor_with_context,
 )
-from test_gaussian import random_sem
+from references import prob, random_sem
 
 
 def pairwise_markov_holds(dag, joint):
@@ -68,7 +68,7 @@ class TestParameterGuards:
 
     def test_noisy_xor_allows_zero_noise(self):
         s = noisy_xor(F(0))
-        assert s.joint.prob({"X": 1, "Z": 1, "Y": 0}) == F(1, 4)
+        assert prob(s.joint, {"X": 1, "Z": 1, "Y": 0}) == F(1, 4)
 
     def test_context_rejects_boundary(self):
         with pytest.raises(ScenarioError):
@@ -176,6 +176,27 @@ class TestConstructionInvariants:
     def test_discrete_scenario_requires_cpts(self, example1):
         with pytest.raises(ScenarioError):
             Scenario("broken", example1.dag, "discrete")
+
+    # save writes only the payload of its scenario's kind, so a scenario
+    # that carried another would not round-trip
+
+    @pytest.mark.parametrize("payload", ["cpts", "gaussian"])
+    def test_graph_scenario_refuses_a_payload(self, payload):
+        source = builtin("example1" if payload == "cpts" else "cancel3")
+        what = "CPTs" if payload == "cpts" else "Gaussian system"
+        with pytest.raises(ScenarioError, match=f"^a graph scenario carries no {what}$"):
+            Scenario("g", source.dag, "graph", **{payload: getattr(source, payload)})
+
+    def test_discrete_scenario_refuses_a_gaussian_system(self, example1):
+        system = GaussianSystem(example1.dag.nodes, {("Y", "X"): 1, ("Y", "Z"): 1},
+                                {v: 1 for v in example1.dag.nodes})
+        with pytest.raises(ScenarioError, match="^a discrete scenario carries no Gaussian system$"):
+            Scenario("d", example1.dag, "discrete", cpts=example1.cpts, gaussian=system)
+
+    def test_gaussian_scenario_refuses_cpts(self, example1):
+        cancel3 = builtin("cancel3")
+        with pytest.raises(ScenarioError, match="^a gaussian scenario carries no CPTs$"):
+            Scenario("g", cancel3.dag, "gaussian", gaussian=cancel3.gaussian, cpts=example1.cpts)
 
     def test_unknown_builtin(self):
         with pytest.raises(ScenarioError):
