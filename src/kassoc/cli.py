@@ -24,7 +24,7 @@ from .gtest import GTestConfig
 from .growshrink import markov_blanket
 from .oracle import GTestOracle, OracleError
 from .orientation import OrientationQuery, PreconditionError, orient
-from .sparsest import sparsest_permutations
+from .sparsest import minimizer_dicts, sparsest_permutations
 from .scenarios import BUILTINS, Scenario, ScenarioError, builtin, load_path
 
 EXIT_OK = 0
@@ -126,10 +126,7 @@ def _cmd_sp(scenario, args):
     count = minimizers[0][1].edge_count
     result = {
         "minimum_edges": count,
-        "minimizers": [
-            {"permutation": list(perm), "dag": pdag.to_dict()}
-            for perm, pdag in minimizers
-        ],
+        "minimizers": minimizer_dicts(minimizers),
     }
     summary = f"{len(minimizers)} minimizer(s) with {count} edge(s)"
     return result, summary, o

@@ -8,9 +8,12 @@ exact equality, never by a tolerance.  Tables are dense over all
 assignments (desk scale, capped at ``MAX_CELLS`` = 2**20 cells).
 
 Every joint that is not built from Fractions comes out of one builder, a
-product of integer factors (``DiscreteJoint._product``): one per CPT for
-``from_cpts``, one lattice marginal for ``marginalize``, the table itself
-for a copy.
+product of integer factors (``DiscreteJoint._product``) that grows the
+table one axis at a time: one factor per CPT for ``from_cpts``, each
+scaled to integers once, when the CPT is checked, and multiplied in over
+the nodes before it in topological order; for ``marginalize`` one lattice
+marginal and for a copy the table itself, either of which becomes the
+table with at most one permutation.
 
 Every marginal comes from one lattice, ``_Lattice``: the marginal over a
 set of positions is summed out of the cached marginal over that set plus
@@ -68,6 +71,12 @@ class Cpt:
     ``rows`` maps a parent assignment (tuple of values in ``parents``
     order) to a probability vector over the child's domain.  Each entry
     must be an int or a Fraction, and each vector must sum to exactly 1.
+
+    Each row is scaled to integers once, and its sign and sum are checked
+    on those integers; the rows are checked in ``rows`` order.  The table
+    is kept as ``_factor``: one denominator and the scaled entries, flat in
+    row-major order over (parents..., child), as ``DiscreteJoint.from_cpts``
+    multiplies it in.
     """
 
     child: str
@@ -75,24 +84,35 @@ class Cpt:
     parents: tuple[str, ...]
     parent_cards: tuple[int, ...]
     rows: Mapping[tuple[int, ...], tuple[Fraction, ...]]
+    _factor: tuple[int, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         size = math.prod(self.parent_cards)
         if size > MAX_CELLS:
             raise DistributionError(f"CPT for {self.child}: more than {MAX_CELLS} parent rows")
-        if len(self.rows) != size or set(self.rows) != set(
-            itertools.product(*(range(c) for c in self.parent_cards))
-        ):
+        ranges = [range(c) for c in self.parent_cards]
+        if len(self.rows) != size or set(self.rows) != set(itertools.product(*ranges)):
             raise DistributionError(f"CPT for {self.child}: wrong set of parent rows")
+        scaled = {}  # parent row -> (the row's denominator, its scaled entries)
         for pa, vec in self.rows.items():
             if len(vec) != self.child_card:
                 raise DistributionError(f"CPT for {self.child}: bad row length at {pa}")
-            for p in vec:
-                exact(p, DistributionError, f"CPT for {self.child}: probability")
-            if any(p < 0 for p in vec):
+            if not all(isinstance(p, (int, Fraction)) for p in vec):
+                for p in vec:
+                    exact(p, DistributionError, f"CPT for {self.child}: probability")
+            d = math.lcm(*(p.denominator for p in vec))
+            ints = [p.numerator * (d // p.denominator) for p in vec]
+            if any(w < 0 for w in ints):
                 raise DistributionError(f"CPT for {self.child}: negative probability")
-            if sum(vec) != ONE:
+            if sum(ints) != d:
                 raise DistributionError(f"CPT for {self.child}: row {pa} does not sum to 1")
+            scaled[pa] = d, ints
+        denom = math.lcm(*(d for d, _ in scaled.values()))
+        flat = []
+        for pa in itertools.product(*ranges):
+            d, ints = scaled[pa]
+            flat += ints if d == denom else [w * (denom // d) for w in ints]
+        object.__setattr__(self, "_factor", (denom, flat))
 
     @staticmethod
     def prior(name: str, probs: Sequence[Fraction]) -> "Cpt":
@@ -348,14 +368,6 @@ def _domains(variables: Iterable[tuple[str, int]]) -> tuple[tuple[tuple[str, int
     return variables, size
 
 
-def _int_factor(cpt: Cpt) -> tuple[int, list[int]]:
-    """A CPT as one denominator and its entries scaled to integers, flat in
-    row-major order over (parents..., child)."""
-    rows = [cpt.rows[pa] for pa in itertools.product(*(range(c) for c in cpt.parent_cards))]
-    denom = math.lcm(*(p.denominator for row in rows for p in row))
-    return denom, [p.numerator * (denom // p.denominator) for row in rows for p in row]
-
-
 class DiscreteJoint:
     """Dense exact joint probability table over finite-domain variables.
 
@@ -397,32 +409,54 @@ class DiscreteJoint:
     def _product(cls, variables, factors) -> "DiscreteJoint":
         """The one builder of a joint from integer weights: the product of
         factors ``(positions, denom, flat_ints)``, each row-major over its
-        ``positions``, over the product of their denominators, in lowest terms."""
+        ``positions`` (distinct), over the product of their denominators, in
+        lowest terms.
+
+        The table grows one axis at a time, in the order in which the
+        positions first appear, and each factor is multiplied in as soon as
+        its positions are present: each of its cells is a cell of the table
+        so far times one entry of the factor.  A factor that arrives on an
+        empty table becomes the table.  The result is permuted once into
+        ``variables`` order.  A factor costs the size of the table after it,
+        so CPTs passed in topological order cost O(size) in all."""
         variables, size = _domains(variables)
         cards = [c for _, c in variables]
-        weights = [1] * size
-        denom = 1
+        axes, table, denom = [], None, 1
         for positions, d, ints in factors:
-            strides, _ = _strides(cards, positions)
-            weights = [w * ints[k] for w, k in zip(weights, _index_map(cards, strides))]
             denom *= d
-        g = math.gcd(*weights)  # positive: the weights sum to denom
+            if table is None:
+                axes, table = list(positions), ints
+                continue
+            strides, _ = _strides(cards, positions)
+            new = [p for p in positions if p not in axes]
+            offsets = _index_map([cards[p] for p in new], [strides[p] for p in new])
+            cells = _index_map([cards[p] for p in axes], [strides[p] for p in axes])
+            table = [w * ints[k + o] for w, k in zip(table, cells) for o in offsets]
+            axes += new
+        if table is None:
+            table = [1]
+        if axes != list(range(len(cards))):
+            table = list(map(table.__getitem__, _index_map(cards, _strides(cards, axes)[0])))
+        g = math.gcd(*table)  # positive: the weights sum to denom
+        weights = tuple(table) if g == 1 else tuple(w // g for w in table)
         joint = object.__new__(cls)
-        joint._fill(variables, tuple(w // g for w in weights), denom // g)
+        joint._fill(variables, weights, denom // g)
         return joint
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteJoint is immutable")
 
+    # every joint is in lowest terms, so equal tables have equal weights
     def __eq__(self, other):
         return (
             isinstance(other, DiscreteJoint)
             and self.variables == other.variables
-            and self.probs == other.probs
+            and self._weights == other._weights
+            and self._denom == other._denom
         )
 
     def __hash__(self):
-        return hash((self.variables, self.probs))
+        return hash((self.variables, self._weights, self._denom))
 
     @property
     def probs(self) -> tuple[Fraction, ...]:
@@ -452,7 +486,12 @@ class DiscreteJoint:
     def from_cpts(dag, cpts: Iterable[Cpt]) -> "DiscreteJoint":
         """Product of CPT entries over all full assignments.
 
-        One CPT per node; CPT parents must match the graph's parent sets.
+        One CPT per node; each CPT lists its node's graph parents, each once.
+        The CPTs' integer factors (``Cpt._factor``, scaled when each CPT was
+        checked) go to ``_product`` in topological order, so each one is
+        multiplied over the table of the nodes before it and the whole
+        product costs O(cells); the table is permuted once into
+        ``dag.nodes`` order.
         """
         by_child = {}
         for cpt in cpts:
@@ -464,7 +503,8 @@ class DiscreteJoint:
         cards = {}
         for node in dag.nodes:
             cpt = by_child[node]
-            if set(cpt.parents) != dag.parents(node):
+            parents = dag.parents(node)
+            if len(cpt.parents) != len(parents) or set(cpt.parents) != parents:
                 raise DistributionError(
                     f"CPT parents for {node} do not match graph parents"
                 )
@@ -478,10 +518,9 @@ class DiscreteJoint:
                     )
         pos = dag._index
         factors = []
-        for node in dag.nodes:
+        for node in dag.topological_order():
             cpt = by_child[node]
-            positions = [pos[q] for q in cpt.parents] + [pos[node]]
-            factors.append((positions, *_int_factor(cpt)))
+            factors.append(([pos[q] for q in cpt.parents] + [pos[node]], *cpt._factor))
         return DiscreteJoint._product([(n, cards[n]) for n in dag.nodes], factors)
 
     # -- queries --------------------------------------------------------------
@@ -532,6 +571,13 @@ class DiscreteJoint:
         denom = self._denom
         cum = list(itertools.accumulate(w / denom for w in self._weights))
         cum[-1] = 1.0
-        cells = list(self.assignments())
-        idx = rng.choices(range(len(cells)), cum_weights=cum, k=n)
-        return Dataset(self.variables, tuple(cells[i] for i in idx))
+        idx = rng.choices(range(len(cum)), cum_weights=cum, k=n)
+        # decode each drawn cell once, as a tuple over the first half of the
+        # axes joined to one over the rest; the draws of one cell share it,
+        # so Dataset's Counter matches them by identity
+        h = len(self._cards) // 2
+        heads = list(itertools.product(*map(range, self._cards[:h])))
+        tails = list(itertools.product(*map(range, self._cards[h:])))
+        t = len(tails)
+        cells = {i: heads[i // t] + tails[i % t] for i in set(idx)}
+        return Dataset(self.variables, tuple(map(cells.__getitem__, idx)))

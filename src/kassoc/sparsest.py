@@ -25,8 +25,9 @@ optimal path, each built from its successors' lists: the name of the step
 prepended, the step's edges ORed into an int mask whose byte v holds v's
 parents.  Names appear only in the query arguments and in the output, and
 each distinct edge mask, that is each distinct minimizer DAG, is decoded
-into one shared edge set.  An empty graph has n! minimizers, so the search
-is guarded at 8 variables, which also keeps a node's parents within a byte.
+into one shared edge set, which ``minimizer_dicts`` formats once.  An
+empty graph has n! minimizers, so the search is guarded at 8 variables,
+which also keeps a node's parents within a byte.
 """
 
 from __future__ import annotations
@@ -48,11 +49,37 @@ class PermutationDag:
         return len(self.edges)
 
     def to_dict(self) -> dict:
+        return self._to_dict(_labels(self.edges))
+
+    def _to_dict(self, labels: list[str]) -> dict:
         return {
             "permutation": list(self.permutation),
-            "edges": sorted(f"{a}->{b}" for a, b in self.edges),
+            "edges": labels,
             "edge_count": self.edge_count,
         }
+
+
+def _labels(edges) -> list[str]:
+    """Edges as ``to_dict`` writes them: sorted ``a->b`` strings."""
+    return sorted(f"{a}->{b}" for a, b in edges)
+
+
+def minimizer_dicts(
+    minimizers: Sequence[tuple[tuple[str, ...], PermutationDag]],
+) -> list[dict]:
+    """Each minimizer as ``{"permutation": ..., "dag": dag.to_dict()}``.
+
+    Minimizers of one DAG share its edge set, so each distinct set is
+    sorted and formatted once.
+    """
+    labels = {}
+    out = []
+    for perm, pdag in minimizers:
+        if pdag.edges not in labels:
+            labels[pdag.edges] = _labels(pdag.edges)
+        out.append({"permutation": list(perm),
+                    "dag": pdag._to_dict(list(labels[pdag.edges]))})
+    return out
 
 
 def dag_from_permutation(

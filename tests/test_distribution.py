@@ -12,6 +12,7 @@ import pytest
 from kassoc.distribution import Cpt, DiscreteJoint, DistributionError
 from kassoc.graph import Dag
 from kassoc.scenarios import BUILTINS, builtin
+from conftest import random_cpt_net
 from references import fraction_is_independent_sets, fraction_marginal, prob
 
 
@@ -28,6 +29,29 @@ def fraction_product(dag, cpts):
             p *= cpt.rows[tuple(a[pos[q]] for q in cpt.parents)][a[pos[node]]]
         probs.append(p)
     return probs
+
+
+def integer_product(dag, cpts):
+    """Reference ``from_cpts`` on integers: each CPT scaled by the lcm of its
+    entries' denominators, the scaled entries multiplied cell by cell in the
+    graph's node order, in lowest terms; ``(denom, weights)``."""
+    pos = {n: i for i, n in enumerate(dag.nodes)}
+    denom, factors = 1, []
+    for cpt in cpts:
+        scale = math.lcm(*(p.denominator for row in cpt.rows.values() for p in row))
+        ints = {pa: [p.numerator * (scale // p.denominator) for p in row]
+                for pa, row in cpt.rows.items()}
+        denom *= scale
+        factors.append((ints, [pos[q] for q in cpt.parents], pos[cpt.child]))
+    cards = {c.child: c.child_card for c in cpts}
+    weights = []
+    for a in itertools.product(*(range(cards[n]) for n in dag.nodes)):
+        w = 1
+        for ints, parents, child in factors:
+            w *= ints[tuple(map(a.__getitem__, parents))][a[child]]
+        weights.append(w)
+    g = math.gcd(*weights, denom)
+    return denom // g, tuple(w // g for w in weights)
 
 
 def reversed_parents(cpt):
@@ -117,6 +141,46 @@ class TestCpt:
         with pytest.raises(DistributionError, match="flip of Y"):
             Cpt.noisy_function("Y", ("X",), (2,), lambda x: x, 0.25)
 
+    @pytest.mark.parametrize("row, text", [
+        ((F(1, 2),), "CPT for Y: bad row length at (1,)"),
+        ((F(1, 2), F(1, 3), F(1, 6)), "CPT for Y: bad row length at (1,)"),
+        ((F(1, 2), 0.5), "CPT for Y: probability must be an int or a Fraction, not 0.5"),
+        (("1", 0), "CPT for Y: probability must be an int or a Fraction, not '1'"),
+        ((F(3, 2), F(-1, 2)), "CPT for Y: negative probability"),
+        ((-1, 2), "CPT for Y: negative probability"),
+        ((F(1, 2), F(1, 3)), "CPT for Y: row (1,) does not sum to 1"),
+        ((1, 1), "CPT for Y: row (1,) does not sum to 1"),
+    ])
+    def test_each_row_check_has_its_text(self, row, text):
+        rows = {(0,): (F(1, 3), F(2, 3)), (1,): row}
+        with pytest.raises(DistributionError) as err:
+            Cpt("Y", 2, ("X",), (2,), rows)
+        assert str(err.value) == text
+
+    def test_the_first_bad_row_in_rows_order_is_named(self):
+        # per row: length, then entry type, then sign, then sum; the rows in
+        # the order ``rows`` lists them, not in parent-value order
+        short, floats, negative, heavy = (F(1),), (0.5, 0.5), (F(3, 2), F(-1, 2)), (1, 1)
+        not_exact = "probability must be an int or a Fraction, not 0.5"
+        for rows, text in [
+            ({(1,): heavy, (0,): short}, "row (1,) does not sum to 1"),
+            ({(0,): short, (1,): heavy}, "bad row length at (0,)"),
+            ({(1,): negative, (0,): heavy}, "negative probability"),
+            ({(0,): heavy, (1,): negative}, "row (0,) does not sum to 1"),
+            ({(1,): floats, (0,): negative}, not_exact),
+            ({(1,): (F(1, 2), F(1, 2)), (0,): floats}, not_exact),
+            ({(1,): (0.5, F(-1, 2)), (0,): short}, not_exact),
+        ]:
+            with pytest.raises(DistributionError) as err:
+                Cpt("Y", 2, ("X",), (2,), rows)
+            assert str(err.value) == f"CPT for Y: {text}", rows
+
+    def test_rows_are_checked_after_the_size_and_the_row_set(self):
+        with pytest.raises(DistributionError, match="wrong set of parent rows"):
+            Cpt("Y", 2, ("X",), (2,), {(0,): (0.5,), (2,): (F(1),)})
+        with pytest.raises(DistributionError, match="more than"):
+            Cpt("Y", 2, ("X",), (2**21,), {(0,): (0.5,)})
+
 
 class TestJoint:
     def test_probabilities_sum_to_one(self):
@@ -147,6 +211,29 @@ class TestJoint:
         bad = Cpt.noisy_function("B", ("A",), (2,), lambda a: a, F(0))
         with pytest.raises(DistributionError):
             DiscreteJoint.from_cpts(dag, [Cpt.coin("A", F(1, 2)), bad])
+
+    def test_from_cpts_refuses_a_parent_listed_twice(self):
+        rows = {(a, b): (F(1 + a + 2 * b, 5), F(4 - a - 2 * b, 5)) for a in (0, 1) for b in (0, 1)}
+        twice = Cpt("B", 2, ("A", "A"), (2, 2), rows)
+        with pytest.raises(DistributionError, match="CPT parents for B do not match"):
+            DiscreteJoint.from_cpts(Dag(["A", "B"], [("A", "B")]), [Cpt.coin("A", F(1, 2)), twice])
+
+    def test_equal_tables_are_equal_and_hash_equal(self, cpt_nets):
+        for dag, cpts in cpt_nets:
+            j = DiscreteJoint.from_cpts(dag, cpts)
+            same = [DiscreteJoint.from_cpts(dag, [reversed_parents(c) for c in cpts]),
+                    copy.copy(j), copy.deepcopy(j), pickle.loads(pickle.dumps(j)),
+                    j.marginalize(j.names), DiscreteJoint(j.variables, j.probs)]
+            for other in same:
+                assert other == j and hash(other) == hash(j)
+            # one unit of weight moved between two cells
+            moved = list(j.probs)
+            i = next(k for k, p in enumerate(moved) if p)
+            k = (i + 1) % len(moved)
+            if k != i:
+                moved[i] -= F(1, j._denom)
+                moved[k] += F(1, j._denom)
+                assert DiscreteJoint(j.variables, moved) != j
 
 
 class TestExampleOneIdentities:
@@ -281,6 +368,32 @@ class TestIntegerPathAgainstFractionReference:
     def test_from_cpts_matches_fraction_product(self, cpt_nets):
         for dag, cpts in cpt_nets:
             assert list(DiscreteJoint.from_cpts(dag, cpts).probs) == fraction_product(dag, cpts)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_from_cpts_matches_the_integer_product_on_larger_nets(self, seed):
+        """10-14 nodes of cardinality 1-3 with zero entries, listed in an
+        order that is not topological, so the product's axes are permuted
+        once at the end; each single-factor rebuild (copy, pickle,
+        ``marginalize`` of none or of every name, in any order) keeps the
+        weights."""
+        rng = random.Random(f"integer_product:{seed}")
+        for n in (10, 12, 14):
+            dag, cpts = random_cpt_net(rng, n, 2 * n, 3, cards=(1, 2, 3))
+            assert any(dag.index(a) > dag.index(b) for a, b in dag.edges)
+            assert any(p == 0 for c in cpts for row in c.rows.values() for p in row)
+            rng.shuffle(cpts)
+            j = DiscreteJoint.from_cpts(dag, cpts)
+            assert (j._denom, j._weights) == integer_product(dag, cpts)
+            for clone in (copy.copy(j), pickle.loads(pickle.dumps(j))):
+                assert (clone.variables, clone._denom, clone._weights) == \
+                    (j.variables, j._denom, j._weights)
+            scalar = j.marginalize([])
+            assert (scalar.variables, scalar._denom, scalar._weights) == ((), 1, (1,))
+            keep = rng.sample(j.names, n)
+            m = j.marginalize(keep)
+            by_name = {c.child: c for c in cpts}
+            assert (m._denom, m._weights) == integer_product(Dag(keep, dag.edges), cpts)
+            assert m.variables == tuple((v, by_name[v].child_card) for v in keep)
 
     def test_from_cpts_reads_each_cpt_in_its_own_parent_order(self, cpt_nets):
         for dag, cpts in cpt_nets:

@@ -10,7 +10,7 @@ from references import enumerate_dags, random_dag
 from kassoc.graph import Dag
 from kassoc.oracle import DiscreteOracle, GraphOracle, GTestOracle, OracleError
 from kassoc.scenarios import BUILTINS, Scenario, builtin
-from kassoc.sparsest import dag_from_permutation, sparsest_permutations
+from kassoc.sparsest import dag_from_permutation, minimizer_dicts, sparsest_permutations
 
 
 def factorial_sparsest(o):
@@ -134,6 +134,18 @@ def test_eight_node_complete_dag_gives_one_dag_per_order():
     assert all(d.permutation == p and d.edges == set(itertools.combinations(p, 2))
                for p, d in got)
     assert len({d.edges for _, d in got}) == 40320
+
+
+def test_minimizer_dicts_write_each_dag_as_its_to_dict():
+    # each distinct edge set is formatted once; some builtins have several
+    # minimizers of one DAG
+    shared = 0
+    for name in sorted(BUILTINS):
+        got = sparsest_permutations(builtin(name).oracle())
+        assert minimizer_dicts(got) == [
+            {"permutation": list(p), "dag": d.to_dict()} for p, d in got]
+        shared += len(got) - len({d.edges for _, d in got})
+    assert shared > 0
 
 
 class TestAgreesWithFactorialSearch:
