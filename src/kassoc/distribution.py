@@ -30,6 +30,14 @@ w_M * w_s == w_{s,xs} * w_{s,ys} on every cell of M in one pass
 The criterion is P(x,y,s) P(s) == P(x,s) P(y,s) cross-multiplied, so it
 needs no division, passes every cell where P(s) = 0, and, being
 scale-invariant, gives on the weights exactly the probabilities' answer.
+When xs and ys are one binary variable each, w_M is a 2x2 table per
+stratum (assignment to s), and the criterion holds exactly when each
+stratum's cross-product difference w00 w11 - w10 w01 is 0 (Bishop,
+Fienberg & Holland, *Discrete Multivariate Analysis*, 1975, ch. 2): such
+a query reads only w_M, at the four corners of every stratum
+(``_Lattice.corner_cells``).  Which check a query gets depends only on its
+masks and cardinalities; the four-marginal check is the 2x2 check's slow
+twin in the tests.
 Each table keeps one name index, ``_pos``; a query's names go through
 ``graph.query_masks``, the rule every CI entry point shares.
 """
@@ -87,6 +95,10 @@ class Cpt:
     _factor: tuple[int, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if len(self.parents) != len(self.parent_cards):
+            raise DistributionError(
+                f"CPT for {self.child}: {len(self.parents)} parents but "
+                f"{len(self.parent_cards)} parent cardinalities")
         size = math.prod(self.parent_cards)
         if size > MAX_CELLS:
             raise DistributionError(f"CPT for {self.child}: more than {MAX_CELLS} parent rows")
@@ -252,11 +264,14 @@ class _Budgeted(dict):
         super().__init__()
         self.cells = 0
 
-    def keep(self, key, cells: Sequence[int]) -> Sequence[int]:
-        if self.cells + len(cells) <= MAX_CELLS:
-            self[key] = cells
-            self.cells += len(cells)
-        return cells
+    def keep(self, key, value, cells: int | None = None):
+        """Store ``value``, which holds ``cells`` ints (``len(value)`` if
+        not given), if they fit; return ``value`` either way."""
+        cells = len(value) if cells is None else cells
+        if self.cells + cells <= MAX_CELLS:
+            self[key] = value
+            self.cells += cells
+        return value
 
 
 class _Recent(_Budgeted):
@@ -266,15 +281,17 @@ class _Recent(_Budgeted):
 
     __slots__ = ()
 
-    def keep(self, key, cells: Sequence[int]) -> Sequence[int]:
-        if self.cells + len(cells) > MAX_CELLS:
+    def keep(self, key, value, cells: int | None = None):
+        cells = len(value) if cells is None else cells
+        if self.cells + cells > MAX_CELLS:
             self.clear()
             self.cells = 0
-        return super().keep(key, cells)
+        return super().keep(key, value, cells)
 
 
-# shape (cards, strides) -> gather index list; a shape fixes its list, so
-# every lattice shares them
+# shape (cards, strides) -> gather index list, and shape (cards, strides,
+# sx, sy) -> the four corner lists of ``_corners``; a shape fixes its
+# lists, so every lattice shares them
 _GATHERS = _Recent()
 
 
@@ -284,6 +301,21 @@ def _gather(cards: tuple[int, ...], strides: tuple[int, ...]) -> list[int]:
     return _GATHERS.get(shape) or _GATHERS.keep(shape, _index_map(cards, strides))
 
 
+def _corners(cards: tuple[int, ...], strides: tuple[int, ...], sx: int, sy: int
+             ) -> tuple[list[int], ...]:
+    """The cells (x, y) = (0, 0), (1, 0), (0, 1) and (1, 1) of every stratum
+    of a table whose strata axes have ``cards`` and ``strides`` and whose
+    binary x and y axes have strides ``sx`` and ``sy``: four index lists,
+    kept in ``_GATHERS`` by shape, which counts all their ints."""
+    shape = (cards, strides, sx, sy)
+    plan = _GATHERS.get(shape)
+    if plan is None:
+        c00 = _index_map(cards, strides)
+        plan = _GATHERS.keep(shape, (c00, [c + sx for c in c00], [c + sy for c in c00],
+                                     [c + sx + sy for c in c00]), 4 * len(c00))
+    return plan
+
+
 class _Lattice:
     """Cached marginals of one dense row-major integer table over ``cards``.
 
@@ -291,7 +323,10 @@ class _Lattice:
     ascending position order.  On a miss, the highest position p outside K
     is summed out of the marginal of K | p; that lookup recurses, and the
     full mask is the table itself.  ``ci_cells`` reads marginals at other
-    cells through gather index lists (``_gather``).
+    cells through gather index lists (``_gather``), and ``corner_cells``
+    reads one marginal at the four corners of each 2x2 stratum through
+    corner lists (``_corners``); both kinds are shared by shape in
+    ``_GATHERS``.
 
     A lattice belongs to its table: each ``DiscreteJoint`` and ``Dataset``
     makes one at construction, every query on that table reads it, and a
@@ -335,6 +370,32 @@ class _Lattice:
         return (w_m, map(w_s.__getitem__, _gather(cards, st_s)),
                 map(w_sx.__getitem__, _gather(cards, st_sx)),
                 map(w_sy.__getitem__, _gather(cards, st_sy)))
+
+    def corner_cells(self, mx: int, my: int, ms: int) -> tuple[Iterable[int], ...]:
+        """For disjoint position bitmasks, mx and my one binary position
+        each, the marginal w_M over M = ms | mx | my read lazily at the
+        cells (x, y) = (0, 0), (1, 0), (0, 1) and (1, 1) of every stratum
+        (assignment to ms), through the corner lists of ``_corners``."""
+        m = mx | my | ms
+        w_m = self.ascending(m)
+        # as in ci_cells, axis i of w_m has stride n over the cardinalities
+        # of M's positions up to and including its own
+        n = len(w_m)
+        cards, strides = [], []
+        for p in range(m.bit_length()):
+            if m >> p & 1:
+                c = self.cards[p]
+                n //= c
+                if mx >> p & 1:
+                    sx = n
+                elif my >> p & 1:
+                    sy = n
+                else:
+                    cards.append(c)
+                    strides.append(n)
+        c00, c10, c01, c11 = _corners(tuple(cards), tuple(strides), sx, sy)
+        get = w_m.__getitem__
+        return map(get, c00), map(get, c10), map(get, c01), map(get, c11)
 
     def ascending(self, mask: int) -> Sequence[int]:
         """Weights of the row-major marginal over the positions in ``mask``,
@@ -554,12 +615,19 @@ class DiscreteJoint:
     def _independent(self, mx: int, my: int, ms: int) -> bool:
         """The check of ``is_independent_sets`` on the position bitmasks of
         xs, ys and s, which must be disjoint and the first two non-empty.
-        With M = s | xs | ys, w_M * w_s == w_{s,xs} * w_{s,ys} on every cell
-        of M (the module docstring's criterion; a cell with P(s) = 0 has
-        every term 0 and passes), compared lazily, so a dependence stops at
-        the first cell that breaks it."""
-        w_m, w_s, w_sx, w_sy = self._lattice.ci_cells(mx, my, ms)
-        return all(map(eq, map(mul, w_m, w_s), map(mul, w_sx, w_sy)))
+        If xs and ys are one binary variable each, w00 * w11 == w10 * w01
+        in every 2x2 stratum of w_M, M = s | xs | ys; otherwise
+        w_M * w_s == w_{s,xs} * w_{s,ys} on every cell of M (the module
+        docstring's criteria; a stratum or cell with P(s) = 0 has every
+        term 0 and passes).  Either is compared lazily, so a dependence
+        stops at the first stratum or cell that breaks it."""
+        cards = self._cards
+        if (mx & (mx - 1) or my & (my - 1)
+                or cards[mx.bit_length() - 1] != 2 or cards[my.bit_length() - 1] != 2):
+            w_m, w_s, w_sx, w_sy = self._lattice.ci_cells(mx, my, ms)
+            return all(map(eq, map(mul, w_m, w_s), map(mul, w_sx, w_sy)))
+        w00, w10, w01, w11 = self._lattice.corner_cells(mx, my, ms)
+        return all(map(eq, map(mul, w00, w11), map(mul, w10, w01)))
 
     def sample(self, n: int, seed: int) -> Dataset:
         """n i.i.d. draws; deterministic for a fixed seed."""

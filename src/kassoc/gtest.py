@@ -1,8 +1,9 @@
 """G-test of conditional independence on the count table a ``Dataset``
 builds once.  The test itself, ``_g_test``, takes position bitmasks and
-reads the four marginals the exact backend's CI check reads, from the
-dataset's own marginal lattice (``distribution._Lattice.ci_cells``), which
-every query on one dataset, from any ``GTestOracle`` or direct call,
+reads four marginals, over s | x | y, s, s | x and s | y (the ones the
+exact backend's CI check reads for a query that is not a binary pair),
+from the dataset's own marginal lattice (``distribution._Lattice.ci_cells``),
+which every query on one dataset, from any ``GTestOracle`` or direct call,
 shares.  A ``GTestOracle`` hands it the masks it checked; ``g_test``
 checks its names with ``graph.query_masks`` on the dataset's name index.
 

@@ -12,7 +12,9 @@
   ``variables`` and ``probs`` alone, so they share no helper with the
   integer lattice in :mod:`kassoc.distribution` that they check:
   :func:`prob` (a full or partial assignment), :func:`fraction_marginal`
-  and the CI criterion :func:`fraction_is_independent_sets`.
+  and the CI criterion :func:`fraction_is_independent_sets`; and
+  :func:`integer_product`, ``from_cpts`` cell by cell on the CPTs' scaled
+  integer entries.
 * :func:`mutually_independent`: full factorisation of a three-variable
   marginal, checked cell by cell on the integer weights; the reference for
   the unfaithful-triple search's one set query.
@@ -24,6 +26,7 @@
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 from typing import Iterable, Iterator, Sequence
@@ -230,6 +233,29 @@ def fraction_is_independent_sets(joint: DiscreteJoint, xs, ys, s=()) -> bool:
         if p_s[sk] != 0 and p * p_s[sk] != p_xs[(xk, sk)] * p_ys[(yk, sk)]:
             return False
     return True
+
+
+def integer_product(dag, cpts):
+    """Reference ``from_cpts`` on integers: each CPT scaled by the lcm of its
+    entries' denominators, the scaled entries multiplied cell by cell in the
+    graph's node order, in lowest terms; ``(denom, weights)``."""
+    pos = {n: i for i, n in enumerate(dag.nodes)}
+    denom, factors = 1, []
+    for cpt in cpts:
+        scale = math.lcm(*(p.denominator for row in cpt.rows.values() for p in row))
+        ints = {pa: [p.numerator * (scale // p.denominator) for p in row]
+                for pa, row in cpt.rows.items()}
+        denom *= scale
+        factors.append((ints, [pos[q] for q in cpt.parents], pos[cpt.child]))
+    cards = {c.child: c.child_card for c in cpts}
+    weights = []
+    for a in itertools.product(*(range(cards[n]) for n in dag.nodes)):
+        w = 1
+        for ints, parents, child in factors:
+            w *= ints[tuple(map(a.__getitem__, parents))][a[child]]
+        weights.append(w)
+    g = math.gcd(*weights, denom)
+    return denom // g, tuple(w // g for w in weights)
 
 
 # -- mutual independence ----------------------------------------------------------

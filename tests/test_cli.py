@@ -208,7 +208,7 @@ class TestScenarioLoading:
         "parents_string", "order_not_a_list", "probs_bool", "param_float",
         "notes_not_a_string", "order_permuted",
         "document_list", "document_null", "document_string", "payload_list",
-        "not_utf8", "nested_deep",
+        "not_utf8", "nested_deep", "parent_cardinalities_longer",
     ])
     def test_invalid_file_contents_exit_two(self, tmp_path, capsys, defect):
         graph = {"name": "g", "nodes": ["X", "Y"], "edges": [], "payload": {"type": "graph"}}
@@ -232,6 +232,14 @@ class TestScenarioLoading:
                 cpts[0]["rows"][0]["probs"] = [True, False]
             else:
                 doc["params"]["p"] = 0.1
+        elif defect == "parent_cardinalities_longer":
+            # Y given X alone, with X -> Y only, but a second parent
+            # cardinality and four rows to match it
+            doc = save(builtin("example1"))
+            doc["edges"] = ["X->Y"]
+            cpt = doc["payload"]["cpts"][2]
+            assert cpt["child"] == "Y" and cpt["parents"] == ["X", "Z"]
+            cpt["parents"] = ["X"]
         elif defect == "order_not_a_list":
             doc = save(builtin("cancel3"))
             doc["payload"]["order"] = {v: i for i, v in enumerate(doc["payload"]["order"])}
@@ -290,6 +298,9 @@ class TestScenarioLoading:
             assert "scenario file is not valid JSON: 'utf-8' codec can't decode" in err
         elif defect == "nested_deep":
             assert err.endswith(": scenario file nests too deeply to parse\n")
+        elif defect == "parent_cardinalities_longer":
+            assert err.endswith(
+                "bad probability table: CPT for Y: 1 parents but 2 parent cardinalities\n")
 
     def test_gaussian_payload_off_the_graph_exits_two(self, tmp_path, capsys):
         doc = save(builtin("cancel3"))

@@ -13,7 +13,7 @@ from kassoc.distribution import Cpt, DiscreteJoint, DistributionError
 from kassoc.graph import Dag
 from kassoc.scenarios import BUILTINS, builtin
 from conftest import random_cpt_net
-from references import fraction_is_independent_sets, fraction_marginal, prob
+from references import fraction_is_independent_sets, fraction_marginal, integer_product, prob
 
 
 def fraction_product(dag, cpts):
@@ -29,29 +29,6 @@ def fraction_product(dag, cpts):
             p *= cpt.rows[tuple(a[pos[q]] for q in cpt.parents)][a[pos[node]]]
         probs.append(p)
     return probs
-
-
-def integer_product(dag, cpts):
-    """Reference ``from_cpts`` on integers: each CPT scaled by the lcm of its
-    entries' denominators, the scaled entries multiplied cell by cell in the
-    graph's node order, in lowest terms; ``(denom, weights)``."""
-    pos = {n: i for i, n in enumerate(dag.nodes)}
-    denom, factors = 1, []
-    for cpt in cpts:
-        scale = math.lcm(*(p.denominator for row in cpt.rows.values() for p in row))
-        ints = {pa: [p.numerator * (scale // p.denominator) for p in row]
-                for pa, row in cpt.rows.items()}
-        denom *= scale
-        factors.append((ints, [pos[q] for q in cpt.parents], pos[cpt.child]))
-    cards = {c.child: c.child_card for c in cpts}
-    weights = []
-    for a in itertools.product(*(range(cards[n]) for n in dag.nodes)):
-        w = 1
-        for ints, parents, child in factors:
-            w *= ints[tuple(map(a.__getitem__, parents))][a[child]]
-        weights.append(w)
-    g = math.gcd(*weights, denom)
-    return denom // g, tuple(w // g for w in weights)
 
 
 def reversed_parents(cpt):
@@ -174,6 +151,20 @@ class TestCpt:
             with pytest.raises(DistributionError) as err:
                 Cpt("Y", 2, ("X",), (2,), rows)
             assert str(err.value) == f"CPT for Y: {text}", rows
+
+    @pytest.mark.parametrize("parents, cards, rows", [
+        (("X",), (2, 2), {(a, b): (F(1 + a + 2 * b, 5), F(4 - a - 2 * b, 5))
+                          for a in (0, 1) for b in (0, 1)}),
+        (("X", "Z"), (2,), {(0,): (F(1), F(0)), (1,): (F(0), F(1))}),
+        (("X",), (), {(): (F(1), F(0))}),
+        (("X",), (2**21, 2), {}),  # before the size check, too
+    ])
+    def test_each_parent_has_one_cardinality(self, parents, cards, rows):
+        # the rows match parent_cards, so only the length check refuses these
+        with pytest.raises(DistributionError) as err:
+            Cpt("Y", 2, parents, cards, rows)
+        assert str(err.value) == (
+            f"CPT for Y: {len(parents)} parents but {len(cards)} parent cardinalities")
 
     def test_rows_are_checked_after_the_size_and_the_row_set(self):
         with pytest.raises(DistributionError, match="wrong set of parent rows"):

@@ -7,6 +7,7 @@ import math
 import random
 import re
 from fractions import Fraction as F
+from operator import eq, mul
 from unittest import mock
 
 import pytest
@@ -38,11 +39,11 @@ def ascending_marginal(joint, mask):
 
 
 @st.composite
-def joints(draw):
-    """Joints over 1-6 variables of cardinality 1-3: arbitrary small integer
-    tables (zeros included), or products of one factor per variable, so
-    that some conditional independences hold."""
-    cards = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+def joints(draw, cards=st.lists(st.integers(1, 3), min_size=1, max_size=6)):
+    """Joints over ``cards`` (by default 1-6 variables of cardinality 1-3):
+    arbitrary small integer tables (zeros included), or products of one
+    factor per variable, so that some conditional independences hold."""
+    cards = draw(cards)
     size = math.prod(cards)
     if draw(st.booleans()):
         weights = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
@@ -167,22 +168,138 @@ def test_ci_kernel_errors_keep_their_texts(xs, ys, s, message):
         joint.is_independent_sets(xs, ys, s)
 
 
+def four_marginal_check(joint, mx, my, ms):
+    """The slow twin of the 2x2 path: w_M * w_s == w_{s,x} * w_{s,y} on
+    every cell of M, through ``_Lattice.ci_cells``."""
+    w_m, w_s, w_sx, w_sy = joint._lattice.ci_cells(mx, my, ms)
+    return all(map(eq, map(mul, w_m, w_s), map(mul, w_sx, w_sy)))
+
+
+def pair_masks(joint, x, y, s):
+    return 1 << joint.names.index(x), 1 << joint.names.index(y), sum(
+        1 << joint.names.index(v) for v in s)
+
+
+def binary_pair(joint, x, y):
+    return joint._cards[joint.names.index(x)] == joint._cards[joint.names.index(y)] == 2
+
+
+def ints_held(cache):
+    """The ints a gather cache holds: one list, or a corner plan's four."""
+    return sum(len(v) if isinstance(v, list) else sum(map(len, v)) for v in cache.values())
+
+
 def test_gather_cache_starts_over_past_its_budget(monkeypatch):
     """Shared gather lists stay within ``MAX_CELLS``: a list that would pass
     it empties the cache first, so the shapes of the latest query are kept
-    rather than the first ones ever seen, and every answer stays exact."""
+    rather than the first ones ever seen, and every answer stays exact.
+    A binary pair reads the corner lists of its strata, keyed by the strata
+    axes' cards and strides in w_M and the strides of x and y; any other
+    query reads four-marginal gathers, the last keyed by M's cards and the
+    strides of w_{s,y}."""
     monkeypatch.setattr(distribution, "MAX_CELLS", 60)
     monkeypatch.setattr(distribution, "_GATHERS", distribution._Recent())
     joint = seeded_joint(1, (2, 3, 2, 2))
     gathers = distribution._GATHERS
+    corner_queries = 0
     for xs, ys, s in every_query(joint.names):
         assert joint.is_independent_sets(xs, ys, s) == fraction_is_independent_sets(joint, xs, ys, s)
-        assert gathers.cells == sum(map(len, gathers.values())) <= 60
+        assert gathers.cells == ints_held(gathers) <= 60
         positions = sorted(joint.names.index(n) for n in [*xs, *ys, *s])
         cards = tuple(joint._cards[p] for p in positions)
-        kept = [i for i, p in enumerate(positions) if joint.names[p] not in xs]
-        strides = tuple(_strides(cards, kept)[0])
-        assert (cards, strides) in gathers, (xs, ys, s)  # the last list it read
+        if len(xs) == len(ys) == 1 and binary_pair(joint, xs[0], ys[0]):
+            corner_queries += 1
+            strides = _strides(cards, range(len(cards)))[0]
+            role = [joint.names[p] for p in positions]
+            strata = [i for i, v in enumerate(role) if v not in (*xs, *ys)]
+            shape = (tuple(cards[i] for i in strata), tuple(strides[i] for i in strata),
+                     strides[role.index(xs[0])], strides[role.index(ys[0])])
+            assert shape in gathers, (xs, ys, s)  # the plan it read
+        else:
+            kept = [i for i, p in enumerate(positions) if joint.names[p] not in xs]
+            strides = tuple(_strides(cards, kept)[0])
+            assert (cards, strides) in gathers, (xs, ys, s)  # the last list it read
+    assert corner_queries
+
+
+@pytest.mark.parametrize("budget", [None, 0], ids=["stored", "never-stored"])
+@pytest.mark.parametrize("cards", [(2, 1, 2, 4, 3), (3, 2, 4, 2, 2, 1), (2, 2, 2, 4)])
+def test_binary_pairs_agree_with_the_four_marginal_check(cards, budget):
+    """Every pairwise query of seeded joints whose other variables have
+    cardinalities 1-4, many with strata of probability 0: the kernel, the
+    four-marginal check and the Fraction criterion agree, whether the
+    marginals and plans are stored or not (a budget of 0)."""
+    seen = set()
+    for seed in range(4):
+        joint = seeded_joint(seed, cards)
+        with mock.patch.object(distribution, "MAX_CELLS", unless_none(budget)), \
+                mock.patch.object(distribution, "_GATHERS", distribution._Recent()):
+            for xs, ys, s in every_query(joint.names):
+                if len(xs) + len(ys) > 2:
+                    continue
+                masks = pair_masks(joint, xs[0], ys[0], s)
+                want = fraction_is_independent_sets(joint, xs, ys, s)
+                assert joint._independent(*masks) == want, (seed, xs, ys, s)
+                assert four_marginal_check(joint, *masks) == want, (seed, xs, ys, s)
+                if binary_pair(joint, xs[0], ys[0]):
+                    seen.add((want, "binary"))
+                    if 0 in fraction_marginal(joint, s).values():
+                        seen.add((want, "P(s) = 0"))
+            assert distribution._GATHERS.cells <= unless_none(budget)
+    assert seen == {(want, case) for want in (True, False) for case in ("binary", "P(s) = 0")}
+
+
+@st.composite
+def binary_pair_joints(draw):
+    """A ``joints`` table over two binary variables and 0-3 more of
+    cardinality 1-4, in random positions, and one pairwise query on two
+    binary variables given a random subset of the others."""
+    others = st.lists(st.integers(1, 4), max_size=3)
+    joint = draw(joints(others.flatmap(lambda o: st.permutations([2, 2, *o]))))
+    x, y = draw(st.permutations([n for n, c in joint.variables if c == 2]))[:2]
+    rest = [n for n in joint.names if n not in (x, y)]
+    s = draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+    return joint, x, y, s
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=binary_pair_joints(), budget=st.sampled_from([None, 0, 8]))
+def test_binary_pair_kernel_matches_its_slow_twin(case, budget):
+    """On random small tables the 2x2 check answers as the four-marginal
+    check and the Fraction criterion do, for either order of x and y."""
+    joint, x, y, s = case
+    masks = pair_masks(joint, x, y, s)
+    with mock.patch.object(distribution, "MAX_CELLS", unless_none(budget)):
+        got = joint._independent(*masks)
+        assert got == four_marginal_check(joint, *masks)
+        assert got == fraction_is_independent_sets(joint, [x], [y], s)
+        assert got == joint._independent(masks[1], masks[0], masks[2])
+
+
+def test_only_binary_pairs_skip_the_four_marginal_check():
+    """A single binary x and y are checked on 2x2 tables; a set on either
+    side, or a side with three states, goes through ``ci_cells``."""
+    joint = seeded_joint(1, (2, 3, 2, 2))  # V1 has three states
+    with mock.patch.object(_Lattice, "ci_cells", autospec=True,
+                           side_effect=_Lattice.ci_cells) as ci_cells:
+        for xs, ys, s in [(["V0"], ["V2"], []), (["V3"], ["V0"], ["V1", "V2"])]:
+            joint.is_independent_sets(xs, ys, s)
+        assert ci_cells.call_count == 0
+        for xs, ys, s in [(["V0"], ["V1"], []), (["V1"], ["V2"], ["V3"]),
+                          (["V0", "V2"], ["V3"], []), (["V0"], ["V2", "V3"], ["V1"])]:
+            joint.is_independent_sets(xs, ys, s)
+        assert ci_cells.call_count == 4
+
+
+def test_a_binary_pair_reads_only_the_marginal_over_m():
+    """One binary pairwise query on a fresh joint stores the marginal over
+    M = s | x | y and none over s, s | x or s | y."""
+    joint = seeded_joint(0, (2, 3, 2, 2, 3, 2))
+    mx, my, ms = pair_masks(joint, "V2", "V0", ["V4", "V1"])
+    joint._independent(mx, my, ms)
+    marginals = joint._lattice.marginals
+    assert mx | my | ms in marginals
+    assert not {ms, ms | mx, ms | my} & marginals.keys()
 
 
 def seeded_scenario(n):

@@ -9,6 +9,8 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_cpt_net
 from kassoc.audit import audit_scenario, check_cmc
@@ -29,7 +31,7 @@ from kassoc.scenarios import (
     save,
     xor_with_context,
 )
-from references import prob, random_sem
+from references import integer_product, prob, random_sem
 
 
 def pairwise_markov_holds(dag, joint):
@@ -283,6 +285,80 @@ class TestSerialization:
         doc["payload"]["cpts"][0]["rows"][0]["probs"] = ["1/2", "1/3"]
         with pytest.raises(ScenarioError):
             load(doc)
+
+
+def discrete_documents():
+    """Valid discrete scenario documents: every discrete builtin, and two
+    seeded nets with cardinality-1 nodes and zero cells."""
+    docs = [save(builtin(n)) for n in sorted(BUILTINS) if builtin(n).kind == "discrete"]
+    for seed in range(2):
+        dag, cpts = random_cpt_net(random.Random(f"mutated-documents:{seed}"), 5, 6, 2,
+                                   cards=(1, 2, 3), denom=4)
+        docs.append(save(Scenario(f"net{seed}", dag, "discrete", cpts=tuple(cpts))))
+    return docs
+
+
+def mutation_sites(node, path=()):
+    """(kind, path) of every place in a document that a mutation can
+    change: a non-empty list (drop or duplicate an entry), an object with
+    two fields or more (swap two of their values), a cardinality or parent
+    cardinality, and a CPT's parent (dropped together with its edge)."""
+    if isinstance(node, list):
+        if node:
+            yield "list", path
+        if path[:2] == ("payload", "cpts") and path[3:] == ("parents",):
+            yield from (("parent", path + (i,)) for i in range(len(node)))
+        for i, v in enumerate(node):
+            yield from mutation_sites(v, path + (i,))
+    elif isinstance(node, dict):
+        if len(node) > 1:
+            yield "object", path
+        for k, v in node.items():
+            yield from mutation_sites(v, path + (k,))
+    elif type(node) is int and (path[-1:] == ("cardinality",)
+                                or path[-2:-1] == ("parent_cardinalities",)):
+        yield "cardinality", path
+
+
+def mutate(doc, data):
+    """Apply one drawn mutation to ``doc`` in place."""
+    kind, path = data.draw(st.sampled_from(list(mutation_sites(doc))))
+    parent, target = None, doc
+    for key in path:
+        parent, target = target, target[key]
+    last = path[-1] if path else None
+    if kind == "list":
+        i = data.draw(st.integers(0, len(target) - 1))
+        if data.draw(st.booleans()):
+            del target[i]
+        else:
+            target.insert(i, copy.deepcopy(target[i]))
+    elif kind == "object":
+        a, b = data.draw(st.permutations(sorted(target)))[:2]
+        target[a], target[b] = target[b], target[a]
+    elif kind == "cardinality":
+        parent[last] = data.draw(st.integers(0, 4).filter(lambda c: c != target))
+    else:  # a parent named in a CPT's "parents" and as an edge into its child
+        edge = f"{parent.pop(last)}->{doc['payload']['cpts'][path[2]].get('child')}"
+        if isinstance(doc["edges"], list):
+            doc["edges"] = [e for e in doc["edges"] if e != edge]
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.sampled_from(discrete_documents()), mutations=st.integers(1, 3), data=st.data())
+def test_a_mutated_document_is_refused_or_loads_its_own_cpts(doc, mutations, data):
+    """Either ``load`` refuses the document with ScenarioError, or the joint
+    it builds is the product of the CPTs it loaded."""
+    doc = copy.deepcopy(doc)
+    for _ in range(mutations):
+        mutate(doc, data)
+    try:
+        scenario = load(doc)
+    except ScenarioError:
+        return
+    if scenario.kind == "discrete":
+        joint = scenario.joint
+        assert (joint._denom, joint._weights) == integer_product(scenario.dag, scenario.cpts)
 
 
 class TestAnnotations:
