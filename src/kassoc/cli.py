@@ -5,17 +5,28 @@ analysis, and print a JSON report on stdout (or ``--out``) with a short
 human-readable summary on stderr.  Each subcommand accepts only the options
 its ``_cmd_*`` function reads; the parser is built once per process.
 
+A report's text is exactly ``json.dumps(report, sort_keys=True, indent=2)``,
+written by ``_json``: one ``str.join`` per container, strings quoted by
+json's C ``encode_basestring_ascii``.  Up to CPython 3.13, json uses its C
+encoder only when ``indent`` is None, so its indented writer runs Python
+generators value by value.  ``json.dumps`` stays as ``_json``'s slow twin
+in the tests.
+
 Exit codes: 0 success, 1 analysis precondition failure, 2 malformed input.
+A report that cannot be written, to ``--out`` or to a closed pipe, exits 2.
 Every failure, usage errors included, prints one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
-import json
+import math
+import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 
 from .association import AssociationBudget, UNBOUNDED, weak_associations
 from .audit import audit_scenario
@@ -147,10 +158,67 @@ def _cmd_sample(scenario, args):
     result = {
         "variables": list(data.names),
         "seed": args.seed,
-        "rows": [list(r) for r in data.rows],
+        "rows": data.rows,
     }
     summary = f"{args.samples} sample(s), seed {args.seed}"
     return result, summary, None
+
+
+def _json(o, pad=""):
+    """``json.dumps(o, sort_keys=True, indent=2)``, for ``o`` nested at
+    indent ``pad``: the same text, and the same TypeError for a value json
+    cannot write.  A list of only str or only int items is joined with no
+    Python call per item."""
+    if isinstance(o, str):
+        return _quote(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        kinds = set(map(type, o))
+        if kinds == {str}:
+            body = sep.join(map(_quote, o))
+        elif kinds == {int}:
+            body = sep.join(map(int.__repr__, o))
+        else:
+            body = sep.join([_json(v, inner) for v in o])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = pad + "  "
+        items = sorted(o.items())
+        key = _quote if set(map(type, o)) == {str} else _key
+        body = (",\n" + inner).join([f"{key(k)}: {_json(v, inner)}" for k, v in items])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _key(k) -> str:
+    """A dict key as json writes it: a number, bool or None as its JSON text,
+    quoted like a str key."""
+    if isinstance(k, str):
+        return _quote(k)
+    if k is None or isinstance(k, (int, float)):
+        return _quote(_json(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -238,22 +306,33 @@ def run(argv=None) -> int:
         "oracle_queries": oracle.query_count if oracle is not None else 0,
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
-    text = json.dumps(report, sort_keys=True, indent=2)
-    if args.out:
-        try:
+    text = _json(report)
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        print(text)
+        elif sys.stdout is None:  # started with descriptor 1 closed
+            raise OSError(errno.EBADF, "stdout is closed")
+        else:
+            print(text, flush=True)
+    except OSError as exc:
+        print(f"error: cannot write {args.out or 'stdout'}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"{scenario.name}: {summary}", file=sys.stderr)
     return EXIT_OK
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # a closed pipe, which run() has reported: send what is still
+            # buffered to the null device, so the interpreter's flush at
+            # exit adds no "Exception ignored" message to stderr
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -47,6 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -639,7 +640,13 @@ class DiscreteJoint:
         denom = self._denom
         cum = list(itertools.accumulate(w / denom for w in self._weights))
         cum[-1] = 1.0
-        idx = rng.choices(range(len(cum)), cum_weights=cum, k=n)
+        # the draws of rng.choices(range(len(cum)), cum_weights=cum, k=n)
+        # with no Python call per draw: the total is 1.0, so choices bisects
+        # random() itself; the sums <= r < 1.0 form a prefix (cum[-1] and any
+        # sum rounded past 1.0 exceed r), so its hi = len(cum) - 1 finds the
+        # same index
+        draws = itertools.starmap(rng.random, itertools.repeat((), n))
+        idx = list(map(bisect_right, itertools.repeat(cum, n), draws))
         # decode each drawn cell once, as a tuple over the first half of the
         # axes joined to one over the rest; the draws of one cell share it,
         # so Dataset's Counter matches them by identity

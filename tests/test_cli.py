@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import random
 import shlex
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import pytest
 from conftest import random_cpt_net
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kassoc import cli
 from kassoc.cli import run
@@ -22,6 +25,29 @@ from kassoc.scenarios import BUILTINS, Scenario, builtin, save
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+
+
+@pytest.fixture(autouse=True)
+def reports_are_json_dumps_text(request, monkeypatch):
+    """Every report a test writes is also written by ``json.dumps``, the
+    writer's slow twin, and the two texts must be equal."""
+    if request.cls is TestReportWriter:  # it compares the bare writer
+        return
+    write = cli._json
+
+    def checked(o, pad=""):
+        text = write(o, pad)
+        if not pad:
+            assert text == json.dumps(o, sort_keys=True, indent=2)
+        return text
+    monkeypatch.setattr(cli, "_json", checked)
+
+
+def child_env(**extra):
+    """The environment for a child interpreter that imports this checkout."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def invoke(capsys, *argv):
@@ -431,6 +457,129 @@ class TestRunBoundary:
             run(["audit", "--scenario", "builtin:example1"])
 
 
+def corpus(name):
+    """Each command on builtin ``name``, ``mb`` with ``--trace``; on a
+    discrete builtin, each command that takes ``--samples`` also with it."""
+    sc = builtin(name)
+    spec = ["--scenario", f"builtin:{name}"]
+    a, b, c = sc.dag.nodes[:3]
+    runs = [["audit", *spec], ["sp", *spec], ["assoc", *spec, "--target", b],
+            ["orient", *spec, "--center", b, "--left", a, "--right", c],
+            *(["mb", *spec, "--target", b, "--mode", mode, "--trace"]
+              for mode in ("modified", "classic"))]
+    if sc.kind == "discrete":
+        sampled = ["--samples", "400", "--seed", "2"]
+        runs += [argv + sampled for argv in runs if argv[0] != "audit"]
+        runs += [["sample", *spec], ["sample", *spec, "--samples", "50", "--seed", "4"]]
+    return runs
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_every_command_writes_json_dumps_text(capsys, name):
+    # reports_are_json_dumps_text compares each report with json.dumps; an
+    # orientation whose precondition fails (exit 1) writes no report
+    runs = corpus(name)
+    for argv in runs:
+        code, report, err = invoke(capsys, *argv)
+        if (code, argv[0]) != (1, "orient"):
+            assert (code, report["command"]) == (0, argv[0]), err
+    assert len(runs) == (6 if builtin(name).kind == "gaussian" else 13)
+
+
+def json_values(leaves):
+    """Nested lists, tuples and dicts over ``leaves``, with str keys that
+    need escaping and keys of the other types json accepts or refuses."""
+    text = st.text(alphabet='"\\/\x00\x08\x1f\x7f\n\t a\xe9€\ud800\U0001f600')
+    keys = st.one_of(text, st.integers(-3, 3), st.booleans(), st.none(), st.floats(),
+                     st.tuples(st.integers()))
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(text, inner, max_size=4), st.dictionaries(keys, inner, max_size=3),
+        ),
+        max_leaves=20,
+    )
+
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(10 ** 40), 10 ** 40),
+    st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+    st.text(), st.text(alphabet='"\\\x00\x1f\n\xe9\U0001f600'),
+)
+# the lists that _json joins with no Python call per item, and near misses
+FLAT_LISTS = st.one_of(st.lists(st.text()), st.lists(st.integers()),
+                       st.lists(st.integers()).map(tuple),
+                       st.lists(st.one_of(st.integers(), st.booleans(), st.floats())))
+# a set, a complex number and a Fraction: values json cannot write
+UNWRITABLE = st.one_of(st.frozensets(st.integers(), max_size=2), st.complex_numbers(),
+                       st.just(F(1, 3)))
+
+
+class TestReportWriter:
+    """``cli._json`` against its slow twin, ``json.dumps(..., sort_keys=True, indent=2)``."""
+
+    @staticmethod
+    def same_as_json(value):
+        outcomes = []
+        for write in (cli._json, lambda v: json.dumps(v, sort_keys=True, indent=2)):
+            try:
+                outcomes.append(write(value))
+            except TypeError as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1]
+
+    @settings(max_examples=500, deadline=None)
+    @given(json_values(st.one_of(SCALARS, FLAT_LISTS)))
+    def test_same_text_as_json(self, value):
+        self.same_as_json(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(json_values(st.one_of(SCALARS, UNWRITABLE)))
+    def test_same_exception_as_json(self, value):
+        self.same_as_json(value)
+
+
+class TestUnwritableReport:
+    """A report that cannot be written exits 2 with one ``error:`` line."""
+
+    def test_out_in_a_missing_folder(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        code, report, err = invoke(capsys, "sp", "--scenario", "builtin:example1",
+                                   "--out", str(out))
+        assert (code, report) == (2, None)
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, reads", [
+        # a report of megabytes: the reader takes one line of it, then closes
+        (["sample", "--scenario", "builtin:example1", "--samples", "50000", "--seed", "1"], True),
+        # a report that fits in the pipe: the reader is gone before it starts
+        (["sp", "--scenario", "builtin:example1"], False),
+    ], ids=["sample-head-1", "sp-no-reader"])
+    def test_a_closed_pipe(self, argv, reads):
+        r, w = os.pipe()
+        if not reads:
+            os.close(r)
+        proc = subprocess.Popen([sys.executable, "-m", "kassoc.cli", *argv], stdout=w,
+                                stderr=subprocess.PIPE, env=child_env(), text=True)
+        os.close(w)
+        if reads:
+            with open(r, "rb") as reader:
+                assert reader.readline() == b"{\n"
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 2
+        assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+    def test_no_stdout(self):
+        # started with descriptor 1 closed, the interpreter sets sys.stdout
+        # to None, and print() would drop the report without an error
+        script = 'exec "$0" -m kassoc.cli sp --scenario builtin:example1 >&-'
+        proc = subprocess.run(["sh", "-c", script, sys.executable], env=child_env(),
+                              stderr=subprocess.PIPE, text=True, timeout=300)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write stdout: [Errno 9] stdout is closed\n"
+
+
 def readme_commands():
     """The ``kassoc ...`` lines of the README's "Command line" block."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -490,12 +639,8 @@ class TestGoldenStability:
         )
         outputs = []
         for seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            env["PYTHONPATH"] = os.pathsep.join(
-                p for p in (str(SRC), env.get("PYTHONPATH")) if p
-            )
             proc = subprocess.run(
-                [sys.executable, "-c", script, *files], env=env,
+                [sys.executable, "-c", script, *files], env=child_env(PYTHONHASHSEED=seed),
                 capture_output=True, text=True, timeout=300,
             )
             assert proc.returncode == 0, proc.stderr

@@ -303,18 +303,28 @@ class TestSampling:
 
     def test_draws_match_the_fraction_path(self, cpt_nets):
         # sample reads each cell's probability as weight / denominator, not
-        # as float(Fraction): the same floats, so the same draws
+        # as float(Fraction), and bisects random() without random.choices:
+        # the same floats, so the same draws
         joints = [s.joint for s in map(builtin, sorted(BUILTINS)) if s.kind == "discrete"]
         joints += [DiscreteJoint.from_cpts(dag, cpts) for dag, cpts in cpt_nets]
-        assert len(joints) == 21
+        # CPT entries in quarters: many zero cells
+        joints += [DiscreteJoint.from_cpts(*random_cpt_net(random.Random(seed), 5, 6, 2,
+                                                           cards=(2, 3), denom=4))
+                   for seed in range(4)]
+        # trailing zero cells after partial sums that round past 1.0
+        # (1.0000000000000002 from 5/9 + 4 * 1/9) or stay below it
+        joints.append(DiscreteJoint([("A", 7)], [F(w, 9) for w in (5, 1, 1, 1, 1, 0, 0)]))
+        joints.append(DiscreteJoint([("A", 3), ("B", 4)], [F(w, 10) for w in [1] * 10 + [0, 0]]))
+        assert len(joints) == 27
+        assert sum(0 in j._weights for j in joints) >= 6
         for j in joints:
             floats = [float(p) for p in j.probs]
             assert [w / j._denom for w in j._weights] == floats
             cum = list(itertools.accumulate(floats))
             cum[-1] = 1.0
             cells = list(j.assignments())
-            idx = random.Random(5).choices(range(len(cells)), cum_weights=cum, k=300)
-            assert j.sample(300, seed=5).rows == tuple(cells[i] for i in idx)
+            idx = random.Random(5).choices(range(len(cells)), cum_weights=cum, k=3000)
+            assert j.sample(3000, seed=5).rows == tuple(cells[i] for i in idx)
 
 
 class TestIntegerPathAgainstFractionReference:
