@@ -23,6 +23,12 @@ through it, so all queries on one table (every oracle over it, an audit's
 CMC check and ``marginalize``) share their partial sums; the lattice
 stores at most ``MAX_CELLS`` cells and goes away with its table.
 
+A ``Dataset``'s table is its row counts over the same dense row-major
+cells.  Rows from a caller are checked against the domains and counted
+once; ``DiscreteJoint.sample`` draws cell indices of its joint's table, and
+the dataset it returns takes its count table from the tally of the drawn
+cells, so the rows it decodes from them are not checked or counted again.
+
 A CI query "xs independent of ys given s" reads four marginals from the
 lattice, over M = s | xs | ys and over s, s | xs and s | ys, and checks
 w_M * w_s == w_{s,xs} * w_{s,ys} on every cell of M in one pass
@@ -161,11 +167,16 @@ class Cpt:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Finite sample of integer-coded rows, one value in ``range(card)`` per
-    variable (at most ``MAX_CELLS`` assignments), counted once into the
-    dense row-major table over ``variables`` that the dataset's own marginal
+    """Finite sample of integer-coded rows, one int in ``range(card)`` per
+    variable (at most ``MAX_CELLS`` assignments), counted into the dense
+    row-major table over ``variables`` that the dataset's own marginal
     lattice, ``_lattice``, holds and each G-test query reads; ``_pos`` is its
-    name index.  ``variables`` and ``rows`` are stored validated, as tuples."""
+    name index.  ``variables`` and ``rows`` are stored validated, as tuples.
+
+    Rows from a caller are checked and counted once, each distinct row
+    checked against the domains and its cell computed once; a dataset drawn
+    by ``DiscreteJoint.sample`` takes its count table from the cells it drew.
+    Either way the table is set by one builder, ``_fill``."""
 
     variables: tuple[tuple[str, int], ...]
     rows: tuple[tuple[int, ...], ...]
@@ -175,17 +186,23 @@ class Dataset:
     def __post_init__(self):
         variables = _domains(self.variables)[0]
         rows = tuple(map(tuple, self.rows))
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "rows", rows)
         cards = [c for _, c in variables]
         strides, size = _strides(cards, range(len(cards)))
         counts = [0] * size
         for row, n in Counter(rows).items():
-            if len(row) != len(cards) or not all(v in range(c) for v, c in zip(row, cards)):
+            if len(row) != len(cards) or not all(
+                    isinstance(v, int) and 0 <= v < c for v, c in zip(row, cards)):
                 raise DistributionError(f"row {row} is not one value in range(card) per variable")
-            counts[sum(int(v) * st for v, st in zip(row, strides))] += n
+            counts[sum(map(mul, row, strides))] += n
+        self._fill(variables, rows, counts)
+
+    def _fill(self, variables, rows, counts) -> None:
+        """Set the fields from validated ``variables``, their ``rows`` and
+        ``counts``, the rows' dense row-major count table."""
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_pos", {n: i for i, (n, _) in enumerate(variables)})
-        object.__setattr__(self, "_lattice", _Lattice(counts, cards))
+        object.__setattr__(self, "_lattice", _Lattice(counts, [c for _, c in variables]))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -631,28 +648,41 @@ class DiscreteJoint:
         return all(map(eq, map(mul, w00, w11), map(mul, w10, w01)))
 
     def sample(self, n: int, seed: int) -> Dataset:
-        """n i.i.d. draws; deterministic for a fixed seed."""
+        """n i.i.d. draws; deterministic for a fixed seed.  The dataset's
+        count table is the tally of the drawn cells, so its rows are not
+        checked or counted again."""
         if n < 1:
             raise DistributionError("need at least one sample")
         rng = random.Random(seed)
         # w / denom is float(Fraction(w, denom)): both are the correctly
         # rounded quotient of the same rational
-        denom = self._denom
-        cum = list(itertools.accumulate(w / denom for w in self._weights))
-        cum[-1] = 1.0
+        denom, weights = self._denom, self._weights
+        cum = list(itertools.accumulate(w / denom for w in weights))
+        # every sum from the last nonzero cell on is 1.0, so no draw lands
+        # on a trailing zero cell when the sums stop short of 1.0
+        last = len(weights) - 1
+        while not weights[last]:
+            last -= 1
+        cum[last:] = [1.0] * (len(cum) - last)
         # the draws of rng.choices(range(len(cum)), cum_weights=cum, k=n)
         # with no Python call per draw: the total is 1.0, so choices bisects
-        # random() itself; the sums <= r < 1.0 form a prefix (cum[-1] and any
-        # sum rounded past 1.0 exceed r), so its hi = len(cum) - 1 finds the
-        # same index
+        # random() itself; the sums <= r < 1.0 form a prefix (the 1.0s and
+        # any sum rounded past 1.0 exceed r), so its hi = len(cum) - 1 finds
+        # the same index
         draws = itertools.starmap(rng.random, itertools.repeat((), n))
         idx = list(map(bisect_right, itertools.repeat(cum, n), draws))
+        tally = Counter(idx)
+        counts = [0] * len(weights)
         # decode each drawn cell once, as a tuple over the first half of the
-        # axes joined to one over the rest; the draws of one cell share it,
-        # so Dataset's Counter matches them by identity
+        # axes joined to one over the rest; the draws of one cell share it
         h = len(self._cards) // 2
         heads = list(itertools.product(*map(range, self._cards[:h])))
         tails = list(itertools.product(*map(range, self._cards[h:])))
         t = len(tails)
-        cells = {i: heads[i // t] + tails[i % t] for i in set(idx)}
-        return Dataset(self.variables, tuple(map(cells.__getitem__, idx)))
+        cells = {}
+        for i, k in tally.items():
+            counts[i] = k
+            cells[i] = heads[i // t] + tails[i % t]
+        data = object.__new__(Dataset)
+        data._fill(self.variables, tuple(map(cells.__getitem__, idx)), counts)
+        return data

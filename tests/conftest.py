@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from kassoc import scenarios
-from kassoc.distribution import Cpt
+from kassoc.distribution import Cpt, DiscreteJoint
 from kassoc.graph import Dag
 
 
@@ -66,3 +66,16 @@ def cpt_nets():
         nets.append(random_cpt_net(rng, 7, 11, 3))
         nets.append(random_cpt_net(rng, 5, 6, 2, cards=(1, 2, 3)))
     return nets
+
+
+def zero_cell_joints():
+    """Joints with zero cells: four seeded nets with CPT entries in quarters,
+    and two tables that end in zero cells after partial sums that round past
+    1.0 (1.0000000000000002 from 5/9 + 4 * 1/9) or stop below it (ten
+    tenths sum to 0.9999999999999999)."""
+    joints = [DiscreteJoint.from_cpts(*random_cpt_net(random.Random(seed), 5, 6, 2,
+                                                      cards=(2, 3), denom=4))
+              for seed in range(4)]
+    joints.append(DiscreteJoint([("A", 7)], [F(w, 9) for w in (5, 1, 1, 1, 1, 0, 0)]))
+    joints.append(DiscreteJoint([("A", 3), ("B", 4)], [F(w, 10) for w in [1] * 10 + [0, 0]]))
+    return joints

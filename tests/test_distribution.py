@@ -12,7 +12,7 @@ import pytest
 from kassoc.distribution import Cpt, DiscreteJoint, DistributionError
 from kassoc.graph import Dag
 from kassoc.scenarios import BUILTINS, builtin
-from conftest import random_cpt_net
+from conftest import random_cpt_net, zero_cell_joints
 from references import fraction_is_independent_sets, fraction_marginal, integer_product, prob
 
 
@@ -307,14 +307,12 @@ class TestSampling:
         # the same floats, so the same draws
         joints = [s.joint for s in map(builtin, sorted(BUILTINS)) if s.kind == "discrete"]
         joints += [DiscreteJoint.from_cpts(dag, cpts) for dag, cpts in cpt_nets]
-        # CPT entries in quarters: many zero cells
-        joints += [DiscreteJoint.from_cpts(*random_cpt_net(random.Random(seed), 5, 6, 2,
-                                                           cards=(2, 3), denom=4))
-                   for seed in range(4)]
-        # trailing zero cells after partial sums that round past 1.0
-        # (1.0000000000000002 from 5/9 + 4 * 1/9) or stay below it
-        joints.append(DiscreteJoint([("A", 7)], [F(w, 9) for w in (5, 1, 1, 1, 1, 0, 0)]))
-        joints.append(DiscreteJoint([("A", 3), ("B", 4)], [F(w, 10) for w in [1] * 10 + [0, 0]]))
+        # many zero cells, trailing ones among them; the last joint's sums
+        # stop at 0.9999999999999999, and sample sets every sum from its last
+        # nonzero cell on to 1.0, which moves only a draw in
+        # [0.9999999999999999, 1.0): none of these 3000 falls there
+        # (test_no_draw_lands_on_a_trailing_zero_cell stubs one that does)
+        joints += zero_cell_joints()
         assert len(joints) == 27
         assert sum(0 in j._weights for j in joints) >= 6
         for j in joints:
@@ -325,6 +323,14 @@ class TestSampling:
             cells = list(j.assignments())
             idx = random.Random(5).choices(range(len(cells)), cum_weights=cum, k=3000)
             assert j.sample(3000, seed=5).rows == tuple(cells[i] for i in idx)
+
+    def test_no_draw_lands_on_a_trailing_zero_cell(self, monkeypatch):
+        # ten tenths sum to 0.9999999999999999, the largest random(); the
+        # cells after it, (2, 2) and (2, 3), have weight 0
+        j = DiscreteJoint([("A", 3), ("B", 4)], [F(1, 10)] * 10 + [0, 0])
+        monkeypatch.setattr(random.Random, "random", lambda self: 1 - 2**-53)
+        assert j.sample(3, 0).rows == ((2, 1),) * 3
+        assert j.sample(3, 0)._lattice.table == [0] * 9 + [3, 0, 0]
 
 
 class TestIntegerPathAgainstFractionReference:

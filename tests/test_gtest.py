@@ -12,6 +12,7 @@ from kassoc.graph import Dag
 from kassoc.gtest import GTestConfig, GTestResult, chi2_sf, g_test, regularized_gamma_p
 from kassoc.oracle import GTestOracle
 from kassoc.scenarios import BUILTINS, builtin
+from conftest import zero_cell_joints
 
 
 def rowscan_g_test(dataset, x, y, s=(), cfg=None):
@@ -173,6 +174,29 @@ def assert_agrees_with_rowscan(data, cfg=None):
 DISCRETE = sorted(n for n in BUILTINS if builtin(n).kind == "discrete")
 
 
+class TestSampledCountsAgreeWithCheckedRows:
+    """``sample`` takes its dataset's count table from the cells it drew;
+    the reference is the dataset that checks and counts the same rows."""
+
+    @pytest.mark.parametrize("n,seed", [(n, seed) for n in (1, 1000) for seed in range(3)])
+    def test_every_sampled_joint(self, cpt_nets, n, seed):
+        joints = [builtin(name).joint for name in DISCRETE]
+        joints += [DiscreteJoint.from_cpts(dag, cpts) for dag, cpts in cpt_nets]
+        joints += zero_cell_joints()
+        for j in joints:
+            data = j.sample(n, seed)
+            ref = Dataset(data.variables, data.rows)
+            assert data == ref and len(data) == n
+            assert data._pos == ref._pos
+            assert data._lattice.table == ref._lattice.table
+            names = data.names
+            for x, y in itertools.permutations(names, 2):
+                rest = [v for v in names if v not in (x, y)]
+                for r in range(len(rest) + 1):
+                    for s in itertools.combinations(rest, r):
+                        assert g_test(data, x, y, s) == g_test(ref, x, y, s), (x, y, s)
+
+
 class TestAgreesWithRowScan:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("name", DISCRETE)
@@ -201,9 +225,11 @@ class TestDatasetChecks:
         ((0, 1), (1, -1)),
         ((0, 1), (1,)),
         ((0, 1), (1, 2, 0)),
-    ], ids=["out-of-domain", "negative", "short-row", "long-row"])
+        ((0, 1), (1.0, 2)),
+    ], ids=["out-of-domain", "negative", "short-row", "long-row", "float"])
     def test_bad_row_is_refused(self, rows):
-        with pytest.raises(DistributionError):
+        with pytest.raises(DistributionError,
+                           match=r"is not one value in range\(card\) per variable$"):
             Dataset(self.VARIABLES, rows)
 
     def test_domain_wider_than_max_cells_is_refused(self):
