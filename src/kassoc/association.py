@@ -2,19 +2,22 @@
 
 1-, 2- and strict 2-associations are universally quantified dependence
 patterns; they are decided by exhaustive enumeration of conditioning sets
-against an independence oracle.  Subsets are enumerated smallest-first
-(ties broken lexicographically in pool order; the pools here keep the
-oracle's variable order) so reported separating witnesses are minimal-size
-and reproducible.  ``weak_associations`` alone lists a node's weak
-associations, for ``assoc`` and the 2-AF and 2-OF audits.
+against an independence oracle, all by one mask-level primitive,
+``_first_independent``, which the orientation rule and the audits share.
+Subsets are enumerated smallest-first (ties broken lexicographically in
+pool order; the pools here keep the oracle's variable order) so reported
+separating witnesses are minimal-size and reproducible.
+``weak_associations`` alone lists a node's weak associations, for
+``assoc`` and the 2-AF and 2-OF audits.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
+from .graph import query_masks
 from .oracle import DiscreteOracle, IndependenceOracle, OracleError
 
 
@@ -25,6 +28,8 @@ class AssociationBudget:
     max_size: int | None = None
 
     def __post_init__(self):
+        if self.max_size is not None and type(self.max_size) is not int:  # bools too
+            raise ValueError(f"budget must be an int or None, not {self.max_size!r}")
         if self.max_size is not None and self.max_size < 0:
             raise ValueError("budget must be non-negative")
 
@@ -74,29 +79,29 @@ class AssociationReport:
         }
 
 
-def subsets_by_size(pool: Sequence[str], max_size: int) -> Iterator[tuple[str, ...]]:
-    """Subsets of ``pool``, smallest first, lexicographic in ``pool`` order."""
-    for size in range(min(max_size, len(pool)) + 1):
-        yield from itertools.combinations(pool, size)
-
-
-def first_separating_set(
+def _first_independent(
     o: IndependenceOracle,
-    x: str,
-    y: str,
-    core: frozenset[str],
+    clauses: Sequence[tuple[str, str, Sequence[str]]],
     pool: Sequence[str],
     max_size: int,
-) -> frozenset[str] | None:
-    """First ``core | S`` given which x and y are independent, or None.
-
-    S runs over ``subsets_by_size(pool, max_size)``, so None means x and y
-    stay dependent given ``core`` plus every such S.
-    """
-    for s in subsets_by_size(pool, max_size):
-        given = core.union(s)
-        if o.query(x, y, given):
-            return given
+) -> tuple[str, str, tuple[str, ...]] | None:
+    """The first ``(a, b, core + S)`` with a independent of b given core
+    plus S, or None.  S runs over the subsets of at most ``max_size`` nodes
+    of ``pool`` (oracle variables in no clause), smallest first and
+    lexicographic in ``pool`` order; under each S the clauses ``(a, b,
+    core)`` are asked in order.  Names are checked once; the oracle's
+    ``_ask`` answers on masks."""
+    index = o._index
+    asks = [(a, b, core, *query_masks(index, (a,), (b,), core, OracleError))
+            for a, b, core in clauses]
+    bits = [1 << index[v] for v in pool]
+    ask = o._ask
+    for size in range(max_size + 1):
+        for subset in itertools.combinations(bits, size):
+            ms = sum(subset)
+            for a, b, core, mx, my, mc in asks:
+                if ask(mx, my, mc | ms):
+                    return a, b, (*core, *(v for v, bit in zip(pool, bits) if bit & ms))
     return None
 
 
@@ -114,11 +119,9 @@ def is_1_associated(
     if x == y:
         raise OracleError("x and y must be distinct")
     pool = [v for v in o.variables if v not in (x, y)]
-    given = first_separating_set(o, x, y, frozenset(), pool, budget.cap(len(pool)))
-    if given is not None:
-        return AssociationReport(
-            x, (y,), "one", False, _ci_statement(x, y, given, True)
-        )
+    found = _first_independent(o, [(x, y, ())], pool, budget.cap(len(pool)))
+    if found is not None:
+        return AssociationReport(x, (y,), "one", False, _ci_statement(*found, True))
     return AssociationReport(x, (y,), "one", True, None, budget.capped(len(pool)))
 
 
@@ -137,14 +140,10 @@ def is_2_associated(
     if len({x, y1, y2}) != 3:
         raise OracleError("x, y1, y2 must be distinct")
     pool = [v for v in o.variables if v not in (x, y1, y2)]
-    clauses = ((x, y1, y2), (x, y2, y1), (y1, y2, x))
-    for s in subsets_by_size(pool, budget.cap(len(pool))):
-        for a, b, extra in clauses:
-            given = set(s) | {extra}
-            if o.query(a, b, given):
-                return AssociationReport(
-                    x, (y1, y2), "two", False, _ci_statement(a, b, given, True)
-                )
+    clauses = [(x, y1, (y2,)), (x, y2, (y1,)), (y1, y2, (x,))]
+    found = _first_independent(o, clauses, pool, budget.cap(len(pool)))
+    if found is not None:
+        return AssociationReport(x, (y1, y2), "two", False, _ci_statement(*found, True))
     return AssociationReport(x, (y1, y2), "two", True, None, budget.capped(len(pool)))
 
 
@@ -240,10 +239,10 @@ def find_unfaithful_triples(o: IndependenceOracle) -> list[UnfaithfulTriple]:
             continue
         witnesses = ()
         pool = [v for v in o.variables if v not in (x, y, z)]
-        for a, b, third in ((x, y, z), (x, z, y), (y, z, x)):
-            given = first_separating_set(o, a, b, frozenset((third,)), pool, len(pool))
-            if given is not None:
-                witnesses = (_ci_statement(a, b, given, True),)
+        for clause in ((x, y, (z,)), (x, z, (y,)), (y, z, (x,))):
+            found = _first_independent(o, [clause], pool, len(pool))
+            if found is not None:
+                witnesses = (_ci_statement(*found, True),)
                 break
         out.append(UnfaithfulTriple((x, y, z), not witnesses, witnesses))
     return out

@@ -7,8 +7,11 @@ condition used by the modified grow phase) directly from the scenario's
 exact oracle.  Annotations are outputs of verification, never trusted
 inputs.  Every check is exact at every size: CMC queries the local Markov
 statements, and AF, OF, 2-OF and the spouse condition scan every
-conditioning set, smallest first and lexicographic by label.  2-AF, 2-OF
-and the spouse condition read one table of each node's weak associations
+conditioning set, smallest first and lexicographic by label, with the
+one mask-level subset scan under every association check,
+``association._first_independent``, which checks the names once per
+scan and asks the oracle on masks.  2-AF, 2-OF and the spouse condition
+read one table of each node's weak associations
 (``association.weak_associations``), filled on first use and kept for
 one audit.  OF, 2-OF and the spouse condition are the orientation rule's
 own scan (rule i at a collider, rule ii elsewhere), so the audit checks
@@ -25,7 +28,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .association import UNBOUNDED, first_separating_set, weak_associations
+from .association import UNBOUNDED, _first_independent, weak_associations
 from .graph import Dag
 from .oracle import IndependenceOracle, OracleError
 from .orientation import _rule_defeat
@@ -86,9 +89,10 @@ def check_af(dag: Dag, oracle: IndependenceOracle) -> AuditResult:
     order = sorted(dag.nodes)
     for x, y in dag.edges:
         pool = [v for v in order if v not in (x, y)]
-        s = first_separating_set(oracle, x, y, frozenset(), pool, len(pool))
-        if s is not None:
-            return AuditResult("AF", False, {"edge": [x, y], "separating_set": sorted(s)})
+        found = _first_independent(oracle, [(x, y, ())], pool, len(pool))
+        if found is not None:
+            witness = {"edge": [x, y], "separating_set": sorted(found[2])}
+            return AuditResult("AF", False, witness)
     return AuditResult("AF", True)
 
 

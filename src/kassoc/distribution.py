@@ -58,7 +58,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, eq, mul
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .graph import query_masks
 
@@ -550,9 +550,6 @@ class DiscreteJoint:
             return self._pos[name]
         except KeyError:
             raise DistributionError(f"unknown variable {name!r}") from None
-
-    def assignments(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(*(range(c) for c in self._cards))
 
     def __reduce__(self):
         # the lattice is not pickled: a copy starts with an empty one

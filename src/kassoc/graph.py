@@ -218,16 +218,6 @@ class Dag:
         i, j = self.index(x), self.index(y)
         return bool(self._parent_masks[j] >> i & 1 or self._parent_masks[i] >> j & 1)
 
-    def ancestors(self, x: str) -> set[str]:
-        """Reflexive-transitive closure over parent edges."""
-        return self._labels(ancestor_mask(self._parent_masks, 1 << self.index(x)))
-
-    def descendants(self, x: str) -> set[str]:
-        return self._labels(ancestor_mask(self._child_masks, 1 << self.index(x)))
-
-    def non_descendants(self, x: str) -> set[str]:
-        return set(self.nodes) - self.descendants(x)
-
     def markov_blanket(self, x: str) -> set[str]:
         """Parents, children and spouses of x (x itself excluded)."""
         i = self.index(x)

@@ -8,16 +8,17 @@ lattice a discrete or G-test query reads belongs to the table (the
 ``DiscreteJoint`` or ``Dataset``), not to the oracle: every oracle over
 one table, and the table's other users, share its cached marginals.
 
-Names are checked once per query and turned into bitmasks of positions
-in the oracle's variable order through the table's own name index
+Names are checked once and turned into bitmasks of positions in the
+oracle's variable order through the table's own name index
 (``Dag._index``, ``DiscreteJoint._pos`` or ``Dataset._pos``).  ``query``
-looks its one x, its one y and each name of s up directly in that index;
-a query that fails a check goes to ``graph.query_masks``, which
-``query_sets`` always uses: the one rule, and the one wording, that every
-name-level CI entry point shares (here with ``OracleError``).  The cache
-is keyed on those masks and every backend answers on them
-(``_query(mx, my, ms)``) with one call of its mask-level core, never
-of the name-level twin that would check the names again.
+is that check plus ``_ask(mx, my, ms)``, which holds the cache (keyed on
+the masks) and the counter.  ``query`` looks its one x, its one y and
+each name of s up directly in the index; a query that fails a check goes
+to ``graph.query_masks``, which ``query_sets`` and the one subset scan
+(``association._first_independent``, which then asks ``_ask`` directly)
+always use: the one rule, and the one wording, that every name-level CI
+entry point shares (here with ``OracleError``).  Every backend answers on
+masks (``_query(mx, my, ms)``) with one call of its mask-level core.
 """
 
 from __future__ import annotations
@@ -71,6 +72,10 @@ class IndependenceOracle:
             valid = False
         if not valid:
             mx, my, ms = query_masks(self._index, (x,), (y,), s, OracleError)
+        return self._ask(mx, my, ms)
+
+    def _ask(self, mx: int, my: int, ms: int) -> bool:
+        """``query`` on checked masks: the cached answer, else the backend's."""
         key = (mx | my, ms)
         ans = self._cache.get(key)
         if ans is None:

@@ -15,7 +15,7 @@ from .association import (
     AssociationBudget,
     UNBOUNDED,
     _ci_statement,
-    first_separating_set,
+    _first_independent,
     is_1_associated,
     is_strictly_2_associated,
     is_weakly_associated,
@@ -108,17 +108,19 @@ def _rule_defeat(o, center, left, right, with_center, order, budget):
 
     Rule i: every cross pair (x, z) stays dependent given the centre, the
     rest of both side sets and any extra set E.  Rule ii: the same without
-    the centre, which E avoids too.  E runs over the nodes of ``order``,
-    smallest first and lexicographic in ``order``, up to ``budget``.
+    the centre, which E avoids too.  For each cross pair in turn, one
+    ``_first_independent`` scan runs E over the nodes of ``order`` outside
+    the centre and both side sets (one pool for every pair), smallest
+    first and lexicographic in ``order``, up to ``budget``.
     """
+    pool = [v for v in order if v != center and v not in left and v not in right]
     for x, z in itertools.product(left, right):
-        core = (set(left) - {x}) | (set(right) - {z})
+        core = [*(v for v in left if v != x), *(v for v in right if v != z)]
         if with_center:
-            core.add(center)
-        pool = [v for v in order if v not in {x, z, center, *core}]
-        given = first_separating_set(o, x, z, frozenset(core), pool, budget.cap(len(pool)))
-        if given is not None:
-            return x, z, given
+            core.append(center)
+        found = _first_independent(o, [(x, z, core)], pool, budget.cap(len(pool)))
+        if found is not None:
+            return found
     return None
 
 

@@ -5,14 +5,21 @@
   reads only ``dag.nodes`` and ``dag.edges`` and collects the ancestors of
   Z itself, so it shares no helper with the reachability kernel in
   :mod:`kassoc.graph` that it checks.
+* :func:`ancestors`, :func:`descendants` and :func:`non_descendants` of
+  one node, read through the reachability kernel ``graph.ancestor_mask``.
 * :func:`enumerate_dags` and :func:`random_dag`: every labelled DAG on a
   few nodes, and seeded random DAGs.
+* :func:`first_separating_set` over :func:`subsets_by_size`: the subset
+  scan on names, asking each conditioning set through ``query``; the slow
+  twin of the mask-level scan ``association._first_independent``, and
+  :func:`rule_defeat`, the orientation rule's scan written on it.
 * :func:`replay_consistent`: asks every query of a grow-shrink trace again.
 * Fraction readers of a discrete joint, written from the definitions on
   ``variables`` and ``probs`` alone, so they share no helper with the
   integer lattice in :mod:`kassoc.distribution` that they check:
-  :func:`prob` (a full or partial assignment), :func:`fraction_marginal`
-  and the CI criterion :func:`fraction_is_independent_sets`; and
+  :func:`assignments` (every cell, row-major), :func:`prob` (a full or
+  partial assignment), :func:`fraction_marginal` and the CI criterion
+  :func:`fraction_is_independent_sets`; and
   :func:`integer_product`, ``from_cpts`` cell by cell on the CPTs' scaled
   integer entries.
 * :func:`mutually_independent`: full factorisation of a three-variable
@@ -33,7 +40,7 @@ from typing import Iterable, Iterator, Sequence
 
 from kassoc.distribution import DiscreteJoint
 from kassoc.gaussian import GaussianError, GaussianSystem
-from kassoc.graph import Dag, GraphError
+from kassoc.graph import Dag, GraphError, ancestor_mask
 from kassoc.oracle import IndependenceOracle
 
 # -- brute-force d-separation -------------------------------------------------
@@ -130,6 +137,20 @@ def d_separated_bruteforce(
     return True
 
 
+def ancestors(dag: Dag, x: str) -> set[str]:
+    """x and every node with a directed path into it."""
+    return dag._labels(ancestor_mask(dag._parent_masks, 1 << dag.index(x)))
+
+
+def descendants(dag: Dag, x: str) -> set[str]:
+    """x and every node with a directed path from it."""
+    return dag._labels(ancestor_mask(dag._child_masks, 1 << dag.index(x)))
+
+
+def non_descendants(dag: Dag, x: str) -> set[str]:
+    return set(dag.nodes) - descendants(dag, x)
+
+
 # -- graph generators -----------------------------------------------------------
 
 
@@ -180,13 +201,62 @@ def replay_consistent(trace, o: IndependenceOracle, target: str) -> bool:
     )
 
 
+# -- subset scans on names ----------------------------------------------------------
+
+
+def subsets_by_size(pool: Sequence[str], max_size: int) -> Iterator[tuple[str, ...]]:
+    """Subsets of ``pool``, smallest first, lexicographic in ``pool`` order."""
+    for size in range(min(max_size, len(pool)) + 1):
+        yield from itertools.combinations(pool, size)
+
+
+def first_separating_set(
+    o: IndependenceOracle,
+    x: str,
+    y: str,
+    core: frozenset[str],
+    pool: Sequence[str],
+    max_size: int,
+) -> frozenset[str] | None:
+    """First ``core | S`` given which x and y are independent, or None.
+
+    S runs over ``subsets_by_size(pool, max_size)`` and each set is asked
+    through ``o.query``, so None means x and y stay dependent given
+    ``core`` plus every such S.
+    """
+    for s in subsets_by_size(pool, max_size):
+        given = core.union(s)
+        if o.query(x, y, given):
+            return given
+    return None
+
+
+def rule_defeat(o, center, left, right, with_center, order, budget):
+    """The first ``(x, z, given)`` defeating rule i (``with_center``) or
+    rule ii of the orientation rule, or None: each cross pair in turn, with
+    E over the nodes of ``order`` outside the centre and both side sets."""
+    for x, z in itertools.product(left, right):
+        core = (set(left) - {x}) | (set(right) - {z})
+        if with_center:
+            core.add(center)
+        pool = [v for v in order if v not in {x, z, center, *core}]
+        given = first_separating_set(o, x, z, frozenset(core), pool, budget.cap(len(pool)))
+        if given is not None:
+            return x, z, given
+    return None
+
+
 # -- discrete joints on Fractions --------------------------------------------------
+
+
+def assignments(joint: DiscreteJoint) -> Iterator[tuple[int, ...]]:
+    """Every cell's assignment, in row-major order."""
+    return itertools.product(*(range(c) for _, c in joint.variables))
 
 
 def cells(joint: DiscreteJoint) -> Iterator[tuple[tuple[int, ...], F]]:
     """(assignment, probability) for every cell, in row-major order."""
-    domains = (range(c) for _, c in joint.variables)
-    return zip(itertools.product(*domains), joint.probs)
+    return zip(assignments(joint), joint.probs)
 
 
 def prob(joint: DiscreteJoint, assignment: dict[str, int]) -> F:
@@ -269,7 +339,7 @@ def mutually_independent(joint: DiscreteJoint, x: str, y: str, z: str) -> bool:
     margins = [sub.marginalize([v]) for v in (x, y, z)]
     (wx, wy, wz), (dx, dy, dz) = zip(*((m._weights, m._denom) for m in margins))
     d_margins, d_sub = dx * dy * dz, sub._denom
-    for (xv, yv, zv), w in zip(sub.assignments(), sub._weights):
+    for (xv, yv, zv), w in zip(assignments(sub), sub._weights):
         if w * d_margins != wx[xv] * wy[yv] * wz[zv] * d_sub:
             return False
     return True

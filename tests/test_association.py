@@ -9,37 +9,72 @@ import pytest
 from kassoc.association import (
     AssociationBudget,
     UNBOUNDED,
+    _first_independent,
     find_unfaithful_triples,
-    first_separating_set,
     is_1_associated,
     is_2_associated,
     is_strictly_2_associated,
     is_weakly_associated,
-    subsets_by_size,
     weak_associations,
 )
 from kassoc.distribution import DiscreteJoint
 from kassoc.graph import Dag
-from kassoc.oracle import DiscreteOracle, GraphOracle, GTestOracle, OracleError
+from kassoc.oracle import (DiscreteOracle, GraphOracle, GTestOracle, IndependenceOracle,
+                           OracleError)
 from kassoc.scenarios import BUILTINS, builtin, noisy_xor
 from references import enumerate_dags, mutually_independent
 
 
+class RecordingOracle(IndependenceOracle):
+    """Says "dependent" to every question and records, in the order asked,
+    each question's (x, y, conditioning set) decoded from its masks."""
+
+    backend = "recording"
+
+    def __init__(self, variables):
+        super().__init__(variables)
+        self._index = {v: i for i, v in enumerate(self.variables)}
+        self.asked = []
+
+    def _names(self, mask):
+        return {v for v, i in self._index.items() if mask >> i & 1}
+
+    def _query(self, mx, my, ms):
+        (x,), (y,) = self._names(mx), self._names(my)
+        self.asked.append((x, y, self._names(ms)))
+        return False
+
+
 class TestSubsetOrder:
+    """``_first_independent`` asks the subsets of its pool smallest first,
+    lexicographic in pool order, and every clause in order under each."""
+
+    @staticmethod
+    def conditioning_sets(pool, max_size):
+        o = RecordingOracle(["X", "Y", "A", "B", "C"])
+        assert _first_independent(o, [("X", "Y", ())], pool, max_size) is None
+        return [given for _, _, given in o.asked]
+
     def test_smallest_first(self):
-        subs = list(subsets_by_size(["A", "B", "C"], 3))
-        sizes = [len(s) for s in subs]
-        assert sizes == sorted(sizes)
-        assert subs[0] == ()
-        assert subs[1:4] == [("A",), ("B",), ("C",)]
+        subs = self.conditioning_sets(["A", "B", "C"], 3)
+        assert subs == [set(), {"A"}, {"B"}, {"C"}, {"A", "B"}, {"A", "C"}, {"B", "C"},
+                        {"A", "B", "C"}]
 
     def test_budget_truncates(self):
-        subs = list(subsets_by_size(["A", "B", "C"], 1))
-        assert max(len(s) for s in subs) == 1
+        subs = self.conditioning_sets(["A", "B", "C"], 1)
+        assert subs == [set(), {"A"}, {"B"}, {"C"}]
 
     def test_ties_follow_pool_order(self):
-        subs = list(subsets_by_size(["C", "A", "B"], 2))
-        assert subs == [(), ("C",), ("A",), ("B",), ("C", "A"), ("C", "B"), ("A", "B")]
+        subs = self.conditioning_sets(["C", "A", "B"], 2)
+        assert subs == [set(), {"C"}, {"A"}, {"B"}, {"C", "A"}, {"C", "B"}, {"A", "B"}]
+
+    def test_clauses_in_order_under_each_subset(self):
+        o = RecordingOracle(["X", "Y", "Z", "A"])
+        clauses = [("X", "Y", ("Z",)), ("X", "Z", ("Y",)), ("Y", "Z", ("X",))]
+        assert _first_independent(o, clauses, ["A"], 1) is None
+        assert o.asked == [("X", "Y", {"Z"}), ("X", "Z", {"Y"}), ("Y", "Z", {"X"}),
+                           ("X", "Y", {"Z", "A"}), ("X", "Z", {"Y", "A"}),
+                           ("Y", "Z", {"X", "A"})]
 
 
 class TestFirstSeparatingSet:
@@ -48,20 +83,68 @@ class TestFirstSeparatingSet:
 
     def test_first_set_in_enumeration_order(self):
         o = self.CHAIN
-        assert first_separating_set(o, "X", "Z", frozenset(), ["W", "Y"], 2) == {"Y"}
+        assert _first_independent(o, [("X", "Z", ())], ["W", "Y"], 2) == ("X", "Z", ("Y",))
 
     def test_core_is_part_of_every_set(self):
         o = self.CHAIN
-        got = first_separating_set(o, "X", "Z", frozenset({"W"}), ["Y"], 1)
-        assert got == {"W", "Y"}
+        got = _first_independent(o, [("X", "Z", ("W",))], ["Y"], 1)
+        assert got == ("X", "Z", ("W", "Y"))
 
     def test_none_when_dependent_given_every_set(self):
         o = self.COLLIDER
-        assert first_separating_set(o, "X", "Z", frozenset({"Y"}), ["W"], 1) is None
+        assert _first_independent(o, [("X", "Z", ("Y",))], ["W"], 1) is None
 
     def test_max_size_bounds_the_scan(self):
         o = self.CHAIN
-        assert first_separating_set(o, "X", "Z", frozenset(), ["W", "Y"], 0) is None
+        assert _first_independent(o, [("X", "Z", ())], ["W", "Y"], 0) is None
+
+    def test_first_independent_clause_wins(self):
+        o = self.CHAIN
+        clauses = [("X", "Y", ()), ("X", "Z", ("W",)), ("Y", "W", ())]
+        assert _first_independent(o, clauses, [], 0) == ("Y", "W", ())
+
+    def test_clause_names_are_checked_once_with_the_query_wording(self):
+        o = self.CHAIN
+        for clause, text in [(("X", "Q", ()), "unknown variable 'Q'"),
+                             (("X", "X", ()), "query sets must be pairwise disjoint"),
+                             (("X", "Z", ("Z",)), "query sets must be pairwise disjoint")]:
+            with pytest.raises(OracleError, match=text):
+                _first_independent(o, [("X", "Z", ()), clause], ["W"], 1)
+
+
+class TestUnknownNames:
+    """An unknown name is refused with the oracle's own wording, wherever
+    it stands in the call."""
+
+    @pytest.mark.parametrize("scan", [
+        lambda o: is_1_associated(o, "Q", "X"),
+        lambda o: is_1_associated(o, "X", "Q", AssociationBudget(0)),
+        lambda o: is_2_associated(o, "Q", "X", "Z"),
+        lambda o: is_2_associated(o, "X", "Z", "Q"),
+        lambda o: is_strictly_2_associated(o, "Q", "X", "Z"),
+        lambda o: is_strictly_2_associated(o, "X", "Q", "Z"),
+        lambda o: is_weakly_associated(o, "Q", ["X"]),
+        lambda o: is_weakly_associated(o, "X", ["Z", "Q"]),
+        lambda o: weak_associations(o, "Q"),
+    ], ids=["1", "1-partner", "2", "2-partner", "strict", "strict-partner",
+            "weak-one", "weak-pair", "weak-associations"])
+    def test_oracle_error(self, example2, scan):
+        with pytest.raises(OracleError) as err:
+            scan(example2.oracle())
+        assert str(err.value) == "unknown variable 'Q'"
+
+
+class TestBudget:
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, False, "2"])
+    def test_refuses_a_size_that_is_not_an_int(self, value):
+        with pytest.raises(ValueError) as err:
+            AssociationBudget(value)
+        assert str(err.value) == f"budget must be an int or None, not {value!r}"
+
+    def test_refuses_a_negative_size(self):
+        with pytest.raises(ValueError) as err:
+            AssociationBudget(-1)
+        assert str(err.value) == "budget must be non-negative"
 
 
 class TestExampleOne:

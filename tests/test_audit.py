@@ -10,9 +10,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from kassoc.association import first_separating_set, is_weakly_associated
+from kassoc.association import is_weakly_associated
 from conftest import random_cpt_net
-from references import enumerate_dags, random_dag
+from references import enumerate_dags, first_separating_set, random_dag
 from kassoc.audit import audit_scenario, check_cmc
 from kassoc.distribution import Cpt, DiscreteJoint
 from kassoc.gaussian import GaussianSystem

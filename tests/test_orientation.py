@@ -8,7 +8,6 @@ from kassoc.association import (
     UNBOUNDED,
     AssociationBudget,
     _ci_statement,
-    first_separating_set,
 )
 from kassoc.orientation import (
     OrientationQuery,
@@ -20,6 +19,7 @@ from kassoc.orientation import (
 )
 from kassoc.oracle import DiscreteOracle
 from kassoc.scenarios import BUILTINS, builtin
+from references import rule_defeat
 
 
 def q(scenario, center, left, right):
@@ -153,16 +153,9 @@ class TestNonadjacency:
 def reference_rule_defeat(q, with_center):
     """The rule scan as ``orient`` ran it on the query alone: the CI
     statement defeating rule i (``with_center``) or rule ii, or None."""
-    o = q.oracle
-    for x, z in itertools.product(q.left, q.right):
-        core = (set(q.left) - {x}) | (set(q.right) - {z})
-        if with_center:
-            core.add(q.center)
-        pool = [v for v in o.variables if v not in {x, z, q.center, *core}]
-        given = first_separating_set(o, x, z, frozenset(core), pool, q.budget.cap(len(pool)))
-        if given is not None:
-            return _ci_statement(x, z, given, True)
-    return None
+    found = rule_defeat(q.oracle, q.center, q.left, q.right, with_center,
+                        q.oracle.variables, q.budget)
+    return found and _ci_statement(*found, True)
 
 
 def every_query(scenario, budget):
