@@ -150,18 +150,10 @@ def orient(q: OrientationQuery) -> OrientationVerdict:
     rule_i, rule_ii = defeat_i is None, defeat_ii is None
     defeats = () if rule_i else (d for d in (defeat_i, defeat_ii) if d)
     witnesses = tuple(_ci_statement(x, z, given, True) for x, z, given in defeats)
-
-    if rule_i:
-        edges = tuple((v, q.center) for v in q.left + q.right)
-        return OrientationVerdict(
-            "collider", edges, True, rule_ii, False, caveat, witnesses
-        )
-    if rule_ii:
-        return OrientationVerdict(
-            "non-collider", (), False, True, False, caveat, witnesses
-        )
     return OrientationVerdict(
-        "inconclusive", (), False, False, True, caveat, witnesses
+        "collider" if rule_i else "non-collider" if rule_ii else "inconclusive",
+        tuple((v, q.center) for v in q.left + q.right) if rule_i else (),
+        rule_i, rule_ii, not (rule_i or rule_ii), caveat, witnesses,
     )
 
 

@@ -2,8 +2,11 @@
 
 Each scenario bundles a ground-truth DAG with an exact distribution
 payload (discrete CPTs or a linear-Gaussian system) plus its parameters.
-Unobserved noise coins are marginalised into the CPTs, they are never
-graph nodes.  Every scenario satisfies the causal Markov condition by
+A builtin states its graph once, in its payload: a discrete builtin's edges
+are read off its CPTs' parents, a Gaussian builtin's graph is its system's
+own.  A scenario file states the graph and the payload separately, so
+:class:`Scenario` still checks that they agree.  Unobserved noise coins are
+marginalised into the CPTs, they are never graph nodes.  Every scenario satisfies the causal Markov condition by
 construction, so building one asks no CI question: a distribution that
 factorizes along a DAG satisfies each of its local Markov statements
 exactly, zero cells included (Lauritzen 1996, Thm 3.27).  A discrete joint
@@ -39,7 +42,7 @@ class ScenarioError(ValueError):
     """Invalid scenario parameters or file contents."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Scenario:
     name: str
     dag: Dag
@@ -48,7 +51,7 @@ class Scenario:
     gaussian: GaussianSystem | None = None
     params: Mapping[str, Fraction] = field(default_factory=dict)
     notes: str = ""
-    joint: DiscreteJoint | None = field(default=None, init=False, repr=False)
+    joint: DiscreteJoint | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "discrete":
@@ -73,14 +76,6 @@ class Scenario:
         object.__setattr__(self, "params", {
             k: exact(v, ScenarioError, f"parameter {k}") for k, v in self.params.items()})
 
-    def __eq__(self, other):
-        return isinstance(other, Scenario) and (
-            (self.name, self.dag, self.kind, self.cpts, self.gaussian,
-             dict(self.params), self.notes)
-            == (other.name, other.dag, other.kind, other.cpts, other.gaussian,
-                dict(other.params), other.notes)
-        )
-
     def oracle(self) -> IndependenceOracle:
         """Exact oracle over the scenario's distribution payload."""
         if self.kind == "discrete":
@@ -94,6 +89,12 @@ def _xor(*bits: int) -> int:
     return sum(bits) % 2
 
 
+def _discrete(name, nodes, cpts, params, notes) -> Scenario:
+    """A discrete builtin over ``nodes``, its edges read off the CPTs' parents."""
+    dag = Dag(nodes, [(p, cpt.child) for cpt in cpts for p in cpt.parents])
+    return Scenario(name, dag, "discrete", cpts=tuple(cpts), params=params, notes=notes)
+
+
 # -- discrete generators ------------------------------------------------------
 
 
@@ -104,17 +105,13 @@ def noisy_xor(p: Fraction = Fraction(1, 4)) -> Scenario:
     """
     if not 0 <= p < HALF:
         raise ScenarioError("noise bias must satisfy 0 <= p < 1/2")
-    dag = Dag(["X", "Y", "Z"], [("X", "Y"), ("Z", "Y")])
     cpts = [
         Cpt.coin("X", HALF),
         Cpt.coin("Z", HALF),
         Cpt.noisy_function("Y", ["X", "Z"], [2, 2], _xor, p),
     ]
-    return Scenario(
-        "example1", dag, "discrete", cpts=tuple(cpts),
-        params={"p": p},
-        notes="noisy xor collider; adjacency faithfulness fails on both edges",
-    )
+    return _discrete("example1", ["X", "Y", "Z"], cpts, {"p": p},
+                     "noisy xor collider; adjacency faithfulness fails on both edges")
 
 
 def xor_with_context(p: Fraction = HALF, q: Fraction = Fraction(1, 4)) -> Scenario:
@@ -128,7 +125,6 @@ def xor_with_context(p: Fraction = HALF, q: Fraction = Fraction(1, 4)) -> Scenar
         raise ScenarioError("context bias must satisfy 0 < p < 1")
     if not 0 < q < HALF:
         raise ScenarioError("noise bias must satisfy 0 < q < 1/2")
-    dag = Dag(["X", "Z", "W", "Y"], [("X", "Y"), ("Z", "Y"), ("W", "Y")])
     cpts = [
         Cpt.coin("X", HALF),
         Cpt.coin("Z", HALF),
@@ -137,11 +133,8 @@ def xor_with_context(p: Fraction = HALF, q: Fraction = Fraction(1, 4)) -> Scenar
             "Y", ["X", "Z", "W"], [2, 2, 2], lambda x, z, w: (_xor(x, z) & w), q
         ),
     ]
-    return Scenario(
-        "example2", dag, "discrete", cpts=tuple(cpts),
-        params={"p": p, "q": q},
-        notes="xor collider with context node W; Y orientable as the collider",
-    )
+    return _discrete("example2", ["X", "Z", "W", "Y"], cpts, {"p": p, "q": q},
+                     "xor collider with context node W; Y orientable as the collider")
 
 
 def baseline(kind: str, strength: Fraction = Fraction(1, 9)) -> Scenario:
@@ -161,13 +154,10 @@ def baseline(kind: str, strength: Fraction = Fraction(1, 9)) -> Scenario:
         return Cpt.noisy_function(child, [parent], [2], lambda v: v, s)
 
     if kind == "chain":
-        dag = Dag(["X", "Y", "Z"], [("X", "Y"), ("Y", "Z")])
         cpts = [Cpt.coin("X", HALF), copy_cpt("Y", "X"), copy_cpt("Z", "Y")]
     elif kind == "fork":
-        dag = Dag(["X", "Y", "Z"], [("Y", "X"), ("Y", "Z")])
         cpts = [Cpt.coin("Y", HALF), copy_cpt("X", "Y"), copy_cpt("Z", "Y")]
     elif kind == "collider":
-        dag = Dag(["X", "Y", "Z"], [("X", "Y"), ("Z", "Y")])
         rows = {
             (x, z): (1 - s * (1 + 2 * x + 4 * z), s * (1 + 2 * x + 4 * z))
             for x in (0, 1)
@@ -180,10 +170,7 @@ def baseline(kind: str, strength: Fraction = Fraction(1, 9)) -> Scenario:
         ]
     else:
         raise ScenarioError(f"unknown baseline kind {kind!r}")
-    return Scenario(
-        kind, dag, "discrete", cpts=tuple(cpts),
-        params={"strength": s}, notes="faithful control scenario",
-    )
+    return _discrete(kind, ["X", "Y", "Z"], cpts, {"strength": s}, "faithful control scenario")
 
 
 def xor_chain() -> Scenario:
@@ -197,10 +184,6 @@ def xor_chain() -> Scenario:
     tests).
     """
     flip = Fraction(1, 4)
-    dag = Dag(
-        ["X", "U", "Z", "W", "Y"],
-        [("X", "U"), ("U", "W"), ("Z", "W"), ("W", "Y")],
-    )
     cpts = [
         Cpt.coin("X", HALF),
         Cpt.coin("Z", HALF),
@@ -208,11 +191,8 @@ def xor_chain() -> Scenario:
         Cpt.noisy_function("W", ["U", "Z"], [2, 2], _xor, flip),
         Cpt.noisy_function("Y", ["W"], [2], lambda v: v, flip),
     ]
-    return Scenario(
-        "xor_chain", dag, "discrete", cpts=tuple(cpts),
-        params={"flip": flip},
-        notes="xor collider at W embedded in a chain; only {U,W,Z} is minimal",
-    )
+    return _discrete("xor_chain", ["X", "U", "Z", "W", "Y"], cpts, {"flip": flip},
+                     "xor collider at W embedded in a chain; only {U,W,Z} is minimal")
 
 
 def noncollider_xor() -> Scenario:
@@ -224,18 +204,14 @@ def noncollider_xor() -> Scenario:
     and verified against the intended dependence pattern in tests.
     """
     flip = Fraction(1, 4)
-    dag = Dag(["W", "Y", "Z", "X"], [("W", "Y"), ("Y", "X"), ("Z", "X")])
     cpts = [
         Cpt.coin("W", HALF),
         Cpt.coin("Z", HALF),
         Cpt.noisy_function("Y", ["W"], [2], lambda v: v, flip),
         Cpt.noisy_function("X", ["Y", "Z"], [2, 2], _xor, flip),
     ]
-    return Scenario(
-        "noncollider_xor", dag, "discrete",
-        cpts=tuple(cpts), params={"flip": flip},
-        notes="Y is a non-collider between {X,Z} and W; rule i must not fire",
-    )
+    return _discrete("noncollider_xor", ["W", "Y", "Z", "X"], cpts, {"flip": flip},
+                     "Y is a non-collider between {X,Z} and W; rule i must not fire")
 
 
 def transitivity_failure() -> Scenario:
@@ -247,7 +223,6 @@ def transitivity_failure() -> Scenario:
     defeats both orientation rules on (X, Y, Z).
     """
     bias = Fraction(1, 4)
-    dag = Dag(["X", "Y", "Z"], [("X", "Y"), ("Y", "Z")])
     # Y encodes (b1, b2) as 2*b1 + b2 with b1 = X xor c, b2 = d
     rows_y = {}
     for x in (0, 1):
@@ -263,19 +238,15 @@ def transitivity_failure() -> Scenario:
         Cpt("Y", 4, ("X",), (2,), rows_y),
         Cpt("Z", 2, ("Y",), (4,), rows_z),
     ]
-    return Scenario(
-        "transitivity_failure", dag, "discrete",
-        cpts=tuple(cpts), params={"bias": bias},
-        notes="X indep Z marginally and given Y; detectable 2-OF failure",
-    )
+    return _discrete("transitivity_failure", ["X", "Y", "Z"], cpts, {"bias": bias},
+                     "X indep Z marginally and given Y; detectable 2-OF failure")
 
 
 def independent_coins(n: int = 3) -> Scenario:
     """n isolated fair coins; the all-independent control."""
     labels = ["X", "Y", "Z", "U", "V", "W"][:n]
-    dag = Dag(labels, [])
-    cpts = tuple(Cpt.coin(v, HALF) for v in labels)
-    return Scenario("coins", dag, "discrete", cpts=cpts, notes="isolated fair coins")
+    return _discrete("coins", labels, [Cpt.coin(v, HALF) for v in labels], {},
+                     "isolated fair coins")
 
 
 # -- gaussian generators ------------------------------------------------------
@@ -293,14 +264,13 @@ def cancelling_paths_3(
     """
     if alpha == 0 or beta == 0:
         raise ScenarioError("coefficients must be nonzero")
-    dag = Dag(["X", "Z", "Y"], [("X", "Z"), ("Z", "Y"), ("X", "Y")])
     system = GaussianSystem(
         ("X", "Z", "Y"),
         {("Z", "X"): alpha, ("Y", "Z"): beta, ("Y", "X"): -alpha * beta},
         {"X": Fraction(1), "Z": Fraction(1), "Y": Fraction(1)},
     )
     return Scenario(
-        "cancel3", dag, "gaussian", gaussian=system,
+        "cancel3", system.dag, "gaussian", gaussian=system,
         params={"alpha": alpha, "beta": beta},
         notes="3-node cancellation; Markov-equivalent, undetectable in principle",
     )
@@ -316,10 +286,6 @@ def cancelling_paths_4(
     """
     if 0 in (a, b, c):
         raise ScenarioError("coefficients must be nonzero")
-    dag = Dag(
-        ["X", "Z", "W", "Y"],
-        [("X", "Z"), ("Z", "W"), ("W", "Y"), ("X", "Y")],
-    )
     system = GaussianSystem(
         ("X", "Z", "W", "Y"),
         {
@@ -331,7 +297,7 @@ def cancelling_paths_4(
         {n: Fraction(1) for n in ("X", "Z", "W", "Y")},
     )
     return Scenario(
-        "cancel4", dag, "gaussian", gaussian=system,
+        "cancel4", system.dag, "gaussian", gaussian=system,
         params={"a": a, "b": b, "c": c},
         notes="4-node cancellation; detectable via a strict 2-association",
     )

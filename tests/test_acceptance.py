@@ -1,4 +1,4 @@
-"""Acceptance suite: ten end-to-end criteria, one pass/fail line each.
+"""Acceptance suite: eleven end-to-end criteria, one pass/fail line each.
 
 Every criterion is exact (rational identities, exhaustive enumeration) or
 property-based at a fixed seed; the only float tolerances live in
@@ -15,14 +15,17 @@ import pytest
 
 from kassoc.association import is_2_associated, is_strictly_2_associated
 from kassoc.audit import audit_scenario
+from kassoc.distribution import Cpt
+from kassoc.graph import Dag
 from kassoc.gaussian import partial_correlation_zero
 from kassoc.growshrink import markov_blanket
 from kassoc.gtest import GTestConfig, g_test
 from kassoc.oracle import DiscreteOracle, GraphOracle
 from kassoc.orientation import OrientationQuery, PreconditionError, orient
-from kassoc.scenarios import BUILTINS, builtin
+from kassoc.scenarios import BUILTINS, Scenario, builtin
 from kassoc.sparsest import dag_from_permutation, sparsest_permutations
 
+from conftest import random_cpt_net
 from references import d_separated_bruteforce, enumerate_dags, prob, random_dag
 from test_graphoid import AXIOMS, SEMI_GRAPHOID, run_axiom_sweep
 
@@ -230,3 +233,41 @@ def test_criterion_10_statistical_backend(capsys):
             reject += not g_test(data, "X", "Z", ("Y",), cfg).independent
         assert accept >= 95, accept
         assert reject >= 95, reject
+
+
+def planted_xor_net(rng, n):
+    """A seeded binary net of n nodes (``random_cpt_net``, n to 2n - 2 edges,
+    in-degree <= 3, so some node has two parents) with a noisy XOR planted at
+    one such node c: c keeps two of its parents, a and b, which lose their
+    own parents and become fair coins, and c is their XOR flipped with
+    probability 1/4.  Every other CPT is the random one."""
+    dag, cpts = random_cpt_net(rng, n, rng.randint(n, 2 * n - 2), 3)
+    c = rng.choice([v for v in dag.nodes if len(dag.parents(v)) >= 2])
+    a, b = rng.sample(sorted(dag.parents(c)), 2)
+    edges = [(p, q) for p, q in dag.edges if q not in (a, b, c)] + [(a, c), (b, c)]
+    planted = {a: Cpt.coin(a, F(1, 2)), b: Cpt.coin(b, F(1, 2)),
+               c: Cpt.noisy_function(c, [a, b], [2, 2], lambda x, y: x ^ y, F(1, 4))}
+    return Dag(dag.nodes, edges), [planted.get(cpt.child, cpt) for cpt in cpts]
+
+
+def test_criterion_11_grow_shrink_on_planted_xor_nets(capsys):
+    with criterion(capsys, 11, "modified grow-shrink on 60 planted-XOR nets"):
+        gated = ungated = classic_wrong = 0
+        for seed in range(60):
+            rng = random.Random(f"criterion-11:{seed}")
+            dag, cpts = planted_xor_net(rng, rng.randint(5, 7))
+            s = Scenario(f"xor{seed}", dag, "discrete", cpts=tuple(cpts))
+            report = audit_scenario(s)
+            if not all(report[a].holds for a in ("CMC", "2-AF", "spouse-condition")):
+                ungated += 1
+                continue
+            gated += 1
+            o = s.oracle()
+            for v in dag.nodes:
+                mb, _ = markov_blanket(o, v, mode="modified")
+                assert mb == dag.markov_blanket(v), (seed, v)
+            classic_wrong += any(markov_blanket(o, v, mode="classic")[0] != dag.markov_blanket(v)
+                                 for v in dag.nodes)
+        # the gate is not vacuous, and it is the paired clause that recovers
+        assert gated and ungated, (gated, ungated)
+        assert classic_wrong, classic_wrong

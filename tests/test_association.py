@@ -8,6 +8,7 @@ import pytest
 
 from kassoc.association import (
     AssociationBudget,
+    AssociationReport,
     UNBOUNDED,
     _first_independent,
     find_unfaithful_triples,
@@ -193,8 +194,20 @@ class TestWeakAssociation:
         o = DiscreteOracle(example1.joint)
         assert is_weakly_associated(o, "X", ["Y", "Z"]).holds
         assert not is_weakly_associated(o, "X", ["Y"]).holds
-        with pytest.raises(OracleError):
-            is_weakly_associated(o, "X", ["Y", "Z", "X"])
+        for partners in ([], ["Y", "Z", "X"]):
+            with pytest.raises(OracleError, match="^partner set must have one or two nodes$"):
+                is_weakly_associated(o, "X", partners)
+
+    @pytest.mark.parametrize("kind, partners, message", [
+        ("three", ("Y",), "^unknown association kind 'three'$"),
+        ("one", (), "^partner set must have one or two nodes$"),
+        ("one", ("Y", "Z", "W"), "^partner set must have one or two nodes$"),
+        ("two", ("Y",), "^two association needs two partners$"),
+        ("strict-two", ("Y",), "^strict-two association needs two partners$"),
+    ])
+    def test_a_report_checks_its_kind_and_partners(self, kind, partners, message):
+        with pytest.raises(ValueError, match=message):
+            AssociationReport("X", partners, kind, True)
 
     def test_budget_is_monotone(self, example2):
         """Anything refuted at a small budget stays refuted when more

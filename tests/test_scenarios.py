@@ -1,6 +1,7 @@
 """Scenario generators, parameter guards, serialization, audits."""
 
 import copy
+import dataclasses
 import itertools
 import json
 import pickle
@@ -203,6 +204,94 @@ class TestConstructionInvariants:
     def test_unknown_builtin(self):
         with pytest.raises(ScenarioError):
             builtin("does-not-exist")
+
+
+# Each builtin's node order and edges, written out by hand: a builtin reads
+# its graph off its payload, so this table is what says the payload states
+# the intended graph.  The node order fixes a report's "nodes" and every scan
+# order.
+BUILTIN_GRAPHS = {
+    "example1": ("XYZ", ["XY", "ZY"]),
+    "example2": ("XZWY", ["XY", "ZY", "WY"]),
+    "chain": ("XYZ", ["XY", "YZ"]),
+    "fork": ("XYZ", ["YX", "YZ"]),
+    "collider": ("XYZ", ["XY", "ZY"]),
+    "xor_chain": ("XUZWY", ["XU", "UW", "ZW", "WY"]),
+    "noncollider_xor": ("WYZX", ["WY", "YX", "ZX"]),
+    "transitivity_failure": ("XYZ", ["XY", "YZ"]),
+    "coins": ("XYZ", []),
+    "cancel3": ("XZY", ["XZ", "ZY", "XY"]),
+    "cancel4": ("XZWY", ["XZ", "ZW", "WY", "XY"]),
+}
+
+
+class TestBuiltinGraphs:
+    def test_the_table_lists_every_builtin(self):
+        assert set(BUILTIN_GRAPHS) == set(BUILTINS)
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_graph_and_node_order(self, name):
+        nodes, edges = BUILTIN_GRAPHS[name]
+        dag = builtin(name).dag
+        assert dag.nodes == tuple(nodes)
+        assert dag.edges == tuple(sorted(tuple(e) for e in edges))
+
+
+def _reordered(s):
+    """``s`` over its nodes in reverse order, payload and all."""
+    nodes = s.dag.nodes[::-1]
+    g = s.gaussian
+    if g is not None:
+        g = GaussianSystem(nodes, g.coefficients, g.noise_variances)
+    return dataclasses.replace(s, dag=Dag(nodes, s.dag.edges), gaussian=g)
+
+
+def _one_row_changed(s):
+    """``s`` with one probability row, or one Gaussian weight, changed."""
+    if s.kind == "gaussian":
+        g = s.gaussian
+        (key, w), *_ = g.coefficients.items()
+        coeffs = {**g.coefficients, key: 2 * w}
+        return dataclasses.replace(s, gaussian=GaussianSystem(g.nodes, coeffs, g.noise_variances))
+    cpt = s.cpts[-1]
+    (given, vec), *_ = cpt.rows.items()
+    point = (1,) + (0,) * (len(vec) - 1)
+    vec = point if vec != point else point[::-1]
+    changed = dataclasses.replace(cpt, rows={**cpt.rows, given: vec})
+    return dataclasses.replace(s, cpts=s.cpts[:-1] + (changed,))
+
+
+def _one_param_changed(s):
+    """``s`` with one parameter value changed, or one added where it has none."""
+    key = next(iter(s.params), "extra")
+    return dataclasses.replace(s, params={**s.params, key: s.params.get(key, 0) + 1})
+
+
+class TestScenarioEquality:
+    """Equality compares every field but the joint, which the CPTs fix."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_two_builds_are_equal(self, name):
+        a, b = builtin(name), builtin(name)
+        assert a is not b and a == b and not a != b
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    @pytest.mark.parametrize("change", [
+        lambda s: dataclasses.replace(s, name=s.name + "'"),
+        _reordered,
+        _one_row_changed,
+        _one_param_changed,
+        lambda s: dataclasses.replace(s, notes=s.notes + "."),
+    ], ids=["name", "node-order", "payload", "params", "notes"])
+    def test_one_changed_field_makes_them_unequal(self, name, change):
+        s = builtin(name)
+        twin = change(s)
+        assert twin != s and s != twin
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_a_scenario_is_not_hashable(self, name):
+        with pytest.raises(TypeError):
+            hash(builtin(name))
 
 
 class TestSerialization:
