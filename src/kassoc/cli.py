@@ -30,7 +30,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .association import AssociationBudget, UNBOUNDED, weak_associations
 from .audit import audit_scenario
-from .distribution import DistributionError
+from .distribution import MAX_ROWS, DistributionError
 from .gtest import GTestConfig
 from .growshrink import markov_blanket
 from .oracle import GTestOracle, OracleError
@@ -66,6 +66,15 @@ def _checked(convert):
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
     return parse
+
+
+def _sample_count(text: str) -> int:
+    """A ``--samples`` value: refused above ``MAX_ROWS`` before anything is
+    drawn (``DiscreteJoint.sample`` refuses a count below 1)."""
+    n = int(text)
+    if n > MAX_ROWS:
+        raise ValueError(f"at most {MAX_ROWS} samples")
+    return n
 
 
 def _sample(scenario: Scenario, n: int, seed: int):
@@ -248,7 +257,7 @@ def _parser() -> argparse.ArgumentParser:
                             type=_checked(lambda t: AssociationBudget(max_size=int(t))),
                             help="max conditioning-set size (default: unbounded)")
         if oracle:
-            sp.add_argument("--samples", type=int,
+            sp.add_argument("--samples", type=_checked(_sample_count),
                             help="sample size for a G-test oracle (default: exact oracle)")
             sp.add_argument("--seed", type=int, default=0)
             sp.add_argument("--alpha", default=GTestConfig(),
@@ -276,7 +285,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = command("sample", _cmd_sample, "draw rows from a discrete scenario",
                  budget=False, oracle=False)
-    sp.add_argument("--samples", type=int, default=1000)
+    sp.add_argument("--samples", type=_checked(_sample_count), default=1000)
     sp.add_argument("--seed", type=int, default=0)
     return p
 

@@ -13,7 +13,11 @@ table one axis at a time: one factor per CPT for ``from_cpts``, each
 scaled to integers once, when the CPT is checked, and multiplied in over
 the nodes before it in topological order; for ``marginalize`` one lattice
 marginal and for a copy the table itself, either of which becomes the
-table with at most one permutation.
+table with at most one permutation.  A model is built in one pass per
+layer: a ``Cpt`` checks and scales its whole table at once, by one lcm
+over its flat entries, and ``from_cpts`` checks each CPT's parents on the
+graph's parent bitmasks and reads the topological order that the ``Dag``
+kept from its own cycle check.
 
 Every marginal comes from one lattice, ``_Lattice``: the marginal over a
 set of positions is summed out of the cached marginal over that set plus
@@ -57,12 +61,13 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, eq, mul
+from operator import add, attrgetter, eq, mul
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .graph import query_masks
+from .graph import MAX_NODES, query_masks
 
 MAX_CELLS = 1 << 20
+MAX_ROWS = 10**7  # the most rows ``DiscreteJoint.sample`` draws
 
 ONE = Fraction(1)
 
@@ -87,9 +92,13 @@ class Cpt:
     order) to a probability vector over the child's domain.  Each entry
     must be an int or a Fraction, and each vector must sum to exactly 1.
 
-    Each row is scaled to integers once, and its sign and sum are checked
-    on those integers; the rows are checked in ``rows`` order.  The table
-    is kept as ``_factor``: one denominator and the scaled entries, flat in
+    The whole table is checked at once: its entries, flat in ``rows``
+    order, are type-checked and scaled to integers by the lcm of all their
+    denominators in one pass apiece, and each row's sign and sum are read
+    off its span of the scaled entries.  A bad table names its first bad
+    row in ``rows`` order, from those same per-row verdicts, each row
+    checked for length, then entry type, then sign, then sum.  The table
+    is kept as ``_factor``: that lcm and the scaled entries, flat in
     row-major order over (parents..., child), as ``DiscreteJoint.from_cpts``
     multiplies it in.
     """
@@ -102,35 +111,56 @@ class Cpt:
     _factor: tuple[int, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        child, card, rows = self.child, self.child_card, self.rows
         if len(self.parents) != len(self.parent_cards):
             raise DistributionError(
-                f"CPT for {self.child}: {len(self.parents)} parents but "
+                f"CPT for {child}: {len(self.parents)} parents but "
                 f"{len(self.parent_cards)} parent cardinalities")
         size = math.prod(self.parent_cards)
         if size > MAX_CELLS:
-            raise DistributionError(f"CPT for {self.child}: more than {MAX_CELLS} parent rows")
-        ranges = [range(c) for c in self.parent_cards]
-        if len(self.rows) != size or set(self.rows) != set(itertools.product(*ranges)):
-            raise DistributionError(f"CPT for {self.child}: wrong set of parent rows")
-        scaled = {}  # parent row -> (the row's denominator, its scaled entries)
-        for pa, vec in self.rows.items():
-            if len(vec) != self.child_card:
-                raise DistributionError(f"CPT for {self.child}: bad row length at {pa}")
-            if not all(isinstance(p, (int, Fraction)) for p in vec):
-                for p in vec:
-                    exact(p, DistributionError, f"CPT for {self.child}: probability")
-            d = math.lcm(*(p.denominator for p in vec))
-            ints = [p.numerator * (d // p.denominator) for p in vec]
-            if any(w < 0 for w in ints):
-                raise DistributionError(f"CPT for {self.child}: negative probability")
-            if sum(ints) != d:
-                raise DistributionError(f"CPT for {self.child}: row {pa} does not sum to 1")
-            scaled[pa] = d, ints
-        denom = math.lcm(*(d for d, _ in scaled.values()))
-        flat = []
-        for pa in itertools.product(*ranges):
-            d, ints = scaled[pa]
-            flat += ints if d == denom else [w * (denom // d) for w in ints]
+            raise DistributionError(f"CPT for {child}: more than {MAX_CELLS} parent rows")
+        cells = list(itertools.product(*map(range, self.parent_cards)))
+        in_order = list(rows) == cells
+        if len(rows) != size or not in_order and set(rows) != set(cells):
+            raise DistributionError(f"CPT for {child}: wrong set of parent rows")
+        # the rows of the right length, flat in rows order, are type-checked
+        # and scaled by one lcm in one pass apiece; zip cuts the scaled
+        # entries back into rows, and each row's least entry and sum are its
+        # sign and sum verdicts (a row of no entries stands in as (0,): sum
+        # 0 and no negative entry, as it has)
+        vecs = list(rows.values())
+        fit = list(map(eq, map(len, vecs), itertools.repeat(card)))
+        entries = list(itertools.chain.from_iterable(itertools.compress(vecs, fit)))
+        typed = list(map(isinstance, entries, itertools.repeat((int, Fraction))))
+        if not all(typed):
+            # a row with an entry of another type is named for that entry,
+            # so its other verdicts are never read
+            entries = [p if ok else 0 for p, ok in zip(entries, typed)]
+        dens = list(map(attrgetter("denominator"), entries))
+        denom = math.lcm(*dens)
+        flat = list(map(mul, map(attrgetter("numerator"), entries), map(denom.__floordiv__, dens)))
+        scaled = list(zip(*[iter(flat)] * card)) if card > 0 else [(0,)] * fit.count(True)
+        lows = list(map(min, scaled))
+        sums = list(map(sum, scaled))
+        if not (all(fit) and all(typed) and min(lows, default=0) >= 0
+                and sums.count(denom) == size):
+            # the first bad row in rows order; per row: length, then entry
+            # type, then sign, then sum
+            r = 0
+            for pa, vec, fits in zip(rows, vecs, fit):
+                if not fits:
+                    raise DistributionError(f"CPT for {child}: bad row length at {pa}")
+                if not all(typed[r * card:(r + 1) * card]):
+                    for p in vec:
+                        exact(p, DistributionError, f"CPT for {child}: probability")
+                if lows[r] < 0:
+                    raise DistributionError(f"CPT for {child}: negative probability")
+                if sums[r] != denom:
+                    raise DistributionError(f"CPT for {child}: row {pa} does not sum to 1")
+                r += 1
+        if not in_order:
+            flat = list(itertools.chain.from_iterable(map(dict(zip(rows, scaled)).__getitem__,
+                                                          cells)))
         object.__setattr__(self, "_factor", (denom, flat))
 
     @staticmethod
@@ -155,13 +185,13 @@ class Cpt:
         The noise coin is marginalised into the table, it is not a node.
         """
         flip = exact(flip, DistributionError, f"flip of {child}")
+        off, on = (ONE - flip, flip), (flip, ONE - flip)  # the rows for fn = 0 and 1
         rows = {}
         for pa in itertools.product(*(range(c) for c in parent_cards)):
             v = fn(*pa)
             if v not in (0, 1):
                 raise DistributionError("noisy_function requires a boolean function")
-            p_one = ONE - flip if v == 1 else flip
-            rows[pa] = (ONE - p_one, p_one)
+            rows[pa] = on if v == 1 else off
         return Cpt(child, 2, tuple(parents), tuple(parent_cards), rows)
 
 
@@ -562,12 +592,13 @@ class DiscreteJoint:
     def from_cpts(dag, cpts: Iterable[Cpt]) -> "DiscreteJoint":
         """Product of CPT entries over all full assignments.
 
-        One CPT per node; each CPT lists its node's graph parents, each once.
+        One CPT per node; each CPT lists its node's graph parents, each once,
+        which is checked on position bitmasks against ``dag._parent_masks``.
         The CPTs' integer factors (``Cpt._factor``, scaled when each CPT was
-        checked) go to ``_product`` in topological order, so each one is
-        multiplied over the table of the nodes before it and the whole
-        product costs O(cells); the table is permuted once into
-        ``dag.nodes`` order.
+        checked) go to ``_product`` in the topological order the graph kept
+        when it was built (``dag._order``), so each one is multiplied over
+        the table of the nodes before it and the whole product costs
+        O(cells); the table is permuted once into ``dag.nodes`` order.
         """
         by_child = {}
         for cpt in cpts:
@@ -576,28 +607,28 @@ class DiscreteJoint:
             by_child[cpt.child] = cpt
         if set(by_child) != set(dag.nodes):
             raise DistributionError("need exactly one CPT per graph node")
-        cards = {}
-        for node in dag.nodes:
-            cpt = by_child[node]
-            parents = dag.parents(node)
-            if len(cpt.parents) != len(parents) or set(cpt.parents) != parents:
-                raise DistributionError(
-                    f"CPT parents for {node} do not match graph parents"
-                )
-            cards[node] = cpt.child_card
-        for node in dag.nodes:
-            cpt = by_child[node]
-            for p, c in zip(cpt.parents, cpt.parent_cards):
-                if cards[p] != c:
-                    raise DistributionError(
-                        f"CPT for {node}: cardinality mismatch on parent {p}"
-                    )
+        ordered = [by_child[node] for node in dag.nodes]
         pos = dag._index
-        factors = []
-        for node in dag.topological_order():
-            cpt = by_child[node]
-            factors.append(([pos[q] for q in cpt.parents] + [pos[node]], *cpt._factor))
-        return DiscreteJoint._product([(n, cards[n]) for n in dag.nodes], factors)
+        for cpt, graph_parents in zip(ordered, dag._parent_masks):
+            # an unknown parent sets bit MAX_NODES, past every graph position,
+            # and a repeated one sets fewer bits than the CPT lists parents
+            mask = 0
+            for q in cpt.parents:
+                mask |= 1 << pos.get(q, MAX_NODES)
+            if mask != graph_parents or len(cpt.parents) != mask.bit_count():
+                raise DistributionError(
+                    f"CPT parents for {cpt.child} do not match graph parents"
+                )
+        cards = [cpt.child_card for cpt in ordered]
+        for cpt in ordered:
+            for p, c in zip(cpt.parents, cpt.parent_cards):
+                if cards[pos[p]] != c:
+                    raise DistributionError(
+                        f"CPT for {cpt.child}: cardinality mismatch on parent {p}"
+                    )
+        factors = [([pos[q] for q in ordered[i].parents] + [i], *ordered[i]._factor)
+                   for i in dag._order]
+        return DiscreteJoint._product(list(zip(dag.nodes, cards)), factors)
 
     # -- queries --------------------------------------------------------------
 
@@ -645,11 +676,13 @@ class DiscreteJoint:
         return all(map(eq, map(mul, w00, w11), map(mul, w10, w01)))
 
     def sample(self, n: int, seed: int) -> Dataset:
-        """n i.i.d. draws; deterministic for a fixed seed.  The dataset's
-        count table is the tally of the drawn cells, so its rows are not
-        checked or counted again."""
+        """n i.i.d. draws, 1 <= n <= ``MAX_ROWS``; deterministic for a fixed
+        seed.  The dataset's count table is the tally of the drawn cells, so
+        its rows are not checked or counted again."""
         if n < 1:
             raise DistributionError("need at least one sample")
+        if n > MAX_ROWS:
+            raise DistributionError(f"at most {MAX_ROWS} samples")
         rng = random.Random(seed)
         # w / denom is float(Fraction(w, denom)): both are the correctly
         # rounded quotient of the same rational

@@ -57,7 +57,8 @@ class GaussianSystem:
         object.__setattr__(self, "dag", dag)
 
     def covariance(self) -> list[list[Fraction]]:
-        """Exact covariance in ``nodes`` order, filled in topological order.
+        """Exact covariance in ``nodes`` order, filled in the topological
+        order that the graph kept when it was built.
 
         For j before i, Cov(i, j) = sum_p b_ip Cov(p, j) over the parents p
         of i, and Var(i) = sum_p b_ip Cov(p, i) + d_i.
@@ -69,12 +70,11 @@ class GaussianSystem:
             weights[pos[c]].append((pos[p], w))
         cov = [[ZERO] * n for _ in range(n)]
         done: list[int] = []
-        for name in self.dag.topological_order():
-            i = pos[name]
+        for i in self.dag._order:
             row = cov[i]
             for j in done:
                 row[j] = cov[j][i] = sum((w * cov[p][j] for p, w in weights[i]), ZERO)
-            row[i] = sum((w * row[p] for p, w in weights[i]), self.noise_variances[name])
+            row[i] = sum((w * row[p] for p, w in weights[i]), self.noise_variances[self.nodes[i]])
             done.append(i)
         return cov
 

@@ -119,10 +119,36 @@ def dconnected(
     return False
 
 
-class Dag:
-    """Immutable directed acyclic graph over labelled nodes."""
+def _kahn(parents: Sequence[int], children: Sequence[int]) -> tuple[int, ...]:
+    """Kahn's algorithm on parent/children bitmasks: the positions in a
+    topological order, taking the last ready node first; ``GraphError`` if
+    the edges hold a directed cycle."""
+    indeg = [m.bit_count() for m in parents]
+    queue = [i for i, d in enumerate(indeg) if d == 0]
+    order = []
+    while queue:
+        i = queue.pop()
+        order.append(i)
+        for c in _bits(children[i]):
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                queue.append(c)
+    if len(order) != len(parents):
+        raise GraphError("edge set contains a directed cycle")
+    return tuple(order)
 
-    __slots__ = ("nodes", "edges", "_index", "_parent_masks", "_child_masks")
+
+class Dag:
+    """Immutable directed acyclic graph over labelled nodes.
+
+    The cycle check at construction is Kahn's algorithm, and the order it
+    finds is kept in ``_order`` as node positions: ``topological_order()``,
+    ``DiscreteJoint.from_cpts`` and ``GaussianSystem.covariance`` read it
+    and never sort the graph again.  A cyclic edge set raises
+    ``GraphError``, so ``topological_order()`` always returns a list.
+    """
+
+    __slots__ = ("nodes", "edges", "_index", "_parent_masks", "_child_masks", "_order")
 
     def __init__(self, nodes: Sequence[str], edges: Iterable[tuple[str, str]]):
         nodes = tuple(nodes)
@@ -150,8 +176,7 @@ class Dag:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_parent_masks", tuple(parent_masks))
         object.__setattr__(self, "_child_masks", tuple(child_masks))
-        if self.topological_order() is None:
-            raise GraphError("edge set contains a directed cycle")
+        object.__setattr__(self, "_order", _kahn(parent_masks, child_masks))
 
     def __setattr__(self, name, value):
         raise AttributeError("Dag is immutable")
@@ -190,21 +215,9 @@ class Dag:
     def n(self) -> int:
         return len(self.nodes)
 
-    def topological_order(self) -> list[str] | None:
-        """Kahn's algorithm; None when the edge set is cyclic."""
-        indeg = [bin(m).count("1") for m in self._parent_masks]
-        queue = [i for i, d in enumerate(indeg) if d == 0]
-        order = []
-        while queue:
-            i = queue.pop()
-            order.append(i)
-            for c in _bits(self._child_masks[i]):
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-        if len(order) != self.n:
-            return None
-        return [self.nodes[i] for i in order]
+    def topological_order(self) -> list[str]:
+        """The order Kahn's algorithm found at construction."""
+        return [self.nodes[i] for i in self._order]
 
     # -- relations ---------------------------------------------------------
 

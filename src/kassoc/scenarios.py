@@ -6,13 +6,16 @@ A builtin states its graph once, in its payload: a discrete builtin's edges
 are read off its CPTs' parents, a Gaussian builtin's graph is its system's
 own.  A scenario file states the graph and the payload separately, so
 :class:`Scenario` still checks that they agree.  Unobserved noise coins are
-marginalised into the CPTs, they are never graph nodes.  Every scenario satisfies the causal Markov condition by
-construction, so building one asks no CI question: a distribution that
-factorizes along a DAG satisfies each of its local Markov statements
-exactly, zero cells included (Lauritzen 1996, Thm 3.27).  A discrete joint
-is such a product, of one exact CPT per node over its DAG parents (checked
-by :class:`Cpt` and :meth:`DiscreteJoint.from_cpts`), and so is a Gaussian
-system whose coefficients form the DAG.  The one CMC check is the audit's
+marginalised into the CPTs, they are never graph nodes.  Every scenario
+satisfies the causal Markov condition by construction, so building one
+asks no CI question: a distribution that factorizes along a DAG satisfies
+each of its local Markov statements exactly, zero cells included
+(Lauritzen 1996, Thm 3.27).  A discrete joint is such a product, of one
+exact CPT per node over its DAG parents (checked by :class:`Cpt` and
+:meth:`DiscreteJoint.from_cpts`), and so is a Gaussian system whose
+coefficients form the DAG.  Each layer of a build makes one pass: the
+graph is sorted once, by its own cycle check, and each CPT is checked
+over its whole table at once.  The one CMC check is the audit's
 (:func:`kassoc.audit.check_cmc`); a scenario neither runs nor caches an
 audit itself.  :func:`save` and :func:`load` give a bit-exact JSON form,
 with every rational as a "num/den" string.

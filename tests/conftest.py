@@ -68,14 +68,19 @@ def cpt_nets():
     return nets
 
 
+def zero_cell_nets():
+    """(dag, cpts) pairs: four seeded nets with CPT entries in quarters,
+    zeros among them."""
+    return [random_cpt_net(random.Random(seed), 5, 6, 2, cards=(2, 3), denom=4)
+            for seed in range(4)]
+
+
 def zero_cell_joints():
-    """Joints with zero cells: four seeded nets with CPT entries in quarters,
-    and two tables that end in zero cells after partial sums that round past
-    1.0 (1.0000000000000002 from 5/9 + 4 * 1/9) or stop below it (ten
-    tenths sum to 0.9999999999999999)."""
-    joints = [DiscreteJoint.from_cpts(*random_cpt_net(random.Random(seed), 5, 6, 2,
-                                                      cards=(2, 3), denom=4))
-              for seed in range(4)]
+    """Joints with zero cells: those of ``zero_cell_nets``, and two tables
+    that end in zero cells after partial sums that round past 1.0
+    (1.0000000000000002 from 5/9 + 4 * 1/9) or stop below it (ten tenths
+    sum to 0.9999999999999999)."""
+    joints = [DiscreteJoint.from_cpts(dag, cpts) for dag, cpts in zero_cell_nets()]
     joints.append(DiscreteJoint([("A", 7)], [F(w, 9) for w in (5, 1, 1, 1, 1, 0, 0)]))
     joints.append(DiscreteJoint([("A", 3), ("B", 4)], [F(w, 10) for w in [1] * 10 + [0, 0]]))
     return joints

@@ -22,6 +22,9 @@
   :func:`fraction_is_independent_sets`; and
   :func:`integer_product`, ``from_cpts`` cell by cell on the CPTs' scaled
   integer entries.
+* :func:`row_by_row_factor`: a CPT's rows checked and scaled one at a time,
+  each by its own lcm, then brought to one denominator; the slow twin of
+  the whole-table check in ``Cpt.__post_init__``, error texts included.
 * :func:`mutually_independent`: full factorisation of a three-variable
   marginal, checked cell by cell on the integer weights; the reference for
   the unfaithful-triple search's one set query.
@@ -38,7 +41,7 @@ import random
 from fractions import Fraction as F
 from typing import Iterable, Iterator, Sequence
 
-from kassoc.distribution import DiscreteJoint
+from kassoc.distribution import DiscreteJoint, DistributionError, exact
 from kassoc.gaussian import GaussianError, GaussianSystem
 from kassoc.graph import Dag, GraphError, ancestor_mask
 from kassoc.oracle import IndependenceOracle
@@ -326,6 +329,34 @@ def integer_product(dag, cpts):
         weights.append(w)
     g = math.gcd(*weights, denom)
     return denom // g, tuple(w // g for w in weights)
+
+
+def row_by_row_factor(child, card, parent_cards, rows):
+    """``Cpt._factor`` for a table whose rows are exactly the parent
+    assignments, found row by row: each row, in ``rows`` order, is checked
+    for length and entry type, scaled by the lcm of its own denominators,
+    and checked for sign and sum; the scaled rows are then brought to the
+    lcm of the row denominators and laid out in parent-value order.  Raises
+    the ``DistributionError`` of the first bad row."""
+    scaled = {}
+    for pa, vec in rows.items():
+        if len(vec) != card:
+            raise DistributionError(f"CPT for {child}: bad row length at {pa}")
+        for p in vec:
+            exact(p, DistributionError, f"CPT for {child}: probability")
+        d = math.lcm(*(p.denominator for p in vec))
+        ints = [p.numerator * (d // p.denominator) for p in vec]
+        if any(w < 0 for w in ints):
+            raise DistributionError(f"CPT for {child}: negative probability")
+        if sum(ints) != d:
+            raise DistributionError(f"CPT for {child}: row {pa} does not sum to 1")
+        scaled[pa] = d, ints
+    denom = math.lcm(*(d for d, _ in scaled.values()))
+    flat = []
+    for pa in itertools.product(*(range(c) for c in parent_cards)):
+        d, ints = scaled[pa]
+        flat += [w * (denom // d) for w in ints]
+    return denom, flat
 
 
 # -- mutual independence ----------------------------------------------------------

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from kassoc import cli
 from kassoc.cli import run
-from kassoc.distribution import Cpt
+from kassoc.distribution import MAX_ROWS, Cpt
 from kassoc.graph import Dag
 from kassoc.oracle import OracleError
 from kassoc.scenarios import BUILTINS, Scenario, builtin, save
@@ -365,6 +365,35 @@ class TestOutOfRangeNumbers:
         assert code == 2
         assert report is None
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestSampleCountBound:
+    """A ``--samples`` count above ``MAX_ROWS`` is refused by the parser,
+    before a scenario is loaded or anything drawn."""
+
+    @pytest.mark.parametrize("command", [
+        ["assoc", "--target", "Y"],
+        ["orient", "--center", "Y", "--left", "X", "--right", "Z"],
+        ["mb", "--target", "Y"],
+        ["sp"],
+        ["sample"],
+    ], ids=["assoc", "orient", "mb", "sp", "sample"])
+    @pytest.mark.parametrize("count", [str(MAX_ROWS + 1), "10000000000000",
+                                       "99999999999999999999"])
+    def test_exits_two_with_one_pinned_line(self, capsys, command, count):
+        argv = [command[0], "--scenario", "builtin:example1", *command[1:],
+                "--samples", count]
+        code, report, err = invoke(capsys, *argv)
+        assert code == 2
+        assert report is None
+        assert err == (f"error: kassoc {command[0]}: argument --samples: "
+                       f"at most {MAX_ROWS} samples\n")
+
+    def test_the_bound_is_checked_before_the_scenario_is_loaded(self, capsys):
+        code, _, err = invoke(capsys, "mb", "--scenario", "builtin:nope", "--target", "Y",
+                              "--samples", "99999999999999999999")
+        assert code == 2
+        assert "argument --samples" in err and "nope" not in err
 
 
 # Each subcommand's options: exactly the ones its ``_cmd_*`` function reads.

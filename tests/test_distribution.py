@@ -9,12 +9,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from kassoc.distribution import Cpt, DiscreteJoint, DistributionError
+from kassoc.distribution import MAX_ROWS, Cpt, DiscreteJoint, DistributionError
 from kassoc.graph import Dag
 from kassoc.scenarios import BUILTINS, builtin
-from conftest import random_cpt_net, zero_cell_joints
+from conftest import random_cpt_net, zero_cell_joints, zero_cell_nets
 from references import (assignments, fraction_is_independent_sets, fraction_marginal,
-                        integer_product, prob)
+                        integer_product, prob, row_by_row_factor)
 
 
 def fraction_product(dag, cpts):
@@ -96,6 +96,12 @@ class TestCpt:
         )
         assert xor.rows[(0, 0)] == (F(3, 4), F(1, 4))
         assert xor.rows[(1, 0)] == (F(1, 4), F(3, 4))
+        fn = lambda a, b, c: (a ^ b) & c  # noqa: E731
+        gate = Cpt.noisy_function("Y", ("A", "B", "C"), (2, 2, 2), fn, F(1, 5))
+        assert gate.rows == {pa: (F(1, 5), F(4, 5)) if fn(*pa) else (F(4, 5), F(1, 5))
+                             for pa in itertools.product((0, 1), repeat=3)}
+        with pytest.raises(DistributionError, match="requires a boolean function"):
+            Cpt.noisy_function("Y", ("A",), (3,), lambda a: a, F(1, 5))
 
     def test_float_rows_are_refused(self):
         # 0.1 + 0.9 == 1 in float arithmetic, but the exact values of the two
@@ -148,6 +154,10 @@ class TestCpt:
             ({(1,): floats, (0,): negative}, not_exact),
             ({(1,): (F(1, 2), F(1, 2)), (0,): floats}, not_exact),
             ({(1,): (0.5, F(-1, 2)), (0,): short}, not_exact),
+            # a bad type after a bad sum, a bad length after a negative entry
+            ({(0,): heavy, (1,): floats}, "row (0,) does not sum to 1"),
+            ({(1,): negative, (0,): short}, "negative probability"),
+            ({(0,): short, (1,): negative}, "bad row length at (0,)"),
         ]:
             with pytest.raises(DistributionError) as err:
                 Cpt("Y", 2, ("X",), (2,), rows)
@@ -172,6 +182,67 @@ class TestCpt:
             Cpt("Y", 2, ("X",), (2,), {(0,): (0.5,), (2,): (F(1),)})
         with pytest.raises(DistributionError, match="more than"):
             Cpt("Y", 2, ("X",), (2**21,), {(0,): (0.5,)})
+
+
+
+def shuffled_rows(cpt, rng):
+    """The same CPT with its rows listed in a shuffled order."""
+    keys = list(cpt.rows)
+    rng.shuffle(keys)
+    return Cpt(cpt.child, cpt.child_card, cpt.parents, cpt.parent_cards,
+               {pa: cpt.rows[pa] for pa in keys})
+
+
+class TestWholeTableCheck:
+    """``Cpt.__post_init__`` checks and scales a table at once; the
+    row-by-row twin in ``references`` gives the same factor and names the
+    same bad row."""
+
+    def test_factor_matches_the_row_by_row_twin(self, all_builtins, cpt_nets):
+        cpts = [c for s in all_builtins.values() if s.kind == "discrete" for c in s.cpts]
+        cpts += [c for _, net in [*cpt_nets, *zero_cell_nets()] for c in net]
+        rng = random.Random("row-by-row")
+        reordered = 0
+        for cpt in cpts:
+            twin = row_by_row_factor(cpt.child, cpt.child_card, cpt.parent_cards, cpt.rows)
+            assert cpt._factor == twin, cpt
+            shuffled = shuffled_rows(cpt, rng)
+            assert shuffled._factor == twin, shuffled
+            reordered += list(shuffled.rows) != list(cpt.rows)
+        assert reordered > 50
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bad_tables_name_the_twins_row(self, seed):
+        """Random small tables, rows in shuffled order, each row either
+        valid or drawn from entries of every verdict (short or long rows,
+        floats, strings, negative entries, rows that do not sum to 1)."""
+        rng = random.Random(f"bad-tables:{seed}")
+        values = [F(1, 2), F(1, 3), F(2, 3), 1, 0, -1, F(-1, 2), F(3, 2), 0.5, "1", True]
+        outcomes = set()
+        for _ in range(400):
+            card = rng.choice((0, 1, 2, 3))
+            parent_cards = rng.choice(((), (2,), (3,), (2, 2)))
+            keys = list(itertools.product(*map(range, parent_cards)))
+            rng.shuffle(keys)
+            rows = {}
+            for pa in keys:
+                if card and rng.random() < 0.6:
+                    rows[pa] = (F(1, card),) * card
+                else:
+                    length = card if rng.random() < 0.8 else rng.randint(0, 4)
+                    rows[pa] = tuple(rng.choice(values) for _ in range(length))
+            parents = ("A", "B")[:len(parent_cards)]
+            try:
+                want = row_by_row_factor("Y", card, parent_cards, rows)
+            except DistributionError as exc:
+                want = str(exc)
+            try:
+                got = Cpt("Y", card, parents, parent_cards, rows)._factor
+            except DistributionError as exc:
+                got = str(exc)
+            assert got == want, rows
+            outcomes.add(want.split(":")[1].split()[0] if isinstance(want, str) else "ok")
+        assert outcomes == {"ok", "bad", "probability", "negative", "row"}
 
 
 class TestJoint:
@@ -203,6 +274,25 @@ class TestJoint:
         bad = Cpt.noisy_function("B", ("A",), (2,), lambda a: a, F(0))
         with pytest.raises(DistributionError):
             DiscreteJoint.from_cpts(dag, [Cpt.coin("A", F(1, 2)), bad])
+
+    @pytest.mark.parametrize("parents, cards, text", [
+        (("A", "Q"), (2, 2), "CPT parents for C do not match graph parents"),
+        (("A", "A"), (2, 2), "CPT parents for C do not match graph parents"),
+        (("A", "B", "A"), (2, 3, 2), "CPT parents for C do not match graph parents"),
+        (("A",), (2,), "CPT parents for C do not match graph parents"),
+        (("A", "B", "C"), (2, 3, 2), "CPT parents for C do not match graph parents"),
+        (("B", "A"), (2, 2), "CPT for C: cardinality mismatch on parent B"),
+    ], ids=["unknown", "repeated", "repeated-with-all", "missing", "itself",
+            "wrong-cardinality"])
+    def test_from_cpts_mismatch_texts(self, parents, cards, text):
+        """A graph A -> C <- B with B ternary; the CPT for C lists
+        ``parents`` with cardinalities ``cards``."""
+        rows = {pa: (F(1, 2), F(1, 2)) for pa in itertools.product(*map(range, cards))}
+        cpts = [Cpt.coin("A", F(1, 3)), Cpt.prior("B", (F(1, 3),) * 3),
+                Cpt("C", 2, parents, cards, rows)]
+        with pytest.raises(DistributionError) as err:
+            DiscreteJoint.from_cpts(Dag(["A", "B", "C"], [("A", "C"), ("B", "C")]), cpts)
+        assert str(err.value) == text
 
     def test_from_cpts_refuses_a_parent_listed_twice(self):
         rows = {(a, b): (F(1 + a + 2 * b, 5), F(4 - a - 2 * b, 5)) for a in (0, 1) for b in (0, 1)}
@@ -280,6 +370,12 @@ class TestExampleTwoIdentities:
 
 
 class TestSampling:
+    @pytest.mark.parametrize("n", [MAX_ROWS + 1, 10**13, 10**20])
+    def test_a_count_above_max_rows_is_refused(self, example1, n):
+        with pytest.raises(DistributionError) as err:
+            example1.joint.sample(n, seed=0)
+        assert str(err.value) == f"at most {MAX_ROWS} samples"
+
     def test_fixed_seed_reproduces(self, example1):
         a = example1.joint.sample(50, seed=7)
         b = example1.joint.sample(50, seed=7)

@@ -30,9 +30,15 @@ COLLIDER = Dag(["X", "Y", "Z"], [("X", "Y"), ("Z", "Y")])
 
 
 class TestConstruction:
-    def test_rejects_cycle(self):
-        with pytest.raises(GraphError):
-            Dag(["A", "B"], [("A", "B"), ("B", "A")])
+    @pytest.mark.parametrize("edges", [
+        [("A", "B"), ("B", "A")],
+        [("A", "B"), ("B", "C"), ("C", "A")],
+        [("A", "B"), ("C", "D"), ("D", "C")],
+    ], ids=["two-cycle", "three-cycle", "cycle-beside-an-edge"])
+    def test_rejects_cycle(self, edges):
+        with pytest.raises(GraphError) as err:
+            Dag(["A", "B", "C", "D"], edges)
+        assert str(err.value) == "edge set contains a directed cycle"
 
     def test_rejects_self_loop(self):
         with pytest.raises(GraphError):
@@ -88,6 +94,22 @@ class TestRelations:
     def test_topological_order_respects_edges(self):
         order = CHAIN.topological_order()
         assert order.index("X") < order.index("Y") < order.index("Z")
+
+    def test_stored_order_is_topological(self):
+        """The order the cycle check keeps, on random DAGs of 1-10 nodes
+        whose node order is not their topological order."""
+        unsorted = 0
+        for n in range(1, 11):
+            for seed in range(20):
+                dag = random_dag(random.Random(f"stored-order:{n}:{seed}"), n)
+                order = dag.topological_order()
+                assert order == [dag.nodes[i] for i in dag._order]
+                assert sorted(order) == sorted(dag.nodes)
+                rank = {v: k for k, v in enumerate(order)}
+                assert all(rank[a] < rank[b] for a, b in dag.edges), (dag, order)
+                unsorted += any(rank[a] > rank[b]
+                                for a, b in itertools.combinations(dag.nodes, 2))
+        assert unsorted > 100
 
     def test_adjacent_is_symmetric(self):
         assert CHAIN.adjacent("X", "Y") and CHAIN.adjacent("Y", "X")
@@ -315,4 +337,4 @@ class TestEnumeration:
 def test_random_dag_is_acyclic_and_sized(seed, n):
     dag = random_dag(random.Random(seed), n)
     assert len(dag.nodes) == n
-    assert dag.topological_order() is not None
+    assert sorted(dag.topological_order()) == sorted(dag.nodes)
