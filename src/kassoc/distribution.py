@@ -89,8 +89,9 @@ class Cpt:
     """Conditional probability table of one variable given its parents.
 
     ``rows`` maps a parent assignment (tuple of values in ``parents``
-    order) to a probability vector over the child's domain.  Each entry
-    must be an int or a Fraction, and each vector must sum to exactly 1.
+    order) to a probability vector over the child's domain.  Every
+    cardinality must be at least 1, each entry must be an int or a
+    Fraction, and each vector must sum to exactly 1.
 
     The whole table is checked at once: its entries, flat in ``rows``
     order, are type-checked and scaled to integers by the lcm of all their
@@ -116,6 +117,11 @@ class Cpt:
             raise DistributionError(
                 f"CPT for {child}: {len(self.parents)} parents but "
                 f"{len(self.parent_cards)} parent cardinalities")
+        cards = (card, *self.parent_cards)
+        if min(cards) < 1:
+            name, c = next((v, c) for v, c in zip((child, *self.parents), cards) if c < 1)
+            raise DistributionError(
+                f"CPT for {child}: cardinality of {name} must be positive, not {c}")
         size = math.prod(self.parent_cards)
         if size > MAX_CELLS:
             raise DistributionError(f"CPT for {child}: more than {MAX_CELLS} parent rows")
@@ -126,8 +132,7 @@ class Cpt:
         # the rows of the right length, flat in rows order, are type-checked
         # and scaled by one lcm in one pass apiece; zip cuts the scaled
         # entries back into rows, and each row's least entry and sum are its
-        # sign and sum verdicts (a row of no entries stands in as (0,): sum
-        # 0 and no negative entry, as it has)
+        # sign and sum verdicts
         vecs = list(rows.values())
         fit = list(map(eq, map(len, vecs), itertools.repeat(card)))
         entries = list(itertools.chain.from_iterable(itertools.compress(vecs, fit)))
@@ -139,7 +144,7 @@ class Cpt:
         dens = list(map(attrgetter("denominator"), entries))
         denom = math.lcm(*dens)
         flat = list(map(mul, map(attrgetter("numerator"), entries), map(denom.__floordiv__, dens)))
-        scaled = list(zip(*[iter(flat)] * card)) if card > 0 else [(0,)] * fit.count(True)
+        scaled = list(zip(*[iter(flat)] * card))
         lows = list(map(min, scaled))
         sums = list(map(sum, scaled))
         if not (all(fit) and all(typed) and min(lows, default=0) >= 0

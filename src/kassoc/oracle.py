@@ -17,8 +17,11 @@ each name of s up directly in the index; a query that fails a check goes
 to ``graph.query_masks``, which ``query_sets`` and the one subset scan
 (``association._first_independent``, which then asks ``_ask`` directly)
 always use: the one rule, and the one wording, that every name-level CI
-entry point shares (here with ``OracleError``).  Every backend answers on
-masks (``_query(mx, my, ms)``) with one call of its mask-level core.
+entry point shares (here with ``OracleError``).  The scans and the
+sparsest-permutation DP, whose sets are already position masks, ask
+``_ask``; ``query`` serves grow-shrink, outside callers and the tests'
+name-level references.  Every backend answers on masks
+(``_query(mx, my, ms)``) with one call of its mask-level core.
 """
 
 from __future__ import annotations

@@ -12,22 +12,25 @@ in S.  Every set is a bitmask of positions in the oracle's variable order:
 and ``rest[S]``, the fewest edges that complete S, sums their popcounts.
 The DP runs over descending masks, so each mask's ``parents`` row and its
 ``rest`` are computed together.  Candidate u of v at S and candidate v of
-u at S - {u} + {v} are one question, so ``query`` is asked once per
-unordered pair and conditioning set, n(n-1)2^(n-3) in all, instead of once
-per ordered pair in each of the n! permutations; the higher mask asks it,
+u at S - {u} + {v} are one question, so it is asked once per unordered
+pair and conditioning set, n(n-1)2^(n-3) in all, instead of once per
+ordered pair in each of the n! permutations; the higher mask asks it,
 and when S is the lower one it reads the answer back as bit v of
-``parents[S - {u} + {v}][u]``.  These are exactly the distinct queries of
-the factorial search, each in the same orientation; the factorial search
+``parents[S - {u} + {v}][u]``.  The masks are the oracle's own, so the
+DP asks ``_ask(1 << v, 1 << u, S - {u})`` directly, past ``query``'s name
+check: the same cache keys, backend calls and ``query_count`` as
+``query`` on the names.  These are exactly the distinct queries of the
+factorial search, each in the same orientation; the factorial search
 survives in ``tests/test_sparsest.py`` as the reference.
 
 The minimizers are then listed from one completion list per mask on an
 optimal path, each built from its successors' lists: the name of the step
 prepended, the step's edges ORed into an int mask whose byte v holds v's
-parents.  Names appear only in the query arguments and in the output, and
-each distinct edge mask, that is each distinct minimizer DAG, is decoded
-into one shared edge set, which ``minimizer_dicts`` formats once.  An
-empty graph has n! minimizers, so the search is guarded at 8 variables,
-which also keeps a node's parents within a byte.
+parents.  Names appear only in the output, and each distinct edge mask,
+that is each distinct minimizer DAG, is decoded into one shared edge
+set, which ``minimizer_dicts`` formats once.  An empty graph has n!
+minimizers, so the search is guarded at 8 variables, which also keeps a
+node's parents within a byte.
 """
 
 from __future__ import annotations
@@ -114,13 +117,13 @@ def sparsest_permutations(
             "(an empty graph on 9 has 9! = 362880 of them)"
         )
     full = (1 << n) - 1
-    # members[S], prefix[S]: the positions and the names of S in variable
-    # order, each one longer than that of S less its highest position
-    members, prefix = [()] * (full + 1), [()] * (full + 1)
+    # members[S], bits[S]: the positions and the one-bit masks of S in
+    # variable order, each one longer than that of S less its highest position
+    members, bits = [()] * (full + 1), [()] * (full + 1)
     for S in range(1, full + 1):
         top = S.bit_length() - 1
         members[S] = members[S ^ 1 << top] + (top,)
-        prefix[S] = prefix[S ^ 1 << top] + (names[top],)
+        bits[S] = bits[S ^ 1 << top] + (1 << top,)
     # parents[S][v]: the mask of nodes of S that v stays dependent on given
     # the rest of S; rest[S]: the fewest edges that complete S.  The pair
     # (u, v) given T comes up at the masks T|u and T|v.  Descending masks
@@ -128,7 +131,7 @@ def sparsest_permutations(
     # in variable order, as the lexicographic walk over permutations does,
     # so the backend sees the very calls that walk makes; the lower mask
     # reads that answer back.
-    query = o.query
+    ask = o._ask
     parents, rest = [None] * (full + 1), [0] * (full + 1)
     for S in range(full - 1, -1, -1):
         row = [0] * n
@@ -140,9 +143,9 @@ def sparsest_permutations(
             pa = 0
             for u in members[S & bit_v - 1]:  # u < v: asked at S - {u} + {v}
                 pa |= (parents[S ^ 1 << u | bit_v][u] >> v & 1) << u
-            for u in members[S & -bit_v]:  # u > v: ask
-                if not query(names[v], names[u], prefix[S ^ 1 << u]):
-                    pa |= 1 << u
+            for bit_u in bits[S & -bit_v]:  # u > v: ask
+                if not ask(bit_v, bit_u, S ^ bit_u):
+                    pa |= bit_u
             row[v] = pa
             cost = pa.bit_count() + rest[S | bit_v]
             if cost < best:

@@ -331,13 +331,18 @@ def integer_product(dag, cpts):
     return denom // g, tuple(w // g for w in weights)
 
 
-def row_by_row_factor(child, card, parent_cards, rows):
+def row_by_row_factor(child, card, parents, parent_cards, rows):
     """``Cpt._factor`` for a table whose rows are exactly the parent
-    assignments, found row by row: each row, in ``rows`` order, is checked
-    for length and entry type, scaled by the lcm of its own denominators,
-    and checked for sign and sum; the scaled rows are then brought to the
-    lcm of the row denominators and laid out in parent-value order.  Raises
-    the ``DistributionError`` of the first bad row."""
+    assignments, found row by row: each cardinality, the child's first, is
+    checked to be positive; each row, in ``rows`` order, is checked for
+    length and entry type, scaled by the lcm of its own denominators, and
+    checked for sign and sum; the scaled rows are then brought to the lcm
+    of the row denominators and laid out in parent-value order.  Raises the
+    ``DistributionError`` of the first bad cardinality or row."""
+    for name, c in [(child, card), *zip(parents, parent_cards)]:
+        if c <= 0:
+            raise DistributionError(
+                f"CPT for {child}: cardinality of {name} must be positive, not {c}")
     scaled = {}
     for pa, vec in rows.items():
         if len(vec) != card:

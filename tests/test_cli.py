@@ -1,6 +1,7 @@
 """Command-line front-end: reports, determinism, exit codes."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -202,6 +203,65 @@ class TestSpAuditSample:
         assert code == 1
 
 
+# sha256 of each builtin's ``kassoc sp`` stdout, the wall_time_s line left
+# out: exact, then with --samples 500 --seed 3 (None: not a discrete scenario)
+SP_DIGESTS = {
+    "example1": (
+        "36b7614a3e01b3de81759d6315236387896d01483360b631ad9a6cc20bb5177a",
+        "36b7614a3e01b3de81759d6315236387896d01483360b631ad9a6cc20bb5177a"),
+    "example2": (
+        "f7a6bbcfb704bdfb4801c526f30c45cec446d57743dcdd5f911984451454cf42",
+        "f7a6bbcfb704bdfb4801c526f30c45cec446d57743dcdd5f911984451454cf42"),
+    "chain": (
+        "b384a41da7d8cea7276795385c61c09186b86d3e39871f19355bb1d33a30d556",
+        "b384a41da7d8cea7276795385c61c09186b86d3e39871f19355bb1d33a30d556"),
+    "fork": (
+        "ace399b387779c36e239507319bf4b19bd88691e1f17761e243d10f18696ed2d",
+        "ace399b387779c36e239507319bf4b19bd88691e1f17761e243d10f18696ed2d"),
+    "collider": (
+        "39a0331b4f9d01ae31a5024e2a03e87fd9a149e07c7b218b29836c4654d8ee5b",
+        "970e18e72c1175b0fdc58475d05a64ee0b6652de36c88aa5aebc9c6c5ae99434"),
+    "xor_chain": (
+        "2f5a51b0e69b5178a0cfec783b55475b6501766b3e9fa88bd2c32097fe293be4",
+        "2f5a51b0e69b5178a0cfec783b55475b6501766b3e9fa88bd2c32097fe293be4"),
+    "noncollider_xor": (
+        "950efce0380f2838f5f3ddec9c5eda85bdb1376199013b67abdeb900f81c9cd1",
+        "950efce0380f2838f5f3ddec9c5eda85bdb1376199013b67abdeb900f81c9cd1"),
+    "transitivity_failure": (
+        "e4187bb1e6c0f62849acc88b423e25cdf40928f1f58cd8d8e7db34a4335f072a",
+        "e4187bb1e6c0f62849acc88b423e25cdf40928f1f58cd8d8e7db34a4335f072a"),
+    "coins": (
+        "c4b5163892759657679aea08cc6c448d13a2f56f0d67cf4129bb68e1b683c8dd",
+        "c4b5163892759657679aea08cc6c448d13a2f56f0d67cf4129bb68e1b683c8dd"),
+    "cancel3": (
+        "3589feca10096dd555834e16231a3d81bf2f29e9ef013114534b72ac943a1264",
+        None),
+    "cancel4": (
+        "f5f86237caddd93d0ad4410be50fdad0bce5839273428bfbb48b9af9e4d33df9",
+        None),
+}
+
+
+class TestSpTraffic:
+    def test_every_builtin_is_pinned(self):
+        assert list(SP_DIGESTS) == list(BUILTINS)
+        assert [name for name, (_, sampled) in SP_DIGESTS.items() if sampled is None] == [
+            name for name in BUILTINS if builtin(name).kind != "discrete"]
+
+    @pytest.mark.parametrize("name, sampled", [
+        (name, sampled) for name, digests in SP_DIGESTS.items()
+        for sampled, digest in enumerate(digests) if digest is not None],
+        ids=lambda v: {0: "exact", 1: "gtest"}.get(v, v))
+    def test_one_question_per_pair_and_conditioning_set(self, capsys, name, sampled):
+        extra = ("--samples", "500", "--seed", "3") if sampled else ()
+        assert run(["sp", "--scenario", f"builtin:{name}", *extra]) == 0
+        out = capsys.readouterr().out
+        n = len(builtin(name).dag.nodes)
+        assert json.loads(out)["oracle_queries"] == n * (n - 1) * 2 ** n // 8
+        text = "".join(line for line in out.splitlines(True) if '"wall_time_s"' not in line)
+        assert hashlib.sha256(text.encode()).hexdigest() == SP_DIGESTS[name][sampled]
+
+
 class TestScenarioLoading:
     def test_unknown_builtin_exits_two(self, capsys):
         code, _, err = invoke(
@@ -235,6 +295,7 @@ class TestScenarioLoading:
         "notes_not_a_string", "order_permuted",
         "document_list", "document_null", "document_string", "payload_list",
         "not_utf8", "nested_deep", "parent_cardinalities_longer",
+        "cardinality_zero", "cardinality_negative", "parent_cardinality_zero",
     ])
     def test_invalid_file_contents_exit_two(self, tmp_path, capsys, defect):
         graph = {"name": "g", "nodes": ["X", "Y"], "edges": [], "payload": {"type": "graph"}}
@@ -258,6 +319,17 @@ class TestScenarioLoading:
                 cpts[0]["rows"][0]["probs"] = [True, False]
             else:
                 doc["params"]["p"] = 0.1
+        elif defect in ("cardinality_zero", "cardinality_negative"):
+            doc = save(builtin("example1"))
+            cpt = doc["payload"]["cpts"][0]
+            assert cpt["child"] == "X"
+            cpt["cardinality"] = 0 if defect == "cardinality_zero" else -1
+            cpt["rows"] = [{"given": [], "probs": []}]
+        elif defect == "parent_cardinality_zero":
+            doc = save(builtin("example1"))
+            cpt = doc["payload"]["cpts"][2]
+            cpt["parent_cardinalities"] = [2, 0]
+            cpt["rows"] = []
         elif defect == "parent_cardinalities_longer":
             # Y given X alone, with X -> Y only, but a second parent
             # cardinality and four rows to match it
@@ -327,6 +399,12 @@ class TestScenarioLoading:
         elif defect == "parent_cardinalities_longer":
             assert err.endswith(
                 "bad probability table: CPT for Y: 1 parents but 2 parent cardinalities\n")
+        elif defect in ("cardinality_zero", "cardinality_negative", "parent_cardinality_zero"):
+            child, parent, value = {"cardinality_zero": ("X", "X", 0),
+                                    "cardinality_negative": ("X", "X", -1),
+                                    "parent_cardinality_zero": ("Y", "Z", 0)}[defect]
+            assert err.endswith(f"bad probability table: CPT for {child}: cardinality of "
+                                f"{parent} must be positive, not {value}\n")
 
     def test_gaussian_payload_off_the_graph_exits_two(self, tmp_path, capsys):
         doc = save(builtin("cancel3"))

@@ -177,6 +177,24 @@ class TestCpt:
         assert str(err.value) == (
             f"CPT for Y: {len(parents)} parents but {len(cards)} parent cardinalities")
 
+    @pytest.mark.parametrize("card, parents, cards, rows, text", [
+        (0, (), (), {(): ()}, "cardinality of Y must be positive, not 0"),
+        (-1, (), (), {(): ()}, "cardinality of Y must be positive, not -1"),
+        (2, ("X",), (0,), {}, "cardinality of X must be positive, not 0"),
+        (2, ("X", "Z"), (2, -3), {}, "cardinality of Z must be positive, not -3"),
+        # the child first, then the parents in order; before the size check
+        (0, ("X",), (0,), {}, "cardinality of Y must be positive, not 0"),
+        (2, ("X", "Z"), (0, 2**21), {}, "cardinality of X must be positive, not 0"),
+    ])
+    def test_each_cardinality_is_positive(self, card, parents, cards, rows, text):
+        with pytest.raises(DistributionError) as err:
+            Cpt("Y", card, parents, cards, rows)
+        assert str(err.value) == f"CPT for Y: {text}"
+
+    def test_cardinalities_are_checked_after_the_parent_count(self):
+        with pytest.raises(DistributionError, match="1 parents but 2 parent"):
+            Cpt("Y", 0, ("X",), (0, 0), {})
+
     def test_rows_are_checked_after_the_size_and_the_row_set(self):
         with pytest.raises(DistributionError, match="wrong set of parent rows"):
             Cpt("Y", 2, ("X",), (2,), {(0,): (0.5,), (2,): (F(1),)})
@@ -204,7 +222,8 @@ class TestWholeTableCheck:
         rng = random.Random("row-by-row")
         reordered = 0
         for cpt in cpts:
-            twin = row_by_row_factor(cpt.child, cpt.child_card, cpt.parent_cards, cpt.rows)
+            twin = row_by_row_factor(cpt.child, cpt.child_card, cpt.parents,
+                                     cpt.parent_cards, cpt.rows)
             assert cpt._factor == twin, cpt
             shuffled = shuffled_rows(cpt, rng)
             assert shuffled._factor == twin, shuffled
@@ -215,13 +234,14 @@ class TestWholeTableCheck:
     def test_bad_tables_name_the_twins_row(self, seed):
         """Random small tables, rows in shuffled order, each row either
         valid or drawn from entries of every verdict (short or long rows,
-        floats, strings, negative entries, rows that do not sum to 1)."""
+        floats, strings, negative entries, rows that do not sum to 1), some
+        with a cardinality below 1."""
         rng = random.Random(f"bad-tables:{seed}")
         values = [F(1, 2), F(1, 3), F(2, 3), 1, 0, -1, F(-1, 2), F(3, 2), 0.5, "1", True]
         outcomes = set()
         for _ in range(400):
             card = rng.choice((0, 1, 2, 3))
-            parent_cards = rng.choice(((), (2,), (3,), (2, 2)))
+            parent_cards = rng.choice(((), (2,), (3,), (2, 2), (0,), (2, -1)))
             keys = list(itertools.product(*map(range, parent_cards)))
             rng.shuffle(keys)
             rows = {}
@@ -233,7 +253,7 @@ class TestWholeTableCheck:
                     rows[pa] = tuple(rng.choice(values) for _ in range(length))
             parents = ("A", "B")[:len(parent_cards)]
             try:
-                want = row_by_row_factor("Y", card, parent_cards, rows)
+                want = row_by_row_factor("Y", card, parents, parent_cards, rows)
             except DistributionError as exc:
                 want = str(exc)
             try:
@@ -242,7 +262,7 @@ class TestWholeTableCheck:
                 got = str(exc)
             assert got == want, rows
             outcomes.add(want.split(":")[1].split()[0] if isinstance(want, str) else "ok")
-        assert outcomes == {"ok", "bad", "probability", "negative", "row"}
+        assert outcomes == {"ok", "bad", "probability", "negative", "row", "cardinality"}
 
 
 class TestJoint:
