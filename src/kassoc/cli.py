@@ -3,7 +3,9 @@
 Subcommands load a scenario (``builtin:<name>`` or a JSON file), run one
 analysis, and print a JSON report on stdout (or ``--out``) with a short
 human-readable summary on stderr.  Each subcommand accepts only the options
-its ``_cmd_*`` function reads; the parser is built once per process.
+its ``_cmd_*`` function reads; the parser is built once per process.  A
+report that a G-test oracle answered (``--samples``) names its sample size,
+seed and level in a top-level ``sampling`` block.
 
 A report's text is exactly ``json.dumps(report, sort_keys=True, indent=2)``,
 written by ``_json``: one ``str.join`` per container, strings quoted by
@@ -315,6 +317,9 @@ def run(argv=None) -> int:
         "oracle_queries": oracle.query_count if oracle is not None else 0,
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
+    if isinstance(oracle, GTestOracle):
+        report["sampling"] = {"samples": args.samples, "seed": args.seed,
+                              "alpha": args.alpha.alpha}
     text = _json(report)
     try:
         if args.out:

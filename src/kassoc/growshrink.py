@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .graph import query_masks
 from .oracle import IndependenceOracle, OracleError
 
 
@@ -97,11 +98,19 @@ def shrink(
     *,
     trace: list[GsStep] | None = None,
 ) -> set[str]:
-    """Fixpoint removal of single nodes separable from the target."""
+    """Fixpoint removal of single nodes separable from the target.
+
+    Every candidate is checked as a query's names are (``graph.query_masks``)
+    before the first query: the scan visits only ``o.variables``, so an
+    unknown name would otherwise stay in the blanket unasked.
+    """
     _check_target(o, target)
-    s = set(s)
+    s = dict.fromkeys(s)  # in the caller's order, which names the first unknown
     if target in s:
         raise OracleError("target cannot be in its own candidate blanket")
+    if s:
+        query_masks(o._index, s, (target,), (), OracleError)
+    s = set(s)
     order = [v for v in o.variables if v != target]
     trace = trace if trace is not None else []
     changed = True

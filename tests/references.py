@@ -33,6 +33,12 @@
   which shares no code with the Bareiss elimination in
   :mod:`kassoc.gaussian`; and :func:`random_sem`, seeded linear-Gaussian
   systems.
+* :func:`regularized_gamma_p`: the lower regularized incomplete gamma
+  P(a, x) for any real a > 0, by series below x = a + 1 and by Lentz's
+  continued fraction above; the slow twin of the finite-sum chi-squared
+  tail ``gtest.chi2_sf``.  Each side runs at most ``_MAX_ITER`` steps, so
+  it has converged only for moderate a (up to a few thousand), and its
+  tail 1 - P carries the rounding of that one subtraction.
 """
 
 import itertools
@@ -439,3 +445,51 @@ def inverse_partial_correlation_zero(cov, x, y, s):
     sub = [[F(cov[i][j]) for j in idx] for i in idx]
     _check_positive_definite(sub)
     return mat_inverse(sub)[0][1] == 0
+
+
+# -- incomplete gamma -----------------------------------------------------------
+
+_EPS = 3e-14
+_MAX_ITER = 500
+
+
+def regularized_gamma_p(a: float, x: float) -> float:
+    """Lower regularized incomplete gamma P(a, x)."""
+    if x < 0 or a <= 0:
+        raise ValueError("invalid arguments")
+    if x == 0:
+        return 0.0
+    if x < a + 1:
+        # series representation
+        ap = a
+        term = 1.0 / a
+        total = term
+        for _ in range(_MAX_ITER):
+            ap += 1
+            term *= x / ap
+            total += term
+            if abs(term) < abs(total) * _EPS:
+                break
+        return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    # continued fraction for Q(a, x), Lentz's method
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, _MAX_ITER + 1):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _EPS:
+            break
+    q = math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
+    return 1.0 - q

@@ -204,35 +204,36 @@ class TestSpAuditSample:
 
 
 # sha256 of each builtin's ``kassoc sp`` stdout, the wall_time_s line left
-# out: exact, then with --samples 500 --seed 3 (None: not a discrete scenario)
+# out: exact, then with --samples 500 --seed 3, whose report also has the
+# sampling block (None: not a discrete scenario)
 SP_DIGESTS = {
     "example1": (
         "36b7614a3e01b3de81759d6315236387896d01483360b631ad9a6cc20bb5177a",
-        "36b7614a3e01b3de81759d6315236387896d01483360b631ad9a6cc20bb5177a"),
+        "0f371fa0573542de03d4f8f6333ba64109c3e01b654b4c2df0f92a92c18ffba9"),
     "example2": (
         "f7a6bbcfb704bdfb4801c526f30c45cec446d57743dcdd5f911984451454cf42",
-        "f7a6bbcfb704bdfb4801c526f30c45cec446d57743dcdd5f911984451454cf42"),
+        "e3b28270c9b72c81000a2f0d6bc7f8535ff23360f795af961f0f7e593934cdf2"),
     "chain": (
         "b384a41da7d8cea7276795385c61c09186b86d3e39871f19355bb1d33a30d556",
-        "b384a41da7d8cea7276795385c61c09186b86d3e39871f19355bb1d33a30d556"),
+        "3f92db6f1c2c1f18827517209bd3922300415f9ddc7b918523ae9b6ee934b91b"),
     "fork": (
         "ace399b387779c36e239507319bf4b19bd88691e1f17761e243d10f18696ed2d",
-        "ace399b387779c36e239507319bf4b19bd88691e1f17761e243d10f18696ed2d"),
+        "fabda8464fc2bf83cfe5a7fc9cb0c9dae1dcab9eb01ea757123a8da3790277a9"),
     "collider": (
         "39a0331b4f9d01ae31a5024e2a03e87fd9a149e07c7b218b29836c4654d8ee5b",
-        "970e18e72c1175b0fdc58475d05a64ee0b6652de36c88aa5aebc9c6c5ae99434"),
+        "299969d8e1499d3617d91fb5fe93b63c243cc6bcf86bfd9e4577df594d721799"),
     "xor_chain": (
         "2f5a51b0e69b5178a0cfec783b55475b6501766b3e9fa88bd2c32097fe293be4",
-        "2f5a51b0e69b5178a0cfec783b55475b6501766b3e9fa88bd2c32097fe293be4"),
+        "7c215bdfe4ecef7c9aab583f02e3da13a589367fc5cb16d98f3f31eb00401fdd"),
     "noncollider_xor": (
         "950efce0380f2838f5f3ddec9c5eda85bdb1376199013b67abdeb900f81c9cd1",
-        "950efce0380f2838f5f3ddec9c5eda85bdb1376199013b67abdeb900f81c9cd1"),
+        "af1fd52db7184f79197e52fb1df809aace36a7c61230bda2380142a169307ecf"),
     "transitivity_failure": (
         "e4187bb1e6c0f62849acc88b423e25cdf40928f1f58cd8d8e7db34a4335f072a",
-        "e4187bb1e6c0f62849acc88b423e25cdf40928f1f58cd8d8e7db34a4335f072a"),
+        "7270820774a2ace976135eb6deffe0fc5c703c11a80528cbb8267a7e94808852"),
     "coins": (
         "c4b5163892759657679aea08cc6c448d13a2f56f0d67cf4129bb68e1b683c8dd",
-        "c4b5163892759657679aea08cc6c448d13a2f56f0d67cf4129bb68e1b683c8dd"),
+        "9a4acb4f8dafd505aaa67f8520cf7f27f7833947987661217d8142369bbaaafe"),
     "cancel3": (
         "3589feca10096dd555834e16231a3d81bf2f29e9ef013114534b72ac943a1264",
         None),
@@ -260,6 +261,29 @@ class TestSpTraffic:
         assert json.loads(out)["oracle_queries"] == n * (n - 1) * 2 ** n // 8
         text = "".join(line for line in out.splitlines(True) if '"wall_time_s"' not in line)
         assert hashlib.sha256(text.encode()).hexdigest() == SP_DIGESTS[name][sampled]
+
+
+class TestSamplingBlock:
+    """A report that a G-test oracle answered names the sample it drew and
+    the level it tested at; an exact report has no such block."""
+
+    COMMANDS = {
+        "assoc": ["--target", "Y"],
+        "orient": ["--center", "Y", "--left", "X,Z", "--right", "W"],
+        "mb": ["--target", "Y"],
+        "sp": [],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_only_a_sampled_report_has_it(self, capsys, command):
+        argv = [command, "--scenario", "builtin:example2", *self.COMMANDS[command]]
+        code, report, err = invoke(capsys, *argv, "--samples", "2000", "--seed", "9",
+                                   "--alpha", "0.05")
+        assert code == 0, err
+        assert report["sampling"] == {"samples": 2000, "seed": 9, "alpha": 0.05}
+        code, report, err = invoke(capsys, *argv, "--seed", "9", "--alpha", "0.05")
+        assert code == 0, err
+        assert "sampling" not in report
 
 
 class TestScenarioLoading:

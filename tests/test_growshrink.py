@@ -7,6 +7,7 @@ import pytest
 from kassoc.audit import audit_scenario
 from kassoc.growshrink import grow, markov_blanket, shrink
 from kassoc.oracle import DiscreteOracle, GraphOracle, OracleError
+from kassoc.scenarios import builtin
 from references import replay_consistent
 
 
@@ -111,6 +112,24 @@ class TestValidation:
         with pytest.raises(OracleError, match="unknown target 'Q'"):
             phase(o)
         assert o.query_count == 0
+
+    @pytest.mark.parametrize("candidates", [["Q"], ["X", "Q"]], ids=["alone", "after-known"])
+    def test_shrink_refuses_an_unknown_candidate(self, example1, candidates):
+        """Refused before the first query, also a name that the scan over
+        the oracle's variables would never ask about."""
+        o = example1.oracle()
+        with pytest.raises(OracleError, match="^unknown variable 'Q'$"):
+            shrink(o, "Y", candidates)
+        assert o.query_count == 0
+
+    def test_shrink_on_known_candidates_asks_as_before(self):
+        """Candidates in any order, one twice: the scan still runs in the
+        oracle's order and removes Z, which Y screens off from X."""
+        o, trace = builtin("chain").oracle(), []
+        assert shrink(o, "X", ["Z", "Y", "Z"], trace=trace) == {"Y"}
+        assert [(step.candidate, sorted(step.conditioning), step.action) for step in trace] == [
+            ("Y", ["Z"], "keep"), ("Z", ["Y"], "remove"), ("Y", [], "keep")]
+        assert o.query_count == 3
 
     def test_unknown_mode(self, example1):
         with pytest.raises(OracleError):

@@ -1,4 +1,4 @@
-"""G-test backend: gamma tail, df accounting, level and power."""
+"""G-test backend: chi-squared tail, df accounting, level and power."""
 
 import itertools
 import math
@@ -9,10 +9,11 @@ import pytest
 
 from kassoc.distribution import MAX_CELLS, Cpt, Dataset, DiscreteJoint, DistributionError
 from kassoc.graph import Dag
-from kassoc.gtest import GTestConfig, GTestResult, chi2_sf, g_test, regularized_gamma_p
+from kassoc.gtest import GTestConfig, GTestResult, chi2_sf, g_test
 from kassoc.oracle import GTestOracle
 from kassoc.scenarios import BUILTINS, builtin
 from conftest import zero_cell_joints
+from references import regularized_gamma_p
 
 
 def rowscan_g_test(dataset, x, y, s=(), cfg=None):
@@ -91,9 +92,63 @@ class TestChiSquaredTail:
                 p = regularized_gamma_p(a, x)
                 assert 0.0 <= p <= 1.0
 
-    def test_gamma_p_known_point(self):
-        # P(1, x) = 1 - exp(-x)
-        assert regularized_gamma_p(1.0, 2.0) == pytest.approx(1 - math.exp(-2.0))
+    def test_known_point(self):
+        # Q(1, 2) = e^-2
+        assert chi2_sf(4.0, 2) == math.exp(-2.0)
+
+    @pytest.mark.parametrize("stat", [1e-3, 0.5, 3.841, 10.0, 75.0, 600.0])
+    def test_closed_forms(self, stat):
+        x = stat / 2
+        assert math.isclose(chi2_sf(stat, 1), math.erfc(math.sqrt(x)), rel_tol=1e-15)
+        assert math.isclose(chi2_sf(stat, 2), math.exp(-x), rel_tol=1e-15)
+        assert math.isclose(chi2_sf(stat, 4), math.exp(-x) * (1 + x), rel_tol=1e-13)
+
+    @pytest.mark.parametrize("df", [*range(1, 65), 256, 1000, 4096])
+    def test_agrees_with_incomplete_gamma(self, df):
+        """The twin's 1 - P is one rounded subtraction from 1, so it is
+        known only to about 2^-53 absolute: a tail far below that is checked
+        by the pinned values below, not here."""
+        for ratio in (0.05, 0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0):
+            stat = ratio * df
+            want = 1.0 - regularized_gamma_p(df / 2, stat / 2)
+            assert abs(chi2_sf(stat, df) - want) <= 1e-9 * want + 2.0**-52, (df, ratio)
+
+    # Q(df/2, stat/2) by mpmath 1.3.0 at 40 digits, rounded to the nearest
+    # float: mpmath.gammainc(mpf(df)/2, mpf(stat)/2, mpmath.inf,
+    # regularized=True), at the float stat = df + z * math.sqrt(2 * df).
+    # Past a few thousand df the twin stops before it converges (at 2^18 and
+    # z = 0 it gives 0.5831).
+    @pytest.mark.parametrize("df, z, want", [
+        (65536, -1, 0.8413459816499506),
+        (65536, 0, 0.49926537802188137),
+        (65536, 2.33, 0.010118704043558394),
+        (2**18, -1, 0.8413450543558174),
+        (2**18, 0, 0.4996326890576427),
+        (2**18, 2.33, 0.010010863928398344),
+    ])
+    def test_large_df(self, df, z, want):
+        assert math.isclose(chi2_sf(df + z * math.sqrt(2 * df), df), want, rel_tol=1e-9)
+
+    # Q(df/2, stat/2) by mpmath 1.3.0, as above; 1 - P reads each as 0.0,
+    # or, near 1e-9, wrong in its 8th digit
+    @pytest.mark.parametrize("stat, df, want", [
+        (37.3, 1, 1.0128460462528371e-09),
+        (41.4465, 2, 1.000015837071816e-09),
+        (100.0, 7, 1.0787979671702883e-18),
+        (300.0, 30, 2.648048485630878e-46),
+        (1300.0, 1, 1.1303728441492743e-284),
+        (1400.0, 10, 9.920391479800145e-295),
+    ])
+    def test_small_tail(self, stat, df, want):
+        assert math.isclose(chi2_sf(stat, df), want, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("df, text", [
+        (2.0, "an int"), (1.5, "an int"), ("2", "an int"), (None, "an int"),
+        (0, "positive"), (-1, "positive"),
+    ])
+    def test_df_must_be_a_positive_int(self, df, text):
+        with pytest.raises(ValueError, match=f"^df must be {text}$"):
+            chi2_sf(3.0, df)
 
 
 def two_coins(n, seed):
