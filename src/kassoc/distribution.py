@@ -25,7 +25,9 @@ one more position, down from the full table.  Each ``DiscreteJoint`` and
 ``Dataset`` makes one lattice when it is built and reads every query
 through it, so all queries on one table (every oracle over it, an audit's
 CMC check and ``marginalize``) share their partial sums; the lattice
-stores at most ``MAX_CELLS`` cells and goes away with its table.
+stores at most ``MAX_CELLS`` cells and goes away with its table.  With
+each marginal it stores, the lattice keeps that marginal's shape, its
+axes' cardinalities, read off the shape it was summed out of.
 
 A ``Dataset``'s table is its row counts over the same dense row-major
 cells.  Rows from a caller are checked against the domains and counted
@@ -47,7 +49,11 @@ Fienberg & Holland, *Discrete Multivariate Analysis*, 1975, ch. 2): such
 a query reads only w_M, at the four corners of every stratum
 (``_Lattice.corner_cells``).  Which check a query gets depends only on its
 masks and cardinalities; the four-marginal check is the 2x2 check's slow
-twin in the tests.
+twin in the tests.  Either check reads w_M's cells through index lists
+that depend only on w_M's shape and on which of its axes hold xs and ys;
+they are built once per such key and shared by every table in
+``_GATHERS``, so a query finds them by a few ``int.bit_count``s and one
+lookup.
 Each table keeps one name index, ``_pos``; a query's names go through
 ``graph.query_masks``, the rule every CI entry point shares.
 """
@@ -342,128 +348,140 @@ class _Recent(_Budgeted):
         return super().keep(key, value, cells)
 
 
-# shape (cards, strides) -> gather index list, and shape (cards, strides,
-# sx, sy) -> the four corner lists of ``_corners``; a shape fixes its
-# lists, so every lattice shares them
+# the read plans of ``_Lattice``, each kept under the shape of the w_M it
+# reads (its axes' cardinalities in ascending position order), so every
+# lattice shares them: (shape, axis of x, axis of y) -> ``_corner_plan``,
+# and (axes of xs, axes of ys, shape) -> ``_ci_plan``, with the axes as
+# bitmasks; a corner key starts with a tuple and a four-marginal key with
+# an int, so no key of one kind equals one of the other
 _GATHERS = _Recent()
 
 
-def _gather(cards: tuple[int, ...], strides: tuple[int, ...]) -> list[int]:
-    """``_index_map(cards, strides)``, kept in ``_GATHERS`` by shape."""
-    shape = (cards, strides)
-    return _GATHERS.get(shape) or _GATHERS.keep(shape, _index_map(cards, strides))
+def _corner_plan(shape: tuple[int, ...], ix: int, iy: int) -> tuple[list[int], ...]:
+    """The cells (x, y) = (0, 0), (1, 0), (0, 1) and (1, 1) of every
+    stratum of a row-major table over ``shape`` whose axes ``ix`` and
+    ``iy`` are binary and hold x and y: four index lists, one cell per
+    stratum each, the strata in row-major order over the other axes."""
+    strides = _strides(shape, range(len(shape)))[0]
+    strata = [i for i in range(len(shape)) if i != ix and i != iy]
+    c00 = _index_map([shape[i] for i in strata], [strides[i] for i in strata])
+    sx, sy = strides[ix], strides[iy]
+    return c00, [c + sx for c in c00], [c + sy for c in c00], [c + sx + sy for c in c00]
 
 
-def _corners(cards: tuple[int, ...], strides: tuple[int, ...], sx: int, sy: int
-             ) -> tuple[list[int], ...]:
-    """The cells (x, y) = (0, 0), (1, 0), (0, 1) and (1, 1) of every stratum
-    of a table whose strata axes have ``cards`` and ``strides`` and whose
-    binary x and y axes have strides ``sx`` and ``sy``: four index lists,
-    kept in ``_GATHERS`` by shape, which counts all their ints."""
-    shape = (cards, strides, sx, sy)
-    plan = _GATHERS.get(shape)
-    if plan is None:
-        c00 = _index_map(cards, strides)
-        plan = _GATHERS.keep(shape, (c00, [c + sx for c in c00], [c + sy for c in c00],
-                                     [c + sx + sy for c in c00]), 4 * len(c00))
-    return plan
+def _ci_plan(shape: tuple[int, ...], bx: int, by: int) -> tuple[list[int], ...]:
+    """For a row-major table over ``shape`` whose axes in the bitmasks
+    ``bx`` and ``by`` hold xs and ys, the cells of the marginals over its
+    other axes (s), over s and xs, and over s and ys that each of its cells
+    falls in: three index lists in the table's cell order."""
+    axes = range(len(shape))
+    s_x, s_y = [i for i in axes if not by >> i & 1], [i for i in axes if not bx >> i & 1]
+    s = [i for i in s_x if not bx >> i & 1]
+    return tuple(_index_map(shape, _strides(shape, kept)[0]) for kept in (s, s_x, s_y))
+
+
+def _axes(m: int, sub: int) -> int:
+    """The positions of ``sub``, a subset of the position bitmask ``m``, as
+    a bitmask over the axes of the marginal over ``m``: bit i for m's i-th
+    lowest position."""
+    axes = 0
+    while sub:
+        low = sub & -sub
+        axes |= 1 << (m & (low - 1)).bit_count()
+        sub ^= low
+    return axes
 
 
 class _Lattice:
     """Cached marginals of one dense row-major integer table over ``cards``.
 
     ``marginals`` maps a position bitmask K to the marginal over K, kept in
-    ascending position order.  On a miss, the highest position p outside K
-    is summed out of the marginal of K | p; that lookup recurses, and the
-    full mask is the table itself.  ``ci_cells`` reads marginals at other
-    cells through gather index lists (``_gather``), and ``corner_cells``
-    reads one marginal at the four corners of each 2x2 stratum through
-    corner lists (``_corners``); both kinds are shared by shape in
-    ``_GATHERS``.
+    ascending position order, and ``shapes`` maps each K that ``marginals``
+    holds, and no other, to that marginal's shape: its axes' cardinalities
+    in ascending position order.  On a miss, the highest position p outside
+    K is summed out of the marginal of K | p, and its entry out of that
+    marginal's shape; that lookup recurses, and the full mask is the table
+    itself, of shape ``cards``.  Past the ``MAX_CELLS`` budget a marginal
+    and its shape are computed and not kept.
+
+    ``ci_cells`` and ``corner_cells`` read marginals at the cells of w_M
+    through index lists (``_ci_plan``, ``_corner_plan``) that depend only
+    on w_M's shape and on which of its axes hold x and y; they are kept in
+    ``_GATHERS`` under exactly that, so a query finds its plan by a few
+    ``bit_count``s and one lookup, and every lattice shares them.
 
     A lattice belongs to its table: each ``DiscreteJoint`` and ``Dataset``
     makes one at construction, every query on that table reads it, and a
     copy or unpickled table starts with an empty one.
     """
 
-    __slots__ = ("table", "cards", "marginals")
+    __slots__ = ("table", "cards", "marginals", "shapes")
 
     def __init__(self, table: Sequence[int], cards: Sequence[int]):
         self.table = table
         self.cards = tuple(cards)
         self.marginals = _Budgeted()
+        self.shapes = {}
 
     def ci_cells(self, mx: int, my: int, ms: int) -> tuple[Iterable[int], ...]:
         """For disjoint position bitmasks, the marginals w_M, w_s, w_{s,x}
         and w_{s,y} over M = ms | mx | my, ms, ms | mx and ms | my, each read
-        at every cell of w_M (the last three lazily)."""
+        at every cell of w_M (the last three lazily), through the index
+        lists of ``_ci_plan``."""
         m = mx | my | ms
+        w_m, shape = self.shaped(m)
         ascending = self.ascending
-        w_m, w_s, w_sx, w_sy = ascending(m), ascending(ms), ascending(ms | mx), ascending(ms | my)
-        # axis i of w_m is M's i-th lowest position; its stride in a smaller
-        # marginal of size n is n over that marginal's cardinalities up to
-        # and including it, or 0 if that marginal sums it out
-        n_s, n_sx, n_sy = len(w_s), len(w_sx), len(w_sy)
-        cards, strides = [], []
-        for p in range(m.bit_length()):
-            if m >> p & 1:
-                c = self.cards[p]
-                cards.append(c)
-                if mx >> p & 1:
-                    n_sx //= c
-                    strides.append((0, n_sx, 0))
-                elif my >> p & 1:
-                    n_sy //= c
-                    strides.append((0, 0, n_sy))
-                else:
-                    n_s, n_sx, n_sy = n_s // c, n_sx // c, n_sy // c
-                    strides.append((n_s, n_sx, n_sy))
-        cards = tuple(cards)
-        st_s, st_sx, st_sy = zip(*strides)
-        return (w_m, map(w_s.__getitem__, _gather(cards, st_s)),
-                map(w_sx.__getitem__, _gather(cards, st_sx)),
-                map(w_sy.__getitem__, _gather(cards, st_sy)))
+        w_s, w_sx, w_sy = ascending(ms), ascending(ms | mx), ascending(ms | my)
+        bx, by = _axes(m, mx), _axes(m, my)
+        key = (bx, by, shape)
+        plan = _GATHERS.get(key)
+        if plan is None:
+            plan = _GATHERS.keep(key, _ci_plan(shape, bx, by), 3 * len(w_m))
+        g_s, g_sx, g_sy = plan
+        return (w_m, map(w_s.__getitem__, g_s), map(w_sx.__getitem__, g_sx),
+                map(w_sy.__getitem__, g_sy))
 
     def corner_cells(self, mx: int, my: int, ms: int) -> tuple[Iterable[int], ...]:
         """For disjoint position bitmasks, mx and my one binary position
         each, the marginal w_M over M = ms | mx | my read lazily at the
         cells (x, y) = (0, 0), (1, 0), (0, 1) and (1, 1) of every stratum
-        (assignment to ms), through the corner lists of ``_corners``."""
+        (assignment to ms), through the index lists of ``_corner_plan``."""
         m = mx | my | ms
-        w_m = self.ascending(m)
-        # as in ci_cells, axis i of w_m has stride n over the cardinalities
-        # of M's positions up to and including its own
-        n = len(w_m)
-        cards, strides = [], []
-        for p in range(m.bit_length()):
-            if m >> p & 1:
-                c = self.cards[p]
-                n //= c
-                if mx >> p & 1:
-                    sx = n
-                elif my >> p & 1:
-                    sy = n
-                else:
-                    cards.append(c)
-                    strides.append(n)
-        c00, c10, c01, c11 = _corners(tuple(cards), tuple(strides), sx, sy)
+        w_m, shape = self.shaped(m)
+        # x's axis in w_M is the number of M's positions below x's
+        key = (shape, (m & (mx - 1)).bit_count(), (m & (my - 1)).bit_count())
+        plan = _GATHERS.get(key)
+        if plan is None:
+            plan = _GATHERS.keep(key, _corner_plan(*key), len(w_m))
         get = w_m.__getitem__
+        c00, c10, c01, c11 = plan
         return map(get, c00), map(get, c10), map(get, c01), map(get, c11)
 
     def ascending(self, mask: int) -> Sequence[int]:
         """Weights of the row-major marginal over the positions in ``mask``,
         in ascending position order."""
         table = self.marginals.get(mask)
-        if table is None:
-            full = (1 << len(self.cards)) - 1
-            if mask == full:
-                return self.table
-            p = (full & ~mask).bit_length() - 1
-            # every position above p is kept, so p's axis is followed by
-            # exactly those of self.cards[p + 1:]
-            up = self.ascending(mask | 1 << p)
-            table = self.marginals.keep(mask, _sum_out(up, self.cards[p:], 0))
-        return table
+        return self.shaped(mask)[0] if table is None else table
+
+    def shaped(self, mask: int) -> tuple[Sequence[int], tuple[int, ...]]:
+        """The marginal of ``ascending`` and its shape."""
+        shape = self.shapes.get(mask)
+        if shape is not None:
+            return self.marginals[mask], shape
+        n = len(self.cards)
+        full = (1 << n) - 1
+        if mask == full:
+            return self.table, self.cards
+        p = (full & ~mask).bit_length() - 1
+        up, shape = self.shaped(mask | 1 << p)
+        # every position above p is kept, so p's axis is followed by
+        # exactly those of self.cards[p + 1:]
+        k = len(shape) - n + p
+        table = self.marginals.keep(mask, _sum_out(up, self.cards[p:], 0))
+        shape = shape[:k] + shape[k + 1 :]
+        if mask in self.marginals:
+            self.shapes[mask] = shape
+        return table, shape
 
 
 def _domains(variables: Iterable[tuple[str, int]]) -> tuple[tuple[tuple[str, int], ...], int]:

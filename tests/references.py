@@ -22,6 +22,10 @@
   :func:`fraction_is_independent_sets`; and
   :func:`integer_product`, ``from_cpts`` cell by cell on the CPTs' scaled
   integer entries.
+* :func:`stride_walk_corners` and :func:`stride_walk_gathers`: the index
+  lists that the lattice's CI reads use, found by walking every position
+  of a query's M and listing cells one by one; the slow twins of the
+  plans kept by shape (``distribution._corner_plan`` and ``_ci_plan``).
 * :func:`row_by_row_factor`: a CPT's rows checked and scaled one at a time,
   each by its own lcm, then brought to one denominator; the slow twin of
   the whole-table check in ``Cpt.__post_init__``, error texts included.
@@ -43,6 +47,7 @@
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction as F
 from typing import Iterable, Iterator, Sequence
@@ -312,6 +317,68 @@ def fraction_is_independent_sets(joint: DiscreteJoint, xs, ys, s=()) -> bool:
         if p_s[sk] != 0 and p * p_s[sk] != p_xs[(xk, sk)] * p_ys[(yk, sk)]:
             return False
     return True
+
+
+def _cell_indices(cards: Sequence[int], strides: Sequence[int]) -> list[int]:
+    """sum(value * stride) at every cell of a row-major table over
+    ``cards``, in row-major order, cell by cell."""
+    return [sum(map(operator.mul, cell, strides))
+            for cell in itertools.product(*(range(c) for c in cards))]
+
+
+def stride_walk_corners(cards: Sequence[int], mx: int, my: int, ms: int
+                        ) -> tuple[list[int], ...]:
+    """The corner lists of ``_Lattice.corner_cells`` on a lattice over
+    ``cards``, found as it once found them: a walk over every position
+    below M's top bit gives each axis of w_M its stride, n over the
+    cardinalities of M's positions up to and including its own; then the
+    cells (x, y) = (0, 0), (1, 0), (0, 1) and (1, 1) of every stratum."""
+    m = mx | my | ms
+    n = math.prod(cards[p] for p in range(len(cards)) if m >> p & 1)
+    strata, strides = [], []
+    for p in range(m.bit_length()):
+        if m >> p & 1:
+            c = cards[p]
+            n //= c
+            if mx >> p & 1:
+                sx = n
+            elif my >> p & 1:
+                sy = n
+            else:
+                strata.append(c)
+                strides.append(n)
+    c00 = _cell_indices(strata, strides)
+    return c00, [c + sx for c in c00], [c + sy for c in c00], [c + sx + sy for c in c00]
+
+
+def stride_walk_gathers(cards: Sequence[int], mx: int, my: int, ms: int
+                        ) -> tuple[list[int], ...]:
+    """The gather lists of ``_Lattice.ci_cells`` on a lattice over
+    ``cards``, found as it once found them: the cell of w_s, w_{s,x} and
+    w_{s,y} that each cell of w_M falls in, from a walk over every position
+    below M's top bit that gives each axis of w_M its stride in each of the
+    three (0 where that marginal sums it out)."""
+    m = mx | my | ms
+
+    def size(mask):
+        return math.prod(cards[p] for p in range(len(cards)) if mask >> p & 1)
+
+    n_s, n_sx, n_sy = size(ms), size(ms | mx), size(ms | my)
+    m_cards, strides = [], []
+    for p in range(m.bit_length()):
+        if m >> p & 1:
+            c = cards[p]
+            m_cards.append(c)
+            if mx >> p & 1:
+                n_sx //= c
+                strides.append((0, n_sx, 0))
+            elif my >> p & 1:
+                n_sy //= c
+                strides.append((0, 0, n_sy))
+            else:
+                n_s, n_sx, n_sy = n_s // c, n_sx // c, n_sy // c
+                strides.append((n_s, n_sx, n_sy))
+    return tuple(_cell_indices(m_cards, st) for st in zip(*strides))
 
 
 def integer_product(dag, cpts):

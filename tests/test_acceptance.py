@@ -13,7 +13,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from kassoc.association import is_2_associated, is_strictly_2_associated
+from kassoc.association import (find_unfaithful_triples, is_2_associated,
+                                is_strictly_2_associated, weak_associations)
 from kassoc.audit import audit_scenario
 from kassoc.distribution import Cpt
 from kassoc.graph import Dag
@@ -240,22 +241,32 @@ def planted_xor_net(rng, n):
     in-degree <= 3, so some node has two parents) with a noisy XOR planted at
     one such node c: c keeps two of its parents, a and b, which lose their
     own parents and become fair coins, and c is their XOR flipped with
-    probability 1/4.  Every other CPT is the random one."""
+    probability 1/4.  Every other CPT is the random one.  Returns the graph,
+    the CPTs and the planted triple {a, b, c}."""
     dag, cpts = random_cpt_net(rng, n, rng.randint(n, 2 * n - 2), 3)
     c = rng.choice([v for v in dag.nodes if len(dag.parents(v)) >= 2])
     a, b = rng.sample(sorted(dag.parents(c)), 2)
     edges = [(p, q) for p, q in dag.edges if q not in (a, b, c)] + [(a, c), (b, c)]
     planted = {a: Cpt.coin(a, F(1, 2)), b: Cpt.coin(b, F(1, 2)),
                c: Cpt.noisy_function(c, [a, b], [2, 2], lambda x, y: x ^ y, F(1, 4))}
-    return Dag(dag.nodes, edges), [planted.get(cpt.child, cpt) for cpt in cpts]
+    return Dag(dag.nodes, edges), [planted.get(cpt.child, cpt) for cpt in cpts], {a, b, c}
+
+
+def weak_association_configs(o):
+    """Every centre with two disjoint sets of its weak-association partners."""
+    for y in o.variables:
+        partners = [r.partners for r in weak_associations(o, y)]
+        for xs, zs in itertools.combinations(partners, 2):
+            if not set(xs) & set(zs):
+                yield y, xs, zs
 
 
 def test_criterion_11_grow_shrink_on_planted_xor_nets(capsys):
-    with criterion(capsys, 11, "modified grow-shrink on 60 planted-XOR nets"):
-        gated = ungated = classic_wrong = 0
+    with criterion(capsys, 11, "modified grow-shrink and orientation on 60 planted-XOR nets"):
+        gated = ungated = classic_wrong = oriented = colliders = 0
         for seed in range(60):
             rng = random.Random(f"criterion-11:{seed}")
-            dag, cpts = planted_xor_net(rng, rng.randint(5, 7))
+            dag, cpts, triple = planted_xor_net(rng, rng.randint(5, 7))
             s = Scenario(f"xor{seed}", dag, "discrete", cpts=tuple(cpts))
             report = audit_scenario(s)
             if not all(report[a].holds for a in ("CMC", "2-AF", "spouse-condition")):
@@ -268,6 +279,21 @@ def test_criterion_11_grow_shrink_on_planted_xor_nets(capsys):
                 assert mb == dag.markov_blanket(v), (seed, v)
             classic_wrong += any(markov_blanket(o, v, mode="classic")[0] != dag.markov_blanket(v)
                                  for v in dag.nodes)
+            # the planted triple is pairwise independent, not mutually
+            assert triple in [set(t.nodes) for t in find_unfaithful_triples(o)], seed
+            if not report["2-OF"].holds:
+                continue
+            oriented += 1
+            for y, xs, zs in weak_association_configs(o):
+                try:
+                    v = orient(OrientationQuery(y, xs, zs, o))
+                except PreconditionError:
+                    continue
+                if v.outcome == "collider":
+                    colliders += 1
+                    for parent, child in v.edges:
+                        assert child in dag.children(parent), (seed, v)
         # the gate is not vacuous, and it is the paired clause that recovers
         assert gated and ungated, (gated, ungated)
         assert classic_wrong, classic_wrong
+        assert oriented and colliders, (oriented, colliders)

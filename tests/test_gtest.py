@@ -192,10 +192,11 @@ class TestGTest:
         assert g_test(two_coins(300, 5), "A", "B").statistic >= 0.0
 
     def test_degenerate_df_defaults_independent(self):
-        # conditioning on everything else leaves no residual df signal
-        data = two_coins(10, 1)
-        res = g_test(data, "A", "B", (), GTestConfig(alpha=0.01))
-        assert res.df >= 0
+        # a one-state variable leaves no degree of freedom: every observed
+        # count is its expected count, and the verdict is independent
+        data = Dataset([("A", 1), ("B", 3)], [(0, b) for b in (0, 1, 1, 2, 2, 2)])
+        for x, y in (("A", "B"), ("B", "A")):
+            assert g_test(data, x, y, (), GTestConfig(alpha=0.01)) == GTestResult(0.0, 0, True)
 
 
 class TestFrozenAcceptanceThresholds:

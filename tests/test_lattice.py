@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 from conftest import random_cpt_net
 from kassoc import distribution
 from kassoc.audit import audit_scenario, check_cmc
-from kassoc.distribution import Dataset, DiscreteJoint, DistributionError, _Lattice, _strides
-from kassoc.gtest import g_test
+from kassoc.distribution import Dataset, DiscreteJoint, DistributionError, _Lattice
+from kassoc.gtest import GTestConfig, _g_test, g_test
 from kassoc.oracle import GTestOracle
 from kassoc.scenarios import Scenario, builtin
-from references import fraction_is_independent_sets, fraction_marginal
+from references import (fraction_is_independent_sets, fraction_marginal, stride_walk_corners,
+                        stride_walk_gathers)
 
 
 def from_weights(variables, weights):
@@ -185,41 +186,131 @@ def binary_pair(joint, x, y):
 
 
 def ints_held(cache):
-    """The ints a gather cache holds: one list, or a corner plan's four."""
-    return sum(len(v) if isinstance(v, list) else sum(map(len, v)) for v in cache.values())
+    """The ints a plan cache holds: every index list of every plan, four
+    for a corner plan and three for a four-marginal plan."""
+    return sum(sum(map(len, plan)) for plan in cache.values())
 
 
 def test_gather_cache_starts_over_past_its_budget(monkeypatch):
-    """Shared gather lists stay within ``MAX_CELLS``: a list that would pass
-    it empties the cache first, so the shapes of the latest query are kept
-    rather than the first ones ever seen, and every answer stays exact.
-    A binary pair reads the corner lists of its strata, keyed by the strata
-    axes' cards and strides in w_M and the strides of x and y; any other
-    query reads four-marginal gathers, the last keyed by M's cards and the
-    strides of w_{s,y}."""
+    """Shared plans stay within ``MAX_CELLS``: a plan that would pass it
+    empties the cache first, so the plan of the latest query is kept, if it
+    fits at all, rather than the first ones ever seen, and every answer
+    stays exact.  A binary pair reads the corner plan keyed by w_M's shape
+    and the axes of x and y, which holds as many ints as w_M has cells; any
+    other query reads the four-marginal plan keyed by the axes of xs and ys
+    as bitmasks over w_M's axes and the shape, three times as many ints."""
     monkeypatch.setattr(distribution, "MAX_CELLS", 60)
     monkeypatch.setattr(distribution, "_GATHERS", distribution._Recent())
     joint = seeded_joint(1, (2, 3, 2, 2))
     gathers = distribution._GATHERS
-    corner_queries = 0
+    seen = set()
     for xs, ys, s in every_query(joint.names):
+        before = gathers.cells
         assert joint.is_independent_sets(xs, ys, s) == fraction_is_independent_sets(joint, xs, ys, s)
         assert gathers.cells == ints_held(gathers) <= 60
         positions = sorted(joint.names.index(n) for n in [*xs, *ys, *s])
-        cards = tuple(joint._cards[p] for p in positions)
+        shape = tuple(joint._cards[p] for p in positions)
+        axis = {joint.names[p]: i for i, p in enumerate(positions)}
         if len(xs) == len(ys) == 1 and binary_pair(joint, xs[0], ys[0]):
-            corner_queries += 1
-            strides = _strides(cards, range(len(cards)))[0]
-            role = [joint.names[p] for p in positions]
-            strata = [i for i, v in enumerate(role) if v not in (*xs, *ys)]
-            shape = (tuple(cards[i] for i in strata), tuple(strides[i] for i in strata),
-                     strides[role.index(xs[0])], strides[role.index(ys[0])])
-            assert shape in gathers, (xs, ys, s)  # the plan it read
+            kind, key, ints = "corner", (shape, axis[xs[0]], axis[ys[0]]), math.prod(shape)
         else:
-            kept = [i for i, p in enumerate(positions) if joint.names[p] not in xs]
-            strides = tuple(_strides(cards, kept)[0])
-            assert (cards, strides) in gathers, (xs, ys, s)  # the last list it read
-    assert corner_queries
+            bx, by = (sum(1 << axis[n] for n in side) for side in (xs, ys))
+            kind, key, ints = "four", (bx, by, shape), 3 * math.prod(shape)
+        # the plan it read is kept exactly when it fits
+        assert (key in gathers) == (ints <= 60), (xs, ys, s)
+        if key in gathers:
+            assert ints_held({key: gathers[key]}) == ints
+        seen.add((kind, key in gathers))
+        if gathers.cells < before:
+            seen.add("started over")
+    assert seen == {("corner", True), ("four", True), ("four", False), "started over"}
+
+
+def reference_ci_cells(lattice, mx, my, ms):
+    """``_Lattice.ci_cells`` read through the stride walk's gather lists."""
+    asc = lattice.ascending
+    g_s, g_sx, g_sy = stride_walk_gathers(lattice.cards, mx, my, ms)
+    w_s, w_sx, w_sy = asc(ms), asc(ms | mx), asc(ms | my)
+    return (asc(mx | my | ms), [w_s[i] for i in g_s], [w_sx[i] for i in g_sx],
+            [w_sy[i] for i in g_sy])
+
+
+def query_bits(joint, xs, ys, s):
+    return tuple(sum(1 << joint.names.index(n) for n in side) for side in (xs, ys, s))
+
+
+@pytest.mark.parametrize("cards", [(2, 1, 4, 2, 3), (3, 2, 4, 2, 1), (4, 2, 2, 2, 3)])
+def test_plans_match_the_stride_walk(cards):
+    """On seeded joints with cardinalities 1-4 and zero cells, for every M
+    and every x and y, single or set-valued: the plan a query reads, alone
+    in a fresh cache, holds the stride walk's index lists, and the cells
+    it reads, also through one cache that every query and both plan kinds
+    share, are the cells read through those lists."""
+    corner_pairs = 0
+    for seed in range(2):
+        joint = seeded_joint(seed, cards)
+        lattice = joint._lattice
+        shared = distribution._Recent()
+        for xs, ys, s in every_query(joint.names):
+            masks = query_bits(joint, xs, ys, s)
+            want = [list(c) for c in reference_ci_cells(lattice, *masks)]
+            reads = [(_Lattice.ci_cells, stride_walk_gathers(cards, *masks), want)]
+            if len(xs) == len(ys) == 1 and binary_pair(joint, xs[0], ys[0]):
+                corner_pairs += 1
+                corners = stride_walk_corners(cards, *masks)
+                reads.append((_Lattice.corner_cells, corners,
+                              [[want[0][i] for i in c] for c in corners]))
+            for read, lists, cells in reads:
+                with mock.patch.object(distribution, "_GATHERS", distribution._Recent()) as fresh:
+                    assert [list(c) for c in read(lattice, *masks)] == cells, (xs, ys, s)
+                    (plan,) = fresh.values()
+                assert plan == lists, (xs, ys, s)
+                with mock.patch.object(distribution, "_GATHERS", shared):
+                    assert [list(c) for c in read(lattice, *masks)] == cells, (xs, ys, s)
+    assert corner_pairs
+
+
+@pytest.mark.parametrize("budget", [0, 3, 12])
+def test_shapes_are_kept_only_with_their_marginals(budget):
+    """Under a small budget, or none, a query's marginals and shapes past
+    it are computed and not kept: every answer stays exact, and the
+    lattice holds a shape, the cardinalities of the mask's positions in
+    ascending order, for exactly the masks whose marginals it holds."""
+    cards = (2, 3, 1, 2, 4)
+    joint = seeded_joint(0, cards)
+    lattice = joint._lattice
+    with mock.patch.object(distribution, "MAX_CELLS", budget):
+        for xs, ys, s in every_query(joint.names):
+            want = fraction_is_independent_sets(joint, xs, ys, s)
+            assert joint.is_independent_sets(xs, ys, s) == want, (xs, ys, s)
+            assert lattice.shapes.keys() == lattice.marginals.keys()
+            assert lattice.marginals.cells <= budget
+        for mask, shape in lattice.shapes.items():
+            assert shape == tuple(c for p, c in enumerate(cards) if mask >> p & 1)
+            assert lattice.shaped(mask) == (lattice.marginals[mask], shape)
+        full = (1 << len(cards)) - 1
+        assert lattice.shaped(full) == (joint._weights, cards)
+        assert full not in lattice.shapes
+    assert bool(lattice.shapes) == bool(budget)
+
+
+@pytest.mark.parametrize("cards", [(2, 3, 1, 2), (3, 2, 4, 2, 2)])
+def test_gtest_through_the_stride_walk_is_bit_identical(cards):
+    """Every pairwise G-test on datasets sampled from seeded joints gives
+    the very statistic, df and verdict when its four marginals are read
+    through the stride walk's gather lists."""
+    for seed in range(2):
+        data = seeded_joint(seed, cards).sample(300, seed)
+        names = data.names
+        for xs, ys, s in every_query(names):
+            if len(xs) + len(ys) > 2:
+                continue
+            masks = query_bits(data, xs, ys, s)
+            got = _g_test(data, *masks, GTestConfig())
+            with mock.patch.object(_Lattice, "ci_cells", reference_ci_cells):
+                want = _g_test(data, *masks, GTestConfig())
+            assert (got.statistic.hex(), got.df, got.independent) == (
+                want.statistic.hex(), want.df, want.independent), (xs, ys, s)
 
 
 @pytest.mark.parametrize("budget", [None, 0], ids=["stored", "never-stored"])
