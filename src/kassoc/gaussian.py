@@ -3,9 +3,19 @@
 Path cancellations are measure-zero events, so conditional independence is
 decided by exact rational partial correlations, never by thresholding a
 float.  The covariance is filled in by the structural recursion along a
-topological order, and each CI query, pairwise or set, is one
-fraction-free (Bareiss) elimination over integers (``_pcorr_zero``) that
-also checks positive definiteness.
+topological order.  Each system answers every CI query from one lattice
+of bordered minors of its covariance, scaled to integers once
+(``_Minors``): for a conditioning set S it holds D_S = det cov[S, S] and
+M_S[i][j] = det cov[S + i, S + j] for i, j outside S, so that x and y are
+independent given S iff M_S[x][y] == 0, and a query, pairwise or set,
+reads one M_S.  M_S comes from M_T, T being S without its highest
+position p, by one exact integer step of Sylvester's identity, as in
+Bareiss's fraction-free elimination (Math. Comp. 1968), which checks
+positive definiteness on the way: every D_S must be positive.
+
+``partial_correlation_zero`` decides one query on a covariance matrix by
+a fraction-free (Bareiss) elimination of its submatrix (``_pcorr_zero``);
+no oracle calls it, and it stays as the lattice's slow twin.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .distribution import exact
+from .distribution import _Budgeted, exact
 from .graph import Dag, GraphError
 
 ZERO = Fraction(0)
@@ -38,6 +48,7 @@ class GaussianSystem:
     coefficients: Mapping[tuple[str, str], Fraction]
     noise_variances: Mapping[str, Fraction]
     dag: Dag = field(init=False, repr=False, compare=False)
+    _minors: _Minors | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = {(c, p): exact(v, GaussianError, f"coefficient of {p}->{c}")
@@ -55,6 +66,17 @@ class GaussianSystem:
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "noise_variances", noises)
         object.__setattr__(self, "dag", dag)
+
+    def __reduce__(self):
+        # the lattice is not pickled: a copy starts with an empty one
+        return GaussianSystem, (self.nodes, self.coefficients, self.noise_variances)
+
+    def _lattice(self) -> _Minors:
+        """The system's minors lattice, made from its integer-scaled
+        covariance on first use and shared by every oracle over it."""
+        if self._minors is None:
+            object.__setattr__(self, "_minors", _Minors(integer_scaled(self.covariance())))
+        return self._minors
 
     def covariance(self) -> list[list[Fraction]]:
         """Exact covariance in ``nodes`` order, filled in the topological
@@ -92,6 +114,82 @@ def integer_scaled(cov: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
     return [[v.numerator * (den // v.denominator) for v in row] for row in cov]
 
 
+class _Minors:
+    """The bordered minors of one integer covariance, by conditioning mask.
+
+    ``kept`` maps a position bitmask S to (D_S, M_S): D_S = det cov[S, S]
+    and M_S, the rows and columns i, j outside S, in ascending position
+    order, of det cov[S + i, S + j].  M_S[i][j] is D_S times
+    Cov(i, j | S), so X and Y are independent given S iff M_S[x][y] == 0
+    for every x in X and y in Y.  The empty mask holds (1, cov).  On a
+    miss, M_S is built from M_T, T being S without its highest position p,
+    by Sylvester's identity in integers:
+
+        M_S[i][j] = (M_T[p][p] * M_T[i][j] - M_T[i][p] * M_T[p][j]) // D_T,
+
+    and D_S = M_T[p][p], which must be positive (cov[S, S] is positive
+    definite iff every D along the chain is).  M_T comes the same way, so a
+    miss climbs from the longest chain prefix of S that is kept.  Past the
+    ``MAX_CELLS`` budget (the covariance itself not counted) an M_S is
+    computed and not kept.
+    """
+
+    __slots__ = ("full", "kept")
+
+    def __init__(self, cov: list[list[int]]):
+        self.full = (1 << len(cov)) - 1
+        self.kept = _Budgeted()
+        self.kept[0] = (1, cov)
+
+    def independent(self, mx: int, my: int, ms: int) -> bool:
+        """True iff X and Y, disjoint position bitmasks outside ``ms``, are
+        independent given it: M_S is 0 on every X row and Y column."""
+        entry = self.kept.get(ms)
+        rows = (self.minors(ms) if entry is None else entry)[1]
+        out = self.full ^ ms
+        if mx & (mx - 1) or my & (my - 1):
+            cols = _ranks(out, my)
+            return not any(rows[r][c] for r in _ranks(out, mx) for c in cols)
+        return not rows[(out & (mx - 1)).bit_count()][(out & (my - 1)).bit_count()]
+
+    def minors(self, ms: int) -> tuple[int, list[list[int]]]:
+        """(D_S, M_S) for S = ``ms``."""
+        kept = self.kept
+        t, steps = ms, []
+        while t not in kept:
+            p = 1 << (t.bit_length() - 1)
+            steps.append(p)
+            t ^= p
+        d, rows = kept[t]
+        out = self.full ^ t
+        for p in reversed(steps):
+            r = (out & (p - 1)).bit_count()
+            prow = rows[r]
+            pivot = prow[r]
+            if pivot <= 0:
+                raise GaussianError("covariance submatrix is not positive definite")
+            new = []
+            for k, row in enumerate(rows):
+                if k != r:
+                    f = row[r]
+                    row = [(pivot * a - f * b) // d for a, b in zip(row, prow)]
+                    del row[r]
+                    new.append(row)
+            d, rows, out, t = pivot, new, out ^ p, t | p
+            kept.keep(t, (d, rows), len(rows) ** 2 + 1)
+        return d, rows
+
+
+def _ranks(out: int, m: int) -> list[int]:
+    """The rank of each position of ``m`` among the positions of ``out``."""
+    ranks = []
+    while m:
+        low = m & -m
+        ranks.append((out & (low - 1)).bit_count())
+        m ^= low
+    return ranks
+
+
 def _pcorr_zero(a: list[list[int]], ns: int, nx: int) -> bool:
     """True iff X and Y are independent given s, for the integer covariance
     submatrix ``a`` over s + X + Y (``ns`` rows of s, then ``nx`` of X).
@@ -126,8 +224,8 @@ def partial_correlation_zero(
     ``cov`` holds Fractions or ints (floats are not accepted).  Every index
     must lie in ``range(len(cov))`` and occur once.  The submatrix over
     s + [x, y] is :func:`integer_scaled` and decided by ``_pcorr_zero``
-    with one X row; an oracle scales its covariance once and calls
-    ``_pcorr_zero`` itself.
+    with one X row.  An oracle does not call it: it reads its system's
+    minors lattice (``_Minors``), and this is that lattice's slow twin.
     """
     idx = list(s) + [x, y]
     if len(set(idx)) != len(idx):

@@ -11,15 +11,13 @@ logged, in order, as a :class:`GsStep` in a plain list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graph import query_masks
 from .oracle import IndependenceOracle, OracleError
 
 
-@dataclass(frozen=True)
-class GsStep:
+class GsStep(NamedTuple):
     phase: str  # "grow" | "shrink"
     candidate: str
     helper: str | None  # pair-clause partner, if any

@@ -5,8 +5,10 @@ linear-Gaussian partial correlation, and a sample-based G-test.  An
 oracle itself changes after construction only in its answer cache and its
 query counter, which counts the queries a backend answered.  The marginal
 lattice a discrete or G-test query reads belongs to the table (the
-``DiscreteJoint`` or ``Dataset``), not to the oracle: every oracle over
-one table, and the table's other users, share its cached marginals.
+``DiscreteJoint`` or ``Dataset``), and the minors lattice a Gaussian query
+reads to the ``GaussianSystem``, not to the oracle: every oracle over one
+table or system, and the table's other users, share its cached marginals
+or minors.
 
 Names are checked once and turned into bitmasks of positions in the
 oracle's variable order through the table's own name index
@@ -21,7 +23,9 @@ entry point shares (here with ``OracleError``).  The scans and the
 sparsest-permutation DP, whose sets are already position masks, ask
 ``_ask``; ``query`` serves grow-shrink, outside callers and the tests'
 name-level references.  Every backend answers on masks
-(``_query(mx, my, ms)``) with one call of its mask-level core.
+(``_query(mx, my, ms)``) with one call of its mask-level core
+(``graph.dconnected``, ``DiscreteJoint._independent``,
+``gaussian._Minors.independent``, ``gtest._g_test``).
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from .distribution import Dataset, DiscreteJoint
-from .gaussian import GaussianSystem, _pcorr_zero, integer_scaled
-from .graph import Dag, _bits, dconnected, query_masks
+from .gaussian import GaussianSystem
+from .graph import Dag, dconnected, query_masks
 from .gtest import GTestConfig, _g_test
 
 
@@ -131,7 +135,8 @@ class DiscreteOracle(IndependenceOracle):
 
 
 class GaussianOracle(IndependenceOracle):
-    """Exact linear-Gaussian backend: zero partial correlation."""
+    """Exact linear-Gaussian backend: zero partial correlation, read from
+    the system's minors lattice, which every oracle over it shares."""
 
     backend = "gaussian"
 
@@ -139,12 +144,10 @@ class GaussianOracle(IndependenceOracle):
         super().__init__(system.nodes)
         self.system = system
         self._index = system.dag._index
-        self._cov = integer_scaled(system.covariance())
+        self._minors = system._lattice()
 
     def _query(self, mx, my, ms):
-        idx = [*_bits(ms), *_bits(mx), *_bits(my)]
-        cov = self._cov
-        return _pcorr_zero([[cov[i][j] for j in idx] for i in idx], ms.bit_count(), mx.bit_count())
+        return self._minors.independent(mx, my, ms)
 
     query_sets = IndependenceOracle.query_sets
 

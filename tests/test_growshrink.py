@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from kassoc.audit import audit_scenario
-from kassoc.growshrink import grow, markov_blanket, shrink
+from kassoc.growshrink import GsStep, grow, markov_blanket, shrink
 from kassoc.oracle import DiscreteOracle, GraphOracle, OracleError
 from kassoc.scenarios import builtin
 from references import replay_consistent
@@ -84,6 +84,23 @@ class TestTrace:
         o = DiscreteOracle(example2.joint)
         _, trace = markov_blanket(o, "W")
         assert replay_consistent(trace, DiscreteOracle(example2.joint), "W")
+
+    def test_steps_are_immutable_records_with_a_fixed_dict(self, example1):
+        """A step's fields, its ``to_dict`` keys and order, and equal steps
+        comparing and hashing equal are part of the trace's contract."""
+        _, trace = markov_blanket(DiscreteOracle(example1.joint), "Y")
+        _, again = markov_blanket(DiscreteOracle(example1.joint), "Y")
+        assert trace == again and list(map(hash, trace)) == list(map(hash, again))
+        assert GsStep._fields == ("phase", "candidate", "helper", "conditioning",
+                                  "independent", "action")
+        step = next(s for s in trace if s.helper is not None)
+        assert step.to_dict() == {
+            "phase": step.phase, "candidate": step.candidate, "helper": step.helper,
+            "conditioning": sorted(step.conditioning), "independent": step.independent,
+            "action": step.action}
+        assert list(step.to_dict()) == list(GsStep._fields)
+        with pytest.raises(AttributeError):
+            step.action = "keep"
 
     def test_grow_superset_then_shrink_subset(self, example2):
         o = DiscreteOracle(example2.joint)

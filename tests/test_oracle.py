@@ -54,15 +54,17 @@ def calls_of(owner, attr):
 
 @pytest.mark.parametrize("backend,kernel,twin", [
     ("discrete", (DiscreteJoint, "_independent"), (DiscreteJoint, "is_independent_sets")),
-    ("gaussian", (gaussian, "_pcorr_zero"), (gaussian, "partial_correlation_zero")),
+    ("gaussian", (gaussian._Minors, "independent"), (gaussian, "_pcorr_zero")),
     ("gtest", (gtest, "_g_test"), (gtest, "g_test")),
 ], ids=["discrete", "gaussian", "gtest"])
 def test_every_backend_call_enters_its_mask_kernel_once(all_builtins, backend, kernel, twin):
     """Each backend call of an oracle, pairwise or set, is one call of its
-    backend's mask-level kernel and none of the name-level twin, so
-    ``query_count`` counts exactly the kernel calls (and a trace of the
-    kernel counts the backend calls); cache hits reach neither.  The
-    G-test oracles run on 300 samples of each discrete builtin."""
+    backend's mask-level kernel, on the oracle's own table or lattice, and
+    none of the slow twin (for the Gaussian backend the Bareiss elimination
+    that ``partial_correlation_zero`` makes), so ``query_count`` counts
+    exactly the kernel calls (and a trace of the kernel counts the backend
+    calls); cache hits reach neither.  The G-test oracles run on 300
+    samples of each discrete builtin."""
     for name, scenario in all_builtins.items():
         if scenario.kind != ("discrete" if backend == "gtest" else backend):
             continue
@@ -84,9 +86,8 @@ def test_every_backend_call_enters_its_mask_kernel_once(all_builtins, backend, k
                     o.query_sets([x], [y], rest)  # set queries are not cached
         assert core.call_count == o.query_count > 0, name
         assert name_level_call.call_count == 0, name
-        if backend != "gaussian":  # the Gaussian kernel takes a submatrix, not a table
-            table = o.dataset if backend == "gtest" else o.joint
-            assert all(c.args[0] is table for c in core.call_args_list), name
+        table = getattr(o, {"discrete": "joint", "gaussian": "_minors", "gtest": "dataset"}[backend])
+        assert all(c.args[0] is table for c in core.call_args_list), name
 
 
 @pytest.mark.parametrize(
@@ -197,7 +198,7 @@ def name_level(o):
         return o.joint.is_independent_sets
     if isinstance(o, GaussianOracle):
         # Gauss-Jordan on Fractions, one pair at a time: no code in common
-        # with the one Bareiss pass the oracle makes per query
+        # with the minors lattice the oracle reads
         cov = o.system.covariance()
         pos = {v: i for i, v in enumerate(o.system.nodes)}
         return lambda xs, ys, s: all(
