@@ -43,7 +43,7 @@ from .orientation import (
     orient,
 )
 from .scenarios import BUILTINS, Scenario, ScenarioError, builtin, load, load_path, save
-from .sparsest import PermutationDag, dag_from_permutation, sparsest_permutations
+from .sparsest import PermutationDag, sparsest_permutations
 
 __version__ = "0.1.0"
 
@@ -83,7 +83,6 @@ __all__ = [
     "audit_scenario",
     "builtin",
     "check_nonadjacency",
-    "dag_from_permutation",
     "detect_of_failure",
     "find_unfaithful_triples",
     "g_test",

@@ -6,10 +6,15 @@ cheap for graphs of up to 32 nodes.
 
 :func:`dconnected` answers a set query with one reachability
 ("Bayes-Ball") traversal from all of X over the parent/children bitmasks,
-stopping at the first node of Y.  :func:`query_masks` is the one rule for a
-well-formed CI query on names: every name-level entry point (the oracles,
-:meth:`Dag.d_separated`, ``DiscreteJoint.is_independent_sets``,
-``gtest.g_test``) calls it with its table's name index and error class.
+stopping at the first node of Y.  A collider opens iff one of its
+descendants is in Z: each ``Dag`` keeps one reflexive descendant mask per
+node, built on its first d-separation in one pass in reverse topological
+order, so no query closes Z's ancestors.
+
+:func:`query_masks` is the one rule for a well-formed CI query on names:
+every name-level entry point (the oracles, :meth:`Dag.d_separated`,
+``DiscreteJoint.is_independent_sets``, ``gtest.g_test``) calls it with
+its table's name index and error class.
 """
 
 from __future__ import annotations
@@ -56,40 +61,27 @@ def query_masks(index: Mapping[str, int], xs: Iterable[str], ys: Iterable[str],
     return mx, my, ms
 
 
-def ancestor_mask(parents: Sequence[int], seed_mask: int) -> int:
-    """Reflexive-transitive parent closure of the nodes in ``seed_mask``."""
-    anc = todo = seed_mask
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        new = parents[low.bit_length() - 1] & ~anc
-        anc |= new
-        todo |= new
-    return anc
-
-
 def dconnected(
-    parents: Sequence[int], children: Sequence[int], x_mask: int, y_mask: int, z_mask: int
+    parents: Sequence[int], children: Sequence[int], desc: Sequence[int],
+    x_mask: int, y_mask: int, z_mask: int,
 ) -> bool:
     """True iff some node of X has a d-connecting path to some node of Y given Z.
 
     ``parents[i]`` / ``children[i]`` are bitmasks of the parents/children of
-    node i.  One reachability traversal from all of X (Bayes-Ball) over
-    frontier bitmasks: the ball travels up (toward parents) or down (toward
-    children), and each direction keeps a "to visit" and a "visited" mask.
-    A node reached going up passes the ball on to its parents and children
-    unless it is in Z; a node reached going down passes it on to its
-    children unless it is in Z, and bounces it back up to its parents if it
-    is an ancestor of Z (a collider that Z opens).  Each step pops the
-    lowest node of a frontier and ORs in its unvisited parents/children;
-    the traversal stops as soon as a newly reached node lies in Y.  The
-    ancestors of Z are closed over only when the first node is popped going
-    down, since nothing else reads them, so a query that reaches Y before
-    that never computes them.
+    node i, and ``desc[i]`` that of i and its descendants
+    (:meth:`Dag._descendants`).  One reachability traversal from all of X
+    (Bayes-Ball) over frontier bitmasks: the ball travels up (toward
+    parents) or down (toward children), and each direction keeps a "to
+    visit" and a "visited" mask.  A node reached going up passes the ball on
+    to its parents and children unless it is in Z; a node reached going
+    down passes it on to its children unless it is in Z, and bounces it
+    back up to its parents if it is an ancestor of Z (a collider that Z
+    opens), that is iff ``desc[i] & z_mask``.  Each step pops the lowest
+    node of a frontier and ORs in its unvisited parents/children; the
+    traversal stops as soon as a newly reached node lies in Y.
     """
     if x_mask & y_mask:
         return True
-    anc_z = None
     # "up": reached from a child (or a start node); "down": from a parent.
     # A node of Z reached going up blocks, so it is marked visited but
     # never enters the up frontier.
@@ -106,9 +98,7 @@ def dconnected(
             low = down & -down
             down ^= low
             i = low.bit_length() - 1
-            if anc_z is None:
-                anc_z = ancestor_mask(parents, z_mask)
-            new_up = parents[i] & ~seen_up if low & anc_z else 0
+            new_up = parents[i] & ~seen_up if desc[i] & z_mask else 0
             new_down = 0 if low & z_mask else children[i] & ~seen_down
         if (new_up | new_down) & y_mask:
             return True
@@ -146,9 +136,12 @@ class Dag:
     ``DiscreteJoint.from_cpts`` and ``GaussianSystem.covariance`` read it
     and never sort the graph again.  A cyclic edge set raises
     ``GraphError``, so ``topological_order()`` always returns a list.
+    The descendant masks are built from that order on first use
+    (:meth:`_descendants`), since most Dags never ask a d-separation.
     """
 
-    __slots__ = ("nodes", "edges", "_index", "_parent_masks", "_child_masks", "_order")
+    __slots__ = ("nodes", "edges", "_index", "_parent_masks", "_child_masks", "_order",
+                 "_desc")
 
     def __init__(self, nodes: Sequence[str], edges: Iterable[tuple[str, str]]):
         nodes = tuple(nodes)
@@ -219,6 +212,24 @@ class Dag:
         """The order Kahn's algorithm found at construction."""
         return [self.nodes[i] for i in self._order]
 
+    def _descendants(self) -> tuple[int, ...]:
+        """Per node, the mask of the node and its descendants: one pass in
+        reverse topological order on first use, kept in the ``_desc`` slot,
+        which construction leaves unset."""
+        try:
+            return self._desc
+        except AttributeError:
+            pass
+        masks = [0] * len(self.nodes)
+        children = self._child_masks
+        for i in reversed(self._order):
+            m = 1 << i
+            for c in _bits(children[i]):
+                m |= masks[c]
+            masks[i] = m
+        object.__setattr__(self, "_desc", tuple(masks))
+        return self._desc
+
     # -- relations ---------------------------------------------------------
 
     def parents(self, x: str) -> set[str]:
@@ -247,9 +258,8 @@ class Dag:
         skipped.  They imply every d-separation of the DAG (local and
         global directed Markov properties, Lauritzen 1996, Thm 3.27)."""
         full = (1 << self.n) - 1
-        for i, v in enumerate(self.nodes):
-            parents = self._parent_masks[i]
-            rest = full & ~parents & ~ancestor_mask(self._child_masks, 1 << i)
+        for v, parents, desc in zip(self.nodes, self._parent_masks, self._descendants()):
+            rest = full & ~parents & ~desc
             if rest:
                 yield v, self._ordered(rest), self._ordered(parents)
 
@@ -259,4 +269,5 @@ class Dag:
         """Set query on labels, answered by one reachability traversal from
         all of xs; a malformed query (:func:`query_masks`) raises ``GraphError``."""
         xm, ym, zm = query_masks(self._index, xs, ys, zs, GraphError)
-        return not dconnected(self._parent_masks, self._child_masks, xm, ym, zm)
+        return not dconnected(self._parent_masks, self._child_masks, self._descendants(),
+                              xm, ym, zm)

@@ -25,7 +25,10 @@ sparsest-permutation DP, whose sets are already position masks, ask
 name-level references.  Every backend answers on masks
 (``_query(mx, my, ms)``) with one call of its mask-level core
 (``graph.dconnected``, ``DiscreteJoint._independent``,
-``gaussian._Minors.independent``, ``gtest._g_test``).
+``gaussian._Minors.independent``, ``gtest._g_test``).  The graph kernel
+reads the DAG's descendant masks, which the ``Dag`` builds on its first
+d-separation and every oracle over it shares, as the Gaussian kernel
+reads the system's minors.
 """
 
 from __future__ import annotations
@@ -104,6 +107,7 @@ class GraphOracle(IndependenceOracle):
     """Ground-truth backend: independence = d-separation."""
 
     backend = "graph"
+    _desc = None  # the dag's descendant masks, read on the first query
 
     def __init__(self, dag: Dag):
         super().__init__(dag.nodes)
@@ -112,7 +116,10 @@ class GraphOracle(IndependenceOracle):
         self._parents, self._children = dag._parent_masks, dag._child_masks
 
     def _query(self, mx, my, ms):
-        return not dconnected(self._parents, self._children, mx, my, ms)
+        desc = self._desc
+        if desc is None:
+            desc = self._desc = self.dag._descendants()
+        return not dconnected(self._parents, self._children, desc, mx, my, ms)
 
     # each backend's own name, so that a trace can tell its set queries apart
     query_sets = IndependenceOracle.query_sets

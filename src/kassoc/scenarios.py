@@ -24,6 +24,7 @@ with every rational as a "num/den" string.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -334,14 +335,26 @@ def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def _parse_frac(s: str) -> Fraction:
-    """A rational literal: a JSON string such as "1/2", as :func:`save` writes."""
+    """A rational literal: a JSON string such as "1/2", as :func:`save`
+    writes, or a bare integer such as "-3".  Nothing else is read: an
+    exponent ("1e10000000") would be expanded into a huge integer, so
+    decimals, exponents, signs other than a leading "-", spaces and
+    underscores are refused, as are a zero denominator and an integer past
+    the interpreter's digit limit."""
     if not isinstance(s, str):
         raise ScenarioError(f"rational literal {s!r} must be a JSON string such as \"1/2\"")
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ScenarioError(f"bad rational literal {s!r}") from exc
+    m = _RATIONAL.fullmatch(s)
+    if m is not None:
+        num, den = m.groups()
+        try:
+            return Fraction(int(num), int(den or 1))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ScenarioError(f"bad rational literal {s!r}")
 
 
 def save(scenario: Scenario) -> dict:
@@ -518,6 +531,8 @@ def load_path(path: str) -> Scenario:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # a JSON integer past the interpreter's digit limit
+        raise ScenarioError(f"scenario file holds a number too long to read: {exc}") from exc
     except RecursionError:
         raise ScenarioError("scenario file nests too deeply to parse") from None
     return load(doc)

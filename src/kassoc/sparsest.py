@@ -24,26 +24,31 @@ factorial search, each in the same orientation; the factorial search
 survives in ``tests/test_sparsest.py`` as the reference.
 
 The minimizers are then listed from one completion list per mask on an
-optimal path, each built from its successors' lists: the name of the step
-prepended, the step's edges ORed into an int mask whose byte v holds v's
-parents.  Names appear only in the output, and each distinct edge mask,
-that is each distinct minimizer DAG, is decoded into one shared edge
-set, which ``minimizer_dicts`` formats once.  An empty graph has n!
-minimizers, so the search is guarded at 8 variables, which also keeps a
-node's parents within a byte.
+optimal path, each built from its successors' lists by C-level ``map``:
+the step's name prepended (by one bound ``(name,).__add__`` per node),
+the step's edges ORed into an int mask whose byte v holds v's parents.
+Names appear only in the output: each distinct edge mask, that is each
+distinct minimizer DAG, is decoded from its bytes once into one edge set,
+which all its minimizers share and ``minimizer_dicts`` formats once.  A
+minimizer is a ``PermutationDag``, a ``NamedTuple`` of its permutation and
+that edge set, built with the pairs by ``zip`` and ``map``.  An empty
+graph has n! minimizers, so the search is guarded at 8 variables, which
+also keeps a node's parents within a byte.
+
+``dag_from_permutation`` builds one permutation's DAG by one query per
+ordered pair.  The library never calls it: the tests' factorial search is
+written on it, and it stays here because ``perfbench/tracer.py`` wraps it
+by name.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .oracle import IndependenceOracle, OracleError
 
 
-@dataclass(frozen=True)
-class PermutationDag:
+class PermutationDag(NamedTuple):
     permutation: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
 
@@ -156,10 +161,10 @@ def sparsest_permutations(
     # optimal completions of S in lexicographic order, as the names they
     # append and as the edges they add, byte v of a mask holding v's
     # parents.  A list is its successors' lists with one name prepended and
-    # one step's edges ORed in.  pairs[v][pa]: v's edges from parent mask pa
+    # one step's edges ORed in.
     perms, masks = [None] * (full + 1), [None] * (full + 1)
     perms[full], masks[full] = [()], [0]
-    pairs = [{} for _ in range(n)]
+    prepend = [(name,).__add__ for name in names]
 
     def complete(S):
         ps, ms = perms[S], masks[S] = [], []
@@ -170,9 +175,7 @@ def sparsest_permutations(
                 continue
             if perms[nxt] is None:
                 complete(nxt)
-            if pa not in pairs[v]:
-                pairs[v][pa] = tuple((names[u], names[v]) for u in members[pa])
-            ps += map((names[v],).__add__, perms[nxt])
+            ps += map(prepend[v], perms[nxt])
             ms += map((pa << 8 * v).__or__, masks[nxt])
 
     if perms[0] is None:
@@ -182,8 +185,9 @@ def sparsest_permutations(
     # alive until the cyclic collector runs
     perms.clear()
     masks.clear()
+    # each distinct edge mask, one per minimizer DAG, decoded once
     edges = {
-        m: frozenset(itertools.chain.from_iterable(
-            map(dict.__getitem__, pairs, m.to_bytes(n, "little"))))
+        m: frozenset([(names[u], names[v])
+                      for v, pa in enumerate(m.to_bytes(n, "little")) for u in members[pa]])
         for m in set(ms)}
-    return [(p, PermutationDag(p, edges[m])) for p, m in zip(ps, ms)]
+    return list(zip(ps, map(PermutationDag, ps, map(edges.__getitem__, ms))))

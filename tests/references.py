@@ -5,8 +5,11 @@
   reads only ``dag.nodes`` and ``dag.edges`` and collects the ancestors of
   Z itself, so it shares no helper with the reachability kernel in
   :mod:`kassoc.graph` that it checks.
-* :func:`ancestors`, :func:`descendants` and :func:`non_descendants` of
-  one node, read through the reachability kernel ``graph.ancestor_mask``.
+* :func:`ancestor_mask`, the reflexive-transitive closure of a mask over
+  parent (or child) masks, one node at a time; the slow twin of the
+  descendant masks ``Dag._descendants`` that the d-separation kernel
+  reads.  :func:`ancestors`, :func:`descendants` and
+  :func:`non_descendants` of one node are read through it.
 * :func:`enumerate_dags` and :func:`random_dag`: every labelled DAG on a
   few nodes, and seeded random DAGs.
 * :func:`first_separating_set` over :func:`subsets_by_size`: the subset
@@ -54,7 +57,7 @@ from typing import Iterable, Iterator, Sequence
 
 from kassoc.distribution import DiscreteJoint, DistributionError, exact
 from kassoc.gaussian import GaussianError, GaussianSystem
-from kassoc.graph import Dag, GraphError, ancestor_mask
+from kassoc.graph import Dag, GraphError
 from kassoc.oracle import IndependenceOracle
 
 # -- brute-force d-separation -------------------------------------------------
@@ -149,6 +152,18 @@ def d_separated_bruteforce(
                 if _path_d_connecting(dag, path, zs, anc_z):
                     return False
     return True
+
+
+def ancestor_mask(parents: Sequence[int], seed_mask: int) -> int:
+    """Reflexive-transitive parent closure of the nodes in ``seed_mask``."""
+    anc = todo = seed_mask
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = parents[low.bit_length() - 1] & ~anc
+        anc |= new
+        todo |= new
+    return anc
 
 
 def ancestors(dag: Dag, x: str) -> set[str]:

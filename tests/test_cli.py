@@ -286,6 +286,13 @@ class TestSamplingBlock:
         assert "sampling" not in report
 
 
+DIGITS = 5000  # past the interpreter's default integer digit limit (4300), where it has one
+
+# rational literals that Fraction() reads but save never writes
+LITERALS = {"literal_exponent": "1e10000000", "literal_decimal": "0.5",
+            "literal_underscore": "1_0/2_0"}
+
+
 class TestScenarioLoading:
     def test_unknown_builtin_exits_two(self, capsys):
         code, _, err = invoke(
@@ -320,6 +327,7 @@ class TestScenarioLoading:
         "document_list", "document_null", "document_string", "payload_list",
         "not_utf8", "nested_deep", "parent_cardinalities_longer",
         "cardinality_zero", "cardinality_negative", "parent_cardinality_zero",
+        "literal_exponent", "literal_decimal", "literal_underscore", "json_integer_digits",
     ])
     def test_invalid_file_contents_exit_two(self, tmp_path, capsys, defect):
         graph = {"name": "g", "nodes": ["X", "Y"], "edges": [], "payload": {"type": "graph"}}
@@ -362,6 +370,10 @@ class TestScenarioLoading:
             cpt = doc["payload"]["cpts"][2]
             assert cpt["child"] == "Y" and cpt["parents"] == ["X", "Z"]
             cpt["parents"] = ["X"]
+        elif defect.startswith("literal_"):
+            # an exponent is refused as written, never expanded
+            doc = save(builtin("example1"))
+            doc["payload"]["cpts"][0]["rows"][0]["probs"][0] = LITERALS[defect]
         elif defect == "order_not_a_list":
             doc = save(builtin("cancel3"))
             doc["payload"]["order"] = {v: i for i, v in enumerate(doc["payload"]["order"])}
@@ -393,7 +405,7 @@ class TestScenarioLoading:
         elif defect == "cyclic_gaussian":
             doc = save(builtin("cancel3"))
             doc["payload"]["coefficients"]["Y->X"] = "1/1"
-        elif defect in ("not_utf8", "nested_deep"):
+        elif defect in ("not_utf8", "nested_deep", "json_integer_digits"):
             doc = None
         else:
             doc = save(builtin("cancel3"))
@@ -404,6 +416,11 @@ class TestScenarioLoading:
             p.write_bytes(b'{"name": "\xff"}')
         elif defect == "nested_deep":
             p.write_text("[" * 200_000 + "]" * 200_000)  # past the parser's recursion limit
+        elif defect == "json_integer_digits":
+            # a JSON number, not a string, as a parameter: past the digit
+            # limit the parser itself refuses it, else load does
+            text = json.dumps(save(builtin("example1")))
+            p.write_text(text.replace('"params": {', f'"params": {{"big": {"9" * DIGITS}, ', 1))
         else:
             p.write_text(json.dumps(doc))
         code, report, err = invoke(capsys, "mb", "--scenario", str(p), "--target", "X")
@@ -420,6 +437,11 @@ class TestScenarioLoading:
             assert "scenario file is not valid JSON: 'utf-8' codec can't decode" in err
         elif defect == "nested_deep":
             assert err.endswith(": scenario file nests too deeply to parse\n")
+        elif defect == "json_integer_digits":
+            if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < DIGITS:
+                assert ": scenario file holds a number too long to read: " in err
+        elif defect.startswith("literal_"):
+            assert err.endswith(f": bad rational literal {LITERALS[defect]!r}\n")
         elif defect == "parent_cardinalities_longer":
             assert err.endswith(
                 "bad probability table: CPT for Y: 1 parents but 2 parent cardinalities\n")

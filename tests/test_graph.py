@@ -1,18 +1,18 @@
 """DAG structure, d-separation and small-graph enumeration."""
 
 import itertools
+import pickle
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kassoc import graph
-from kassoc.graph import (Dag, GraphError, KERNEL, MAX_NODES, ancestor_mask, dconnected,
-                          query_masks)
+from kassoc.graph import Dag, GraphError, KERNEL, MAX_NODES, dconnected, query_masks
+from kassoc.oracle import GraphOracle
 from references import (
     _ancestors,
+    ancestor_mask,
     ancestors,
     check_path,
     d_separated_bruteforce,
@@ -221,7 +221,7 @@ class TestKernelAgreement:
     def test_bitmask_kernel_matches_bruteforce_on_8_nodes(self, seed):
         rng = random.Random(seed + 1000)
         dag = random_dag(rng, 8)
-        parents, children = dag._parent_masks, dag._child_masks
+        parents, children, desc = dag._parent_masks, dag._child_masks, dag._descendants()
         for x, y in itertools.combinations(range(8), 2):
             for z_mask in range(0, 256, 7):
                 z = z_mask & ~(1 << x) & ~(1 << y)
@@ -229,7 +229,7 @@ class TestKernelAgreement:
                     dag, {dag.nodes[x]}, {dag.nodes[y]},
                     {dag.nodes[i] for i in range(8) if z >> i & 1},
                 )
-                assert dconnected(parents, children, 1 << x, 1 << y, z) != separated
+                assert dconnected(parents, children, desc, 1 << x, 1 << y, z) != separated
 
     @pytest.mark.parametrize("seed", range(10))
     def test_set_queries_match_bruteforce(self, seed):
@@ -249,7 +249,7 @@ class TestKernelAgreement:
     def test_set_valued_kernel_matches_bruteforce_on_9_nodes(self, seed):
         rng = random.Random(seed + 3000)
         dag = random_dag(rng, 9)
-        parents, children = dag._parent_masks, dag._child_masks
+        parents, children, desc = dag._parent_masks, dag._child_masks, dag._descendants()
         for _ in range(40):
             x_mask, y_mask = rng.randrange(1, 512), rng.randrange(1, 512)
             y_mask &= ~x_mask
@@ -260,7 +260,7 @@ class TestKernelAgreement:
                 {dag.nodes[i] for i in range(9) if m >> i & 1} for m in (x_mask, y_mask, z_mask)
             )
             separated = d_separated_bruteforce(dag, xs, ys, zs)
-            assert dconnected(parents, children, x_mask, y_mask, z_mask) != separated, (
+            assert dconnected(parents, children, desc, x_mask, y_mask, z_mask) != separated, (
                 dag.edges, xs, ys, zs)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -268,36 +268,71 @@ class TestKernelAgreement:
         """Every labelled DAG on n nodes, every ordered pair, every Z."""
         for dag in enumerate_dags(n):
             parents, children, nodes = dag._parent_masks, dag._child_masks, dag.nodes
+            desc = dag._descendants()
             for x, y in itertools.permutations(range(n), 2):
                 for z in range(1 << n):
                     if z >> x & 1 or z >> y & 1:
                         continue
                     zs = {nodes[i] for i in range(n) if z >> i & 1}
                     separated = d_separated_bruteforce(dag, {nodes[x]}, {nodes[y]}, zs)
-                    assert dconnected(parents, children, 1 << x, 1 << y, z) != separated, (
+                    assert dconnected(parents, children, desc, 1 << x, 1 << y, z) != separated, (
                         dag.edges, x, y, zs)
 
     @staticmethod
-    def closures(dag, x, y, zs):
-        """``dconnected`` on labels, with the ``ancestor_mask`` calls it made."""
-        with mock.patch.object(graph, "ancestor_mask", wraps=ancestor_mask) as closure:
-            connected = dconnected(dag._parent_masks, dag._child_masks,
-                                   *query_masks(dag._index, [x], [y], zs, GraphError))
+    def connected(dag, x, y, zs):
+        """``dconnected`` on labels, checked against the brute force."""
+        connected = dconnected(dag._parent_masks, dag._child_masks, dag._descendants(),
+                               *query_masks(dag._index, [x], [y], zs, GraphError))
         assert connected != d_separated_bruteforce(dag, {x}, {y}, zs)
-        return connected, [c.args for c in closure.call_args_list]
+        return connected
 
-    def test_y_reached_going_up_never_closes_z(self):
+    def test_y_reached_going_up_past_z_below_x(self):
         # X <- A <- Y: the ball reaches Y going up; Z = {C}, a child of X,
-        # waits in the down frontier and is never popped
+        # neither blocks the chain nor opens anything, Z = {A} blocks it
         dag = Dag(["X", "A", "Y", "C"], [("Y", "A"), ("A", "X"), ("X", "C")])
-        assert self.closures(dag, "X", "Y", {"C"}) == (True, [])
+        assert self.connected(dag, "X", "Y", {"C"})
+        assert not self.connected(dag, "X", "Y", {"A"})
+        assert not self.connected(dag, "X", "Y", {"A", "C"})
+        assert self.connected(dag, "C", "Y", set())
 
     def test_only_a_descendant_of_z_opens_the_collider(self):
-        # X -> C <- Y, C -> D: Z = {D} opens C, once the ball comes down to C
+        # X -> C <- Y, C -> D: Z = {D} or {C} opens C, once the ball comes
+        # down to C; Z = {} leaves it closed
         dag = Dag(["X", "Y", "C", "D"], [("X", "C"), ("Y", "C"), ("C", "D")])
-        parents = dag._parent_masks
-        assert self.closures(dag, "X", "Y", {"D"}) == (True, [(parents, 0b1000)])
-        assert self.closures(dag, "X", "Y", set()) == (False, [(parents, 0)])
+        assert dag._descendants() == (0b1101, 0b1110, 0b1100, 0b1000)
+        assert self.connected(dag, "X", "Y", {"D"})
+        assert self.connected(dag, "X", "Y", {"C"})
+        assert not self.connected(dag, "X", "Y", set())
+        assert not self.connected(dag, "D", "X", {"C"})
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_descendant_masks_match_closure_on_every_small_dag(self, n):
+        for dag in enumerate_dags(n):
+            children = dag._child_masks
+            assert dag._descendants() == tuple(
+                ancestor_mask(children, 1 << i) for i in range(n)), dag.edges
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_descendant_masks_match_closure_on_random_dags(self, seed):
+        rng = random.Random(seed + 5000)
+        n = rng.randint(1, 10)
+        dag = random_dag(rng, n)
+        children = dag._child_masks
+        assert dag._descendants() == tuple(
+            ancestor_mask(children, 1 << i) for i in range(n)), dag.edges
+
+    def test_descendant_masks_built_on_first_query_and_shared(self):
+        dag = Dag(["X", "Y", "C"], [("X", "C"), ("Y", "C")])
+        oracle = GraphOracle(dag)
+        # neither build builds them
+        assert not hasattr(dag, "_desc") and oracle._desc is None
+        assert oracle.query("X", "Y")
+        masks = dag._desc
+        assert masks == (0b101, 0b110, 0b100)
+        assert oracle._desc is masks and dag._descendants() is masks
+        assert not dag.d_separated(["X"], ["Y"], ["C"])
+        assert GraphOracle(dag)._desc is None and dag._desc is masks
+        assert not hasattr(pickle.loads(pickle.dumps(dag)), "_desc")
 
     @pytest.mark.parametrize("seed", range(20))
     def test_ancestor_mask_matches_reference(self, seed):

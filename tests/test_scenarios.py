@@ -6,6 +6,8 @@ import itertools
 import json
 import pickle
 import random
+import re
+import sys
 from fractions import Fraction as F
 from unittest import mock
 
@@ -373,6 +375,34 @@ class TestSerialization:
         doc = save(example1)
         doc["payload"]["cpts"][0]["rows"][0]["probs"] = ["1/2", "1/3"]
         with pytest.raises(ScenarioError):
+            load(doc)
+
+    def test_bare_and_negative_integer_literals_load(self):
+        doc = save(builtin("cancel3"))
+        doc["payload"]["coefficients"].update({"X->Y": "-3", "Z->Y": "2", "X->Z": "-4/6"})
+        coefficients = load(doc).gaussian.coefficients
+        assert (coefficients[("Y", "X")], coefficients[("Y", "Z")],
+                coefficients[("Z", "X")]) == (F(-3), F(2), F(-2, 3))
+
+    @pytest.mark.parametrize("literal", [
+        "1e10000000", "1E3", "0.5", ".5", "1_0/2", "1/2_0", " 1/2", "1/2 ", "1/2\n",
+        "+1/2", "1/-2", "1/+2", "1/0", "-0/0", "\u00bd", "\u0663/4", "1/", "/2", "-", "",
+        "1/2/3", "inf", "nan",
+    ])
+    def test_only_integer_and_ratio_literals_load(self, literal):
+        doc = save(builtin("cancel3"))
+        doc["payload"]["coefficients"]["X->Y"] = literal
+        with pytest.raises(ScenarioError, match=f"^bad rational literal {re.escape(repr(literal))}$"):
+            load(doc)
+
+    def test_integer_past_the_digit_limit_refused(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter has no integer digit limit")
+        literal = "1/1" + "0" * limit
+        doc = save(builtin("cancel3"))
+        doc["payload"]["coefficients"]["X->Y"] = literal
+        with pytest.raises(ScenarioError, match="^bad rational literal '1/10000"):
             load(doc)
 
 

@@ -10,7 +10,8 @@ from references import enumerate_dags, random_dag
 from kassoc.graph import Dag
 from kassoc.oracle import DiscreteOracle, GraphOracle, GTestOracle, OracleError
 from kassoc.scenarios import BUILTINS, Scenario, builtin
-from kassoc.sparsest import dag_from_permutation, minimizer_dicts, sparsest_permutations
+from kassoc.sparsest import (PermutationDag, dag_from_permutation, minimizer_dicts,
+                             sparsest_permutations)
 
 
 def factorial_sparsest(o):
@@ -78,6 +79,50 @@ class TestPermutationDags:
         # collider in causal order: Y last, conditioning on the full prefix
         pdag = dag_from_permutation(o, ("X", "Z", "Y"))
         assert set(pdag.edges) == {("X", "Y"), ("Z", "Y")}
+
+
+class TestPermutationDagContract:
+    """``PermutationDag`` is a ``NamedTuple`` of the permutation and the
+    frozen edge set: compared, hashed and shown as that tuple, and
+    immutable."""
+
+    PDAG = PermutationDag(("X", "Z", "Y"), frozenset({("X", "Y"), ("Z", "Y")}))
+
+    def test_equality_and_hash(self):
+        same = PermutationDag(("X", "Z", "Y"), frozenset({("Z", "Y"), ("X", "Y")}))
+        other = PermutationDag(("Z", "X", "Y"), self.PDAG.edges)
+        assert self.PDAG == same and hash(self.PDAG) == hash(same)
+        assert self.PDAG != other
+        assert len({self.PDAG, same, other}) == 2
+        assert self.PDAG == (self.PDAG.permutation, self.PDAG.edges)
+
+    def test_fields_repr_and_edge_count(self):
+        assert PermutationDag._fields == ("permutation", "edges")
+        permutation, edges = self.PDAG
+        assert permutation == ("X", "Z", "Y") and edges == {("X", "Y"), ("Z", "Y")}
+        assert repr(self.PDAG) == (f"PermutationDag(permutation=('X', 'Z', 'Y'), "
+                                   f"edges={self.PDAG.edges!r})")
+        assert self.PDAG.edge_count == 2
+
+    def test_to_dict(self):
+        assert self.PDAG.to_dict() == {
+            "permutation": ["X", "Z", "Y"], "edges": ["X->Y", "Z->Y"], "edge_count": 2}
+
+    @pytest.mark.parametrize("field", ["permutation", "edges", "edge_count", "other"])
+    def test_assignment_raises(self, field):
+        with pytest.raises(AttributeError):
+            setattr(self.PDAG, field, ())
+
+    def test_minimizers_of_one_dag_share_one_edge_set(self):
+        # the empty graph on four nodes: 24 minimizers, one DAG
+        got = sparsest_permutations(GraphOracle(Dag(["A", "B", "C", "D"], [])))
+        assert len(got) == 24
+        assert all(d.edges is got[0][1].edges and d.permutation is p for p, d in got)
+        for name in sorted(BUILTINS):
+            got = sparsest_permutations(builtin(name).oracle())
+            first = {}
+            for _, d in got:
+                assert first.setdefault(d.edges, d.edges) is d.edges, name
 
 
 class TestExampleTwoWalkthrough:
