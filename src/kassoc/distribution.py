@@ -9,25 +9,32 @@ assignments (desk scale, capped at ``MAX_CELLS`` = 2**20 cells).
 
 Every joint that is not built from Fractions comes out of one builder, a
 product of integer factors (``DiscreteJoint._product``) that grows the
-table one axis at a time: one factor per CPT for ``from_cpts``, each
-scaled to integers once, when the CPT is checked, and multiplied in over
-the nodes before it in topological order; for ``marginalize`` one lattice
-marginal and for a copy the table itself, either of which becomes the
-table with at most one permutation.  A model is built in one pass per
-layer: a ``Cpt`` checks and scales its whole table at once, by one lcm
-over its flat entries, and ``from_cpts`` checks each CPT's parents on the
-graph's parent bitmasks and reads the topological order that the ``Dag``
-kept from its own cycle check.
+table by each factor's new axes, as its most significant ones: one factor
+per CPT for ``from_cpts``, each scaled to integers once, when the CPT is
+checked, and multiplied in over the nodes before it in topological order;
+for ``marginalize`` one lattice marginal and for a copy the table itself,
+either of which becomes the table with at most one permutation.  A model
+is built in C-level passes, with no Python loop per cell or entry: a ``Cpt``
+type-checks its whole table by its set of entry types, scales it by one
+lcm over its flat entries (``_scaled``, which ``DiscreteJoint`` shares)
+and sums its rows over strided slices; ``_product`` multiplies the table
+so far by one factor entry per cell in one ``map`` for each assignment to
+the factor's new axes; and every index map (``_index_map``) is built from
+the last axis up, one ``map`` per value of an axis.  ``from_cpts`` checks
+each CPT's parents on the graph's parent bitmasks and reads the
+topological order that the ``Dag`` kept from its own cycle check.
 
 Every marginal comes from one lattice, ``_Lattice``: the marginal over a
-set of positions is summed out of the cached marginal over that set plus
-one more position, down from the full table.  Each ``DiscreteJoint`` and
-``Dataset`` makes one lattice when it is built and reads every query
-through it, so all queries on one table (every oracle over it, an audit's
-CMC check and ``marginalize``) share their partial sums; the lattice
-stores at most ``MAX_CELLS`` cells and goes away with its table.  With
-each marginal it stores, the lattice keeps that marginal's shape, its
-axes' cardinalities, read off the shape it was summed out of.
+set of positions is summed out of a marginal over that set plus one more
+position, a stored one if there is any, else the one over the set plus
+its highest missing position, down from the full table.  Each
+``DiscreteJoint`` and ``Dataset`` makes one lattice when it is built and
+reads every query through it, so all queries on one table (every oracle
+over it, an audit's CMC check and ``marginalize``) share their partial
+sums; the lattice stores at most ``MAX_CELLS`` cells and goes away with
+its table.  With each marginal it stores, the lattice keeps that
+marginal's shape, its axes' cardinalities, read off the shape it was
+summed out of.
 
 A ``Dataset``'s table is its row counts over the same dense row-major
 cells.  Rows from a caller are checked against the domains and counted
@@ -67,7 +74,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, attrgetter, eq, mul
+from operator import add, eq, methodcaller, mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .graph import MAX_NODES, query_masks
@@ -90,23 +97,38 @@ def exact(value, error: type[ValueError], what: str) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
+_EXACT = {int, Fraction}  # entries of only these types need no isinstance each
+
+
+def _scaled(entries: Sequence[int | Fraction]) -> tuple[int, list[int]]:
+    """The lcm of the denominators of ``entries``, ints and Fractions, and
+    the entries scaled by it to ints: one ``as_integer_ratio`` call per
+    entry, then one C-level pass."""
+    ratios = map(methodcaller("as_integer_ratio"), entries)
+    nums, dens = zip(*ratios) if entries else ((), ())
+    denom = math.lcm(*dens)
+    return denom, list(map(mul, nums, map(denom.__floordiv__, dens)))
+
+
 @dataclass(frozen=True)
 class Cpt:
     """Conditional probability table of one variable given its parents.
 
     ``rows`` maps a parent assignment (tuple of values in ``parents``
     order) to a probability vector over the child's domain.  Every
-    cardinality must be at least 1, each entry must be an int or a
-    Fraction, and each vector must sum to exactly 1.
+    cardinality must be an int (not a bool, as in a scenario file) and at
+    least 1, each entry must be an int or a Fraction, and each vector must
+    sum to exactly 1.
 
     The whole table is checked at once: its entries, flat in ``rows``
-    order, are type-checked and scaled to integers by the lcm of all their
-    denominators in one pass apiece, and each row's sign and sum are read
-    off its span of the scaled entries.  A bad table names its first bad
-    row in ``rows`` order, from those same per-row verdicts, each row
-    checked for length, then entry type, then sign, then sum.  The table
-    is kept as ``_factor``: that lcm and the scaled entries, flat in
-    row-major order over (parents..., child), as ``DiscreteJoint.from_cpts``
+    order, are type-checked by the set of their types and scaled to
+    integers by the lcm of all their denominators (``_scaled``); the sign
+    verdict is the least scaled entry, and the row sums add the entries'
+    strided slices, one per child value.  Only a bad table gets per-row
+    verdicts: it names its first bad row in ``rows`` order, each row
+    checked for length, then entry type, then sign, then sum.  The table is
+    kept as ``_factor``: that lcm and the scaled entries, flat in row-major
+    order over (parents..., child), as ``DiscreteJoint.from_cpts``
     multiplies it in.
     """
 
@@ -124,10 +146,12 @@ class Cpt:
                 f"CPT for {child}: {len(self.parents)} parents but "
                 f"{len(self.parent_cards)} parent cardinalities")
         cards = (card, *self.parent_cards)
-        if min(cards) < 1:
-            name, c = next((v, c) for v, c in zip((child, *self.parents), cards) if c < 1)
+        if set(map(type, cards)) != {int} or min(cards) < 1:
+            name, c = next((v, c) for v, c in zip((child, *self.parents), cards)
+                           if type(c) is not int or c < 1)
+            rule = "be positive" if type(c) is int else "be an int"
             raise DistributionError(
-                f"CPT for {child}: cardinality of {name} must be positive, not {c}")
+                f"CPT for {child}: cardinality of {name} must {rule}, not {c!r}")
         size = math.prod(self.parent_cards)
         if size > MAX_CELLS:
             raise DistributionError(f"CPT for {child}: more than {MAX_CELLS} parent rows")
@@ -136,42 +160,40 @@ class Cpt:
         if len(rows) != size or not in_order and set(rows) != set(cells):
             raise DistributionError(f"CPT for {child}: wrong set of parent rows")
         # the rows of the right length, flat in rows order, are type-checked
-        # and scaled by one lcm in one pass apiece; zip cuts the scaled
-        # entries back into rows, and each row's least entry and sum are its
-        # sign and sum verdicts
+        # by their set of types and scaled by one lcm; the least scaled
+        # entry is the sign verdict, and the row sums add strided slices
         vecs = list(rows.values())
         fit = list(map(eq, map(len, vecs), itertools.repeat(card)))
         entries = list(itertools.chain.from_iterable(itertools.compress(vecs, fit)))
-        typed = list(map(isinstance, entries, itertools.repeat((int, Fraction))))
-        if not all(typed):
-            # a row with an entry of another type is named for that entry,
-            # so its other verdicts are never read
-            entries = [p if ok else 0 for p, ok in zip(entries, typed)]
-        dens = list(map(attrgetter("denominator"), entries))
-        denom = math.lcm(*dens)
-        flat = list(map(mul, map(attrgetter("numerator"), entries), map(denom.__floordiv__, dens)))
-        scaled = list(zip(*[iter(flat)] * card))
-        lows = list(map(min, scaled))
-        sums = list(map(sum, scaled))
-        if not (all(fit) and all(typed) and min(lows, default=0) >= 0
-                and sums.count(denom) == size):
+        typed = set(map(type, entries)) <= _EXACT
+        if not typed:
+            # bools and subclasses of int and Fraction are exact too; a row
+            # with an entry of another type is named for that entry, so its
+            # other verdicts are never read
+            kinds = list(map(isinstance, entries, itertools.repeat((int, Fraction))))
+            entries = [p if ok else 0 for p, ok in zip(entries, kinds)]
+            typed = all(kinds)
+        denom, flat = _scaled(entries)
+        sums = flat[::card]
+        for v in range(1, card):
+            sums = map(add, sums, flat[v::card])
+        if not (all(fit) and typed and min(flat) >= 0 and all(map(denom.__eq__, sums))):
             # the first bad row in rows order; per row: length, then entry
             # type, then sign, then sum
-            r = 0
+            scaled = iter(zip(*[iter(flat)] * card))
             for pa, vec, fits in zip(rows, vecs, fit):
                 if not fits:
                     raise DistributionError(f"CPT for {child}: bad row length at {pa}")
-                if not all(typed[r * card:(r + 1) * card]):
-                    for p in vec:
-                        exact(p, DistributionError, f"CPT for {child}: probability")
-                if lows[r] < 0:
+                for p in vec:
+                    exact(p, DistributionError, f"CPT for {child}: probability")
+                row = next(scaled)
+                if min(row) < 0:
                     raise DistributionError(f"CPT for {child}: negative probability")
-                if sums[r] != denom:
+                if sum(row) != denom:
                     raise DistributionError(f"CPT for {child}: row {pa} does not sum to 1")
-                r += 1
         if not in_order:
-            flat = list(itertools.chain.from_iterable(map(dict(zip(rows, scaled)).__getitem__,
-                                                          cells)))
+            by_row = dict(zip(rows, zip(*[iter(flat)] * card)))
+            flat = list(itertools.chain.from_iterable(map(by_row.__getitem__, cells)))
         object.__setattr__(self, "_factor", (denom, flat))
 
     @staticmethod
@@ -271,15 +293,19 @@ def _strides(cards: Sequence[int], order: Sequence[int]) -> tuple[list[int], int
 
 
 def _index_map(cards: Sequence[int], strides: Sequence[int]) -> list[int]:
-    """Target index of every cell of a row-major table over ``cards``,
-    built by product expansion in table order (no per-cell tuples)."""
+    """Target index, sum(value * stride), of every cell of a row-major
+    table over ``cards``: built from the last axis up, each axis one C-level
+    pass per value over the list of the axes after it (a repeat of that
+    list for a stride of 0)."""
     idx = [0]
-    for c, st in zip(cards, strides):
-        if st:
-            steps = range(0, c * st, st)
-            idx = [i + d for i in idx for d in steps]
-        elif c > 1:
-            idx = [i for i in idx for _ in range(c)]
+    for c, st in zip(reversed(cards), reversed(strides)):
+        if not st:
+            idx *= c
+            continue
+        out = idx[:]
+        for d in range(st, c * st, st):
+            out += map(d.__add__, idx)
+        idx = out
     return idx
 
 
@@ -398,11 +424,12 @@ class _Lattice:
     ``marginals`` maps a position bitmask K to the marginal over K, kept in
     ascending position order, and ``shapes`` maps each K that ``marginals``
     holds, and no other, to that marginal's shape: its axes' cardinalities
-    in ascending position order.  On a miss, the highest position p outside
-    K is summed out of the marginal of K | p, and its entry out of that
-    marginal's shape; that lookup recurses, and the full mask is the table
-    itself, of shape ``cards``.  Past the ``MAX_CELLS`` budget a marginal
-    and its shape are computed and not kept.
+    in ascending position order.  On a miss, a position q outside K is
+    summed out of the marginal of K | q, and its entry out of that
+    marginal's shape: the highest q whose K | q is stored, or, if none is,
+    the highest q outside K, whose lookup recurses; the full mask is the
+    table itself, of shape ``cards``.  Past the ``MAX_CELLS`` budget a
+    marginal and its shape are computed and not kept.
 
     ``ci_cells`` and ``corner_cells`` read marginals at the cells of w_M
     through index lists (``_ci_plan``, ``_corner_plan``) that depend only
@@ -465,19 +492,28 @@ class _Lattice:
 
     def shaped(self, mask: int) -> tuple[Sequence[int], tuple[int, ...]]:
         """The marginal of ``ascending`` and its shape."""
-        shape = self.shapes.get(mask)
+        shapes = self.shapes
+        shape = shapes.get(mask)
         if shape is not None:
             return self.marginals[mask], shape
-        n = len(self.cards)
-        full = (1 << n) - 1
+        full = (1 << len(self.cards)) - 1
         if mask == full:
             return self.table, self.cards
-        p = (full & ~mask).bit_length() - 1
-        up, shape = self.shaped(mask | 1 << p)
-        # every position above p is kept, so p's axis is followed by
-        # exactly those of self.cards[p + 1:]
-        k = len(shape) - n + p
-        table = self.marginals.keep(mask, _sum_out(up, self.cards[p:], 0))
+        # the highest q whose mask | q is stored, else the highest q missing;
+        # a loop over the missing bits costs a miss less than a generator
+        rest = missing = full & ~mask
+        while rest:
+            q = rest.bit_length() - 1
+            if mask | 1 << q in shapes:
+                break
+            rest ^= 1 << q
+        else:
+            q = missing.bit_length() - 1
+        up, shape = self.shaped(mask | 1 << q)
+        # q's axis in the marginal over mask | q is the number of positions
+        # of mask below q
+        k = (mask & ((1 << q) - 1)).bit_count()
+        table = self.marginals.keep(mask, _sum_out(up, shape, k))
         shape = shape[:k] + shape[k + 1 :]
         if mask in self.marginals:
             self.shapes[mask] = shape
@@ -485,8 +521,12 @@ class _Lattice:
 
 
 def _domains(variables: Iterable[tuple[str, int]]) -> tuple[tuple[tuple[str, int], ...], int]:
-    """Validated ``(name, cardinality)`` pairs and the dense table size."""
-    variables = tuple((str(n), int(c)) for n, c in variables)
+    """Validated ``(name, cardinality)`` pairs and the dense table size;
+    each cardinality must be an int (not a bool, as in a scenario file)."""
+    variables = tuple((str(n), c) for n, c in variables)
+    for n, c in variables:
+        if type(c) is not int:
+            raise DistributionError(f"cardinality of {n} must be an int, not {c!r}")
     names = [n for n, _ in variables]
     if len(set(names)) != len(names):
         raise DistributionError("duplicate variable names")
@@ -518,16 +558,18 @@ class DiscreteJoint:
         probs: Sequence[Fraction],
     ):
         variables, size = _domains(variables)
-        probs = tuple(exact(p, DistributionError, "probability entry") for p in probs)
+        probs = tuple(probs)
+        if not set(map(type, probs)) <= _EXACT:
+            for p in probs:
+                exact(p, DistributionError, "probability entry")
         if len(probs) != size:
             raise DistributionError("table size does not match variable domains")
-        denom = math.lcm(*(p.denominator for p in probs))
-        weights = tuple(p.numerator * (denom // p.denominator) for p in probs)
-        if any(w < 0 for w in weights):
+        denom, weights = _scaled(probs)
+        if min(weights) < 0:
             raise DistributionError("negative probability entry")
         if sum(weights) != denom:
             raise DistributionError("probabilities must sum to exactly 1")
-        self._fill(variables, weights, denom)
+        self._fill(variables, tuple(weights), denom)
 
     def _fill(self, variables, weights, denom) -> None:
         object.__setattr__(self, "variables", variables)
@@ -544,11 +586,14 @@ class DiscreteJoint:
         ``positions`` (distinct), over the product of their denominators, in
         lowest terms.
 
-        The table grows one axis at a time, in the order in which the
-        positions first appear, and each factor is multiplied in as soon as
-        its positions are present: each of its cells is a cell of the table
-        so far times one entry of the factor.  A factor that arrives on an
-        empty table becomes the table.  The result is permuted once into
+        The table grows by a factor's new positions at a time, in the order
+        in which the positions first appear, and each factor is multiplied
+        in as soon as its positions are present.  Its new positions become
+        the table's most significant axes: for each assignment to them, in
+        row-major order, the table so far is multiplied cell by cell by the
+        factor's entries at that assignment's offset, one C-level pass
+        apiece appended to the new table.  A factor that arrives on an empty
+        table becomes the table.  The result is permuted once into
         ``variables`` order.  A factor costs the size of the table after it,
         so CPTs passed in topological order cost O(size) in all."""
         variables, size = _domains(variables)
@@ -563,14 +608,17 @@ class DiscreteJoint:
             new = [p for p in positions if p not in axes]
             offsets = _index_map([cards[p] for p in new], [strides[p] for p in new])
             cells = _index_map([cards[p] for p in axes], [strides[p] for p in axes])
-            table = [w * ints[k + o] for w, k in zip(table, cells) for o in offsets]
-            axes += new
+            out = []
+            for o in offsets:
+                out += map(mul, table, map(ints[o:].__getitem__, cells))
+            table = out
+            axes = new + axes
         if table is None:
             table = [1]
         if axes != list(range(len(cards))):
             table = list(map(table.__getitem__, _index_map(cards, _strides(cards, axes)[0])))
         g = math.gcd(*table)  # positive: the weights sum to denom
-        weights = tuple(table) if g == 1 else tuple(w // g for w in table)
+        weights = tuple(table) if g == 1 else tuple(map(g.__rfloordiv__, table))
         joint = object.__new__(cls)
         joint._fill(variables, weights, denom // g)
         return joint

@@ -29,6 +29,9 @@
   lists that the lattice's CI reads use, found by walking every position
   of a query's M and listing cells one by one; the slow twins of the
   plans kept by shape (``distribution._corner_plan`` and ``_ci_plan``).
+* :func:`comprehension_index_map`: a table's index map grown from the
+  first axis down by one list comprehension per axis; the slow twin of
+  ``distribution._index_map``, which grows it from the last axis up.
 * :func:`row_by_row_factor`: a CPT's rows checked and scaled one at a time,
   each by its own lcm, then brought to one denominator; the slow twin of
   the whole-table check in ``Cpt.__post_init__``, error texts included.
@@ -341,6 +344,20 @@ def _cell_indices(cards: Sequence[int], strides: Sequence[int]) -> list[int]:
             for cell in itertools.product(*(range(c) for c in cards))]
 
 
+def comprehension_index_map(cards: Sequence[int], strides: Sequence[int]) -> list[int]:
+    """sum(value * stride) at every cell of a row-major table over
+    ``cards``, by product expansion in table order: each axis, first to
+    last, expands every index so far into one per value of that axis."""
+    idx = [0]
+    for c, st in zip(cards, strides):
+        if st:
+            steps = range(0, c * st, st)
+            idx = [i + d for i in idx for d in steps]
+        elif c > 1:
+            idx = [i for i in idx for _ in range(c)]
+    return idx
+
+
 def stride_walk_corners(cards: Sequence[int], mx: int, my: int, ms: int
                         ) -> tuple[list[int], ...]:
     """The corner lists of ``_Lattice.corner_cells`` on a lattice over
@@ -428,6 +445,9 @@ def row_by_row_factor(child, card, parents, parent_cards, rows):
     of the row denominators and laid out in parent-value order.  Raises the
     ``DistributionError`` of the first bad cardinality or row."""
     for name, c in [(child, card), *zip(parents, parent_cards)]:
+        if type(c) is not int:
+            raise DistributionError(
+                f"CPT for {child}: cardinality of {name} must be an int, not {c!r}")
         if c <= 0:
             raise DistributionError(
                 f"CPT for {child}: cardinality of {name} must be positive, not {c}")

@@ -5,11 +5,12 @@ import itertools
 import math
 import pickle
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
-from kassoc.distribution import MAX_ROWS, Cpt, DiscreteJoint, DistributionError
+from kassoc.distribution import MAX_ROWS, Cpt, Dataset, DiscreteJoint, DistributionError
 from kassoc.graph import Dag
 from kassoc.scenarios import BUILTINS, builtin
 from conftest import random_cpt_net, zero_cell_joints, zero_cell_nets
@@ -191,6 +192,36 @@ class TestCpt:
             Cpt("Y", card, parents, cards, rows)
         assert str(err.value) == f"CPT for Y: {text}"
 
+    @pytest.mark.parametrize("card, parent_cards, name, shown", [
+        (2.0, (), "Y", "2.0"),
+        (True, (), "Y", "True"),
+        (2, (True,), "X", "True"),
+        (2, (2.7,), "X", "2.7"),
+        (2, ("2",), "X", "'2'"),
+        # the first bad cardinality, the child's first, by either rule
+        (2.0, (0,), "Y", "2.0"),
+        (0, (2.0,), "Y", "0"),
+    ])
+    def test_each_cardinality_is_an_int(self, card, parent_cards, name, shown):
+        """A float, a bool or a string is refused by name, as
+        ``scenarios`` refuses it in a file, never truncated to an int."""
+        rows = {pa: (F(1, 2), F(1, 2)) for pa in itertools.product(
+            *(range(int(c)) for c in parent_cards))}
+        parents = ("X",) * len(parent_cards)
+        rule = "be positive" if shown == "0" else "be an int"
+        with pytest.raises(DistributionError) as err:
+            Cpt("Y", card, parents, parent_cards, rows)
+        assert str(err.value) == f"CPT for Y: cardinality of {name} must {rule}, not {shown}"
+
+    @pytest.mark.parametrize("card, shown", [(2.7, "2.7"), (2.0, "2.0"), (True, "True"),
+                                             ("2", "'2'")])
+    def test_joints_and_datasets_refuse_a_cardinality_that_is_not_an_int(self, card, shown):
+        text = f"^cardinality of X must be an int, not {re.escape(shown)}$"
+        with pytest.raises(DistributionError, match=text):
+            DiscreteJoint([("X", card)], [F(1, 2), F(1, 2)])
+        with pytest.raises(DistributionError, match=text):
+            Dataset([("X", card)], [(0,), (1,)])
+
     def test_cardinalities_are_checked_after_the_parent_count(self):
         with pytest.raises(DistributionError, match="1 parents but 2 parent"):
             Cpt("Y", 0, ("X",), (0, 0), {})
@@ -201,6 +232,14 @@ class TestCpt:
         with pytest.raises(DistributionError, match="more than"):
             Cpt("Y", 2, ("X",), (2**21,), {(0,): (0.5,)})
 
+
+
+class Count(int):
+    """An int subclass: an exact entry that is not of type int."""
+
+
+class Share(F):
+    """A Fraction subclass: an exact entry that is not of type Fraction."""
 
 
 def shuffled_rows(cpt, rng):
@@ -234,22 +273,24 @@ class TestWholeTableCheck:
     def test_bad_tables_name_the_twins_row(self, seed):
         """Random small tables, rows in shuffled order, each row either
         valid or drawn from entries of every verdict (short or long rows,
-        floats, strings, negative entries, rows that do not sum to 1), some
-        with a cardinality below 1."""
+        floats, strings, negative entries, rows that do not sum to 1; bools
+        and instances of int and Fraction subclasses are exact), some with
+        a cardinality below 1 or one that is a float or a bool."""
         rng = random.Random(f"bad-tables:{seed}")
-        values = [F(1, 2), F(1, 3), F(2, 3), 1, 0, -1, F(-1, 2), F(3, 2), 0.5, "1", True]
+        values = [F(1, 2), F(1, 3), F(2, 3), 1, 0, -1, F(-1, 2), F(3, 2), 0.5, "1", True,
+                  Count(0), Share(1, 2)]
         outcomes = set()
         for _ in range(400):
-            card = rng.choice((0, 1, 2, 3))
-            parent_cards = rng.choice(((), (2,), (3,), (2, 2), (0,), (2, -1)))
-            keys = list(itertools.product(*map(range, parent_cards)))
+            card = rng.choice((0, 1, 2, 3, 2.0, True))
+            parent_cards = rng.choice(((), (2,), (3,), (2, 2), (0,), (2, -1), (2.0,), (True, 2)))
+            keys = list(itertools.product(*(range(int(c)) for c in parent_cards)))
             rng.shuffle(keys)
             rows = {}
             for pa in keys:
                 if card and rng.random() < 0.6:
-                    rows[pa] = (F(1, card),) * card
+                    rows[pa] = (F(1, int(card)),) * int(card)
                 else:
-                    length = card if rng.random() < 0.8 else rng.randint(0, 4)
+                    length = int(card) if rng.random() < 0.8 else rng.randint(0, 4)
                     rows[pa] = tuple(rng.choice(values) for _ in range(length))
             parents = ("A", "B")[:len(parent_cards)]
             try:
@@ -495,14 +536,14 @@ class TestIntegerPathAgainstFractionReference:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_from_cpts_matches_the_integer_product_on_larger_nets(self, seed):
-        """10-14 nodes of cardinality 1-3 with zero entries, listed in an
+        """10-14 nodes of cardinality 1-4 with zero entries, listed in an
         order that is not topological, so the product's axes are permuted
         once at the end; each single-factor rebuild (copy, pickle,
         ``marginalize`` of none or of every name, in any order) keeps the
         weights."""
         rng = random.Random(f"integer_product:{seed}")
         for n in (10, 12, 14):
-            dag, cpts = random_cpt_net(rng, n, 2 * n, 3, cards=(1, 2, 3))
+            dag, cpts = random_cpt_net(rng, n, 2 * n, 3, cards=(1, 2, 3, 4))
             assert any(dag.index(a) > dag.index(b) for a, b in dag.edges)
             assert any(p == 0 for c in cpts for row in c.rows.values() for p in row)
             rng.shuffle(cpts)

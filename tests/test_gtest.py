@@ -321,8 +321,9 @@ class TestDatasetChecks:
     def test_list_input_is_stored_as_its_tuple_twin(self):
         rows = ((0, 1), (1, 2), (1, 0), (0, 2), (1, 1))
         twin = Dataset(self.VARIABLES, rows)
-        for variables in ([["A", 2], ["B", 3]], [["A", "2"], ["B", "3"]]):
-            data = Dataset(variables, [list(r) for r in rows])
-            assert data.variables == self.VARIABLES and data.rows == rows
-            assert data == twin and hash(data) == hash(twin)
-            assert g_test(data, "A", "B") == g_test(twin, "A", "B")
+        data = Dataset([["A", 2], ["B", 3]], [list(r) for r in rows])
+        assert data.variables == self.VARIABLES and data.rows == rows
+        assert data == twin and hash(data) == hash(twin)
+        assert g_test(data, "A", "B") == g_test(twin, "A", "B")
+        with pytest.raises(DistributionError, match="^cardinality of A must be an int, not '2'$"):
+            Dataset([["A", "2"], ["B", 3]], [list(r) for r in rows])

@@ -21,8 +21,8 @@ from kassoc.distribution import Dataset, DiscreteJoint, DistributionError, _Latt
 from kassoc.gtest import GTestConfig, _g_test, g_test
 from kassoc.oracle import GTestOracle
 from kassoc.scenarios import Scenario, builtin
-from references import (fraction_is_independent_sets, fraction_marginal, stride_walk_corners,
-                        stride_walk_gathers)
+from references import (comprehension_index_map, fraction_is_independent_sets,
+                        fraction_marginal, stride_walk_corners, stride_walk_gathers)
 
 
 def from_weights(variables, weights):
@@ -268,6 +268,58 @@ def test_plans_match_the_stride_walk(cards):
                 with mock.patch.object(distribution, "_GATHERS", shared):
                     assert [list(c) for c in read(lattice, *masks)] == cells, (xs, ys, s)
     assert corner_pairs
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_index_map_matches_the_comprehension(seed):
+    """Random shapes of 0-5 axes with cardinalities 1-4 and strides that
+    are 0 or not (row-major or arbitrary), the empty shape included: the
+    index map built from the last axis up is the comprehension's."""
+    rng = random.Random(f"index-map:{seed}")
+    kinds = set()
+    for _ in range(300):
+        cards = [rng.randint(1, 4) for _ in range(rng.randint(0, 5))]
+        if rng.random() < 0.3:
+            kept = [p for p in range(len(cards)) if rng.random() < 0.6]
+            strides = distribution._strides(cards, kept)[0]
+        else:
+            strides = [rng.choice((0, 0, 1, 2, 3, 7, 12)) for _ in cards]
+        assert distribution._index_map(cards, strides) == comprehension_index_map(cards, strides)
+        kinds.add("empty" if not cards else (0 in strides, any(strides)))
+    assert kinds == {"empty", (True, True), (True, False), (False, True)}
+
+
+@pytest.mark.parametrize("budget", [None, 0, 1, 18])
+def test_a_miss_reads_any_stored_one_larger_superset(budget):
+    """A miss sums one position out of a stored marginal over one more
+    position, the highest such position first, and recurses on the highest
+    missing position only when none is stored.  The queries run so that a
+    miss finds a stored superset that is not the highest one when the
+    budget keeps it (18 cells hold the marginals over V0-V2 and V0-V1);
+    under every budget each marginal equals the Fraction one summed from
+    the table."""
+    cards = (2, 3, 2, 4)
+    joint = seeded_joint(0, cards)
+    lattice = joint._lattice
+    masks = [0b0011, 0b0001, 0b0110, 0b0010, 0b0000, 0b1010, 0b1000]
+    masks += random.Random("superset-miss").sample(range(16), 16)
+    with mock.patch.object(distribution, "MAX_CELLS", unless_none(budget)), \
+            mock.patch.object(distribution, "_sum_out", wraps=distribution._sum_out) as sum_out:
+        for i, mask in enumerate(masks):
+            stored = 0b0011 in lattice.marginals
+            sum_out.reset_mock()
+            got = [F(w, joint._denom) for w in lattice.ascending(mask)]
+            assert got == ascending_marginal(joint, mask), mask
+            assert lattice.shapes.keys() == lattice.marginals.keys()
+            assert lattice.marginals.cells <= distribution.MAX_CELLS
+            if i == 1:
+                # V1 is summed out of the stored marginal over V0 and V1;
+                # with nothing stored, V3 is summed out last, down from the
+                # table through the marginals over V0, V2, V3 and V0, V3
+                reads = [call.args[1:] for call in sum_out.call_args_list]
+                assert stored == (budget in (None, 18))
+                assert reads == ([((2, 3), 1)] if stored else
+                                 [(cards, 1), ((2, 2, 4), 1), ((2, 4), 1)]), budget
 
 
 @pytest.mark.parametrize("budget", [0, 3, 12])
