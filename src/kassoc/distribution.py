@@ -24,17 +24,17 @@ the last axis up, one ``map`` per value of an axis.  ``from_cpts`` checks
 each CPT's parents on the graph's parent bitmasks and reads the
 topological order that the ``Dag`` kept from its own cycle check.
 
-Every marginal comes from one lattice, ``_Lattice``: the marginal over a
-set of positions is summed out of a marginal over that set plus one more
-position, a stored one if there is any, else the one over the set plus
-its highest missing position, down from the full table.  Each
-``DiscreteJoint`` and ``Dataset`` makes one lattice when it is built and
-reads every query through it, so all queries on one table (every oracle
-over it, an audit's CMC check and ``marginalize``) share their partial
-sums; the lattice stores at most ``MAX_CELLS`` cells and goes away with
-its table.  With each marginal it stores, the lattice keeps that
-marginal's shape, its axes' cardinalities, read off the shape it was
-summed out of.
+Every marginal comes from one lattice, ``_Lattice``, a ``_MaskLattice``:
+the one budgeted store keyed by position bitmask, which the Gaussian
+minors lattice (``gaussian._Minors``) shares.  Its root is the full table
+with its cardinalities, and each entry past it is a marginal with its
+shape, summed out of a marginal over one more position: a kept one if
+there is any, else the one over the set plus its highest missing
+position.  Each ``DiscreteJoint`` and ``Dataset`` makes one lattice when
+it is built and reads every query through it, so all queries on one
+table (every oracle over it, an audit's CMC check and ``marginalize``)
+share their partial sums; past its root, the lattice keeps at most
+``MAX_CELLS`` cells, and it goes away with its table.
 
 A ``Dataset``'s table is its row counts over the same dense row-major
 cells.  Rows from a caller are checked against the domains and counted
@@ -77,7 +77,7 @@ from fractions import Fraction
 from operator import add, eq, methodcaller, mul
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .graph import MAX_NODES, query_masks
+from .graph import MAX_NODES, _ranks, query_masks
 
 MAX_CELLS = 1 << 20
 MAX_ROWS = 10**7  # the most rows ``DiscreteJoint.sample`` draws
@@ -108,6 +108,29 @@ def _scaled(entries: Sequence[int | Fraction]) -> tuple[int, list[int]]:
     nums, dens = zip(*ratios) if entries else ((), ())
     denom = math.lcm(*dens)
     return denom, list(map(mul, nums, map(denom.__floordiv__, dens)))
+
+
+def _parent_rows(child: str, card: int, parents: Sequence[str],
+                 parent_cards: Sequence[int]) -> int:
+    """The number of parent rows of a CPT for ``child``, once each parent
+    has one cardinality, every cardinality is an int (not a bool, as in a
+    scenario file) and at least 1, and the rows number at most
+    ``MAX_CELLS``; else ``DistributionError``, naming the first bad one."""
+    if len(parents) != len(parent_cards):
+        raise DistributionError(
+            f"CPT for {child}: {len(parents)} parents but "
+            f"{len(parent_cards)} parent cardinalities")
+    cards = (card, *parent_cards)
+    if set(map(type, cards)) != {int} or min(cards) < 1:
+        name, c = next((v, c) for v, c in zip((child, *parents), cards)
+                       if type(c) is not int or c < 1)
+        rule = "be positive" if type(c) is int else "be an int"
+        raise DistributionError(
+            f"CPT for {child}: cardinality of {name} must {rule}, not {c!r}")
+    size = math.prod(parent_cards)
+    if size > MAX_CELLS:
+        raise DistributionError(f"CPT for {child}: more than {MAX_CELLS} parent rows")
+    return size
 
 
 @dataclass(frozen=True)
@@ -141,20 +164,7 @@ class Cpt:
 
     def __post_init__(self):
         child, card, rows = self.child, self.child_card, self.rows
-        if len(self.parents) != len(self.parent_cards):
-            raise DistributionError(
-                f"CPT for {child}: {len(self.parents)} parents but "
-                f"{len(self.parent_cards)} parent cardinalities")
-        cards = (card, *self.parent_cards)
-        if set(map(type, cards)) != {int} or min(cards) < 1:
-            name, c = next((v, c) for v, c in zip((child, *self.parents), cards)
-                           if type(c) is not int or c < 1)
-            rule = "be positive" if type(c) is int else "be an int"
-            raise DistributionError(
-                f"CPT for {child}: cardinality of {name} must {rule}, not {c!r}")
-        size = math.prod(self.parent_cards)
-        if size > MAX_CELLS:
-            raise DistributionError(f"CPT for {child}: more than {MAX_CELLS} parent rows")
+        size = _parent_rows(child, card, self.parents, self.parent_cards)
         cells = list(itertools.product(*map(range, self.parent_cards)))
         in_order = list(rows) == cells
         if len(rows) != size or not in_order and set(rows) != set(cells):
@@ -218,6 +228,8 @@ class Cpt:
         The noise coin is marginalised into the table, it is not a node.
         """
         flip = exact(flip, DistributionError, f"flip of {child}")
+        parents, parent_cards = tuple(parents), tuple(parent_cards)
+        _parent_rows(child, 2, parents, parent_cards)
         off, on = (ONE - flip, flip), (flip, ONE - flip)  # the rows for fn = 0 and 1
         rows = {}
         for pa in itertools.product(*(range(c) for c in parent_cards)):
@@ -225,7 +237,7 @@ class Cpt:
             if v not in (0, 1):
                 raise DistributionError("noisy_function requires a boolean function")
             rows[pa] = on if v == 1 else off
-        return Cpt(child, 2, tuple(parents), tuple(parent_cards), rows)
+        return Cpt(child, 2, parents, parent_cards, rows)
 
 
 @dataclass(frozen=True)
@@ -338,10 +350,48 @@ def _sum_out(table: Sequence[int], cards: Sequence[int], p: int) -> Sequence[int
     return out
 
 
-class _Budgeted(dict):
-    """A cache that stores an entry only while the cells it stores stay
-    within ``MAX_CELLS``; past that budget, callers use what they computed
-    without storing it."""
+class _MaskLattice(dict):
+    """Values by position bitmask, each made from one neighbouring mask's
+    value by one step, from a root value that is always held.
+
+    A subclass gives its neighbour rule, ``_toward(mask)``, the next mask
+    on the way to the root, and its step, ``_step(value, near, mask)``,
+    which makes the value of ``mask`` from the value of its neighbour
+    ``near`` and returns it with the number of cells it holds.  A lookup
+    of a mask that is not held walks toward the root to the first mask
+    that is, then steps back, keeping each value while the cells kept,
+    ``cells``, stay within ``MAX_CELLS``; past that budget a value is
+    computed and not kept.  The root is not counted.
+    """
+
+    __slots__ = ("full", "cells")
+
+    def __init__(self, full: int, root: int, value):
+        self[root] = value
+        self.full = full
+        self.cells = 0
+
+    def __missing__(self, mask: int):
+        path = []
+        while mask not in self:
+            path.append(mask)
+            mask = self._toward(mask)
+        near, value = mask, self[mask]
+        for mask in reversed(path):
+            value, cells = self._step(value, near, mask)
+            if self.cells + cells <= MAX_CELLS:
+                self[mask] = value
+                self.cells += cells
+            near = mask
+        return value
+
+
+class _Recent(dict):
+    """The plan cache.  It stores an entry only while the ints it holds
+    stay within ``MAX_CELLS``, and makes room for one past that budget by
+    dropping every entry it holds, so it keeps serving the shapes that
+    recent queries use rather than the first ones it saw.  An entry bigger
+    than the whole budget is not stored and leaves the cache as it is."""
 
     __slots__ = ("cells",)
 
@@ -349,29 +399,16 @@ class _Budgeted(dict):
         super().__init__()
         self.cells = 0
 
-    def keep(self, key, value, cells: int | None = None):
-        """Store ``value``, which holds ``cells`` ints (``len(value)`` if
-        not given), if they fit; return ``value`` either way."""
-        cells = len(value) if cells is None else cells
-        if self.cells + cells <= MAX_CELLS:
+    def keep(self, key, value, cells: int):
+        """Store ``value``, which holds ``cells`` ints, if it can fit;
+        return ``value`` either way."""
+        if cells <= MAX_CELLS:
+            if self.cells + cells > MAX_CELLS:
+                self.clear()
+                self.cells = 0
             self[key] = value
             self.cells += cells
         return value
-
-
-class _Recent(_Budgeted):
-    """A ``_Budgeted`` cache that makes room for an entry past its budget
-    by dropping every entry it holds, so it keeps serving the shapes that
-    recent queries use rather than the first ones it saw."""
-
-    __slots__ = ()
-
-    def keep(self, key, value, cells: int | None = None):
-        cells = len(value) if cells is None else cells
-        if self.cells + cells > MAX_CELLS:
-            self.clear()
-            self.cells = 0
-        return super().keep(key, value, cells)
 
 
 # the read plans of ``_Lattice``, each kept under the shape of the w_M it
@@ -406,30 +443,15 @@ def _ci_plan(shape: tuple[int, ...], bx: int, by: int) -> tuple[list[int], ...]:
     return tuple(_index_map(shape, _strides(shape, kept)[0]) for kept in (s, s_x, s_y))
 
 
-def _axes(m: int, sub: int) -> int:
-    """The positions of ``sub``, a subset of the position bitmask ``m``, as
-    a bitmask over the axes of the marginal over ``m``: bit i for m's i-th
-    lowest position."""
-    axes = 0
-    while sub:
-        low = sub & -sub
-        axes |= 1 << (m & (low - 1)).bit_count()
-        sub ^= low
-    return axes
+class _Lattice(_MaskLattice):
+    """Marginals of one dense row-major integer table over ``cards``.
 
-
-class _Lattice:
-    """Cached marginals of one dense row-major integer table over ``cards``.
-
-    ``marginals`` maps a position bitmask K to the marginal over K, kept in
-    ascending position order, and ``shapes`` maps each K that ``marginals``
-    holds, and no other, to that marginal's shape: its axes' cardinalities
-    in ascending position order.  On a miss, a position q outside K is
-    summed out of the marginal of K | q, and its entry out of that
-    marginal's shape: the highest q whose K | q is stored, or, if none is,
-    the highest q outside K, whose lookup recurses; the full mask is the
-    table itself, of shape ``cards``.  Past the ``MAX_CELLS`` budget a
-    marginal and its shape are computed and not kept.
+    The entry of a position bitmask K is the marginal over K, kept in
+    ascending position order, with its shape: its axes' cardinalities in
+    ascending position order.  The root is the full mask, the table itself
+    with shape ``cards``.  A miss at K sums one position q out of the
+    marginal over K | q: the highest q whose K | q is held, else the
+    highest q outside K.
 
     ``ci_cells`` and ``corner_cells`` read marginals at the cells of w_M
     through index lists (``_ci_plan``, ``_corner_plan``) that depend only
@@ -442,13 +464,29 @@ class _Lattice:
     copy or unpickled table starts with an empty one.
     """
 
-    __slots__ = ("table", "cards", "marginals", "shapes")
+    __slots__ = ()
 
     def __init__(self, table: Sequence[int], cards: Sequence[int]):
-        self.table = table
-        self.cards = tuple(cards)
-        self.marginals = _Budgeted()
-        self.shapes = {}
+        full = (1 << len(cards)) - 1
+        super().__init__(full, full, (table, tuple(cards)))
+
+    def _toward(self, mask: int) -> int:
+        # a loop over the missing bits costs a miss less than a generator
+        rest = missing = self.full ^ mask
+        while rest:
+            q = 1 << (rest.bit_length() - 1)
+            if mask | q in self:
+                return mask | q
+            rest ^= q
+        return mask | 1 << (missing.bit_length() - 1)
+
+    def _step(self, up, near: int, mask: int):
+        table, shape = up
+        # the summed-out position's axis in the marginal over ``near`` is
+        # the number of positions of ``mask`` below it
+        k = (mask & ((near ^ mask) - 1)).bit_count()
+        table = _sum_out(table, shape, k)
+        return (table, shape[:k] + shape[k + 1 :]), len(table)
 
     def ci_cells(self, mx: int, my: int, ms: int) -> tuple[Iterable[int], ...]:
         """For disjoint position bitmasks, the marginals w_M, w_s, w_{s,x}
@@ -456,10 +494,9 @@ class _Lattice:
         at every cell of w_M (the last three lazily), through the index
         lists of ``_ci_plan``."""
         m = mx | my | ms
-        w_m, shape = self.shaped(m)
-        ascending = self.ascending
-        w_s, w_sx, w_sy = ascending(ms), ascending(ms | mx), ascending(ms | my)
-        bx, by = _axes(m, mx), _axes(m, my)
+        w_m, shape = self[m]
+        w_s, w_sx, w_sy = self[ms][0], self[ms | mx][0], self[ms | my][0]
+        bx, by = _ranks(m, mx), _ranks(m, my)
         key = (bx, by, shape)
         plan = _GATHERS.get(key)
         if plan is None:
@@ -474,7 +511,7 @@ class _Lattice:
         cells (x, y) = (0, 0), (1, 0), (0, 1) and (1, 1) of every stratum
         (assignment to ms), through the index lists of ``_corner_plan``."""
         m = mx | my | ms
-        w_m, shape = self.shaped(m)
+        w_m, shape = self[m]
         # x's axis in w_M is the number of M's positions below x's
         key = (shape, (m & (mx - 1)).bit_count(), (m & (my - 1)).bit_count())
         plan = _GATHERS.get(key)
@@ -483,41 +520,6 @@ class _Lattice:
         get = w_m.__getitem__
         c00, c10, c01, c11 = plan
         return map(get, c00), map(get, c10), map(get, c01), map(get, c11)
-
-    def ascending(self, mask: int) -> Sequence[int]:
-        """Weights of the row-major marginal over the positions in ``mask``,
-        in ascending position order."""
-        table = self.marginals.get(mask)
-        return self.shaped(mask)[0] if table is None else table
-
-    def shaped(self, mask: int) -> tuple[Sequence[int], tuple[int, ...]]:
-        """The marginal of ``ascending`` and its shape."""
-        shapes = self.shapes
-        shape = shapes.get(mask)
-        if shape is not None:
-            return self.marginals[mask], shape
-        full = (1 << len(self.cards)) - 1
-        if mask == full:
-            return self.table, self.cards
-        # the highest q whose mask | q is stored, else the highest q missing;
-        # a loop over the missing bits costs a miss less than a generator
-        rest = missing = full & ~mask
-        while rest:
-            q = rest.bit_length() - 1
-            if mask | 1 << q in shapes:
-                break
-            rest ^= 1 << q
-        else:
-            q = missing.bit_length() - 1
-        up, shape = self.shaped(mask | 1 << q)
-        # q's axis in the marginal over mask | q is the number of positions
-        # of mask below q
-        k = (mask & ((1 << q) - 1)).bit_count()
-        table = self.marginals.keep(mask, _sum_out(up, shape, k))
-        shape = shape[:k] + shape[k + 1 :]
-        if mask in self.marginals:
-            self.shapes[mask] = shape
-        return table, shape
 
 
 def _domains(variables: Iterable[tuple[str, int]]) -> tuple[tuple[tuple[str, int], ...], int]:
@@ -712,7 +714,7 @@ class DiscreteJoint:
         ascending = sorted(range(len(positions)), key=positions.__getitem__)
         return DiscreteJoint._product(
             [self.variables[p] for p in positions],
-            [(ascending, self._denom, self._lattice.ascending(sum(1 << p for p in positions)))],
+            [(ascending, self._denom, self._lattice[sum(1 << p for p in positions)][0])],
         )
 
     def is_independent(self, x: str, y: str, s: Iterable[str] = ()) -> bool:

@@ -11,7 +11,11 @@ independent given S iff M_S[x][y] == 0, and a query, pairwise or set,
 reads one M_S.  M_S comes from M_T, T being S without its highest
 position p, by one exact integer step of Sylvester's identity, as in
 Bareiss's fraction-free elimination (Math. Comp. 1968), which checks
-positive definiteness on the way: every D_S must be positive.
+positive definiteness on the way: every D_S must be positive.  The
+lattice is a ``distribution._MaskLattice``, the budgeted store that the
+discrete marginal lattice shares: its root, (1, cov) at the empty mask,
+is not counted, and past ``MAX_CELLS`` cells an M_S is computed and not
+kept.
 
 ``partial_correlation_zero`` decides one query on a covariance matrix by
 a fraction-free (Bareiss) elimination of its submatrix (``_pcorr_zero``);
@@ -25,8 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .distribution import _Budgeted, exact
-from .graph import Dag, GraphError
+from .distribution import _MaskLattice, exact
+from .graph import Dag, GraphError, _bits
 
 ZERO = Fraction(0)
 
@@ -114,80 +118,57 @@ def integer_scaled(cov: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
     return [[v.numerator * (den // v.denominator) for v in row] for row in cov]
 
 
-class _Minors:
+class _Minors(_MaskLattice):
     """The bordered minors of one integer covariance, by conditioning mask.
 
-    ``kept`` maps a position bitmask S to (D_S, M_S): D_S = det cov[S, S]
+    The entry of a position bitmask S is (D_S, M_S): D_S = det cov[S, S]
     and M_S, the rows and columns i, j outside S, in ascending position
     order, of det cov[S + i, S + j].  M_S[i][j] is D_S times
     Cov(i, j | S), so X and Y are independent given S iff M_S[x][y] == 0
-    for every x in X and y in Y.  The empty mask holds (1, cov).  On a
-    miss, M_S is built from M_T, T being S without its highest position p,
-    by Sylvester's identity in integers:
+    for every x in X and y in Y.  The root is the empty mask, holding
+    (1, cov).  A miss at S builds M_S from M_T, T being S without its
+    highest position p, by Sylvester's identity in integers:
 
         M_S[i][j] = (M_T[p][p] * M_T[i][j] - M_T[i][p] * M_T[p][j]) // D_T,
 
     and D_S = M_T[p][p], which must be positive (cov[S, S] is positive
-    definite iff every D along the chain is).  M_T comes the same way, so a
-    miss climbs from the longest chain prefix of S that is kept.  Past the
-    ``MAX_CELLS`` budget (the covariance itself not counted) an M_S is
-    computed and not kept.
+    definite iff every D along the chain is).
     """
 
-    __slots__ = ("full", "kept")
+    __slots__ = ()
 
     def __init__(self, cov: list[list[int]]):
-        self.full = (1 << len(cov)) - 1
-        self.kept = _Budgeted()
-        self.kept[0] = (1, cov)
+        super().__init__((1 << len(cov)) - 1, 0, (1, cov))
+
+    def _toward(self, ms: int) -> int:
+        return ms ^ 1 << (ms.bit_length() - 1)
+
+    def _step(self, entry, t: int, ms: int):
+        d, rows = entry
+        r = ((self.full ^ t) & ((ms ^ t) - 1)).bit_count()
+        prow = rows[r]
+        pivot = prow[r]
+        if pivot <= 0:
+            raise GaussianError("covariance submatrix is not positive definite")
+        new = []
+        for k, row in enumerate(rows):
+            if k != r:
+                f = row[r]
+                row = [(pivot * a - f * b) // d for a, b in zip(row, prow)]
+                del row[r]
+                new.append(row)
+        return (pivot, new), len(new) ** 2 + 1
 
     def independent(self, mx: int, my: int, ms: int) -> bool:
         """True iff X and Y, disjoint position bitmasks outside ``ms``, are
         independent given it: M_S is 0 on every X row and Y column."""
-        entry = self.kept.get(ms)
-        rows = (self.minors(ms) if entry is None else entry)[1]
+        rows = self[ms][1]
         out = self.full ^ ms
         if mx & (mx - 1) or my & (my - 1):
-            cols = _ranks(out, my)
-            return not any(rows[r][c] for r in _ranks(out, mx) for c in cols)
+            cols = [(out & ((1 << c) - 1)).bit_count() for c in _bits(my)]
+            return not any(rows[(out & ((1 << r) - 1)).bit_count()][c]
+                           for r in _bits(mx) for c in cols)
         return not rows[(out & (mx - 1)).bit_count()][(out & (my - 1)).bit_count()]
-
-    def minors(self, ms: int) -> tuple[int, list[list[int]]]:
-        """(D_S, M_S) for S = ``ms``."""
-        kept = self.kept
-        t, steps = ms, []
-        while t not in kept:
-            p = 1 << (t.bit_length() - 1)
-            steps.append(p)
-            t ^= p
-        d, rows = kept[t]
-        out = self.full ^ t
-        for p in reversed(steps):
-            r = (out & (p - 1)).bit_count()
-            prow = rows[r]
-            pivot = prow[r]
-            if pivot <= 0:
-                raise GaussianError("covariance submatrix is not positive definite")
-            new = []
-            for k, row in enumerate(rows):
-                if k != r:
-                    f = row[r]
-                    row = [(pivot * a - f * b) // d for a, b in zip(row, prow)]
-                    del row[r]
-                    new.append(row)
-            d, rows, out, t = pivot, new, out ^ p, t | p
-            kept.keep(t, (d, rows), len(rows) ** 2 + 1)
-        return d, rows
-
-
-def _ranks(out: int, m: int) -> list[int]:
-    """The rank of each position of ``m`` among the positions of ``out``."""
-    ranks = []
-    while m:
-        low = m & -m
-        ranks.append((out & (low - 1)).bit_count())
-        m ^= low
-    return ranks
 
 
 def _pcorr_zero(a: list[list[int]], ns: int, nx: int) -> bool:

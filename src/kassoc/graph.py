@@ -36,6 +36,17 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _ranks(m: int, sub: int) -> int:
+    """The positions of ``sub``, a subset of the bitmask ``m``, as a bitmask
+    of their ranks among m's positions: bit i for m's i-th lowest one."""
+    ranks = 0
+    while sub:
+        low = sub & -sub
+        ranks |= 1 << (m & (low - 1)).bit_count()
+        sub ^= low
+    return ranks
+
+
 def query_masks(index: Mapping[str, int], xs: Iterable[str], ys: Iterable[str],
                 s: Iterable[str], error: type[ValueError]) -> tuple[int, int, int]:
     """Position bitmasks of a CI query's sides and conditioning set through

@@ -4,8 +4,10 @@ reads four marginals, over s | x | y, s, s | x and s | y (the ones the
 exact backend's CI check reads for a query that is not a binary pair),
 from the dataset's own marginal lattice (``distribution._Lattice.ci_cells``),
 which every query on one dataset, from any ``GTestOracle`` or direct call,
-shares.  A ``GTestOracle`` hands it the masks it checked; ``g_test``
-checks its names with ``graph.query_masks`` on the dataset's name index.
+shares; the lattice's root, the whole count table with its
+cardinalities, gives the degrees of freedom.  A ``GTestOracle`` hands it
+the masks it checked; ``g_test`` checks its names with
+``graph.query_masks`` on the dataset's name index.
 
 The only floating-point zone in the codebase: the G statistic, and the
 chi-squared tail at integer df, a finite sum that stops early once the
@@ -95,11 +97,12 @@ def _g_test(dataset: Dataset, mx: int, my: int, ms: int, cfg: GTestConfig) -> GT
     """``g_test`` on the position bitmasks of x, y and s in ``dataset``."""
     if len(dataset) == 0:
         raise DistributionError("dataset is empty")
-    cells = dataset._lattice.ci_cells(mx, my, ms)
+    lattice = dataset._lattice
+    cells = lattice.ci_cells(mx, my, ms)
     stat = 2.0 * math.fsum(
         obs * math.log(obs * n_s / (n_sx * n_sy)) for obs, n_s, n_sx, n_sy in zip(*cells) if obs
     )
-    card = dataset._lattice.cards
+    card = lattice[lattice.full][1]
     strata = math.prod(card[i] for i in _bits(ms))
     df = (card[mx.bit_length() - 1] - 1) * (card[my.bit_length() - 1] - 1) * strata
     if df <= 0:

@@ -8,7 +8,8 @@ lattice a discrete or G-test query reads belongs to the table (the
 ``DiscreteJoint`` or ``Dataset``), and the minors lattice a Gaussian query
 reads to the ``GaussianSystem``, not to the oracle: every oracle over one
 table or system, and the table's other users, share its cached marginals
-or minors.
+or minors.  Both lattices are ``distribution._MaskLattice``s: one
+budgeted store keyed by marginal or conditioning mask.
 
 Names are checked once and turned into bitmasks of positions in the
 oracle's variable order through the table's own name index

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from kassoc.distribution import MAX_ROWS, Cpt, Dataset, DiscreteJoint, DistributionError
+from kassoc.distribution import MAX_CELLS, MAX_ROWS, Cpt, Dataset, DiscreteJoint, DistributionError
 from kassoc.graph import Dag
 from kassoc.scenarios import BUILTINS, builtin
 from conftest import random_cpt_net, zero_cell_joints, zero_cell_nets
@@ -125,6 +125,21 @@ class TestCpt:
     def test_noisy_function_refuses_a_float_flip(self):
         with pytest.raises(DistributionError, match="flip of Y"):
             Cpt.noisy_function("Y", ("X",), (2,), lambda x: x, 0.25)
+
+    @pytest.mark.parametrize("parent_cards, text", [
+        ((2.0,), "cardinality of X0 must be an int, not 2.0"),
+        (("2",), "cardinality of X0 must be an int, not '2'"),
+        ((2,) * 21, f"more than {MAX_CELLS} parent rows"),
+    ])
+    def test_noisy_function_checks_its_parents_before_any_row(self, parent_cards, text):
+        """A parent cardinality that is not an int, or more parent rows than
+        ``MAX_CELLS``, is refused by name before ``fn`` is called once."""
+        def fn(*pa):
+            raise AssertionError(f"fn called at {pa}")
+        parents = [f"X{i}" for i in range(len(parent_cards))]
+        with pytest.raises(DistributionError) as err:
+            Cpt.noisy_function("Y", parents, parent_cards, fn, F(1, 5))
+        assert str(err.value) == f"CPT for Y: {text}"
 
     @pytest.mark.parametrize("row, text", [
         ((F(1, 2),), "CPT for Y: bad row length at (1,)"),
@@ -488,7 +503,8 @@ class TestSampling:
         j = DiscreteJoint([("A", 3), ("B", 4)], [F(1, 10)] * 10 + [0, 0])
         monkeypatch.setattr(random.Random, "random", lambda self: 1 - 2**-53)
         assert j.sample(3, 0).rows == ((2, 1),) * 3
-        assert j.sample(3, 0)._lattice.table == [0] * 9 + [3, 0, 0]
+        lattice = j.sample(3, 0)._lattice
+        assert lattice[lattice.full] == ([0] * 9 + [3, 0, 0], (3, 4))
 
 
 class TestIntegerPathAgainstFractionReference:

@@ -1,6 +1,8 @@
 """The marginal lattice (``distribution._Lattice``) and the CI kernel on it
 against the Fraction references of ``references``, which share no helper
-with them, and the one lattice each joint and dataset owns."""
+with them, and the one lattice each joint and dataset owns; and the
+budgeted store it shares with the Gaussian minors lattice
+(``distribution._MaskLattice``), on both."""
 
 import itertools
 import math
@@ -18,11 +20,14 @@ from conftest import random_cpt_net
 from kassoc import distribution
 from kassoc.audit import audit_scenario, check_cmc
 from kassoc.distribution import Dataset, DiscreteJoint, DistributionError, _Lattice
+from kassoc.gaussian import _Minors, integer_scaled
+from kassoc.graph import _bits
 from kassoc.gtest import GTestConfig, _g_test, g_test
 from kassoc.oracle import GTestOracle
 from kassoc.scenarios import Scenario, builtin
 from references import (comprehension_index_map, fraction_is_independent_sets,
-                        fraction_marginal, stride_walk_corners, stride_walk_gathers)
+                        fraction_marginal, random_sem, stride_walk_corners,
+                        stride_walk_gathers)
 
 
 def from_weights(variables, weights):
@@ -70,6 +75,16 @@ def queries(names):
     return st.permutations(names).flatmap(split)
 
 
+def held(lattice):
+    """The entries a lattice keeps past its root, the full table, which it
+    always holds and never counts."""
+    return {k: v for k, v in lattice.items() if k != lattice.full}
+
+
+def held_cells(lattice):
+    return sum(len(table) for table, _ in held(lattice).values())
+
+
 def unless_none(budget):
     """The patched ``MAX_CELLS``: ``budget``, or the real one for None."""
     return distribution.MAX_CELLS if budget is None else budget
@@ -85,10 +100,10 @@ def test_one_lattice_reused_matches_the_reference(joint, budget, data):
         lattice = _Lattice(weights, cards)
         for _ in range(25):
             mask = data.draw(st.integers(0, (1 << len(cards)) - 1))
-            got = [F(w, joint._denom) for w in lattice.ascending(mask)]
+            got = [F(w, joint._denom) for w in lattice[mask][0]]
             assert got == ascending_marginal(joint, mask), mask
-            assert lattice.marginals.cells <= distribution.MAX_CELLS
-            assert lattice.marginals.cells == sum(map(len, lattice.marginals.values()))
+            assert lattice.cells <= distribution.MAX_CELLS
+            assert lattice.cells == held_cells(lattice)
 
 
 @settings(max_examples=150, deadline=None)
@@ -104,7 +119,7 @@ def test_ci_answers_match_the_reference_projection(joint, budget, data):
             want = fraction_is_independent_sets(joint, xs, ys, s)
             assert joint.is_independent_sets(xs, ys, s) == want, (xs, ys, s)
             assert joint.is_independent_sets(xs, ys, s[::-1]) == want, (xs, ys, s)
-        assert joint._lattice.marginals.cells <= distribution.MAX_CELLS
+        assert joint._lattice.cells <= distribution.MAX_CELLS
 
 
 def seeded_joint(seed, cards):
@@ -149,7 +164,7 @@ def test_ci_kernel_matches_the_block_loop_on_every_query(cards, budget):
                 seen.add((want, "multi") if len(xs) + len(ys) > 2 else (want, "single"))
                 if 0 in fraction_marginal(joint, s).values():
                     seen.add((want, "P(s) = 0"))
-        assert joint._lattice.marginals.cells <= unless_none(budget)
+        assert joint._lattice.cells <= unless_none(budget)
     assert seen == {(want, case) for want in (True, False)
                     for case in ("single", "multi", "P(s) = 0")}
 
@@ -226,12 +241,29 @@ def test_gather_cache_starts_over_past_its_budget(monkeypatch):
     assert seen == {("corner", True), ("four", True), ("four", False), "started over"}
 
 
+def test_a_plan_past_the_whole_budget_leaves_the_cache_as_it_is(monkeypatch):
+    """A plan bigger than ``MAX_CELLS`` alone is used and not kept, and the
+    plans the cache holds stay: on ``xor_chain`` under a 40-int budget, the
+    set query's four-marginal plan (3 * 32 ints) does not empty it."""
+    scenario = builtin("xor_chain")
+    oracle = scenario.oracle()
+    monkeypatch.setattr(distribution, "MAX_CELLS", 40)
+    monkeypatch.setattr(distribution, "_GATHERS", distribution._Recent())
+    gathers = distribution._GATHERS
+    oracle.query("X", "U")
+    kept = dict(gathers)
+    assert len(kept) == 1 and gathers.cells == ints_held(gathers)
+    xs, ys, s = ["X"], ["U", "W", "Z"], ["Y"]
+    want = fraction_is_independent_sets(scenario.joint, xs, ys, s)
+    assert oracle.query_sets(xs, ys, s) == want
+    assert gathers == kept and gathers.cells == ints_held(kept)
+
+
 def reference_ci_cells(lattice, mx, my, ms):
     """``_Lattice.ci_cells`` read through the stride walk's gather lists."""
-    asc = lattice.ascending
-    g_s, g_sx, g_sy = stride_walk_gathers(lattice.cards, mx, my, ms)
-    w_s, w_sx, w_sy = asc(ms), asc(ms | mx), asc(ms | my)
-    return (asc(mx | my | ms), [w_s[i] for i in g_s], [w_sx[i] for i in g_sx],
+    g_s, g_sx, g_sy = stride_walk_gathers(lattice[lattice.full][1], mx, my, ms)
+    w_s, w_sx, w_sy = lattice[ms][0], lattice[ms | mx][0], lattice[ms | my][0]
+    return (lattice[mx | my | ms][0], [w_s[i] for i in g_s], [w_sx[i] for i in g_sx],
             [w_sy[i] for i in g_sy])
 
 
@@ -291,13 +323,13 @@ def test_index_map_matches_the_comprehension(seed):
 
 @pytest.mark.parametrize("budget", [None, 0, 1, 18])
 def test_a_miss_reads_any_stored_one_larger_superset(budget):
-    """A miss sums one position out of a stored marginal over one more
-    position, the highest such position first, and recurses on the highest
-    missing position only when none is stored.  The queries run so that a
-    miss finds a stored superset that is not the highest one when the
+    """A miss sums one position out of a kept marginal over one more
+    position, the highest such position first, and walks on through the
+    highest missing position only when none is kept.  The queries run so
+    that a miss finds a kept superset that is not the highest one when the
     budget keeps it (18 cells hold the marginals over V0-V2 and V0-V1);
     under every budget each marginal equals the Fraction one summed from
-    the table."""
+    the table, and each kept one is held with its shape."""
     cards = (2, 3, 2, 4)
     joint = seeded_joint(0, cards)
     lattice = joint._lattice
@@ -306,12 +338,13 @@ def test_a_miss_reads_any_stored_one_larger_superset(budget):
     with mock.patch.object(distribution, "MAX_CELLS", unless_none(budget)), \
             mock.patch.object(distribution, "_sum_out", wraps=distribution._sum_out) as sum_out:
         for i, mask in enumerate(masks):
-            stored = 0b0011 in lattice.marginals
+            stored = 0b0011 in lattice
             sum_out.reset_mock()
-            got = [F(w, joint._denom) for w in lattice.ascending(mask)]
+            got = [F(w, joint._denom) for w in lattice[mask][0]]
             assert got == ascending_marginal(joint, mask), mask
-            assert lattice.shapes.keys() == lattice.marginals.keys()
-            assert lattice.marginals.cells <= distribution.MAX_CELLS
+            assert all(shape == tuple(c for p, c in enumerate(cards) if k >> p & 1)
+                       for k, (_, shape) in lattice.items())
+            assert lattice.cells <= distribution.MAX_CELLS
             if i == 1:
                 # V1 is summed out of the stored marginal over V0 and V1;
                 # with nothing stored, V3 is summed out last, down from the
@@ -324,10 +357,11 @@ def test_a_miss_reads_any_stored_one_larger_superset(budget):
 
 @pytest.mark.parametrize("budget", [0, 3, 12])
 def test_shapes_are_kept_only_with_their_marginals(budget):
-    """Under a small budget, or none, a query's marginals and shapes past
-    it are computed and not kept: every answer stays exact, and the
-    lattice holds a shape, the cardinalities of the mask's positions in
-    ascending order, for exactly the masks whose marginals it holds."""
+    """Under a small budget, or none, a query's marginals past it are
+    computed and not kept: every answer stays exact, and each entry the
+    lattice holds is a marginal with its shape, the cardinalities of the
+    mask's positions in ascending order; the full mask holds the table
+    itself, which is not counted."""
     cards = (2, 3, 1, 2, 4)
     joint = seeded_joint(0, cards)
     lattice = joint._lattice
@@ -335,15 +369,80 @@ def test_shapes_are_kept_only_with_their_marginals(budget):
         for xs, ys, s in every_query(joint.names):
             want = fraction_is_independent_sets(joint, xs, ys, s)
             assert joint.is_independent_sets(xs, ys, s) == want, (xs, ys, s)
-            assert lattice.shapes.keys() == lattice.marginals.keys()
-            assert lattice.marginals.cells <= budget
-        for mask, shape in lattice.shapes.items():
+            assert lattice.cells == held_cells(lattice) <= budget
+        for mask, (table, shape) in held(lattice).items():
             assert shape == tuple(c for p, c in enumerate(cards) if mask >> p & 1)
-            assert lattice.shaped(mask) == (lattice.marginals[mask], shape)
+            assert len(table) == math.prod(shape)
         full = (1 << len(cards)) - 1
-        assert lattice.shaped(full) == (joint._weights, cards)
-        assert full not in lattice.shapes
-    assert bool(lattice.shapes) == bool(budget)
+        assert lattice[full] == (joint._weights, cards)
+        assert lattice.full == full
+    assert bool(held(lattice)) == bool(budget)
+
+
+def leibniz_det(a):
+    """Determinant by Leibniz's formula: a sum over permutations."""
+    n = len(a)
+    return sum((-1) ** sum(p[i] > p[j] for i, j in itertools.combinations(range(n), 2))
+               * math.prod(a[i][p[i]] for i in range(n))
+               for p in itertools.permutations(range(n)))
+
+
+def discrete_store():
+    """A joint's marginal lattice, an entry as Fractions, the reference
+    entry of a mask (the Fraction marginal and its shape) and the cells an
+    entry holds."""
+    joint = seeded_joint(0, (2, 3, 2, 2, 3))
+
+    def got(entry):
+        return [F(w, joint._denom) for w in entry[0]], entry[1]
+
+    def want(mask):
+        return ascending_marginal(joint, mask), tuple(
+            c for p, c in enumerate(joint._cards) if mask >> p & 1)
+    return joint._lattice, got, want, lambda entry: len(entry[0])
+
+
+def gaussian_store():
+    """A system's minors lattice, an entry as it is, the reference entry
+    of a mask S (det cov[S, S] and each det cov[S + i, S + j] for i, j
+    outside S, by Leibniz) and the cells an entry holds."""
+    cov = integer_scaled(random_sem(random.Random("mask-lattice"), 5).covariance())
+
+    def minor(rows, cols):
+        return leibniz_det([[cov[i][j] for j in cols] for i in rows])
+
+    def want(ms):
+        s = list(_bits(ms))
+        out = [i for i in range(len(cov)) if not ms >> i & 1]
+        return minor(s, s), [[minor(s + [i], s + [j]) for j in out] for i in out]
+    return _Minors(cov), lambda entry: entry, want, lambda entry: len(entry[1]) ** 2 + 1
+
+
+@pytest.mark.parametrize("budget", [0, 1, 40, None])
+@pytest.mark.parametrize("make", [discrete_store, gaussian_store], ids=["discrete", "gaussian"])
+def test_both_lattices_keep_one_budget(make, budget):
+    """The contract of ``_MaskLattice``, on the marginal lattice of a joint
+    and the minors lattice of a Gaussian system, each read at every mask
+    in a seeded order: every entry equals its reference; the root is held
+    and never counted, so ``cells`` is the sum over the other entries and
+    stays within the budget; and a value past the budget is computed and
+    not kept, so it is read at full price again."""
+    store, got, want, size = make()
+    (root, value), = store.items()
+    masks = random.Random(f"mask-lattice:{budget}").sample(range(1 << 5), 1 << 5)
+    seen = set()
+    with mock.patch.object(distribution, "MAX_CELLS", unless_none(budget)):
+        for mask in masks:
+            entry = store[mask]
+            assert got(entry) == want(mask), mask
+            assert store[root] is value
+            assert store.cells == sum(size(v) for k, v in store.items() if k != root)
+            assert store.cells <= distribution.MAX_CELLS
+            if mask != root:
+                # the last step of a walk is the last that could keep a value
+                assert mask in store or store.cells + size(entry) > distribution.MAX_CELLS
+                seen.add(mask in store)
+    assert seen == {None: {True}, 0: {False}}.get(budget, {True, False})
 
 
 @pytest.mark.parametrize("cards", [(2, 3, 1, 2), (3, 2, 4, 2, 2)])
@@ -440,9 +539,9 @@ def test_a_binary_pair_reads_only_the_marginal_over_m():
     joint = seeded_joint(0, (2, 3, 2, 2, 3, 2))
     mx, my, ms = pair_masks(joint, "V2", "V0", ["V4", "V1"])
     joint._independent(mx, my, ms)
-    marginals = joint._lattice.marginals
-    assert mx | my | ms in marginals
-    assert not {ms, ms | mx, ms | my} & marginals.keys()
+    lattice = joint._lattice
+    assert mx | my | ms in lattice
+    assert not {ms, ms | mx, ms | my} & lattice.keys()
 
 
 def seeded_scenario(n):
@@ -459,9 +558,9 @@ def test_audit_lattice_stays_within_a_small_budget(monkeypatch):
     monkeypatch.setattr(distribution, "MAX_CELLS", 300)
     scenario = seeded_scenario(8)
     assert audit_scenario(scenario).to_dict() == want
-    marginals = scenario.joint._lattice.marginals
-    assert 0 < marginals.cells <= 300
-    assert marginals.cells == sum(map(len, marginals.values()))
+    lattice = scenario.joint._lattice
+    assert 0 < lattice.cells <= 300
+    assert lattice.cells == held_cells(lattice)
 
 
 @pytest.mark.parametrize("make", [
@@ -475,16 +574,16 @@ def test_the_lattice_belongs_to_the_table_not_the_oracle(make):
     fresh oracle (an empty answer cache) sums nothing out: it adds no
     marginal and reads the very lists the first check stored."""
     scenario = make()
-    marginals = scenario.joint._lattice.marginals
-    assert not marginals
+    lattice = scenario.joint._lattice
+    assert not held(lattice)
     assert check_cmc(scenario.dag, scenario.oracle()).holds
-    before = dict(marginals)
-    assert before
+    before = dict(lattice)
+    assert held(lattice)
     with mock.patch.object(distribution, "_sum_out", wraps=distribution._sum_out) as sum_out:
         assert check_cmc(scenario.dag, scenario.oracle()).holds
     assert sum_out.call_count == 0
-    assert marginals.keys() == before.keys()
-    assert all(marginals[k] is v for k, v in before.items())
+    assert lattice.keys() == before.keys()
+    assert all(lattice[k] is v for k, v in before.items())
 
 
 def test_gtest_oracle_statistics_are_bit_identical():
@@ -500,4 +599,4 @@ def test_gtest_oracle_statistics_are_bit_identical():
                 got = g_test(data, x, y, sorted(s))
                 assert got == g_test(Dataset(data.variables, data.rows), x, y, sorted(s))
                 assert oracle.query(x, y, s) == got.independent
-    assert data._lattice.marginals
+    assert held(data._lattice)

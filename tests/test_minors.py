@@ -83,8 +83,8 @@ def test_every_query_agrees_with_both_references(system):
     lattice = o._minors
     # every conditioning set that leaves a pair outside it has been read
     full = lattice.full
-    assert set(lattice.kept) == {ms for ms in range(full) if (full ^ ms).bit_count() >= 2}
-    assert lattice.kept.cells <= distribution.MAX_CELLS
+    assert set(lattice) == {ms for ms in range(full) if (full ^ ms).bit_count() >= 2}
+    assert lattice.cells <= distribution.MAX_CELLS
 
 
 @pytest.mark.parametrize("budget", [0, 1, 26, 60])
@@ -94,11 +94,11 @@ def test_answers_stay_exact_under_a_small_cell_budget(budget):
     with mock.patch.object(distribution, "MAX_CELLS", budget):
         for system in random_systems(f"budget:{budget}", [5, 6]):
             lattice = assert_every_query_agrees(system)._minors
-            assert lattice.kept.cells <= budget
-            assert 0 in lattice.kept  # the covariance itself, not counted
-            assert len(lattice.kept) < (1 << len(system.nodes)) - 1
+            assert lattice.cells <= budget
+            assert 0 in lattice  # the covariance itself, not counted
+            assert len(lattice) < (1 << len(system.nodes)) - 1
             if budget < 26:  # one M_S over five positions outside S takes 26 cells
-                assert list(lattice.kept) == [0]
+                assert list(lattice) == [0]
 
 
 def test_a_system_shares_one_lattice_and_a_copy_starts_empty():
@@ -106,13 +106,13 @@ def test_a_system_shares_one_lattice_and_a_copy_starts_empty():
     o = GaussianOracle(system)
     assert not o.query("X", "Y", ["Z"])
     assert GaussianOracle(system)._minors is o._minors is system._minors
-    assert len(system._minors.kept) > 1
+    assert len(system._minors) > 1
     copies = [copy.copy(system), copy.deepcopy(system), pickle.loads(pickle.dumps(system))]
     for twin in copies:
         assert twin == system and twin._minors is None
         fresh = GaussianOracle(twin)._minors
-        assert fresh is not system._minors and list(fresh.kept) == [0]
-        assert fresh.kept[0] == system._minors.kept[0]
+        assert fresh is not system._minors and list(fresh) == [0]
+        assert fresh[0] == system._minors[0]
     assert all(twin._minors is not system._minors for twin in copies)
 
 

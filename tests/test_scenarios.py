@@ -134,7 +134,7 @@ class TestConstructionInvariants:
         assert ci.call_count == 0
         joints = [s.joint for s in built if s.kind == "discrete"]
         assert len(joints) == 2 * 10  # nine discrete builtins and the net
-        assert all(not j._lattice.marginals for j in joints)
+        assert all(list(j._lattice) == [j._lattice.full] for j in joints)
 
     def test_both_markov_checks_pass_on_builtins(self, all_builtins):
         for scenario in all_builtins.values():
@@ -343,7 +343,7 @@ class TestSerialization:
         twin = clone(original)
         assert twin is not original and twin == original
         if kind in ("joint", "dataset"):
-            assert not twin._lattice.marginals  # the cache is not copied
+            assert list(twin._lattice) == [twin._lattice.full]  # the cache is not copied
         assert answers(twin) == want
 
     @pytest.mark.parametrize("label", ["A->B", " X", "X ", "->"])
