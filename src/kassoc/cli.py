@@ -3,9 +3,19 @@
 Subcommands load a scenario (``builtin:<name>`` or a JSON file), run one
 analysis, and print a JSON report on stdout (or ``--out``) with a short
 human-readable summary on stderr.  Each subcommand accepts only the options
-its ``_cmd_*`` function reads; the parser is built once per process.  A
-report that a G-test oracle answered (``--samples``) names its sample size,
-seed and level in a top-level ``sampling`` block.
+its ``_cmd_*`` function reads.  A report that a G-test oracle answered
+(``--samples``) names its sample size, seed and level in a top-level
+``sampling`` block.
+
+The parsers are built once per process (``_parser``), which keeps each
+subcommand's parser in ``_COMMANDS``.  When the first word of argv names a
+command, ``run`` parses the rest with that command's parser alone, so
+argparse walks the words once, not once in the top parser and again in the
+subcommand's; words the command does not read are still reported by the
+top parser, as ``kassoc: unrecognized arguments: ...``.  Every other argv
+(none at all, ``-h``, an unknown command, an option or ``--`` before the
+command) goes through the top parser, which gives the same exit code and
+text; the tests keep that route as the fast route's slow twin.
 
 A report's text is exactly ``json.dumps(report, sort_keys=True, indent=2)``,
 written by ``_json``: one ``str.join`` per container, strings quoted by
@@ -239,6 +249,10 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}", EXIT_USAGE)
 
 
+# each subcommand's parser by name, filled by ``_parser``
+_COMMANDS: dict[str, argparse.ArgumentParser] = {}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     p = _Parser(
@@ -249,7 +263,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def command(name, fn, help, *, budget=True, oracle=True):
-        sp = sub.add_parser(name, help=help)
+        sp = _COMMANDS[name] = sub.add_parser(name, help=help)
         sp.add_argument("--scenario", required=True,
                         help="builtin:<name> or a scenario JSON path "
                         f"(builtins: {', '.join(sorted(BUILTINS))})")
@@ -265,7 +279,7 @@ def _parser() -> argparse.ArgumentParser:
             sp.add_argument("--alpha", default=GTestConfig(),
                             type=_checked(lambda t: GTestConfig(alpha=float(t))),
                             help="G-test significance level (default: 0.01)")
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(command=name, fn=fn)
         return sp
 
     sp = command("assoc", _cmd_assoc, "weak-association scan for a target")
@@ -292,9 +306,22 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _parse(argv) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, parsed by the named command's parser
+    alone when the first word names one."""
+    top = _parser()
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return top.parse_args(argv)
+    args, rest = command.parse_known_args(argv[1:])
+    if rest:
+        top.error(f"unrecognized arguments: {' '.join(rest)}")
+    return args
+
+
 def run(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         started = time.perf_counter()
         scenario = _load_scenario(args.scenario)
         result, summary, oracle = args.fn(scenario, args)

@@ -230,7 +230,8 @@ class Cpt:
         flip = exact(flip, DistributionError, f"flip of {child}")
         parents, parent_cards = tuple(parents), tuple(parent_cards)
         _parent_rows(child, 2, parents, parent_cards)
-        off, on = (ONE - flip, flip), (flip, ONE - flip)  # the rows for fn = 0 and 1
+        stay = ONE - flip
+        off, on = (stay, flip), (flip, stay)  # the rows for fn = 0 and 1
         rows = {}
         for pa in itertools.product(*(range(c) for c in parent_cards)):
             v = fn(*pa)
@@ -326,7 +327,8 @@ def _sum_out(table: Sequence[int], cards: Sequence[int], p: int) -> Sequence[int
 
     The table is viewed as (outer, card, inner) blocks; the adds run over
     slices inside ``map``, with a Python loop over whichever of ``outer``
-    and ``inner`` is shorter.
+    and ``inner`` is shorter.  A variable of cardinality 1 sums out to
+    ``table`` itself.
     """
     c = cards[p]
     if c == 1:
@@ -357,11 +359,12 @@ class _MaskLattice(dict):
     A subclass gives its neighbour rule, ``_toward(mask)``, the next mask
     on the way to the root, and its step, ``_step(value, near, mask)``,
     which makes the value of ``mask`` from the value of its neighbour
-    ``near`` and returns it with the number of cells it holds.  A lookup
-    of a mask that is not held walks toward the root to the first mask
-    that is, then steps back, keeping each value while the cells kept,
-    ``cells``, stay within ``MAX_CELLS``; past that budget a value is
-    computed and not kept.  The root is not counted.
+    ``near`` and returns it with the number of cells it holds that the
+    lattice does not hold already.  A lookup of a mask that is not held
+    walks toward the root to the first mask that is, then steps back,
+    keeping each value while the cells kept, ``cells``, stay within
+    ``MAX_CELLS``; past that budget a value is computed and not kept.  The
+    root is not counted.
     """
 
     __slots__ = ("full", "cells")
@@ -451,7 +454,9 @@ class _Lattice(_MaskLattice):
     ascending position order.  The root is the full mask, the table itself
     with shape ``cards``.  A miss at K sums one position q out of the
     marginal over K | q: the highest q whose K | q is held, else the
-    highest q outside K.
+    highest q outside K.  Summing out a position of cardinality 1 gives
+    back the marginal's own list: that entry is an alias and counts no
+    cell toward the budget while the entry it aliases is kept.
 
     ``ci_cells`` and ``corner_cells`` read marginals at the cells of w_M
     through index lists (``_ci_plan``, ``_corner_plan``) that depend only
@@ -485,8 +490,11 @@ class _Lattice(_MaskLattice):
         # the summed-out position's axis in the marginal over ``near`` is
         # the number of positions of ``mask`` below it
         k = (mask & ((near ^ mask) - 1)).bit_count()
-        table = _sum_out(table, shape, k)
-        return (table, shape[:k] + shape[k + 1 :]), len(table)
+        out = _sum_out(table, shape, k)
+        # an alias (a cardinality-1 axis summed out) holds no new cell
+        # while the list it aliases is kept
+        cells = 0 if out is table and near in self else len(out)
+        return (out, shape[:k] + shape[k + 1 :]), cells
 
     def ci_cells(self, mx: int, my: int, ms: int) -> tuple[Iterable[int], ...]:
         """For disjoint position bitmasks, the marginals w_M, w_s, w_{s,x}

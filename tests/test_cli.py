@@ -539,6 +539,10 @@ class TestParser:
     def test_each_subcommand_takes_only_the_options_it_reads(self):
         sub = next(a for a in cli._parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
+        # ``_COMMANDS`` keeps every subparser under its name, and so does
+        # each subparser's ``command`` default
+        assert cli._COMMANDS == sub.choices
+        assert all(p.get_default("command") == name for name, p in cli._COMMANDS.items())
         declared = {
             name: {s for a in p._actions for s in a.option_strings if s.startswith("--")}
             for name, p in sub.choices.items()
@@ -755,6 +759,116 @@ def test_readme_command_line_runs(capsys, argv):
     code, report, _ = invoke(capsys, *argv)
     assert code == 0
     assert report["command"] == argv[0]
+
+
+EX1 = ["--scenario", "builtin:example1"]
+PARITY = [
+    # the command forms of the cli_suite benchmark and of the README
+    *readme_commands(),
+    ["mb", *EX1, "--target", "Y", "--mode", "classic"],
+    ["mb", *EX1, "--target", "Y", "--trace"],
+    ["assoc", *EX1, "--target", "X", "--budget", "1"],
+    ["audit", *EX1],
+    ["orient", "--scenario", "builtin:noncollider_xor", "--center", "Y",
+     "--left", "X,Z", "--right", "W"],
+    ["mb", "--scenario=builtin:example1", "--target=Y"],
+    ["mb", "--scen", "builtin:example1", "--targ", "Y"],
+    ["mb", "--target", "Y", *EX1, "--out", "/nonexistent-folder/report.json"],
+    # a missing required option
+    ["mb", *EX1],
+    ["orient", "--scenario", "builtin:example2", "--center", "Y"],
+    ["sp"],
+    ["mb", "--scenario"],
+    # bad values
+    ["assoc", *EX1, "--target", "Y", "--budget", "abc"],
+    ["assoc", *EX1, "--target", "Y", "--budget", "-1"],
+    ["mb", *EX1, "--target", "Y", "--alpha", "2"],
+    ["mb", *EX1, "--target", "Y", "--alpha", "x"],
+    ["mb", *EX1, "--target", "Y", "--samples", "0"],
+    ["mb", *EX1, "--target", "Y", "--samples", "99999999999999999999"],
+    ["sample", *EX1, "--samples", "many"],
+    ["mb", *EX1, "--target", "Y", "--mode", "fast"],
+    ["mb", "--scenario", "builtin:nope", "--target", "Y"],
+    ["mb", *EX1, "--target", "Q"],
+    # an unknown option, a stray positional word, an option of another command
+    ["mb", *EX1, "--target", "Y", "--foo", "1"],
+    ["mb", *EX1, "--target", "Y", "extra"],
+    ["sp", "extra", *EX1],
+    ["audit", *EX1, "--budget", "1"],
+    ["mb", *EX1, "--target", "Y", "--"],
+    ["mb", "--", *EX1, "--target", "Y"],
+    # an unknown, misplaced or absent command
+    ["frobnicate", *EX1],
+    ["MB", *EX1, "--target", "Y"],
+    [*EX1, "mb", "--target", "Y"],
+    ["--target", "Y", "mb", *EX1],
+    [],
+    # help
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["mb", "--help"],
+    ["sp", "-h"],
+    ["mb", *EX1, "--target", "Y", "-h"],
+    # "--" as the first word
+    ["--", "mb", *EX1, "--target", "Y"],
+    ["--"],
+]
+
+
+def outcome(capsys, argv):
+    """``run(argv)``'s exit code, stdout (less the ``wall_time_s`` line) and
+    stderr; help exits through ``SystemExit``, kept as ``("exit", code)``."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    out, err = capsys.readouterr()
+    out = "".join(line for line in out.splitlines(True) if '"wall_time_s"' not in line)
+    return code, out, err
+
+
+class TestOneParse:
+    """``run`` parses the words after a command's name with that command's
+    parser alone.  Its slow twin is the top parser's route, which ``run``
+    takes for every argv once ``_COMMANDS`` is empty: both must give the same
+    exit code, stdout and stderr."""
+
+    def outcomes(self, capsys, monkeypatch, argv):
+        """The fast and slow routes' outcomes, and whether each went
+        through the top parser's ``parse_args``."""
+        top = cli._parser()
+        calls = []
+
+        def parse_args(args=None, namespace=None):
+            calls.append(args)
+            return argparse.ArgumentParser.parse_args(top, args, namespace)
+        monkeypatch.setattr(top, "parse_args", parse_args)
+        fast = outcome(capsys, argv), bool(calls)
+        calls.clear()
+        monkeypatch.setattr(cli, "_COMMANDS", {})
+        slow = outcome(capsys, argv), bool(calls)
+        return fast, slow
+
+    @pytest.mark.parametrize("argv", PARITY, ids=lambda argv: " ".join(argv) or "no-words")
+    def test_same_outcome_as_the_top_parser(self, capsys, monkeypatch, argv):
+        (fast, fast_top), (slow, slow_top) = self.outcomes(capsys, monkeypatch, argv)
+        assert fast == slow
+        assert slow_top
+        assert fast_top == (not argv or argv[0] not in OPTIONS)
+
+    @pytest.mark.parametrize("argv", [
+        ["mb", *EX1, "--target", "Y"],
+        ["mb", *EX1, "--target", "Y", "--foo", "1"],
+        ["mb", *EX1],
+        ["--help"],
+        [],
+    ], ids=["mb", "mb-unknown-option", "mb-missing-target", "help", "no-words"])
+    def test_no_argv_reads_sys_argv(self, capsys, monkeypatch, argv):
+        given = outcome(capsys, list(argv))
+        monkeypatch.setattr(sys, "argv", ["kassoc", *argv])
+        (fast, _), (slow, _) = self.outcomes(capsys, monkeypatch, None)
+        assert fast == slow == given
 
 
 class TestGoldenStability:

@@ -82,7 +82,12 @@ def held(lattice):
 
 
 def held_cells(lattice):
-    return sum(len(table) for table, _ in held(lattice).values())
+    """The cells of the distinct lists a lattice keeps past its root's: an
+    entry that aliases a kept list (a cardinality-1 position summed out)
+    holds no cell of its own."""
+    root = lattice[lattice.full][0]
+    kept = {id(table): table for table, _ in held(lattice).values() if table is not root}
+    return sum(map(len, kept.values()))
 
 
 def unless_none(budget):
@@ -376,7 +381,58 @@ def test_shapes_are_kept_only_with_their_marginals(budget):
         full = (1 << len(cards)) - 1
         assert lattice[full] == (joint._weights, cards)
         assert lattice.full == full
-    assert bool(held(lattice)) == bool(budget)
+    assert bool(held_cells(lattice)) == bool(budget)
+    if not budget:
+        # position 2 has cardinality 1, so the marginal over every other
+        # position is the table itself: the one entry a budget of 0 keeps
+        assert list(held(lattice)) == [full ^ 0b100]
+        assert lattice[full ^ 0b100][0] is lattice[full][0]
+
+
+def test_an_alias_holds_no_cell():
+    """Over A (2), B (1) and C (2), the marginal over A and C is the table
+    itself: the lattice keeps it as the root's own list and counts no cell
+    for it, and the marginal over A, one step further, counts its 2."""
+    joint = from_weights((("A", 2), ("B", 1), ("C", 2)), [1, 2, 3, 4])
+    lattice = joint._lattice
+    table, shape = lattice[0b101]
+    assert table is lattice[0b111][0] and shape == (2, 2)
+    assert lattice.cells == 0
+    assert lattice[0b001] == ([3, 7], (2,))
+    assert lattice.cells == held_cells(lattice) == 2
+
+
+def test_an_alias_of_a_marginal_past_the_budget_is_not_kept():
+    """Over A (2), B (3) and C (1), the marginal over A is the marginal over
+    A and C, which a budget of 1 cell does not keep: the alias holds its 2
+    cells, so it is not kept either."""
+    joint = from_weights((("A", 2), ("B", 3), ("C", 1)), [1, 2, 3, 4, 5, 6])
+    lattice = joint._lattice
+    with mock.patch.object(distribution, "MAX_CELLS", 1):
+        assert lattice[0b001] == ([6, 15], (2,))
+    assert held(lattice) == {} and lattice.cells == 0
+
+
+@pytest.mark.parametrize("budget", [0, 2, 6, 12])
+def test_cardinality_one_positions_spend_no_budget(budget):
+    """With positions of cardinality 1 and a small budget, every answer is
+    exact, the cells counted are those of the distinct lists kept, and a
+    kept entry shares its list only with entries over the same positions
+    of cardinality above 1."""
+    cards = (1, 2, 1, 3, 2)
+    ones = sum(1 << p for p, c in enumerate(cards) if c == 1)
+    for seed in range(2):
+        joint = seeded_joint(seed, cards)
+        lattice = joint._lattice
+        with mock.patch.object(distribution, "MAX_CELLS", budget):
+            for xs, ys, s in every_query(joint.names):
+                want = fraction_is_independent_sets(joint, xs, ys, s)
+                assert joint.is_independent_sets(xs, ys, s) == want, (xs, ys, s)
+                assert lattice.cells == held_cells(lattice) <= budget
+        for mask, (table, _) in lattice.items():
+            assert [F(w, joint._denom) for w in table] == ascending_marginal(joint, mask)
+        for (m1, (t1, _)), (m2, (t2, _)) in itertools.combinations(lattice.items(), 2):
+            assert t1 is not t2 or m1 & ~ones == m2 & ~ones
 
 
 def leibniz_det(a):
