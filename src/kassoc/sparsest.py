@@ -10,13 +10,16 @@ The edges a node adds depend only on the *set* of nodes before it, so
 in S.  Every set is a bitmask of positions in the oracle's variable order:
 ``parents[S][v]`` is the mask of candidates that v stays dependent on,
 and ``rest[S]``, the fewest edges that complete S, sums their popcounts.
-The DP runs over descending masks, so each mask's ``parents`` row and its
-``rest`` are computed together.  Candidate u of v at S and candidate v of
-u at S - {u} + {v} are one question, so it is asked once per unordered
-pair and conditioning set, n(n-1)2^(n-3) in all, instead of once per
-ordered pair in each of the n! permutations; the higher mask asks it,
-and when S is the lower one it reads the answer back as bit v of
-``parents[S - {u} + {v}][u]``.  The masks are the oracle's own, so the
+The DP runs over descending masks and, at each, over the nodes outside
+it, so each mask's ``parents`` row and its ``rest`` are computed
+together.  Candidate u of v at S and candidate v of u at S - {u} + {v}
+are one question, so it is asked once per unordered pair and
+conditioning set, n(n-1)2^(n-3) in all, instead of once per ordered pair
+in each of the n! permutations.  The higher mask S asks it, for u > v; a
+dependent answer sets bit u of v's mask there and also bit v of
+``parents[S - {u} + {v}][u]``, the row of the lower mask, which the DP
+reaches later and where u's mask starts from the bits so deposited.  An
+independent answer writes nothing.  The masks are the oracle's own, so the
 DP asks ``_ask(1 << v, 1 << u, S - {u})`` directly, past ``query``'s name
 check: the same cache keys, backend calls and ``query_count`` as
 ``query`` on the names.  These are exactly the distinct queries of the
@@ -31,7 +34,8 @@ Names appear only in the output: each distinct edge mask, that is each
 distinct minimizer DAG, is decoded from its bytes once into one edge set,
 which all its minimizers share and ``minimizer_dicts`` formats once.  A
 minimizer is a ``PermutationDag``, a ``NamedTuple`` of its permutation and
-that edge set, built with the pairs by ``zip`` and ``map``.  An empty
+that edge set, built at C level by ``tuple.__new__`` mapped over the
+zipped pairs, past the class's Python-level ``__new__``.  An empty
 graph has n! minimizers, so the search is guarded at 8 variables, which
 also keeps a node's parents within a byte.
 
@@ -43,6 +47,7 @@ by name.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from .oracle import IndependenceOracle, OracleError
@@ -122,40 +127,37 @@ def sparsest_permutations(
             "(an empty graph on 9 has 9! = 362880 of them)"
         )
     full = (1 << n) - 1
-    # members[S], bits[S]: the positions and the one-bit masks of S in
-    # variable order, each one longer than that of S less its highest position
-    members, bits = [()] * (full + 1), [()] * (full + 1)
+    # members[S]: the positions of S in variable order, each one longer than
+    # that of S less its highest position
+    members = [()] * (full + 1)
     for S in range(1, full + 1):
         top = S.bit_length() - 1
         members[S] = members[S ^ 1 << top] + (top,)
-        bits[S] = bits[S ^ 1 << top] + (1 << top,)
     # parents[S][v]: the mask of nodes of S that v stays dependent on given
     # the rest of S; rest[S]: the fewest edges that complete S.  The pair
     # (u, v) given T comes up at the masks T|u and T|v.  Descending masks
     # reach the higher one first and ask the pair there as (lower, higher)
     # in variable order, as the lexicographic walk over permutations does,
-    # so the backend sees the very calls that walk makes; the lower mask
-    # reads that answer back.
+    # so the backend sees the very calls that walk makes; a dependent answer
+    # is also written into the lower mask's row, which starts from it.
     ask = o._ask
-    parents, rest = [None] * (full + 1), [0] * (full + 1)
+    parents, rest = [[0] * n for _ in range(full + 1)], [0] * (full + 1)
     for S in range(full - 1, -1, -1):
-        row = [0] * n
+        row = parents[S]
         best = n * n
-        for v in range(n):
+        for v in members[full ^ S]:
             bit_v = 1 << v
-            if S & bit_v:
-                continue
-            pa = 0
-            for u in members[S & bit_v - 1]:  # u < v: asked at S - {u} + {v}
-                pa |= (parents[S ^ 1 << u | bit_v][u] >> v & 1) << u
-            for bit_u in bits[S & -bit_v]:  # u > v: ask
+            pa = row[v]  # u < v: deposited at S - {u} + {v}
+            for u in members[S & -bit_v]:  # u > v: ask
+                bit_u = 1 << u
                 if not ask(bit_v, bit_u, S ^ bit_u):
                     pa |= bit_u
+                    parents[S ^ bit_u | bit_v][u] |= bit_v  # u's row at S - {u} + {v}
             row[v] = pa
             cost = pa.bit_count() + rest[S | bit_v]
             if cost < best:
                 best = cost
-        parents[S], rest[S] = row, best
+        rest[S] = best
 
     # perms[S], masks[S], filled for each mask S on an optimal path: the
     # optimal completions of S in lexicographic order, as the names they
@@ -169,9 +171,9 @@ def sparsest_permutations(
     def complete(S):
         ps, ms = perms[S], masks[S] = [], []
         row = parents[S]
-        for v in range(n):
+        for v in members[full ^ S]:
             nxt, pa = S | 1 << v, row[v]
-            if nxt == S or pa.bit_count() + rest[nxt] != rest[S]:
+            if pa.bit_count() + rest[nxt] != rest[S]:
                 continue
             if perms[nxt] is None:
                 complete(nxt)
@@ -190,4 +192,6 @@ def sparsest_permutations(
         m: frozenset([(names[u], names[v])
                       for v, pa in enumerate(m.to_bytes(n, "little")) for u in members[pa]])
         for m in set(ms)}
-    return list(zip(ps, map(PermutationDag, ps, map(edges.__getitem__, ms))))
+    # tuple.__new__ straight from C, past PermutationDag's Python-level __new__
+    return list(zip(ps, map(tuple.__new__, repeat(PermutationDag),
+                            zip(ps, map(edges.__getitem__, ms)))))

@@ -1,13 +1,16 @@
 """Sparsest-permutation search, checked against the factorial reference."""
 
 import itertools
+import pickle
 import random
 
 import pytest
 
 from conftest import random_cpt_net
 from references import enumerate_dags, random_dag
+from kassoc.association import weak_associations
 from kassoc.graph import Dag
+from kassoc.growshrink import markov_blanket
 from kassoc.oracle import DiscreteOracle, GraphOracle, GTestOracle, OracleError
 from kassoc.scenarios import BUILTINS, Scenario, builtin
 from kassoc.sparsest import (PermutationDag, dag_from_permutation, minimizer_dicts,
@@ -112,6 +115,19 @@ class TestPermutationDagContract:
     def test_assignment_raises(self, field):
         with pytest.raises(AttributeError):
             setattr(self.PDAG, field, ())
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_minimizers_are_plain_permutation_dags(self, name):
+        # built past the class's Python-level __new__, they must still be
+        # whole PermutationDags: exact type, fields, pickle and _replace
+        for perm, d in sparsest_permutations(builtin(name).oracle()):
+            assert type(d) is PermutationDag and d.permutation is perm
+            assert d._asdict() == PermutationDag(perm, d.edges)._asdict()
+            copy = pickle.loads(pickle.dumps(d))
+            assert type(copy) is PermutationDag and copy == d
+            replaced = d._replace(edges=d.edges)
+            assert type(replaced) is PermutationDag and replaced == d
+            assert d._replace(edges=frozenset()).edges == frozenset()
 
     def test_minimizers_of_one_dag_share_one_edge_set(self):
         # the empty graph on four nodes: 24 minimizers, one DAG
@@ -225,6 +241,48 @@ class TestAgreesWithFactorialSearch:
     def test_one_eight_node_dag(self):
         dag = random_dag(random.Random("sparsest:8"), 8)
         assert_agrees(lambda: GraphOracle(dag))
+
+
+def cached_oracles():
+    """Factories of fresh exact oracles: every builtin's and random
+    5-7-node DAGs'."""
+    yield from (pytest.param(builtin(name).oracle, id=name) for name in sorted(BUILTINS))
+    for n in (5, 6, 7):
+        dag = relabelled_random(f"sparsest:cached:{n}", n)
+        yield pytest.param(lambda dag=dag: GraphOracle(dag), id=f"random{n}")
+
+
+def relabelled_random(seed, n):
+    """A random DAG on labels in reverse string order."""
+    base = random_dag(random.Random(seed), n)
+    label = {v: chr(ord("Z") - i) for i, v in enumerate(base.nodes)}
+    return Dag([label[v] for v in base.nodes], [(label[a], label[b]) for a, b in base.edges])
+
+
+class TestCachedAnswers:
+    """Answers that come from the oracle's cache are deposited like fresh
+    ones: the search gives the same minimizers as on a fresh oracle."""
+
+    @pytest.mark.parametrize("make", list(cached_oracles()))
+    def test_second_search_asks_the_backend_nothing(self, make):
+        o, calls = recording(make())
+        first = sparsest_permutations(o)
+        count, asked = o.query_count, set(calls)
+        assert sparsest_permutations(o) == first
+        assert o.query_count == count and calls == asked
+
+    @pytest.mark.parametrize("make", list(cached_oracles()))
+    def test_answers_cached_by_other_procedures(self, make):
+        # grow-shrink and the association scan fill the cache in their own
+        # order and orientation; the search must not depend on it
+        o = make()
+        for v in o.variables:
+            markov_blanket(o, v)
+            weak_associations(o, v)
+        filled = o.query_count
+        fresh = make()
+        assert sparsest_permutations(o) == sparsest_permutations(fresh)
+        assert o.query_count - filled < fresh.query_count
 
 
 class CountingOracle(GraphOracle):
