@@ -81,6 +81,9 @@ from .graph import MAX_NODES, _ranks, query_masks
 
 MAX_CELLS = 1 << 20
 MAX_ROWS = 10**7  # the most rows ``DiscreteJoint.sample`` draws
+# the most lazy ``map(add, ...)`` links a sum chains before it is made a
+# list: a longer chain recurses in C, one level per link, when consumed
+_LINKS = 256
 
 ONE = Fraction(1)
 
@@ -114,8 +117,9 @@ def _parent_rows(child: str, card: int, parents: Sequence[str],
                  parent_cards: Sequence[int]) -> int:
     """The number of parent rows of a CPT for ``child``, once each parent
     has one cardinality, every cardinality is an int (not a bool, as in a
-    scenario file) and at least 1, and the rows number at most
-    ``MAX_CELLS``; else ``DistributionError``, naming the first bad one."""
+    scenario file) and at least 1, the child's is at most ``MAX_CELLS``
+    and the rows number at most ``MAX_CELLS``; else ``DistributionError``,
+    naming the first bad one."""
     if len(parents) != len(parent_cards):
         raise DistributionError(
             f"CPT for {child}: {len(parents)} parents but "
@@ -127,6 +131,9 @@ def _parent_rows(child: str, card: int, parents: Sequence[str],
         rule = "be positive" if type(c) is int else "be an int"
         raise DistributionError(
             f"CPT for {child}: cardinality of {name} must {rule}, not {c!r}")
+    if card > MAX_CELLS:
+        raise DistributionError(
+            f"CPT for {child}: cardinality of {child} must be at most {MAX_CELLS}, not {card}")
     size = math.prod(parent_cards)
     if size > MAX_CELLS:
         raise DistributionError(f"CPT for {child}: more than {MAX_CELLS} parent rows")
@@ -187,6 +194,8 @@ class Cpt:
         sums = flat[::card]
         for v in range(1, card):
             sums = map(add, sums, flat[v::card])
+            if not v % _LINKS:
+                sums = list(sums)
         if not (all(fit) and typed and min(flat) >= 0 and all(map(denom.__eq__, sums))):
             # the first bad row in rows order; per row: length, then entry
             # type, then sign, then sum
@@ -326,9 +335,9 @@ def _sum_out(table: Sequence[int], cards: Sequence[int], p: int) -> Sequence[int
     """Sum a row-major table over the variable at position ``p``.
 
     The table is viewed as (outer, card, inner) blocks; the adds run over
-    slices inside ``map``, with a Python loop over whichever of ``outer``
-    and ``inner`` is shorter.  A variable of cardinality 1 sums out to
-    ``table`` itself.
+    slices inside ``map``, chained at most ``_LINKS`` deep, with a Python
+    loop over whichever of ``outer`` and ``inner`` is shorter.  A variable
+    of cardinality 1 sums out to ``table`` itself.
     """
     c = cards[p]
     if c == 1:
@@ -341,6 +350,8 @@ def _sum_out(table: Sequence[int], cards: Sequence[int], p: int) -> Sequence[int
             col = table[j::block]
             for v in range(1, c):
                 col = map(add, col, table[v * inner + j :: block])
+                if not v % _LINKS:
+                    col = list(col)
             out[j::inner] = col
         return out
     out = []
@@ -348,6 +359,8 @@ def _sum_out(table: Sequence[int], cards: Sequence[int], p: int) -> Sequence[int
         col = table[b : b + inner]
         for v in range(1, c):
             col = map(add, col, table[b + v * inner : b + (v + 1) * inner])
+            if not v % _LINKS:
+                col = list(col)
         out += col
     return out
 
@@ -531,9 +544,10 @@ class _Lattice(_MaskLattice):
 
 
 def _domains(variables: Iterable[tuple[str, int]]) -> tuple[tuple[tuple[str, int], ...], int]:
-    """Validated ``(name, cardinality)`` pairs and the dense table size;
-    each cardinality must be an int (not a bool, as in a scenario file)."""
-    variables = tuple((str(n), c) for n, c in variables)
+    """Validated ``(name, cardinality)`` pairs, each name kept as given,
+    and the dense table size; each cardinality must be an int (not a bool,
+    as in a scenario file)."""
+    variables = tuple((n, c) for n, c in variables)
     for n, c in variables:
         if type(c) is not int:
             raise DistributionError(f"cardinality of {n} must be an int, not {c!r}")

@@ -18,8 +18,9 @@ is not counted, and past ``MAX_CELLS`` cells an M_S is computed and not
 kept.
 
 ``partial_correlation_zero`` decides one query on a covariance matrix by
-a fraction-free (Bareiss) elimination of its submatrix (``_pcorr_zero``);
-no oracle calls it, and it stays as the lattice's slow twin.
+the same lattice, built over the submatrix of the query's positions; no
+oracle calls it.  The Gauss-Jordan inverse in the tests is the lattice's
+slow twin.
 """
 
 from __future__ import annotations
@@ -171,32 +172,6 @@ class _Minors(_MaskLattice):
         return not rows[(out & (mx - 1)).bit_count()][(out & (my - 1)).bit_count()]
 
 
-def _pcorr_zero(a: list[list[int]], ns: int, nx: int) -> bool:
-    """True iff X and Y are independent given s, for the integer covariance
-    submatrix ``a`` over s + X + Y (``ns`` rows of s, then ``nx`` of X).
-
-    One fraction-free (Bareiss) pass over every pivot, in place.  Each pivot
-    is a leading principal minor, so ``a`` is positive definite iff all are
-    positive.  The pass leaves det(a[:k, :k]) * Cov(x_r, y | s, x_1..x_{r-1})
-    at row k = x_r, column y, so by the chain rule X and Y are independent
-    given s iff every entry in an X row and a Y column is 0.
-    """
-    m = len(a)
-    prev = 1
-    for k in range(m):
-        pivot = a[k][k]
-        if pivot <= 0:
-            raise GaussianError("covariance submatrix is not positive definite")
-        row_k = a[k]
-        for i in range(k + 1, m):
-            row_i = a[i]
-            f = row_i[k]
-            for j in range(k + 1, m):
-                row_i[j] = (pivot * row_i[j] - f * row_k[j]) // prev
-        prev = pivot
-    return not any(any(row[ns + nx:]) for row in a[ns:ns + nx])
-
-
 def partial_correlation_zero(
     cov: Sequence[Sequence[Fraction | int]], x: int, y: int, s: Sequence[int]
 ) -> bool:
@@ -204,13 +179,18 @@ def partial_correlation_zero(
 
     ``cov`` holds Fractions or ints (floats are not accepted).  Every index
     must lie in ``range(len(cov))`` and occur once.  The submatrix over
-    s + [x, y] is :func:`integer_scaled` and decided by ``_pcorr_zero``
-    with one X row.  An oracle does not call it: it reads its system's
-    minors lattice (``_Minors``), and this is that lattice's slow twin.
+    s + [x, y] is :func:`integer_scaled` and given its own ``_Minors``,
+    walked to the full mask so that every leading minor is checked: a
+    submatrix that is not positive definite raises ``GaussianError``.
+    The answer is M_s at the x row and y column.  An oracle does not call
+    it: it reads its system's lattice.
     """
     idx = list(s) + [x, y]
     if len(set(idx)) != len(idx):
         raise GaussianError("query indices must be distinct")
     if min(idx) < 0 or max(idx) >= len(cov):
         raise GaussianError(f"query indices must lie in range({len(cov)})")
-    return _pcorr_zero(integer_scaled([[cov[i][j] for j in idx] for i in idx]), len(idx) - 2, 1)
+    minors = _Minors(integer_scaled([[cov[i][j] for j in idx] for i in idx]))
+    minors[minors.full]  # the walk checks every leading minor
+    ns = len(idx) - 2
+    return minors.independent(1 << ns, 2 << ns, (1 << ns) - 1)

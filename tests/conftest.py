@@ -1,12 +1,23 @@
 import itertools
+import os
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from kassoc import scenarios
 from kassoc.distribution import Cpt, DiscreteJoint
 from kassoc.graph import Dag
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env(**extra):
+    """The environment for a child interpreter that imports this checkout."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture(scope="session")

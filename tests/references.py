@@ -40,8 +40,8 @@
   the unfaithful-triple search's one set query.
 * :func:`inverse_partial_correlation_zero`: the Gauss-Jordan criterion
   (the precision matrix of the submatrix over x, y and s) on Fractions,
-  which shares no code with the minors lattice or the Bareiss elimination
-  in :mod:`kassoc.gaussian`; and :func:`random_sem`, seeded linear-Gaussian
+  the slow twin of the minors lattice in :mod:`kassoc.gaussian`, with
+  which it shares no code; and :func:`random_sem`, seeded linear-Gaussian
   systems.
 * :func:`regularized_gamma_p`: the lower regularized incomplete gamma
   P(a, x) for any real a > 0, by series below x = a + 1 and by Lentz's

@@ -336,3 +336,24 @@ def test_audit_runs_on_at_most_twelve_nodes():
     assert all(r.holds for r in report.results)
     with pytest.raises(OracleError, match=r"at most 12 nodes \(this scenario has 13\)"):
         audit_scenario(Scenario("chain13", Dag(nodes, chain), "graph"))
+
+
+@pytest.mark.parametrize("kind", ["discrete", "gaussian"])
+def test_a_scenario_over_int_labels_audits(kind):
+    """Every backend keeps the graph's labels as they are: over the chain
+    0 -> 1 -> 2 the oracle's variables are the DAG's nodes, ints, and the
+    audit holds throughout, as it does on the graph itself."""
+    dag = Dag([0, 1, 2], [(0, 1), (1, 2)])
+    if kind == "discrete":
+        cpts = [Cpt.coin(0, F(1, 3)),
+                Cpt(1, 2, (0,), (2,), {(0,): (F(1, 4), F(3, 4)), (1,): (F(1, 2), F(1, 2))}),
+                Cpt(2, 2, (1,), (2,), {(0,): (F(1, 5), F(4, 5)), (1,): (F(2, 3), F(1, 3))})]
+        sc = Scenario("chain", dag, kind, cpts=cpts)
+        assert DiscreteOracle(sc.joint).variables == sc.dag.nodes
+    else:
+        sc = Scenario("chain", dag, kind, gaussian=GaussianSystem(
+            dag.nodes, {(1, 0): 1, (2, 1): F(1, 2)}, {v: 1 for v in dag.nodes}))
+    assert sc.oracle().variables == sc.dag.nodes == (0, 1, 2)
+    report = audit_scenario(sc).to_dict()
+    assert report == audit_scenario(Scenario("chain", dag, "graph")).to_dict()
+    assert all(r["holds"] for r in report["results"])

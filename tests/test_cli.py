@@ -13,7 +13,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from conftest import random_cpt_net
+from conftest import child_env, random_cpt_net
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +25,6 @@ from kassoc.oracle import OracleError
 from kassoc.scenarios import BUILTINS, Scenario, builtin, save
 
 ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -42,13 +41,6 @@ def reports_are_json_dumps_text(request, monkeypatch):
             assert text == json.dumps(o, sort_keys=True, indent=2)
         return text
     monkeypatch.setattr(cli, "_json", checked)
-
-
-def child_env(**extra):
-    """The environment for a child interpreter that imports this checkout."""
-    env = dict(os.environ, **extra)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    return env
 
 
 def invoke(capsys, *argv):

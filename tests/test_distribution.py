@@ -6,6 +6,9 @@ import math
 import pickle
 import random
 import re
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +16,7 @@ import pytest
 from kassoc.distribution import MAX_CELLS, MAX_ROWS, Cpt, Dataset, DiscreteJoint, DistributionError
 from kassoc.graph import Dag
 from kassoc.scenarios import BUILTINS, builtin
-from conftest import random_cpt_net, zero_cell_joints, zero_cell_nets
+from conftest import child_env, random_cpt_net, zero_cell_joints, zero_cell_nets
 from references import (assignments, fraction_is_independent_sets, fraction_marginal,
                         integer_product, prob, row_by_row_factor)
 
@@ -246,6 +249,75 @@ class TestCpt:
             Cpt("Y", 2, ("X",), (2,), {(0,): (0.5,), (2,): (F(1),)})
         with pytest.raises(DistributionError, match="more than"):
             Cpt("Y", 2, ("X",), (2**21,), {(0,): (0.5,)})
+
+    def test_a_child_cardinality_above_max_cells_is_refused_at_once(self):
+        """The child's cardinality is refused by name before any row is
+        read, as more than ``MAX_CELLS`` parent rows are; the child runs
+        in its own interpreter, so a check that loops over the states
+        fails this test by its timeout."""
+        out = in_child("""
+            start = time.perf_counter()
+            try:
+                Cpt("X", 2**40, (), (), {(): (F(1, 2), F(1, 2))})
+            except DistributionError as exc:
+                print(exc)
+            print(time.perf_counter() - start < 1)
+        """)
+        assert out == f"CPT for X: cardinality of X must be at most {MAX_CELLS}, not {2**40}\nTrue\n"
+
+
+def in_child(code: str) -> str:
+    """The stdout of ``code``, run in a child interpreter on this checkout
+    with ``F``, ``time``, ``Cpt``, ``DiscreteJoint`` and ``DistributionError``
+    imported, so that a crash or a hang fails one test, not the run.  The
+    child must exit 0 within 20 s."""
+    head = ("import time\nfrom fractions import Fraction as F\n"
+            "from kassoc.distribution import Cpt, DiscreteJoint, DistributionError\n")
+    proc = subprocess.run([sys.executable, "-c", head + textwrap.dedent(code)], env=child_env(),
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    return proc.stdout
+
+
+class TestLongSums:
+    """A sum over a variable of many states chains at most a fixed number of
+    lazy adds before it is made a list: an unbroken chain of one add per
+    state recurses in C when consumed and, at about 100,000 states, kills
+    the interpreter.  Both cases run in a child interpreter."""
+
+    def test_a_cpt_of_100000_states_is_checked(self):
+        out = in_child("""
+            denom, flat = Cpt("A", 100000, (), (), {(): (F(1, 100000),) * 100000})._factor
+            print(denom, len(flat), set(flat))
+        """)
+        assert out == "100000 100000 {1}\n"
+
+    @pytest.mark.parametrize("order", ["AB", "BA"])
+    def test_a_variable_of_100000_states_sums_out(self, order):
+        """A before B sums A out block by block, B before A strided column
+        by column: the two branches of the sum-out."""
+        out = in_child(f"""
+            cards = {{"A": 100000, "B": 2}}
+            order = {order!r}
+            probs = [F(1 + (a if order[0] == "B" else b), 300000)
+                     for a in range(cards[order[0]]) for b in range(cards[order[1]])]
+            m = DiscreteJoint([(v, cards[v]) for v in order], probs).marginalize(["B"])
+            print(m.variables, *m.probs)
+        """)
+        assert out == "(('B', 2),) 1/3 2/3\n"
+
+    @pytest.mark.parametrize("card", [257, 600])
+    def test_a_flattened_sum_keeps_every_answer(self, card):
+        """Past the flattening depth, a CPT's row sums and every marginal of
+        a joint are those of the Fraction references."""
+        rng = random.Random(f"long-sums:{card}")
+        weights = [rng.randint(0, 3) for _ in range(card)]
+        row = tuple(F(w, sum(weights)) for w in weights)
+        cpt = Cpt("A", card, ("B",), (2,), {(0,): row, (1,): row[::-1]})
+        assert cpt._factor == row_by_row_factor("A", card, ("B",), (2,), cpt.rows)
+        joint = DiscreteJoint.from_cpts(Dag(["B", "A"], [("B", "A")]), [Cpt.coin("B", F(1, 3)), cpt])
+        for keep in (["B"], ["A"], []):
+            assert joint.marginalize(keep).probs == tuple(fraction_marginal(joint, keep).values())
 
 
 

@@ -209,10 +209,11 @@ class TestAgreementWithReferences:
         [[F(1), F(1)], [F(1), F(1)]],  # singular
         [[F(1), F(2)], [F(2), F(1)]],  # indefinite
         [[F(1), F(0), F(0)], [F(0), F(-1, 3), F(0)], [F(0), F(0), F(2)]],
-    ], ids=["singular", "indefinite", "negative-variance"])
+        [[1, 0, 0], [0, 1, 2], [0, 2, 1]],  # indefinite on x and y, given s
+    ], ids=["singular", "indefinite", "negative-variance", "indefinite-given"])
     def test_non_positive_definite_raises_in_both(self, matrix):
         n = len(matrix)
-        with pytest.raises(GaussianError):
+        with pytest.raises(GaussianError, match="^covariance submatrix is not positive definite$"):
             partial_correlation_zero(matrix, n - 2, n - 1, list(range(n - 2)))
         with pytest.raises(GaussianError):
             inverse_partial_correlation_zero(matrix, n - 2, n - 1, list(range(n - 2)))

@@ -1,12 +1,13 @@
-"""The Gaussian minors lattice against its slow twins.
+"""The Gaussian minors lattice against its slow twin.
 
 Every Gaussian backend call reads one M_S of its system's lattice
-(``gaussian._Minors``).  Here each answer is checked against the Bareiss
-elimination of ``partial_correlation_zero`` and the Gauss-Jordan inverse
-of ``references.inverse_partial_correlation_zero``, query by query, under
-the real cell budget and under small ones; and whole audit and sparsest-
-permutation reports against an oracle that answers through
-``partial_correlation_zero``.
+(``gaussian._Minors``).  Here each answer is checked, query by query,
+under the real cell budget and under small ones, against the Gauss-Jordan
+inverse of ``references.inverse_partial_correlation_zero``, which shares
+no code with the lattice, and against ``partial_correlation_zero``, which
+builds a lattice over each query's submatrix alone; and whole audit and
+sparsest-permutation reports against an oracle that answers through
+``partial_correlation_zero``, so that no two of its calls share a minor.
 """
 
 import copy
@@ -135,13 +136,14 @@ def test_a_conditioning_set_that_is_not_positive_definite_raises(block):
         _Minors(cov).independent(1 << k, 1 << k + 1, (1 << k) - 1)
 
 
-# -- whole reports against a backend that answers through the slow twin ------
+# -- whole reports against a backend that answers one submatrix at a time -----
 
 
-class BareissOracle(IndependenceOracle):
+class SubmatrixOracle(IndependenceOracle):
     """A Gaussian oracle whose every backend call is one
     ``partial_correlation_zero`` per (x, y) pair, on the Fraction
-    covariance: the path the lattice replaced."""
+    covariance: a fresh lattice over each pair's submatrix, so that no
+    minor is shared between calls or kept under the system's budget."""
 
     backend = "gaussian"
 
@@ -171,14 +173,14 @@ def report_systems():
 def test_audit_and_sp_reports_match_the_slow_twin(system):
     """The audit report, and on 8 nodes (the most ``sparsest_permutations``
     lists) the sparsest-permutation minimizers, are those of
-    ``BareissOracle``, and so is each run's backend-call count."""
-    fast, slow = GaussianOracle(system), BareissOracle(system)
+    ``SubmatrixOracle``, and so is each run's backend-call count."""
+    fast, slow = GaussianOracle(system), SubmatrixOracle(system)
     reports = [audit_scenario(SimpleNamespace(name="sem", dag=system.dag, oracle=lambda o=o: o))
                for o in (fast, slow)]
     assert reports[0].to_dict() == reports[1].to_dict()
     assert fast.query_count == slow.query_count > 0
     if len(system.nodes) <= 8:
-        fast, slow = GaussianOracle(system), BareissOracle(system)
+        fast, slow = GaussianOracle(system), SubmatrixOracle(system)
         got = minimizer_dicts(sparsest_permutations(fast))
         assert got == minimizer_dicts(sparsest_permutations(slow))
         assert fast.query_count == slow.query_count > 0

@@ -54,16 +54,16 @@ def calls_of(owner, attr):
 
 @pytest.mark.parametrize("backend,kernel,twin", [
     ("discrete", (DiscreteJoint, "_independent"), (DiscreteJoint, "is_independent_sets")),
-    ("gaussian", (gaussian._Minors, "independent"), (gaussian, "_pcorr_zero")),
+    ("gaussian", (gaussian._Minors, "independent"), (gaussian, "partial_correlation_zero")),
     ("gtest", (gtest, "_g_test"), (gtest, "g_test")),
 ], ids=["discrete", "gaussian", "gtest"])
 def test_every_backend_call_enters_its_mask_kernel_once(all_builtins, backend, kernel, twin):
     """Each backend call of an oracle, pairwise or set, is one call of its
     backend's mask-level kernel, on the oracle's own table or lattice, and
-    none of the slow twin (for the Gaussian backend the Bareiss elimination
-    that ``partial_correlation_zero`` makes), so ``query_count`` counts
-    exactly the kernel calls (and a trace of the kernel counts the backend
-    calls); cache hits reach neither.  The G-test oracles run on 300
+    none of the backend's name-level entry, which builds its own table or
+    lattice per call, so ``query_count`` counts exactly the kernel calls
+    (and a trace of the kernel counts the backend calls); cache hits reach
+    neither.  The G-test oracles run on 300
     samples of each discrete builtin."""
     for name, scenario in all_builtins.items():
         if scenario.kind != ("discrete" if backend == "gtest" else backend):
