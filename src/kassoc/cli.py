@@ -15,7 +15,11 @@ subcommand's; words the command does not read are still reported by the
 top parser, as ``kassoc: unrecognized arguments: ...``.  Every other argv
 (none at all, ``-h``, an unknown command, an option or ``--`` before the
 command) goes through the top parser, which gives the same exit code and
-text; the tests keep that route as the fast route's slow twin.
+text; the tests keep that route as the fast route's slow twin.  A final
+``--`` only ends the options, so it is dropped before either route parses
+argv: ``kassoc mb --scenario builtin:example1 --target Y --`` runs as if it
+were not there.  A ``--`` anywhere else is left to argparse, so
+``kassoc -- mb ...`` is still refused as an invalid choice of command.
 
 A report's text is exactly ``json.dumps(report, sort_keys=True, indent=2)``,
 written by ``_json``: one ``str.join`` per container, strings quoted by
@@ -307,8 +311,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _parse(argv) -> argparse.Namespace:
-    """``_parser().parse_args(argv)``, parsed by the named command's parser
-    alone when the first word names one."""
+    """``_parser().parse_args(argv)``, less one final ``--``, parsed by the
+    named command's parser alone when the first word names one."""
+    if argv[-1:] == ["--"]:
+        argv = argv[:-1]
     top = _parser()
     command = _COMMANDS.get(argv[0]) if argv else None
     if command is None:

@@ -7,22 +7,25 @@ independence checks run on those Python ints.  Independence is decided by
 exact equality, never by a tolerance.  Tables are dense over all
 assignments (desk scale, capped at ``MAX_CELLS`` = 2**20 cells).
 
-Every joint that is not built from Fractions comes out of one builder, a
-product of integer factors (``DiscreteJoint._product``) that grows the
-table by each factor's new axes, as its most significant ones: one factor
-per CPT for ``from_cpts``, each scaled to integers once, when the CPT is
-checked, and multiplied in over the nodes before it in topological order;
-for ``marginalize`` one lattice marginal and for a copy the table itself,
-either of which becomes the table with at most one permutation.  A model
-is built in C-level passes, with no Python loop per cell or entry: a ``Cpt``
-type-checks its whole table by its set of entry types, scales it by one
-lcm over its flat entries (``_scaled``, which ``DiscreteJoint`` shares)
-and sums its rows over strided slices; ``_product`` multiplies the table
-so far by one factor entry per cell in one ``map`` for each assignment to
-the factor's new axes; and every index map (``_index_map``) is built from
-the last axis up, one ``map`` per value of an axis.  ``from_cpts`` checks
-each CPT's parents on the graph's parent bitmasks and reads the
-topological order that the ``Dag`` kept from its own cycle check.
+Every joint that is not built from Fractions is finished by
+``DiscreteJoint._table``: given a whole integer table, row-major over some
+order of its axes, it permutes the table once into the variables' order and
+puts it in lowest terms.  ``marginalize`` hands it one lattice marginal, a
+copy its own table, and ``from_cpts`` the product of its CPTs.  That product
+is one loop over the CPTs in topological order, from the table ``[1]``: each
+CPT, scaled to integers once when it was checked, adds its child as the
+table's most significant axis, in one C-level pass per child value that
+multiplies the table so far by that value's column of the CPT, read at each
+cell's parent row.  A CPT costs the size of the table after it plus its
+own size.  A model is built in C-level passes, with no Python loop per
+cell and none per entry but that loop over a child's values: a ``Cpt``
+type-checks its whole table by its set of entry types, scales it by
+one lcm over its flat entries (``_scaled``, which ``DiscreteJoint`` shares)
+and sums its rows over strided slices; and every index map (``_index_map``:
+a CPT's parent row per cell, or a permutation) is built from the last axis
+up, one ``map`` per value of an axis.  ``from_cpts`` checks each CPT's
+parents on the graph's parent bitmasks and reads the topological order that
+the ``Dag`` kept from its own cycle check.
 
 Every marginal comes from one lattice, ``_Lattice``, a ``_MaskLattice``:
 the one budgeted store keyed by position bitmask, which the Gaussian
@@ -604,42 +607,15 @@ class DiscreteJoint:
         object.__setattr__(self, "_lattice", _Lattice(weights, self._cards))
 
     @classmethod
-    def _product(cls, variables, factors) -> "DiscreteJoint":
-        """The one builder of a joint from integer weights: the product of
-        factors ``(positions, denom, flat_ints)``, each row-major over its
-        ``positions`` (distinct), over the product of their denominators, in
-        lowest terms.
-
-        The table grows by a factor's new positions at a time, in the order
-        in which the positions first appear, and each factor is multiplied
-        in as soon as its positions are present.  Its new positions become
-        the table's most significant axes: for each assignment to them, in
-        row-major order, the table so far is multiplied cell by cell by the
-        factor's entries at that assignment's offset, one C-level pass
-        apiece appended to the new table.  A factor that arrives on an empty
-        table becomes the table.  The result is permuted once into
-        ``variables`` order.  A factor costs the size of the table after it,
-        so CPTs passed in topological order cost O(size) in all."""
-        variables, size = _domains(variables)
+    def _table(cls, variables, axes, denom, table) -> "DiscreteJoint":
+        """The joint of the integer ``table`` over ``denom``, row-major over
+        the positions ``axes`` of ``variables`` (a permutation of them), in
+        lowest terms: the table is permuted once into ``variables`` order.
+        ``variables`` are taken as valid: ``from_cpts`` checks its own with
+        ``_domains``, and a marginal or a copy keeps a joint's."""
+        variables = tuple(variables)
         cards = [c for _, c in variables]
-        axes, table, denom = [], None, 1
-        for positions, d, ints in factors:
-            denom *= d
-            if table is None:
-                axes, table = list(positions), ints
-                continue
-            strides, _ = _strides(cards, positions)
-            new = [p for p in positions if p not in axes]
-            offsets = _index_map([cards[p] for p in new], [strides[p] for p in new])
-            cells = _index_map([cards[p] for p in axes], [strides[p] for p in axes])
-            out = []
-            for o in offsets:
-                out += map(mul, table, map(ints[o:].__getitem__, cells))
-            table = out
-            axes = new + axes
-        if table is None:
-            table = [1]
-        if axes != list(range(len(cards))):
+        if list(axes) != list(range(len(cards))):
             table = list(map(table.__getitem__, _index_map(cards, _strides(cards, axes)[0])))
         g = math.gcd(*table)  # positive: the weights sum to denom
         weights = tuple(table) if g == 1 else tuple(map(g.__rfloordiv__, table))
@@ -678,8 +654,8 @@ class DiscreteJoint:
 
     def __reduce__(self):
         # the lattice is not pickled: a copy starts with an empty one
-        return DiscreteJoint._product, (
-            self.variables, [(range(len(self._cards)), self._denom, self._weights)])
+        return DiscreteJoint._table, (
+            self.variables, range(len(self._cards)), self._denom, self._weights)
 
     # -- construction --------------------------------------------------------
 
@@ -689,11 +665,16 @@ class DiscreteJoint:
 
         One CPT per node; each CPT lists its node's graph parents, each once,
         which is checked on position bitmasks against ``dag._parent_masks``.
+        The table's size is refused past ``MAX_CELLS`` before any product.
         The CPTs' integer factors (``Cpt._factor``, scaled when each CPT was
-        checked) go to ``_product`` in the topological order the graph kept
-        when it was built (``dag._order``), so each one is multiplied over
-        the table of the nodes before it and the whole product costs
-        O(cells); the table is permuted once into ``dag.nodes`` order.
+        checked) are multiplied in, from the table ``[1]``, in the
+        topological order the graph kept when it was built (``dag._order``):
+        each one over the table of the nodes before it, read through one
+        index map of each cell's parent row, with its child as the new most
+        significant axis.  A CPT costs the size of the table after it plus
+        its own size, so with every cardinality at least 2 the whole product
+        costs O(cells + CPT entries); ``_table`` permutes it once into
+        ``dag.nodes`` order.
         """
         by_child = {}
         for cpt in cpts:
@@ -721,9 +702,20 @@ class DiscreteJoint:
                     raise DistributionError(
                         f"CPT for {cpt.child}: cardinality mismatch on parent {p}"
                     )
-        factors = [([pos[q] for q in ordered[i].parents] + [i], *ordered[i]._factor)
-                   for i in dag._order]
-        return DiscreteJoint._product(list(zip(dag.nodes, cards)), factors)
+        variables, _ = _domains(zip(dag.nodes, cards))
+        denom, table, axes = 1, [1], []
+        for i in dag._order:
+            cpt = ordered[i]
+            d, ints = cpt._factor
+            c = cpt.child_card
+            # each cell's row of the CPT: its parents' values, row-major
+            strides = _strides(cards, [pos[q] for q in cpt.parents])[0]
+            rows = _index_map([cards[p] for p in axes], [strides[p] for p in axes])
+            out = []
+            for v in range(c):
+                out += map(mul, table, map(ints[v::c].__getitem__, rows))
+            denom, table, axes = denom * d, out, [i] + axes
+        return DiscreteJoint._table(variables, axes, denom, table)
 
     # -- queries --------------------------------------------------------------
 
@@ -734,10 +726,9 @@ class DiscreteJoint:
             raise DistributionError("duplicate variable names")
         # the lattice marginal's axes are the kept variables in ascending position
         ascending = sorted(range(len(positions)), key=positions.__getitem__)
-        return DiscreteJoint._product(
-            [self.variables[p] for p in positions],
-            [(ascending, self._denom, self._lattice[sum(1 << p for p in positions)][0])],
-        )
+        return DiscreteJoint._table(
+            [self.variables[p] for p in positions], ascending, self._denom,
+            self._lattice[sum(1 << p for p in positions)][0])
 
     def is_independent(self, x: str, y: str, s: Iterable[str] = ()) -> bool:
         """Exact pairwise CI: P(x,y|s) == P(x|s) P(y|s) wherever P(s) > 0."""

@@ -568,12 +568,34 @@ class TestParser:
         ["assoc", "--scenario", "builtin:example1", "--target", "Y", "--budget", "abc"],
         ["frobnicate", "--scenario", "builtin:example1"],
         [],
-    ], ids=["missing-target", "budget-not-a-number", "unknown-subcommand", "no-subcommand"])
+        ["--", "mb", "--scenario", "builtin:example1", "--target", "Y"],
+    ], ids=["missing-target", "budget-not-a-number", "unknown-subcommand", "no-subcommand",
+            "leading-double-dash"])
     def test_usage_error_exits_two_with_one_line(self, capsys, argv):
         code, report, err = invoke(capsys, *argv)
         assert code == 2
         assert report is None
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["mb", "--scenario", "builtin:example1", "--target", "Y"],
+        ["sp", "--scenario", "builtin:example2"],
+        ["audit", "--scenario", "builtin:cancel4"],
+    ], ids=["mb", "sp", "audit"])
+    def test_a_final_double_dash_only_ends_the_options(self, capsys, argv):
+        """The report, exit code and stderr are those of the argv without
+        it, ``wall_time_s`` aside."""
+        code, report, err = invoke(capsys, *argv)
+        dash_code, dash_report, dash_err = invoke(capsys, *argv, "--")
+        report.pop("wall_time_s"), dash_report.pop("wall_time_s")
+        assert code == 0
+        assert (dash_code, dash_report, dash_err) == (code, report, err)
+
+    def test_only_one_final_double_dash_is_dropped(self, capsys):
+        code, report, err = invoke(capsys, "mb", "--scenario", "builtin:example1",
+                                   "--target", "Y", "--", "--")
+        assert (code, report) == (2, None)
+        assert err == "error: kassoc: unrecognized arguments: --\n"
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -306,6 +306,24 @@ class TestLongSums:
         """)
         assert out == "(('B', 2),) 1/3 2/3\n"
 
+    def test_a_prior_of_100000_states_after_a_coin_builds_in_linear_time(self):
+        """Listed as A, B, the graph's topological order puts the coin B
+        first, so the prior adds 100,000 values of A to a 2-cell table: a
+        product that copied A's CPT once per value of A would take seconds.
+        The joint equals the one built with the prior first, read in
+        A, B order."""
+        out = in_child("""
+            from kassoc.graph import Dag
+            n = 100000
+            cpts = [Cpt.prior("A", [F(1, n)] * n), Cpt.coin("B", F(1, 2))]
+            start = time.perf_counter()
+            ab = DiscreteJoint.from_cpts(Dag(["A", "B"], []), cpts)
+            print(time.perf_counter() - start < 5)
+            ba = DiscreteJoint.from_cpts(Dag(["B", "A"], []), cpts)
+            print(ab._weights == ba._weights, ab == ba.marginalize(["A", "B"]), ab._denom)
+        """)
+        assert out == "True\nTrue True 200000\n"
+
     @pytest.mark.parametrize("card", [257, 600])
     def test_a_flattened_sum_keeps_every_answer(self, card):
         """Past the flattening depth, a CPT's row sums and every marginal of
@@ -626,7 +644,7 @@ class TestIntegerPathAgainstFractionReference:
     def test_from_cpts_matches_the_integer_product_on_larger_nets(self, seed):
         """10-14 nodes of cardinality 1-4 with zero entries, listed in an
         order that is not topological, so the product's axes are permuted
-        once at the end; each single-factor rebuild (copy, pickle,
+        once at the end; each whole-table rebuild (copy, pickle,
         ``marginalize`` of none or of every name, in any order) keeps the
         weights."""
         rng = random.Random(f"integer_product:{seed}")

@@ -32,8 +32,8 @@ from references import (comprehension_index_map, fraction_is_independent_sets,
 
 def from_weights(variables, weights):
     """The joint of non-negative integer ``weights`` over ``variables``,
-    built the way a copy is: one identity factor."""
-    return DiscreteJoint._product(variables, [(range(len(variables)), sum(weights), weights)])
+    built the way a copy is: the whole table, already in ``variables`` order."""
+    return DiscreteJoint._table(variables, range(len(variables)), sum(weights), weights)
 
 
 def ascending_marginal(joint, mask):
