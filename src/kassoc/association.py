@@ -225,15 +225,18 @@ def find_unfaithful_triples(o: IndependenceOracle) -> list[UnfaithfulTriple]:
     does not factorize, flagged minimal when every within-triple pair stays
     dependent under all outside conditioning sets.
 
-    Requires the discrete backend.  Given y and z independent, x, y, z are
+    Requires the discrete backend.  The three marginal pair checks ask
+    ``_ask`` on position masks.  Given y and z independent, x, y, z are
     mutually independent iff x is independent of (y, z): one set query,
     counted by the oracle like every other.
     """
     if not isinstance(o, DiscreteOracle):
         raise OracleError("unfaithful-triple search needs the discrete backend")
     out = []
-    for x, y, z in itertools.combinations(o.variables, 3):
-        if not (o.query(x, y) and o.query(x, z) and o.query(y, z)):
+    index, ask = o._index, o._ask
+    named = [(v, 1 << index[v]) for v in o.variables]
+    for (x, bx), (y, by), (z, bz) in itertools.combinations(named, 3):
+        if not (ask(bx, by, 0) and ask(bx, bz, 0) and ask(by, bz, 0)):
             continue
         if o.query_sets([x], [y, z]):
             continue

@@ -7,6 +7,19 @@ shrink phase removes singletons only and is shared by both modes.  Both
 phases scan the non-target variables in the oracle's order; the blanket
 does not depend on that order, only the query log does.  Every query is
 logged, in order, as a :class:`GsStep` in a plain list.
+
+The target and every candidate are checked once and carry their position
+bit in the oracle's variable order, and each phase keeps its conditioning
+set twice: as the frozenset of names that the trace records, shared by
+the steps that ask it, and as the position mask beside it.  Each step asks
+the oracle's ``_ask(target, candidate, S)`` on those masks directly, past
+``query``'s name check: the same cache keys, backend calls and
+``query_count`` as ``query`` on the names, which the name-level twin in
+``tests/references.py`` asks.  A step is built at C level by
+``tuple.__new__``, past the ``NamedTuple``'s Python-level ``__new__``, and
+no step decodes names from a mask.  ``markov_blanket`` calls the
+module-level ``grow`` and ``shrink``, which ``perfbench/tracer.py`` wraps
+by name.
 """
 
 from __future__ import annotations
@@ -50,42 +63,44 @@ def grow(
     restarts.  The helper may already be in S (then the pair clause
     coincides with the single clause and never fires anew).
     """
-    _check_target(o, target)
+    t, order = _positions(o, target)
     if mode not in ("modified", "classic"):
         raise OracleError(f"unknown mode {mode!r}")
-    order = [v for v in o.variables if v != target]
     trace = trace if trace is not None else []
     s: set[str] = set()
+    ms = 0
     while True:
-        added = _grow_pass(o, target, s, order, mode, trace)
+        added = _grow_pass(o._ask, t, frozenset(s), ms, order, mode, trace)
         if added is None:
             return s
-        s.add(added)
+        x, bit = added
+        s.add(x)
+        ms |= bit
 
 
-def _grow_pass(o, target, s, order, mode, trace):
-    for x in order:
-        if x in s:
+def _grow_pass(ask, t, s, ms, order, mode, trace):
+    new, append = tuple.__new__, trace.append
+    for x, bit in order:
+        if bit & ms:
             continue
-        indep = o.query(target, x, s)
-        trace.append(GsStep("grow", x, None, frozenset(s), indep, "skip" if indep else "add"))
+        indep = ask(t, bit, ms)
+        append(new(GsStep, ("grow", x, None, s, indep, "skip" if indep else "add")))
         if not indep:
-            return x
+            return x, bit
     if mode == "classic":
         return None
-    for x in order:
-        if x in s:
+    # S plus each helper, as the trace's names and as the oracle's mask
+    helpers = [(z, s | {z}, ms | zbit) for z, zbit in order]
+    for x, bit in order:
+        if bit & ms:
             continue
-        for z in order:
+        for z, cond, mc in helpers:
             if z == x:
                 continue
-            cond = s | {z}
-            indep = o.query(target, x, cond)
-            trace.append(
-                GsStep("grow", x, z, frozenset(cond), indep, "skip" if indep else "add")
-            )
+            indep = ask(t, bit, mc)
+            append(new(GsStep, ("grow", x, z, cond, indep, "skip" if indep else "add")))
             if not indep:
-                return x
+                return x, bit
     return None
 
 
@@ -102,31 +117,28 @@ def shrink(
     before the first query: the scan visits only ``o.variables``, so an
     unknown name would otherwise stay in the blanket unasked.
     """
-    _check_target(o, target)
+    t, order = _positions(o, target)
     s = dict.fromkeys(s)  # in the caller's order, which names the first unknown
     if target in s:
         raise OracleError("target cannot be in its own candidate blanket")
-    if s:
-        query_masks(o._index, s, (target,), (), OracleError)
-    s = set(s)
-    order = [v for v in o.variables if v != target]
+    ms = query_masks(o._index, s, (target,), (), OracleError)[0] if s else 0
+    s = frozenset(s)
     trace = trace if trace is not None else []
+    ask, new, append = o._ask, tuple.__new__, trace.append
     changed = True
     while changed:
         changed = False
-        for x in order:
-            if x not in s:
+        for x, bit in order:
+            if not bit & ms:
                 continue
             cond = s - {x}
-            indep = o.query(target, x, cond)
-            trace.append(
-                GsStep("shrink", x, None, frozenset(cond), indep, "remove" if indep else "keep")
-            )
+            indep = ask(t, bit, ms ^ bit)
+            append(new(GsStep, ("shrink", x, None, cond, indep, "remove" if indep else "keep")))
             if indep:
-                s.remove(x)
+                s, ms = cond, ms ^ bit
                 changed = True
                 break
-    return s
+    return set(s)
 
 
 def markov_blanket(
@@ -142,6 +154,10 @@ def markov_blanket(
     return final, trace
 
 
-def _check_target(o, target):
+def _positions(o, target):
+    """The target's position bit, and every other variable with its bit in
+    the oracle's order."""
     if target not in o.variables:
         raise OracleError(f"unknown target {target!r}")
+    index = o._index
+    return 1 << index[target], [(v, 1 << index[v]) for v in o.variables if v != target]

@@ -20,10 +20,13 @@ each name of s up directly in the index; a query that fails a check goes
 to ``graph.query_masks``, which ``query_sets`` and the one subset scan
 (``association._first_independent``, which then asks ``_ask`` directly)
 always use: the one rule, and the one wording, that every name-level CI
-entry point shares (here with ``OracleError``).  The scans and the
-sparsest-permutation DP, whose sets are already position masks, ask
-``_ask``; ``query`` serves grow-shrink, outside callers and the tests'
-name-level references.  Every backend answers on masks
+entry point shares (here with ``OracleError``).  The scans, the
+unfaithful-triple search's marginal pair checks, grow-shrink (whose
+candidate set a direct ``shrink`` call checks through ``query_masks``)
+and the sparsest-permutation DP keep their sets as position masks and ask
+``_ask``; ``query`` serves outside callers, the tests' name-level
+references and ``sparsest.dag_from_permutation``, which the library never
+calls.  Every backend answers on masks
 (``_query(mx, my, ms)``) with one call of its mask-level core
 (``graph.dconnected``, ``DiscreteJoint._independent``,
 ``gaussian._Minors.independent``, ``gtest._g_test``).  The graph kernel

@@ -20,6 +20,14 @@ def child_env(**extra):
     return env
 
 
+def backend_log(o):
+    """``o``, its backend ``_query`` wrapped to append each call's masks to
+    the returned list, in call order."""
+    log, query = [], o._query
+    o._query = lambda mx, my, ms: log.append((mx, my, ms)) or query(mx, my, ms)
+    return o, log
+
+
 @pytest.fixture(scope="session")
 def example1():
     return scenarios.builtin("example1")
@@ -63,6 +71,22 @@ def random_cpt_net(rng, n, edges, max_in, cards=(2,), denom=12):
             rows[pa] = tuple(F(hi - lo, denom) for lo, hi in zip(bounds, bounds[1:]))
         cpts.append(Cpt(v, card[v], parents, pcards, rows))
     return dag, cpts
+
+
+def planted_xor_net(rng, n):
+    """A seeded binary net of n nodes (``random_cpt_net``, n to 2n - 2 edges,
+    in-degree <= 3, so some node has two parents) with a noisy XOR planted at
+    one such node c: c keeps two of its parents, a and b, which lose their
+    own parents and become fair coins, and c is their XOR flipped with
+    probability 1/4.  Every other CPT is the random one.  Returns the graph,
+    the CPTs and the planted triple {a, b, c}."""
+    dag, cpts = random_cpt_net(rng, n, rng.randint(n, 2 * n - 2), 3)
+    c = rng.choice([v for v in dag.nodes if len(dag.parents(v)) >= 2])
+    a, b = rng.sample(sorted(dag.parents(c)), 2)
+    edges = [(p, q) for p, q in dag.edges if q not in (a, b, c)] + [(a, c), (b, c)]
+    planted = {a: Cpt.coin(a, F(1, 2)), b: Cpt.coin(b, F(1, 2)),
+               c: Cpt.noisy_function(c, [a, b], [2, 2], lambda x, y: x ^ y, F(1, 4))}
+    return Dag(dag.nodes, edges), [planted.get(cpt.child, cpt) for cpt in cpts], {a, b, c}
 
 
 @pytest.fixture(scope="session")

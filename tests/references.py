@@ -17,6 +17,10 @@
   twin of the mask-level scan ``association._first_independent``, and
   :func:`rule_defeat`, the orientation rule's scan written on it.
 * :func:`replay_consistent`: asks every query of a grow-shrink trace again.
+* :func:`grow_on_names`, :func:`shrink_on_names` and
+  :func:`markov_blanket_on_names`: grow-shrink on names, each step's
+  conditioning set built as a name set and asked through ``query``; the
+  slow twin of ``kassoc.growshrink``, which asks ``_ask`` on position masks.
 * Fraction readers of a discrete joint, written from the definitions on
   ``variables`` and ``probs`` alone, so they share no helper with the
   integer lattice in :mod:`kassoc.distribution` that they check:
@@ -60,8 +64,9 @@ from typing import Iterable, Iterator, Sequence
 
 from kassoc.distribution import DiscreteJoint, DistributionError, exact
 from kassoc.gaussian import GaussianError, GaussianSystem
-from kassoc.graph import Dag, GraphError
-from kassoc.oracle import IndependenceOracle
+from kassoc.graph import Dag, GraphError, query_masks
+from kassoc.growshrink import GsStep
+from kassoc.oracle import IndependenceOracle, OracleError
 
 # -- brute-force d-separation -------------------------------------------------
 
@@ -231,6 +236,92 @@ def replay_consistent(trace, o: IndependenceOracle, target: str) -> bool:
         o.query(target, step.candidate, step.conditioning) == step.independent
         for step in trace
     )
+
+
+def grow_on_names(o: IndependenceOracle, target: str, *, mode: str = "modified",
+                  trace: list[GsStep] | None = None) -> set[str]:
+    """``growshrink.grow`` on names: each step builds its conditioning set
+    and asks it through ``o.query``."""
+    _check_target_on_names(o, target)
+    if mode not in ("modified", "classic"):
+        raise OracleError(f"unknown mode {mode!r}")
+    order = [v for v in o.variables if v != target]
+    trace = trace if trace is not None else []
+    s: set[str] = set()
+    while True:
+        added = _grow_pass_on_names(o, target, s, order, mode, trace)
+        if added is None:
+            return s
+        s.add(added)
+
+
+def _grow_pass_on_names(o, target, s, order, mode, trace):
+    for x in order:
+        if x in s:
+            continue
+        indep = o.query(target, x, s)
+        trace.append(GsStep("grow", x, None, frozenset(s), indep, "skip" if indep else "add"))
+        if not indep:
+            return x
+    if mode == "classic":
+        return None
+    for x in order:
+        if x in s:
+            continue
+        for z in order:
+            if z == x:
+                continue
+            cond = s | {z}
+            indep = o.query(target, x, cond)
+            trace.append(
+                GsStep("grow", x, z, frozenset(cond), indep, "skip" if indep else "add")
+            )
+            if not indep:
+                return x
+    return None
+
+
+def shrink_on_names(o: IndependenceOracle, target: str, s: Iterable[str], *,
+                    trace: list[GsStep] | None = None) -> set[str]:
+    """``growshrink.shrink`` on names, each step asked through ``o.query``."""
+    _check_target_on_names(o, target)
+    s = dict.fromkeys(s)
+    if target in s:
+        raise OracleError("target cannot be in its own candidate blanket")
+    if s:
+        query_masks(o._index, s, (target,), (), OracleError)
+    s = set(s)
+    order = [v for v in o.variables if v != target]
+    trace = trace if trace is not None else []
+    changed = True
+    while changed:
+        changed = False
+        for x in order:
+            if x not in s:
+                continue
+            cond = s - {x}
+            indep = o.query(target, x, cond)
+            trace.append(
+                GsStep("shrink", x, None, frozenset(cond), indep, "remove" if indep else "keep")
+            )
+            if indep:
+                s.remove(x)
+                changed = True
+                break
+    return s
+
+
+def markov_blanket_on_names(o: IndependenceOracle, target: str, *, mode: str = "modified"
+                            ) -> tuple[set[str], list[GsStep]]:
+    """``growshrink.markov_blanket`` on names."""
+    trace: list[GsStep] = []
+    grown = grow_on_names(o, target, mode=mode, trace=trace)
+    return shrink_on_names(o, target, grown, trace=trace), trace
+
+
+def _check_target_on_names(o, target):
+    if target not in o.variables:
+        raise OracleError(f"unknown target {target!r}")
 
 
 # -- subset scans on names ----------------------------------------------------------

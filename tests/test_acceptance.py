@@ -16,7 +16,6 @@ import pytest
 from kassoc.association import (find_unfaithful_triples, is_2_associated,
                                 is_strictly_2_associated, weak_associations)
 from kassoc.audit import audit_scenario
-from kassoc.distribution import Cpt
 from kassoc.graph import Dag
 from kassoc.gaussian import partial_correlation_zero
 from kassoc.growshrink import markov_blanket
@@ -26,7 +25,7 @@ from kassoc.orientation import OrientationQuery, PreconditionError, orient
 from kassoc.scenarios import BUILTINS, Scenario, builtin
 from kassoc.sparsest import dag_from_permutation, sparsest_permutations
 
-from conftest import random_cpt_net
+from conftest import planted_xor_net
 from references import d_separated_bruteforce, enumerate_dags, prob, random_dag
 from test_graphoid import AXIOMS, SEMI_GRAPHOID, run_axiom_sweep
 
@@ -234,22 +233,6 @@ def test_criterion_10_statistical_backend(capsys):
             reject += not g_test(data, "X", "Z", ("Y",), cfg).independent
         assert accept >= 95, accept
         assert reject >= 95, reject
-
-
-def planted_xor_net(rng, n):
-    """A seeded binary net of n nodes (``random_cpt_net``, n to 2n - 2 edges,
-    in-degree <= 3, so some node has two parents) with a noisy XOR planted at
-    one such node c: c keeps two of its parents, a and b, which lose their
-    own parents and become fair coins, and c is their XOR flipped with
-    probability 1/4.  Every other CPT is the random one.  Returns the graph,
-    the CPTs and the planted triple {a, b, c}."""
-    dag, cpts = random_cpt_net(rng, n, rng.randint(n, 2 * n - 2), 3)
-    c = rng.choice([v for v in dag.nodes if len(dag.parents(v)) >= 2])
-    a, b = rng.sample(sorted(dag.parents(c)), 2)
-    edges = [(p, q) for p, q in dag.edges if q not in (a, b, c)] + [(a, c), (b, c)]
-    planted = {a: Cpt.coin(a, F(1, 2)), b: Cpt.coin(b, F(1, 2)),
-               c: Cpt.noisy_function(c, [a, b], [2, 2], lambda x, y: x ^ y, F(1, 4))}
-    return Dag(dag.nodes, edges), [planted.get(cpt.child, cpt) for cpt in cpts], {a, b, c}
 
 
 def weak_association_configs(o):

@@ -1,14 +1,26 @@
-"""Grow-shrink Markov blanket recovery, modified and classic."""
+"""Grow-shrink Markov blanket recovery, modified and classic.
+
+``kassoc.growshrink`` asks the oracle's ``_ask`` on position masks; its
+slow twin in ``tests/references.py`` builds each step's conditioning set
+from names and asks it through ``query``.  The two must give the same
+blankets and the same ``GsStep`` lists, make the same backend calls in the
+same order, and leave the same ``query_count`` and answer cache, keys,
+answers and insertion order included.
+"""
 
 import itertools
+import random
 
 import pytest
 
+from conftest import backend_log, planted_xor_net, zero_cell_nets
 from kassoc.audit import audit_scenario
+from kassoc.distribution import DiscreteJoint
 from kassoc.growshrink import GsStep, grow, markov_blanket, shrink
-from kassoc.oracle import DiscreteOracle, GraphOracle, OracleError
-from kassoc.scenarios import builtin
-from references import replay_consistent
+from kassoc.oracle import DiscreteOracle, GraphOracle, GTestOracle, OracleError
+from kassoc.scenarios import BUILTINS, builtin
+from references import (grow_on_names, markov_blanket_on_names, replay_consistent,
+                        shrink_on_names)
 
 
 class TestExampleOne:
@@ -151,3 +163,121 @@ class TestValidation:
     def test_unknown_mode(self, example1):
         with pytest.raises(OracleError):
             markov_blanket(DiscreteOracle(example1.joint), "Y", mode="turbo")
+
+
+# -- agreement with the name-level reference ------------------------------------
+
+
+def assert_same_state(got, ref, got_calls, ref_calls):
+    assert got.query_count == ref.query_count
+    assert list(got._cache.items()) == list(ref._cache.items())
+    assert got_calls == ref_calls
+
+
+def assert_blankets_agree(make):
+    """Every target in oracle order, on one fresh oracle per side and mode,
+    so later targets meet the answers earlier ones cached; the backend sees
+    the same calls in the same order."""
+    for mode in ("modified", "classic"):
+        (got, got_calls), (ref, ref_calls) = backend_log(make()), backend_log(make())
+        for target in got.variables:
+            mb, trace = markov_blanket(got, target, mode=mode)
+            assert (mb, trace) == markov_blanket_on_names(ref, target, mode=mode), (mode, target)
+            assert all(type(step) is GsStep for step in trace)
+            assert_same_state(got, ref, got_calls, ref_calls)
+
+
+def builtin_oracles():
+    """(id, fresh-oracle factory): every builtin's exact oracle and graph."""
+    cases = []
+    for name in sorted(BUILTINS):
+        s = builtin(name)
+        cases += [(f"{name}-exact", s.oracle),
+                  (f"{name}-graph", lambda dag=s.dag: GraphOracle(dag))]
+    return cases
+
+
+BUILTIN_ORACLES = builtin_oracles()
+
+
+class TestAgreesWithNameLevelReference:
+    @pytest.mark.parametrize("make", [m for _, m in BUILTIN_ORACLES],
+                             ids=[i for i, _ in BUILTIN_ORACLES])
+    def test_builtins(self, make):
+        assert_blankets_agree(make)
+
+    def test_cpt_and_zero_cell_nets(self, cpt_nets):
+        for dag, cpts in [*cpt_nets, *zero_cell_nets()]:
+            joint = DiscreteJoint.from_cpts(dag, cpts)
+            assert_blankets_agree(lambda: DiscreteOracle(joint))
+
+    def test_planted_xor_nets(self):
+        for seed in range(60):
+            rng = random.Random(f"growshrink-agreement:{seed}")
+            dag, cpts, _ = planted_xor_net(rng, rng.randint(5, 7))
+            joint = DiscreteJoint.from_cpts(dag, cpts)
+            assert_blankets_agree(lambda: DiscreteOracle(joint))
+
+    def test_g_test_on_samples(self, cpt_nets):
+        for seed, (dag, cpts) in enumerate(cpt_nets):
+            data = DiscreteJoint.from_cpts(dag, cpts).sample(1000, seed)
+            assert_blankets_agree(lambda: GTestOracle(data))
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_shrink_from_every_candidate_set(self, name):
+        """``shrink`` called directly, on every subset of the other variables
+        listed in reverse, one fresh oracle per side."""
+        s = builtin(name)
+        for target in s.dag.nodes:
+            (got, got_calls), (ref, ref_calls) = backend_log(s.oracle()), backend_log(s.oracle())
+            others = [v for v in reversed(s.dag.nodes) if v != target]
+            for k in range(len(others) + 1):
+                for cand in itertools.combinations(others, k):
+                    got_trace, ref_trace = [], []
+                    final = shrink(got, target, cand, trace=got_trace)
+                    assert final == shrink_on_names(ref, target, cand, trace=ref_trace)
+                    assert got_trace == ref_trace, (target, cand)
+                    assert_same_state(got, ref, got_calls, ref_calls)
+
+    @pytest.mark.parametrize("phase, target, kwargs", [
+        ("grow", "Q", {}),
+        ("grow", "Q", {"mode": "turbo"}),
+        ("grow", "Y", {"mode": "turbo"}),
+        ("shrink", "Q", {"s": ["Y"]}),
+        ("shrink", "Y", {"s": ["X", "Y"]}),
+        ("shrink", "Y", {"s": ["Y", "Q"]}),
+        ("shrink", "Y", {"s": ["X", "R", "Q"]}),
+        ("shrink", "Y", {"s": ["X", "X", "R"]}),
+    ])
+    def test_same_errors_before_any_query(self, example1, phase, target, kwargs):
+        """The same error text, the same check first, and nothing asked."""
+        texts = []
+        for fn in {"grow": (grow, grow_on_names), "shrink": (shrink, shrink_on_names)}[phase]:
+            o = example1.oracle()
+            with pytest.raises(OracleError) as err:
+                fn(o, target, **kwargs)
+            assert o.query_count == 0
+            texts.append(str(err.value))
+        assert texts[0] == texts[1]
+
+
+class TestAskLog:
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_each_step_is_one_ask_on_its_masks(self, name):
+        """With ``_ask`` wrapped, every trace step is exactly one ``_ask``
+        call, in trace order, on the masks of its target, candidate and
+        conditioning set; and ``query`` is never entered."""
+        o = builtin(name).oracle()
+        log, ask = [], o._ask
+        o._ask = lambda mx, my, ms: log.append((mx, my, ms)) or ask(mx, my, ms)
+        o.query = None  # any call through query would raise TypeError
+
+        def mask(names):
+            return sum(1 << o._index[v] for v in names)
+
+        for mode in ("modified", "classic"):
+            for target in o.variables:
+                log.clear()
+                _, trace = markov_blanket(o, target, mode=mode)
+                assert log == [(mask([target]), mask([step.candidate]),
+                                mask(step.conditioning)) for step in trace]

@@ -16,7 +16,7 @@ from unittest import mock
 
 import pytest
 
-from conftest import random_cpt_net
+from conftest import backend_log, random_cpt_net
 from kassoc.association import (
     UNBOUNDED,
     AssociationBudget,
@@ -29,6 +29,7 @@ from kassoc.association import (
 )
 from kassoc.audit import audit_scenario, check_af
 from kassoc.distribution import DiscreteJoint
+from kassoc.growshrink import markov_blanket
 from kassoc.oracle import (DiscreteOracle, GaussianOracle, GraphOracle, GTestOracle,
                            IndependenceOracle)
 from kassoc.orientation import OrientationQuery, _rule_defeat, orient
@@ -138,9 +139,11 @@ class TestAgreesWithNameLevelScan:
                              ids=lambda c: c[0])
     def test_unfaithful_triples(self, case):
         _, _, make = case
-        ref, got = make(), make()
+        (ref, ref_calls), (got, got_calls) = backend_log(make()), backend_log(make())
         assert find_unfaithful_triples(got) == reference_unfaithful_triples(ref)
         assert got.query_count == ref.query_count
+        assert list(got._cache.items()) == list(ref._cache.items())
+        assert got_calls == ref_calls
 
     @BUDGETS
     @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
@@ -180,20 +183,16 @@ class TestScansBypassQuery:
         with spy_query() as query:
             for x in o.variables:
                 weak_associations(o, x)
+                for mode in ("modified", "classic"):
+                    markov_blanket(o, x, mode=mode)
+            triples = find_unfaithful_triples(o)
             verdict = orient(OrientationQuery("Y", ("X",), ("Z",), collider))
             report = audit_scenario(s)
         assert query.call_count == 0
         assert o.query_count > 0 and collider.query_count > 0
+        assert any(t.witnesses for t in triples)
         assert verdict.outcome == "collider"
         assert not report["AF"].holds
-
-    def test_unfaithful_triples_query_only_marginal_pairs(self):
-        o = builtin("xor_chain").oracle()
-        with spy_query() as query:
-            triples = find_unfaithful_triples(o)
-        assert any(t.witnesses for t in triples)
-        assert query.call_count > 0
-        assert all(call.args[3:] == () for call in query.call_args_list)
 
     def test_sparsest_permutations_never_call_query(self):
         o = builtin("example2").oracle()
