@@ -25,7 +25,10 @@ A report's text is exactly ``json.dumps(report, sort_keys=True, indent=2)``,
 written by ``_json``: one ``str.join`` per container, strings quoted by
 json's C ``encode_basestring_ascii``.  Up to CPython 3.13, json uses its C
 encoder only when ``indent`` is None, so its indented writer runs Python
-generators value by value.  ``json.dumps`` stays as ``_json``'s slow twin
+generators value by value.  ``_json`` writes only what reports hold; a
+dict key that is not a str, a NaN or infinite float, or a value json
+cannot write is handed to ``json.dumps`` itself, so its text, or its
+TypeError, is json's own.  ``json.dumps`` stays as ``_json``'s slow twin
 in the tests.
 
 Exit codes: 0 success, 1 analysis precondition failure, 2 malformed input.
@@ -38,6 +41,7 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
+import json
 import math
 import os
 import sys
@@ -191,9 +195,14 @@ def _cmd_sample(scenario, args):
 
 def _json(o, pad=""):
     """``json.dumps(o, sort_keys=True, indent=2)``, for ``o`` nested at
-    indent ``pad``: the same text, and the same TypeError for a value json
-    cannot write.  A list of only str or only int items is joined with no
-    Python call per item."""
+    indent ``pad``.  The values reports hold (str, dicts with str keys,
+    lists, tuples, None, bools, ints and finite floats) are written here:
+    one ``str.join`` per container, and a list of only str or only int
+    items is joined with no Python call per item.  Any other value (a dict
+    with a key that is not a str, a NaN or infinite float, or a value json
+    cannot write) is json's own text, or its TypeError, indented by
+    ``pad``: json writes a newline only between items, never inside a
+    string."""
     if isinstance(o, str):
         return _quote(o)
     if isinstance(o, (list, tuple)):
@@ -209,13 +218,12 @@ def _json(o, pad=""):
         else:
             body = sep.join([_json(v, inner) for v in o])
         return f"[\n{inner}{body}\n{pad}]"
-    if isinstance(o, dict):
+    if isinstance(o, dict) and set(map(type, o)) <= {str}:
         if not o:
             return "{}"
         inner = pad + "  "
         items = sorted(o.items())
-        key = _quote if set(map(type, o)) == {str} else _key
-        body = (",\n" + inner).join([f"{key(k)}: {_json(v, inner)}" for k, v in items])
+        body = (",\n" + inner).join([f"{_quote(k)}: {_json(v, inner)}" for k, v in items])
         return f"{{\n{inner}{body}\n{pad}}}"
     if o is None:
         return "null"
@@ -225,25 +233,9 @@ def _json(o, pad=""):
         return "false"
     if isinstance(o, int):
         return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == math.inf:
-            return "Infinity"
-        if o == -math.inf:
-            return "-Infinity"
+    if isinstance(o, float) and math.isfinite(o):
         return float.__repr__(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
-def _key(k) -> str:
-    """A dict key as json writes it: a number, bool or None as its JSON text,
-    quoted like a str key."""
-    if isinstance(k, str):
-        return _quote(k)
-    if k is None or isinstance(k, (int, float)):
-        return _quote(_json(k))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    return json.dumps(o, sort_keys=True, indent=2).replace("\n", "\n" + pad)
 
 
 class _Parser(argparse.ArgumentParser):

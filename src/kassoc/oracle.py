@@ -13,14 +13,13 @@ budgeted store keyed by marginal or conditioning mask.
 
 Names are checked once and turned into bitmasks of positions in the
 oracle's variable order through the table's own name index
-(``Dag._index``, ``DiscreteJoint._pos`` or ``Dataset._pos``).  ``query``
-is that check plus ``_ask(mx, my, ms)``, which holds the cache (keyed on
-the masks) and the counter.  ``query`` looks its one x, its one y and
-each name of s up directly in the index; a query that fails a check goes
-to ``graph.query_masks``, which ``query_sets`` and the one subset scan
-(``association._first_independent``, which then asks ``_ask`` directly)
-always use: the one rule, and the one wording, that every name-level CI
-entry point shares (here with ``OracleError``).  The scans, the
+(``Dag._index``, ``DiscreteJoint._pos`` or ``Dataset._pos``), by
+``graph.query_masks``: the one rule, and the one wording, that every
+name-level CI entry point shares (here with ``OracleError``).  ``query``
+is that check on its one x, its one y and s, plus ``_ask(mx, my, ms)``,
+which holds the cache (keyed on the masks) and the counter;
+``query_sets`` and the one subset scan (``association._first_independent``,
+which then asks ``_ask`` directly) run the same check.  The scans, the
 unfaithful-triple search's marginal pair checks, grow-shrink (whose
 candidate set a direct ``shrink`` call checks through ``query_masks``)
 and the sparsest-permutation DP keep their sets as position masks and ask
@@ -74,19 +73,7 @@ class IndependenceOracle:
 
     def query(self, x: str, y: str, s: Iterable[str] = ()) -> bool:
         """True = independent. Deterministic given the backend state."""
-        s = tuple(s)  # read once: a failed check hands the same names to query_masks
-        index = self._index
-        try:
-            mx, my = 1 << index[x], 1 << index[y]
-            ms = 0
-            for v in s:
-                ms |= 1 << index[v]
-            valid = (mx | my | ms).bit_count() == len(s) + 2
-        except KeyError:
-            valid = False
-        if not valid:
-            mx, my, ms = query_masks(self._index, (x,), (y,), s, OracleError)
-        return self._ask(mx, my, ms)
+        return self._ask(*query_masks(self._index, (x,), (y,), s, OracleError))
 
     def _ask(self, mx: int, my: int, ms: int) -> bool:
         """``query`` on checked masks: the cached answer, else the backend's."""

@@ -46,7 +46,7 @@ class OrientationQuery:
         if self.center in left or self.center in right:
             raise PreconditionError("centre node cannot be in a side set")
         known = set(self.oracle.variables)
-        for v in {self.center, *left, *right}:
+        for v in (self.center, *left, *right):  # the caller's order, as query_masks
             if v not in known:
                 raise PreconditionError(f"unknown variable {v!r}")
 

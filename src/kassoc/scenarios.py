@@ -362,8 +362,16 @@ def save(scenario: Scenario) -> dict:
 
     Edges are written as "parent->child" strings, which :func:`load` splits
     at the first "->" and strips, so a label containing "->" or with
-    surrounding whitespace is refused here rather than written unloadable.
+    surrounding whitespace is refused here rather than written unloadable,
+    as is a name, notes, node label or parameter name that is not a str,
+    which :func:`load` would refuse or read back as another value.
     """
+    texts = [("name", scenario.name), ("notes", scenario.notes),
+             *[("node label", v) for v in scenario.dag.nodes],
+             *[("parameter name", k) for k in scenario.params]]
+    for what, text in texts:
+        if not isinstance(text, str):
+            raise ScenarioError(f"{what} {text!r} cannot be saved: it is not a str")
     for v in scenario.dag.nodes:
         if "->" in v or v != v.strip():
             raise ScenarioError(f"node label {v!r} cannot be saved: it contains '->' "
@@ -422,13 +430,6 @@ def _strings(value, what: str) -> list[str]:
     return value
 
 
-def _integer(value, what: str) -> int:
-    """A JSON integer; true and false are not integers here."""
-    if type(value) is not int:
-        raise ScenarioError(f"{what} must be a JSON integer, not {value!r}")
-    return value
-
-
 def _integers(value, what: str) -> list[int]:
     """A JSON list of integers, as given."""
     if not isinstance(value, list) or not all(type(v) is int for v in value):
@@ -447,11 +448,14 @@ def load(doc: dict) -> Scenario:
     """Inverse of :func:`save`; bit-exact round trip.
 
     Fields are read as strictly as :func:`save` writes them: node lists,
-    CPT parents and the Gaussian order are JSON lists of strings,
-    cardinalities and parent values JSON integers, and rationals and the
-    notes JSON strings.  Every invalid document raises :class:`ScenarioError`,
-    including those the graph, distribution and Gaussian layers reject (a
-    cyclic edge list, a cardinality below 1, cyclic coefficients).
+    CPT parents and the Gaussian order are JSON lists of strings, parent
+    cardinalities and parent values JSON integers, and a CPT's child,
+    rationals and the notes JSON strings.  A CPT's cardinality is passed to
+    :class:`Cpt` as read, which refuses, by name, one that is not an int
+    (true and false are not ints here), is below 1 or is too large.  Every invalid
+    document raises :class:`ScenarioError`, including those the graph,
+    distribution and Gaussian layers reject (a cyclic edge list, a bad
+    cardinality, cyclic coefficients).
     """
     try:
         return _load(doc)
@@ -486,6 +490,8 @@ def _load(doc: dict) -> Scenario:
             cpts = []
             for block in payload["cpts"]:
                 child = block["child"]
+                if not isinstance(child, str):
+                    raise ScenarioError(f"CPT child {child!r} must be a JSON string")
                 rows = {
                     tuple(_integers(row["given"], f"given of {child!r}")):
                         tuple(map(_parse_frac, _strings(row["probs"], f"probs of {child!r}")))
@@ -494,7 +500,7 @@ def _load(doc: dict) -> Scenario:
                 cpts.append(
                     Cpt(
                         child,
-                        _integer(block["cardinality"], f"cardinality of {child!r}"),
+                        block["cardinality"],
                         tuple(_strings(block["parents"], f"parents of {child!r}")),
                         tuple(_integers(block["parent_cardinalities"],
                                         f"parent_cardinalities of {child!r}")),

@@ -283,6 +283,8 @@ DIGITS = 5000  # past the interpreter's default integer digit limit (4300), wher
 # rational literals that Fraction() reads but save never writes
 LITERALS = {"literal_exponent": "1e10000000", "literal_decimal": "0.5",
             "literal_underscore": "1_0/2_0"}
+# a CPT child that is not a JSON string
+CHILDREN = {"child_int": 5, "child_list": ["X"]}
 
 
 class TestScenarioLoading:
@@ -320,6 +322,7 @@ class TestScenarioLoading:
         "not_utf8", "nested_deep", "parent_cardinalities_longer",
         "cardinality_zero", "cardinality_negative", "parent_cardinality_zero",
         "literal_exponent", "literal_decimal", "literal_underscore", "json_integer_digits",
+        "child_int", "child_list",
     ])
     def test_invalid_file_contents_exit_two(self, tmp_path, capsys, defect):
         graph = {"name": "g", "nodes": ["X", "Y"], "edges": [], "payload": {"type": "graph"}}
@@ -391,6 +394,9 @@ class TestScenarioLoading:
         elif defect == "cardinality":
             doc = save(builtin("example1"))
             doc["payload"]["cpts"][0]["cardinality"] = "x"
+        elif defect in ("child_int", "child_list"):
+            doc = save(builtin("example1"))
+            doc["payload"]["cpts"][0]["child"] = CHILDREN[defect]
         elif defect == "params_list":
             doc = save(builtin("example1"))
             doc["params"] = ["p"]
@@ -437,6 +443,13 @@ class TestScenarioLoading:
         elif defect == "parent_cardinalities_longer":
             assert err.endswith(
                 "bad probability table: CPT for Y: 1 parents but 2 parent cardinalities\n")
+        elif defect in ("cardinality_bool", "cardinality_float", "cardinality"):
+            value = {"cardinality_bool": True, "cardinality_float": 2.5,
+                     "cardinality": "x"}[defect]
+            assert err.endswith("bad probability table: CPT for X: cardinality of X "
+                                f"must be an int, not {value!r}\n")
+        elif defect in ("child_int", "child_list"):
+            assert err.endswith(f": CPT child {CHILDREN[defect]!r} must be a JSON string\n")
         elif defect in ("cardinality_zero", "cardinality_negative", "parent_cardinality_zero"):
             child, parent, value = {"cardinality_zero": ("X", "X", 0),
                                     "cardinality_negative": ("X", "X", -1),
@@ -710,6 +723,17 @@ class TestReportWriter:
     @settings(max_examples=200, deadline=None)
     @given(json_values(st.one_of(SCALARS, UNWRITABLE)))
     def test_same_exception_as_json(self, value):
+        self.same_as_json(value)
+
+    # values no report holds, which _json hands to json.dumps two levels
+    # down, at an indent of four spaces
+    @pytest.mark.parametrize("value", [
+        {"r": [{2: ["a", 1.5], 1: {"k": None}}, "b"]},
+        {"r": [{True: 1, False: 2}], "s": []},
+        {"r": {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "x": 0.5}},
+        {"r": {"set": {1, 2}}},
+    ], ids=["int_keys", "bool_keys", "non_finite_floats", "set"])
+    def test_what_json_writes_itself_two_levels_deep(self, value):
         self.same_as_json(value)
 
 

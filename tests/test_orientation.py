@@ -1,8 +1,11 @@
 """Collider orientation rule: soundness, preconditions, failure detection."""
 
 import itertools
+import subprocess
+import sys
 
 import pytest
+from conftest import child_env
 
 from kassoc.association import (
     UNBOUNDED,
@@ -47,6 +50,28 @@ class TestQueryValidation:
     def test_unknown_variable(self, example2):
         with pytest.raises(PreconditionError):
             q(example2, "Y", ("Q",), ("W",))
+
+    def test_first_unknown_name_in_the_callers_order_under_every_hash_seed(self):
+        # of several unknown names, the first of (center, *left, *right) is
+        # named, as query_masks names the first of (xs, ys, s)
+        script = (
+            "from kassoc.orientation import OrientationQuery, PreconditionError\n"
+            "from kassoc.scenarios import builtin\n"
+            "o = builtin('example2').oracle()\n"
+            "for center, left, right in [('Q', ('R',), ('S',)), ('Y', ('X', 'R'), ('S',)),\n"
+            "                            ('Y', ('X',), ('S', 'Q')), ('Y', ('P', 'R'), ('S', 'Q'))]:\n"
+            "    try:\n"
+            "        OrientationQuery(center, left, right, o)\n"
+            "    except PreconditionError as exc:\n"
+            "        print(exc)\n"
+        )
+        want = "".join(f"unknown variable {v!r}\n" for v in "QRSP")
+        for seed in range(1, 7):
+            proc = subprocess.run([sys.executable, "-c", script],
+                                  env=child_env(PYTHONHASHSEED=str(seed)),
+                                  capture_output=True, text=True, timeout=300)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert proc.stdout == want, f"PYTHONHASHSEED={seed}"
 
 
 class TestExampleTwoCollider:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import random_cpt_net
 from kassoc.audit import audit_scenario, check_cmc
-from kassoc.distribution import DiscreteJoint
+from kassoc.distribution import Cpt, DiscreteJoint
 from kassoc.gaussian import GaussianSystem
 from kassoc.graph import Dag
 from kassoc.oracle import DiscreteOracle, GraphOracle, GTestOracle
@@ -350,6 +350,39 @@ class TestSerialization:
     def test_labels_that_load_would_misread_are_refused(self, label):
         s = Scenario("labels", Dag([label, "Y"], [(label, "Y")]), "graph")
         with pytest.raises(ScenarioError, match="cannot be saved"):
+            save(s)
+
+    @pytest.mark.parametrize("kind", ["discrete", "gaussian"])
+    def test_int_labels_are_refused(self, kind):
+        # the chain 0 -> 1 -> 2, which audits; load reads only str labels
+        dag = Dag([0, 1, 2], [(0, 1), (1, 2)])
+        if kind == "discrete":
+            s = Scenario("chain", dag, kind, cpts=[
+                Cpt.coin(0, F(1, 3)),
+                Cpt(1, 2, (0,), (2,), {(0,): (F(1, 4), F(3, 4)), (1,): (F(1, 2), F(1, 2))}),
+                Cpt(2, 2, (1,), (2,), {(0,): (F(1, 5), F(4, 5)), (1,): (F(2, 3), F(1, 3))})])
+        else:
+            s = Scenario("chain", dag, kind, gaussian=GaussianSystem(
+                dag.nodes, {(1, 0): 1, (2, 1): F(1, 2)}, {v: 1 for v in dag.nodes}))
+        with pytest.raises(ScenarioError,
+                           match="^node label 0 cannot be saved: it is not a str$"):
+            save(s)
+
+    @pytest.mark.parametrize("field, value", [("name", 5), ("name", None),
+                                              ("notes", None), ("notes", ["n"])])
+    def test_a_name_or_notes_that_is_not_a_str_is_refused(self, field, value):
+        s = Scenario(**{"name": "g", "dag": Dag(["X"], []), "kind": "graph", field: value})
+        with pytest.raises(ScenarioError,
+                           match=f"^{field} {re.escape(repr(value))} cannot be saved: "
+                                 "it is not a str$"):
+            save(s)
+
+    @pytest.mark.parametrize("params", [{1: F(1, 2)}, {"p": F(1, 3), 1: F(1, 2)}])
+    def test_a_parameter_name_that_is_not_a_str_is_refused(self, params):
+        # json would write the key 1 as "1", which loads back as another key
+        s = Scenario("g", Dag(["X"], []), "graph", params=params)
+        with pytest.raises(ScenarioError,
+                           match="^parameter name 1 cannot be saved: it is not a str$"):
             save(s)
 
     @pytest.mark.parametrize("label", ["A,B", "a b", "Zürich", "-", ">"])
